@@ -108,49 +108,114 @@ let of_gates ~n_qubits gates =
 
 let equal_up_to_global_phase ?eps a b = Cmat.equal_up_to_phase ?eps a b
 
-let state_of_gates ~n_qubits gates =
+(* One gate prepared for in-place application on an n-qubit register:
+   [spread.(l)] is the global-index offset of gate-local index l (local
+   bit k-1-pos lives at global bit n-1-q for q the pos-th listed qubit —
+   the same frame as Cmat.embed), [targets] the bits the gate acts on,
+   [moves] whether it carries amplitude between indices (an off-diagonal
+   entry is nonzero), and [ure]/[uim] the gate's matrix, row-major. *)
+type op = {
+  dl : int;
+  spread : int array;
+  targets : int;
+  moves : bool;
+  ure : float array;
+  uim : float array;
+}
+
+type program = { dim : int; ops : op array; ar : float array; ai : float array }
+
+let program ~n_qubits gates =
   let dim = 1 lsl n_qubits in
-  let state = Array.make dim Cx.zero in
-  state.(0) <- Cx.one;
-  List.iter
-    (fun (g : Gate.t) ->
-      let targets = Gate.qubits g in
-      let k = List.length targets in
-      let u = of_kind g.Gate.kind in
-      (* local bit (k-1-pos) of a gate-local index lives at global bit
-         (n-1-q) for q the pos-th listed qubit — the same frame as
-         Cmat.embed *)
-      let target_bits =
-        Array.of_list (List.map (fun q -> n_qubits - 1 - q) targets)
-      in
-      let mask =
-        Array.fold_left (fun acc b -> acc lor (1 lsl b)) 0 target_bits
-      in
-      let dl = 1 lsl k in
-      let idx = Array.make dl 0 in
-      let amp = Array.make dl Cx.zero in
-      for rest = 0 to dim - 1 do
-        if rest land mask = 0 then begin
-          for l = 0 to dl - 1 do
-            let x = ref rest in
-            for pos = 0 to k - 1 do
-              if (l lsr (k - 1 - pos)) land 1 = 1 then
-                x := !x lor (1 lsl target_bits.(pos))
-            done;
-            idx.(l) <- !x;
-            amp.(l) <- state.(!x)
-          done;
+  let op_of (g : Gate.t) =
+    let dl = 1 lsl Gate.arity g in
+    (* the t-th listed target is local bit (arity-1-t), mask dl lsr (t+1) *)
+    let spread = Array.make dl 0 in
+    List.iteri
+      (fun t q ->
+        let local = dl lsr (t + 1) and global = 1 lsl (n_qubits - 1 - q) in
+        for l = 0 to dl - 1 do
+          if l land local <> 0 then spread.(l) <- spread.(l) lor global
+        done)
+      (Gate.qubits g);
+    let u = of_kind g.Gate.kind in
+    let ure = Array.make (dl * dl) 0. and uim = Array.make (dl * dl) 0. in
+    let moves = ref false in
+    for i = 0 to dl - 1 do
+      for j = 0 to dl - 1 do
+        let z = Cmat.get u i j in
+        ure.((i * dl) + j) <- Cx.re z;
+        uim.((i * dl) + j) <- Cx.im z;
+        if i <> j && not (Cx.is_zero ~eps:0. z) then moves := true
+      done
+    done;
+    { dl; spread; targets = spread.(dl - 1); moves = !moves; ure; uim }
+  in
+  let ops = Array.of_list (List.map op_of gates) in
+  (* per-program scratch for one index group's amplitudes (arity ≤ 3) *)
+  { dim; ops; ar = Array.make 8 0.; ai = Array.make 8 0. }
+
+(* Apply every gate in turn to the state held in [re]/[im]. Every nonzero
+   amplitude sits at an index that agrees with [fixed] outside the bits
+   of [free]: at the start, the bits on which the nonzero indices differ;
+   after each gate that moves amplitude, widened by its targets. A gate
+   visits only the index groups inside that set (the subsets of [vary]),
+   and a group whose amplitudes are all exactly zero maps to zero and is
+   skipped, so a basis column costs a handful of groups per gate until
+   the gates have spread it over the register. *)
+let run p re im =
+  if Array.length re <> p.dim || Array.length im <> p.dim then
+    invalid_arg "Unitary.run: buffer length does not match the program";
+  let ar = p.ar and ai = p.ai in
+  let all_and = ref (p.dim - 1) and all_or = ref 0 in
+  for x = 0 to p.dim - 1 do
+    if re.(x) <> 0. || im.(x) <> 0. then begin
+      all_and := !all_and land x;
+      all_or := !all_or lor x
+    end
+  done;
+  let fixed = !all_and and free = ref (!all_and lxor !all_or) in
+  Array.iter
+    (fun o ->
+      let dl = o.dl and spread = o.spread and ure = o.ure and uim = o.uim in
+      if o.moves then free := !free lor o.targets;
+      let vary = !free land lnot o.targets in
+      let outside = fixed land lnot (!free lor o.targets) in
+      let sub = ref 0 and more = ref true in
+      while !more do
+        let base = outside lor !sub in
+        let nonzero = ref false in
+        for l = 0 to dl - 1 do
+          let x = base lor spread.(l) in
+          let r = re.(x) and i = im.(x) in
+          ar.(l) <- r;
+          ai.(l) <- i;
+          if r <> 0. || i <> 0. then nonzero := true
+        done;
+        if !nonzero then
           for i = 0 to dl - 1 do
-            let acc = ref Cx.zero in
+            let sr = ref 0. and si = ref 0. in
+            let off = i * dl in
             for j = 0 to dl - 1 do
-              acc := Cx.add !acc (Cx.mul (Cmat.get u i j) amp.(j))
+              let ur = ure.(off + j) and ui = uim.(off + j) in
+              sr := !sr +. ((ur *. ar.(j)) -. (ui *. ai.(j)));
+              si := !si +. ((ur *. ai.(j)) +. (ui *. ar.(j)))
             done;
-            state.(idx.(i)) <- !acc
-          done
-        end
+            let x = base lor spread.(i) in
+            re.(x) <- !sr;
+            im.(x) <- !si
+          done;
+        sub := ((!sub lor lnot vary) + 1) land vary;
+        if !sub = 0 then more := false
       done)
-    gates;
-  state
+    p.ops
+
+let state_of_gates ~n_qubits gates =
+  let p = program ~n_qubits gates in
+  let re = Array.make p.dim 0. and im = Array.make p.dim 0. in
+  re.(0) <- 1.;
+  run p re im;
+  Array.init p.dim (fun x -> Cx.make re.(x) im.(x))
 
 let on_support gates =
   if gates = [] then invalid_arg "Unitary.on_support: empty gate list";

@@ -24,12 +24,31 @@ val equal_up_to_global_phase :
     phase is unobservable. Use this rather than a fidelity threshold when
     exact equivalence (not approximation quality) is meant. *)
 
+type program
+(** A gate list prepared for repeated in-place application to 2ⁿ-entry
+    state buffers: each gate's matrix and index frame are computed once.
+    A program carries its own scratch space, so it must not be run on
+    two domains at once. *)
+
+val program : n_qubits:int -> Gate.t list -> program
+(** [program ~n_qubits gates] prepares [gates] (qubits in [0, n)) for
+    {!run}. *)
+
+val run : program -> float array -> float array -> unit
+(** [run p re im] overwrites the state with real parts [re] and imaginary
+    parts [im] (both of length 2ⁿ, {!Qnum.Cmat} basis convention) by the
+    program's gates applied in list (time) order. Each gate costs at
+    most 2ⁿ·2^arity; index groups that provably hold only exact zeros
+    are skipped, so sparse states (a basis vector under the first few
+    gates, or under permutation and diagonal gates) cost far less.
+    Raises [Invalid_argument] on a buffer of the wrong length. *)
+
 val state_of_gates : n_qubits:int -> Gate.t list -> Qnum.Cx.t array
 (** The statevector obtained by applying the gates in list (time) order to
-    |0…0⟩, indexed by the {!Qnum.Cmat} basis convention. Each gate costs
-    2ⁿ·4^arity, so this is far cheaper than {!of_gates} when only one
-    column of the joint unitary is needed (e.g. to separate two operators
-    already known equal up to a global phase). *)
+    |0…0⟩, indexed by the {!Qnum.Cmat} basis convention ({!run} on the
+    first basis vector). This is far cheaper than {!of_gates} when only
+    one column of the joint unitary is needed (e.g. to separate two
+    operators already known equal up to a global phase). *)
 
 val on_support : Gate.t list -> int list * Qnum.Cmat.t
 (** [on_support gates] computes the joint unitary of [gates] on the sorted

@@ -47,8 +47,7 @@ let dense_commute a_gates b_gates =
    width gate, then the attempt-and-fail algebraic dispatch (phase
    polynomial, then tableau), then the dense comparison. No metrics, no
    decision memo — results must be reproducible independently of any
-   cache the oracle keeps (the unitary cache underneath [dense_on] is
-   content-addressed and pure, so sharing it is sound). *)
+   cache the oracle keeps ([dense_on] keeps none). *)
 let blocks_reference a b =
   match (a, b) with
   | [], _ | _, [] -> true

@@ -42,25 +42,18 @@ let support_of gs = List.sort_uniq compare (List.concat_map Gate.qubits gs)
      support's positions inside the sorted joint support — restore
      exactly the information of the relabelled pair).
    - [diagonal]: digest of a relabelled prefix -> is the composed
-     unitary diagonal (the detect pass's per-prefix question).
-   - [unitary]: content-addressed block unitaries on their own support,
-     bounded by total cached matrix cells and cleared wholesale when
-     full. *)
+     unitary diagonal (the detect pass's per-prefix question). *)
 type memo_state = {
   classify : (string, klass * bool * bool * bool) Hashtbl.t;
   pair : (string, bool) Hashtbl.t;
   diagonal : (string, bool) Hashtbl.t;
-  unitary : (string, Qnum.Cmat.t) Hashtbl.t;
-  mutable unitary_cells : int;
 }
 
 let memos =
   Qobs.Domain_safe.Local.make (fun () ->
       { classify = Hashtbl.create 1024;
         pair = Hashtbl.create 4096;
-        diagonal = Hashtbl.create 1024;
-        unitary = Hashtbl.create 256;
-        unitary_cells = 0 })
+        diagonal = Hashtbl.create 1024 })
   [@@domain_safety domain_local]
 
 (* idempotent; clears the calling domain's tables only *)
@@ -68,39 +61,41 @@ let reset_memos () =
   let m = Qobs.Domain_safe.Local.get memos in
   Hashtbl.reset m.classify;
   Hashtbl.reset m.pair;
-  Hashtbl.reset m.diagonal;
-  Hashtbl.reset m.unitary;
-  m.unitary_cells <- 0
+  Hashtbl.reset m.diagonal
 
-let unitary_memo_cell_cap = 4_000_000
-
-let unitary_on_own gates =
-  let m = Qobs.Domain_safe.Local.get memos in
-  let own = support_of gates in
-  let k = List.length own in
-  let local = relabel_onto own gates in
-  let key = Marshal.to_string local [] in
-  let u =
-    match Hashtbl.find_opt m.unitary key with
-    | Some u -> u
-    | None ->
-      let u = Qgate.Unitary.of_gates ~n_qubits:k local in
-      if m.unitary_cells > unitary_memo_cell_cap then begin
-        Hashtbl.reset m.unitary;
-        m.unitary_cells <- 0
-      end;
-      m.unitary_cells <- m.unitary_cells + (1 lsl (2 * k));
-      Hashtbl.replace m.unitary key u;
-      u
-  in
-  (own, u)
-
-(* the dense comparison on already-relabelled gates, support 0..n-1 *)
+(* The dense comparison on already-relabelled gates, support 0..n-1,
+   without building either operator: column j of B·A is eⱼ pushed through
+   a then b (the [ab] buffers), column j of A·B is eⱼ pushed through b
+   then a (the [ba] buffers). Entries are compared with the same absolute
+   1e-9 tolerance as a full-matrix comparison, and the scan stops at the
+   first column that differs — most dense queries answer "no" within a
+   few columns. *)
 let dense_on ~n_qubits a_gates b_gates =
   Qobs.Metrics.tick "commute.unitary";
-  let targets_a, ua = unitary_on_own a_gates in
-  let targets_b, ub = unitary_on_own b_gates in
-  Qnum.Cmat.commute_embedded ~eps:1e-9 ~n_qubits ~targets_a ua ~targets_b ub
+  let pa = Qgate.Unitary.program ~n_qubits a_gates in
+  let pb = Qgate.Unitary.program ~n_qubits b_gates in
+  let dim = 1 lsl n_qubits in
+  let ab_re = Array.make dim 0. and ab_im = Array.make dim 0. in
+  let ba_re = Array.make dim 0. and ba_im = Array.make dim 0. in
+  let rec same i =
+    i >= dim
+    || Float.hypot (ab_re.(i) -. ba_re.(i)) (ab_im.(i) -. ba_im.(i)) <= 1e-9
+       && same (i + 1)
+  in
+  let rec columns j =
+    j >= dim
+    || begin
+      List.iter (fun v -> Array.fill v 0 dim 0.) [ ab_re; ab_im; ba_re; ba_im ];
+      ab_re.(j) <- 1.;
+      ba_re.(j) <- 1.;
+      Qgate.Unitary.run pa ab_re ab_im;
+      Qgate.Unitary.run pb ab_re ab_im;
+      Qgate.Unitary.run pb ba_re ba_im;
+      Qgate.Unitary.run pa ba_re ba_im;
+      same 0 && columns (j + 1)
+    end
+  in
+  columns 0
 
 (* ---- summaries ---- *)
 

@@ -75,12 +75,11 @@ val algebraic_pair :
     own both. *)
 
 val dense_on : n_qubits:int -> Qgate.Gate.t list -> Qgate.Gate.t list -> bool
-(** The dense comparison on already-relabelled gates (support 0..n-1),
-    through the content-addressed unitary cache; ticks
-    [commute.unitary]. *)
-
-val unitary_on_own : Qgate.Gate.t list -> int list * Qnum.Cmat.t
-(** The block's unitary on its own sorted support (cached). *)
+(** The dense comparison on already-relabelled gates (support 0..n-1):
+    do A·B and B·A agree entrywise within 1e-9? Matrix-free — each
+    basis column is pushed through both gate orders in 2ⁿ buffers
+    ({!Qgate.Unitary.run}), stopping at the first column that differs.
+    Ticks [commute.unitary]. *)
 
 (** {2 Incremental diagonal-prefix scanning}
 
@@ -110,6 +109,6 @@ val scan_is_diagonal : scan -> bool
     suite pins this). *)
 
 val reset_memos : unit -> unit
-(** Clear the calling domain's classification, pair, diagonal and
-    unitary memos. Benchmarks use this to measure cold-path timings
+(** Clear the calling domain's classification, pair and diagonal
+    memos. Benchmarks use this to measure cold-path timings
     reproducibly; results are unaffected (the memos are pure caches). *)

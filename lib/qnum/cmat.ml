@@ -419,93 +419,6 @@ let mul_embedded ~n_qubits ~targets u m =
   done;
   out
 
-(* local index of a full basis index under [targets] (listed order, first
-   target = most significant local bit, matching {!embed_frame}),
-   tabulated for all 2^n indices *)
-let local_index_table ~n_qubits ~targets =
-  let k = List.length targets in
-  let tb = Array.of_list (List.map (bit_of_qubit n_qubits) targets) in
-  Array.init (1 lsl n_qubits) (fun idx ->
-      let l = ref 0 in
-      Array.iteri
-        (fun pos b ->
-          if (idx lsr b) land 1 = 1 then l := !l lor (1 lsl (k - 1 - pos)))
-        tb;
-      !l)
-
-let commute_embedded ?(eps = 1e-9) ~n_qubits ~targets_a ua ~targets_b ub =
-  (* Decides [commute (embed ua) (embed ub)] straight from the own-support
-     matrices. An embedded entry a[i,k] is structurally zero unless i and
-     k agree outside the target bits, so each row·column product of the
-     two orderings has 2^|targets| candidate terms, not 2^n — cost
-     4ⁿ·(2^ka + 2^kb) instead of 8ⁿ. The candidate k's are enumerated in
-     ascending order and value-zero entries skipped exactly as in
-     {!commute}, so the surviving terms accumulate in the same order with
-     the same values and the decision is identical to embedding first
-     (structurally-skipped terms are exact zeros, which only affect the
-     sign of a zero accumulator — invisible to the comparison). *)
-  let frame targets (u : t) =
-    let k, _, _ = embed_frame ~name:"commute_embedded" ~n_qubits ~targets u in
-    let bits = List.map (bit_of_qubit n_qubits) targets in
-    let mask = List.fold_left (fun m b -> m lor (1 lsl b)) 0 bits in
-    let sorted = List.sort compare bits in
-    (* spreading counter bit t to the t-th lowest target bit is monotone,
-       so c ↦ base lor spread.(c) walks the structural k's in ascending
-       order *)
-    let spread =
-      Array.init (1 lsl k) (fun c ->
-          let r = ref 0 in
-          List.iteri
-            (fun t b -> if (c lsr t) land 1 = 1 then r := !r lor (1 lsl b))
-            sorted;
-          !r)
-    in
-    (mask, spread, local_index_table ~n_qubits ~targets)
-  in
-  let mask_a, spread_a, loc_a = frame targets_a ua in
-  let mask_b, spread_b, loc_b = frame targets_b ub in
-  let n = 1 lsl n_qubits in
-  let da = ua.c and db = ub.c in
-  let ok = ref true in
-  let j = ref 0 in
-  while !ok && !j < n do
-    let jc = !j in
-    let i = ref 0 in
-    while !ok && !i < n do
-      let ii = !i in
-      let xr = ref 0. and xi = ref 0. in
-      let yr = ref 0. and yi = ref 0. in
-      let base_a = ii land lnot mask_a in
-      let ra = loc_a.(ii) * da in
-      for c = 0 to Array.length spread_a - 1 do
-        let k = base_a lor spread_a.(c) in
-        let ar = ua.re.(ra + loc_a.(k)) and ai = ua.im.(ra + loc_a.(k)) in
-        if (ar <> 0. || ai <> 0.) && (k lxor jc) land lnot mask_b = 0 then begin
-          let o = (loc_b.(k) * db) + loc_b.(jc) in
-          let br = ub.re.(o) and bi = ub.im.(o) in
-          xr := !xr +. (ar *. br) -. (ai *. bi);
-          xi := !xi +. (ar *. bi) +. (ai *. br)
-        end
-      done;
-      let base_b = ii land lnot mask_b in
-      let rb = loc_b.(ii) * db in
-      for c = 0 to Array.length spread_b - 1 do
-        let k = base_b lor spread_b.(c) in
-        let br = ub.re.(rb + loc_b.(k)) and bi = ub.im.(rb + loc_b.(k)) in
-        if (br <> 0. || bi <> 0.) && (k lxor jc) land lnot mask_a = 0 then begin
-          let o = (loc_a.(k) * da) + loc_a.(jc) in
-          let ar = ua.re.(o) and ai = ua.im.(o) in
-          yr := !yr +. (br *. ar) -. (bi *. ai);
-          yi := !yi +. (br *. ai) +. (bi *. ar)
-        end
-      done;
-      if Float.hypot (!xr -. !yr) (!xi -. !yi) > eps then ok := false;
-      incr i
-    done;
-    incr j
-  done;
-  !ok
-
 let permute_qubits perm u =
   let n =
     let rec log2 d acc = if d <= 1 then acc else log2 (d / 2) (acc + 1) in

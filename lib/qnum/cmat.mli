@@ -110,22 +110,6 @@ val mul_embedded : n_qubits:int -> targets:int list -> t -> t -> t
     block unitaries. Raises like {!embed} on bad targets, plus when [m]
     does not have 2ⁿ rows. *)
 
-val commute_embedded :
-  ?eps:float ->
-  n_qubits:int ->
-  targets_a:int list ->
-  t ->
-  targets_b:int list ->
-  t ->
-  bool
-(** [commute_embedded ~n_qubits ~targets_a ua ~targets_b ub] decides
-    [commute (embed ua) (embed ub)] without materializing either embedded
-    operator: each row·column term sum only visits the structurally
-    nonzero entries, so the cost is O(4ⁿ·(2^ka + 2^kb)) instead of O(8ⁿ).
-    Term order and zero-skipping match {!commute} on the embedded
-    matrices, so the two always return the same answer. Raises like
-    {!embed} on bad targets. *)
-
 val permute_qubits : int array -> t -> t
 (** [permute_qubits perm u] relabels the qubits of a 2ⁿ×2ⁿ matrix:
     qubit [q] of the input becomes qubit [perm.(q)] of the output. *)

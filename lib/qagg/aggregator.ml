@@ -13,15 +13,16 @@ type stats = {
    initial nodes plus one fresh id per merge, so capacity grows by
    doubling). [nan] marks an id with no live node in the float tables;
    [-1] marks a missing chain neighbour / position in the int tables,
-   which are laid out [id * nq + qubit]. Array backing matters because
-   62% of merges move the makespan and therefore reseed the full backward
-   ALAP pass — that pass is a tight scan here instead of a hashtable
-   drain. Every fold below reproduces the fold order of the hashtable
-   version it replaced, so the computed floats are bit-identical. *)
+   which are laid out [id * nq + qubit].
+
+   Deadlines are kept makespan-free: [tail x] is the longest path from [x]
+   to any sink, [x]'s own latency included, so [x]'s ALAP start is
+   [makespan -. tail x]. A merge that moves the makespan therefore leaves
+   every tail valid, and both re-propagations start at the splice. *)
 type slack = {
   mutable start : float array;
   mutable finish : float array;
-  mutable latest_start : float array;
+  mutable tail : float array;
   mutable pred : int array;
   mutable succ : int array;
   mutable pos : int array;  (* position within the qubit's chain *)
@@ -29,6 +30,7 @@ type slack = {
   mutable stamp : int array;  (* worklist membership, epoch-tagged *)
   mutable epoch : int;
   nq : int;
+  ends : int array;  (* qubit -> last node of its chain, [-1] when empty *)
   mutable makespan : float;
 }
 
@@ -47,7 +49,7 @@ let ensure_capacity s id =
     in
     s.start <- grow_float s.start;
     s.finish <- grow_float s.finish;
-    s.latest_start <- grow_float s.latest_start;
+    s.tail <- grow_float s.tail;
     s.pred <- grow_int s.pred;
     s.succ <- grow_int s.succ;
     s.pos <- grow_int s.pos;
@@ -60,17 +62,18 @@ let ensure_capacity s id =
   end
 
 (* one chain pass + one Kahn pass computes the topological order, the ASAP
-   times, the makespan and the ALAP deadlines; the incremental path below
+   times, the makespan and the tails; the incremental path below
    maintains the same tables in place so this full pass only runs at
    round boundaries *)
 let compute_slack g =
   let nq = Gdg.n_qubits g in
   let cap = Gdg.fresh_id g in
   let start = Array.make cap nan and finish = Array.make cap nan in
-  let latest_start = Array.make cap nan in
+  let tail = Array.make cap nan in
   let pred = Array.make (cap * nq) (-1)
   and succ = Array.make (cap * nq) (-1)
   and pos = Array.make (cap * nq) (-1) in
+  let ends = Array.make nq (-1) in
   let indeg = Array.make cap 0 in
   for q = 0 to nq - 1 do
     let rec link k = function
@@ -80,7 +83,9 @@ let compute_slack g =
         pred.(y * nq + q) <- x;
         indeg.(y) <- indeg.(y) + 1;
         link (k + 1) rest
-      | [ x ] -> pos.(x * nq + q) <- k
+      | [ x ] ->
+        pos.(x * nq + q) <- k;
+        ends.(q) <- x
       | [] -> ()
     in
     link 0 (Gdg.chain_ids g q)
@@ -119,78 +124,88 @@ let compute_slack g =
       inst.Inst.qubits
   done;
   if !seen <> Gdg.size g then failwith "Aggregator: cyclic dependence graph";
-  let makespan = !makespan in
   List.iter
     (fun id ->
       let inst = match node.(id) with Some i -> i | None -> assert false in
-      let latest_finish =
-        List.fold_left
-          (fun acc q ->
-            let c = succ.(id * nq + q) in
-            if c < 0 then acc else Float.min acc latest_start.(c))
-          makespan inst.Inst.qubits
-      in
-      latest_start.(id) <- latest_finish -. inst.Inst.latency)
+      tail.(id) <-
+        inst.Inst.latency
+        +. List.fold_left
+             (fun acc q ->
+               let c = succ.(id * nq + q) in
+               if c < 0 then acc else Float.max acc tail.(c))
+             0. inst.Inst.qubits)
     !order;
-  { start; finish; latest_start; pred; succ; pos; node;
-    stamp = Array.make cap 0; epoch = 0; nq; makespan }
+  { start; finish; tail; pred; succ; pos; node;
+    stamp = Array.make cap 0; epoch = 0; nq; ends; makespan = !makespan }
 
 (* Incremental counterpart of {!compute_slack} after one accepted merge of
    [a] and [b] into [merged]. Only the chains of the merged support
    changed, so the pred/succ/position tables are patched for those chains
-   alone, and the ASAP/ALAP times are re-propagated by worklist from the
-   affected nodes — each recomputation uses exactly the folds of the full
-   pass, and the fixpoint on a DAG is unique, so the resulting tables are
-   identical to a from-scratch recomputation (the qcheck suite pins this
-   against the retained reference aggregator). [old_chains] are the
-   (qubit, chain ids) of the merged support captured before the merge. *)
-let update_slack_after_merge g slack ~old_chains ~a ~b (merged : Inst.t) =
-  ensure_capacity slack merged.Inst.id;
+   alone. A node's start reads only its chain predecessors and its tail
+   only its chain successors, and the splice changed those neighbours for
+   [merged] and for the pre-merge chain neighbours of [a] and [b] alone
+   ([old_neighbors]), so both worklists are seeded there; every
+   recomputation uses exactly the fold of the full pass, and the fixpoint
+   on a DAG is unique. The qcheck suite pins the resulting merges against
+   the reference aggregator, which recomputes makespan-anchored deadlines
+   from scratch. *)
+let update_slack_after_merge g slack ~a ~b ~old_neighbors (merged : Inst.t) =
+  let m = merged.Inst.id in
+  ensure_capacity slack m;
   let nq = slack.nq in
   (* the merge removed [a] and [b] and added [merged]; every other node
      record is untouched (latencies only change at round boundaries,
      which rebuild the slack wholesale), so the id->instruction cache is
      patched in place *)
-  slack.node.(a) <- None;
-  slack.node.(b) <- None;
-  slack.node.(merged.Inst.id) <- Some merged;
   let node_of x =
     match slack.node.(x) with Some i -> i | None -> assert false
   in
-  let new_chains =
-    List.map (fun q -> (q, Gdg.chain_ids g q)) merged.Inst.qubits
-  in
-  (* 1. re-link the affected chains *)
   List.iter
-    (fun (q, old_ids) ->
+    (fun x ->
       List.iter
-        (fun x ->
+        (fun q ->
           slack.pos.(x * nq + q) <- -1;
           slack.pred.(x * nq + q) <- -1;
           slack.succ.(x * nq + q) <- -1)
-        old_ids)
-    old_chains;
-  List.iter
-    (fun (q, ids) ->
-      List.iteri (fun k x -> slack.pos.(x * nq + q) <- k) ids;
-      let rec link = function
-        | x :: (y :: _ as rest) ->
-          slack.succ.(x * nq + q) <- y;
-          slack.pred.(y * nq + q) <- x;
-          link rest
-        | _ -> ()
-      in
-      link ids)
-    new_chains;
-  List.iter
-    (fun x ->
+        (node_of x).Inst.qubits;
+      slack.node.(x) <- None;
       slack.start.(x) <- nan;
       slack.finish.(x) <- nan;
-      slack.latest_start.(x) <- nan)
+      slack.tail.(x) <- nan)
     [ a; b ];
-  (* 2. forward ASAP re-propagation from the affected chains; a missing
-     predecessor finish reads as 0 and is corrected when that predecessor
-     lands (setting a value always re-pushes its successors) *)
+  slack.node.(m) <- Some merged;
+  (* 1. re-link the affected chains *)
+  List.iter
+    (fun q ->
+      let rec link k = function
+        | x :: (y :: _ as rest) ->
+          slack.pos.(x * nq + q) <- k;
+          slack.succ.(x * nq + q) <- y;
+          slack.pred.(y * nq + q) <- x;
+          link (k + 1) rest
+        | [ x ] ->
+          slack.pos.(x * nq + q) <- k;
+          slack.succ.(x * nq + q) <- -1;
+          slack.ends.(q) <- x
+        | [] -> ()
+      in
+      link 0 (Gdg.chain_ids g q))
+    merged.Inst.qubits;
+  let seed push ~dir =
+    push m;
+    List.iter
+      (fun q ->
+        let x = dir.(m * nq + q) in
+        if x >= 0 then push x)
+      merged.Inst.qubits;
+    List.iter
+      (fun (_, xs) ->
+        List.iter (fun x -> if x >= 0 && x <> a && x <> b then push x) xs)
+      old_neighbors
+  in
+  (* 2. forward ASAP re-propagation from the splice; a missing predecessor
+     finish reads as 0 and is corrected when that predecessor lands
+     (setting a value always re-pushes its successors) *)
   slack.epoch <- slack.epoch + 1;
   let fep = slack.epoch in
   let queue = Queue.create () in
@@ -200,7 +215,7 @@ let update_slack_after_merge g slack ~old_chains ~a ~b (merged : Inst.t) =
       Queue.add x queue
     end
   in
-  List.iter (fun (_, ids) -> List.iter push ids) new_chains;
+  seed push ~dir:slack.succ;
   while not (Queue.is_empty queue) do
     let x = Queue.pop queue in
     slack.stamp.(x) <- 0;
@@ -226,16 +241,14 @@ let update_slack_after_merge g slack ~old_chains ~a ~b (merged : Inst.t) =
         inst.Inst.qubits
     end
   done;
-  (* 3. makespan: a cheap scan of the finish table (merges may shrink it,
-     so a running max cannot be maintained); [nan] entries compare false *)
-  let mk = ref 0. in
-  Array.iter (fun f -> if f > !mk then mk := f) slack.finish;
-  let mk = !mk in
-  (* 4. backward ALAP re-propagation. Every deadline is anchored on the
-     makespan, so when it moved all nodes are reseeded — in decreasing
-     ASAP-start order, a reverse-topological order up to zero-latency
-     ties, which the correction drain resolves; otherwise only the
-     affected chains are reseeded. *)
+  (* 3. makespan over the chain ends: latencies are non-negative, so
+     [finish] never decreases along a chain and its maximum sits at one of
+     them *)
+  slack.makespan <-
+    Array.fold_left
+      (fun acc x -> if x < 0 then acc else Float.max acc slack.finish.(x))
+      0. slack.ends;
+  (* 4. backward tail re-propagation from the splice, mirroring step 2 *)
   slack.epoch <- slack.epoch + 1;
   let bep = slack.epoch in
   let bqueue = Queue.create () in
@@ -245,48 +258,24 @@ let update_slack_after_merge g slack ~old_chains ~a ~b (merged : Inst.t) =
       Queue.add x bqueue
     end
   in
-  if mk <> slack.makespan then begin
-    slack.makespan <- mk;
-    let n_alive = ref 0 in
-    Array.iter (fun s -> if not (Float.is_nan s) then incr n_alive) slack.start;
-    let ids = Array.make !n_alive 0 in
-    let w = ref 0 in
-    Array.iteri
-      (fun id s ->
-        if not (Float.is_nan s) then begin
-          ids.(!w) <- id;
-          incr w
-        end)
-      slack.start;
-    Array.sort
-      (fun i1 i2 ->
-        (* all reseeded starts are live, hence non-nan, so the direct
-           float comparisons order exactly like polymorphic compare *)
-        let s1 = slack.start.(i1) and s2 = slack.start.(i2) in
-        if s2 > s1 then 1
-        else if s2 < s1 then -1
-        else compare (i2 : int) i1)
-      ids;
-    Array.iter bpush ids
-  end
-  else List.iter (fun (_, ids) -> List.iter bpush ids) new_chains;
+  seed bpush ~dir:slack.pred;
   while not (Queue.is_empty bqueue) do
     let x = Queue.pop bqueue in
     slack.stamp.(x) <- 0;
     let inst = node_of x in
-    let latest_finish =
-      List.fold_left
-        (fun acc q ->
-          let c = slack.succ.(x * nq + q) in
-          if c < 0 then acc
-          else
-            let ls = slack.latest_start.(c) in
-            if Float.is_nan ls then acc else Float.min acc ls)
-        slack.makespan inst.Inst.qubits
+    let t =
+      inst.Inst.latency
+      +. List.fold_left
+           (fun acc q ->
+             let c = slack.succ.(x * nq + q) in
+             if c < 0 then acc
+             else
+               let tc = slack.tail.(c) in
+               if Float.is_nan tc then acc else Float.max acc tc)
+           0. inst.Inst.qubits
     in
-    let ls = latest_finish -. inst.Inst.latency in
-    if slack.latest_start.(x) <> ls then begin
-      slack.latest_start.(x) <- ls;
+    if slack.tail.(x) <> t then begin
+      slack.tail.(x) <- t;
       List.iter
         (fun q ->
           let p = slack.pred.(x * nq + q) in
@@ -297,8 +286,9 @@ let update_slack_after_merge g slack ~old_chains ~a ~b (merged : Inst.t) =
 
 (* merged block placed at a's start, delayed by b's predecessors on the
    qubits a does not cover; monotonic iff every successor's latest start
-   and the makespan still hold under the pessimistic serial latency *)
-let monotonic g slack a b ~merged_latency =
+   ([deadline]) and the makespan still hold under the pessimistic serial
+   latency *)
+let monotonic g slack ~deadline a b ~merged_latency =
   let nq = slack.nq in
   let ia = Gdg.find g a and ib = Gdg.find g b in
   let delay =
@@ -327,7 +317,7 @@ let monotonic g slack a b ~merged_latency =
   in
   new_finish <= slack.makespan +. 1e-9
   && List.for_all
-       (fun c -> new_finish <= slack.latest_start.(c) +. 1e-9)
+       (fun c -> new_finish <= deadline c +. 1e-9)
        succs
 
 (* the monotonicity bound for a candidate merge: the paper's pessimistic
@@ -343,7 +333,23 @@ let merge_bound ~pessimism (ia : Inst.t) (ib : Inst.t) ~predicted =
     if single_one_qubit ia || single_one_qubit ib then predicted
     else ia.Inst.latency +. ib.Inst.latency
 
+(* a successor's latest start, read off its makespan-free tail *)
+let tail_deadline slack c = slack.makespan -. slack.tail.(c)
+
+(* the slack tables read a nan as "no live node" and the chain-end
+   makespan needs latencies ≥ 0, so any other latency is refused before it
+   reaches them *)
+let check_latency what v =
+  if not (Float.is_finite v && v >= 0.) then
+    invalid_arg (Printf.sprintf "Aggregator.run: %s latency %g" what v)
+
 let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
+  Gdg.iter_insts g (fun i -> check_latency "input" i.Inst.latency);
+  let cost gates =
+    let v = cost gates in
+    check_latency "cost" v;
+    v
+  in
   let initial_makespan = Gdg.makespan g in
   (* unordered id pairs packed into one int (ids stay far below 2^31):
      unboxed keys hash and compare without allocation in these innermost
@@ -578,7 +584,10 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
                let ia = Gdg.find g a and ib = Gdg.find g b in
                let predicted = merged_cost a b in
                let bound = merge_bound ~pessimism ia ib ~predicted in
-               if monotonic g !slack a b ~merged_latency:bound then begin
+               if
+                 monotonic g !slack ~deadline:(tail_deadline !slack) a b
+                   ~merged_latency:bound
+               then begin
                  let gain = ia.Inst.latency +. ib.Inst.latency -. predicted in
                  (* neutral-gain growth merges are allowed: they never
                     lengthen the schedule and enable later wide wins *)
@@ -604,15 +613,10 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
             let bound =
               merge_bound ~pessimism (Gdg.find g a) (Gdg.find g b) ~predicted
             in
-            monotonic g !slack a b ~merged_latency:bound
+            monotonic g !slack ~deadline:(tail_deadline !slack) a b
+              ~merged_latency:bound
           then begin
             let predicted = merged_cost a b in
-            let old_chains =
-              let ia = Gdg.find g a and ib = Gdg.find g b in
-              List.map
-                (fun q -> (q, Gdg.chain_ids g q))
-                (List.sort_uniq compare (ia.Inst.qubits @ ib.Inst.qubits))
-            in
             match Gdg.merge ~rank g ~latency:predicted a b with
             | exception Invalid_argument _ -> ()
             | merged ->
@@ -622,7 +626,8 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
               sweep_again := true;
               (* pre-merge groups and splice neighbours, read before the
                  refresh / slack update overwrite them — the universe
-                 diff needs both sides of the change *)
+                 diff needs both sides of the change, and the slack
+                 worklists start at the neighbours *)
               let old_groups =
                 List.map
                   (fun q -> (q, Comm_group.groups_on groups q))
@@ -639,7 +644,7 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
                   merged.Inst.qubits
               in
               Comm_group.refresh ~commute groups g ~qubits:merged.Inst.qubits;
-              update_slack_after_merge g !slack ~old_chains ~a ~b merged;
+              update_slack_after_merge g !slack ~a ~b ~old_neighbors merged;
               update_universe_after_merge ~a ~b merged ~old_groups
                 ~old_neighbors
           end)
@@ -674,6 +679,26 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
    {!run} is observationally identical (merge count, final makespan,
    certified result); it is also the honest baseline for the performance
    numbers in EXPERIMENTS.md. *)
+(* ALAP latest starts anchored on the makespan, folded down in reverse
+   topological order: deadline arithmetic independent of {!run}'s tails,
+   so the reference pins {!tail_deadline} instead of sharing it *)
+let latest_starts g slack =
+  let nq = slack.nq in
+  let latest_start = Array.make (Array.length slack.start) nan in
+  List.iter
+    (fun (i : Inst.t) ->
+      let id = i.Inst.id in
+      let latest_finish =
+        List.fold_left
+          (fun acc q ->
+            let c = slack.succ.(id * nq + q) in
+            if c < 0 then acc else Float.min acc latest_start.(c))
+          slack.makespan i.Inst.qubits
+      in
+      latest_start.(id) <- latest_finish -. i.Inst.latency)
+    (List.rev (Gdg.insts g));
+  fun c -> latest_start.(c)
+
 let run_reference ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model)
     ~cost g =
   let initial_makespan = Gdg.makespan g in
@@ -708,13 +733,16 @@ let run_reference ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model)
       sweep_again := false;
       let groups = ref (Comm_group.build ~commute g) in
       let slack = ref (compute_slack g) in
+      let deadline = ref (latest_starts g !slack) in
       let scored =
         Action.candidates g !groups ~width_limit
         |> List.filter_map (fun (a, b) ->
                let ia = Gdg.find g a and ib = Gdg.find g b in
                let predicted = merged_cost a b in
                let bound = merge_bound ~pessimism ia ib ~predicted in
-               if monotonic g !slack a b ~merged_latency:bound then begin
+               if monotonic g !slack ~deadline:!deadline a b
+                    ~merged_latency:bound
+               then begin
                  let gain = ia.Inst.latency +. ib.Inst.latency -. predicted in
                  if gain >= -1e-6 then Some (gain, a, b, predicted) else None
                end
@@ -735,7 +763,7 @@ let run_reference ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model)
             let bound =
               merge_bound ~pessimism (Gdg.find g a) (Gdg.find g b) ~predicted
             in
-            monotonic g !slack a b ~merged_latency:bound
+            monotonic g !slack ~deadline:!deadline a b ~merged_latency:bound
           then begin
             let predicted = merged_cost a b in
             match Gdg.merge g ~latency:predicted a b with
@@ -746,7 +774,8 @@ let run_reference ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model)
               sweep_again := true;
               Comm_group.refresh ~commute !groups g
                 ~qubits:merged.Inst.qubits;
-              slack := compute_slack g
+              slack := compute_slack g;
+              deadline := latest_starts g !slack
           end)
         scored
     done;

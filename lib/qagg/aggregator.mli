@@ -37,17 +37,24 @@ val run :
   stats
 (** Aggregates in place. [width_limit] defaults to 10 (the optimal-control
     scalability bound, §2.5); [max_rounds] to 8. [cost] maps a member-gate
-    block to its optimized pulse time.
+    block to its optimized pulse time. Raises [Invalid_argument] when a
+    node of the input graph, or [cost] for any block, has a nan, infinite
+    or negative latency.
 
-    The search is incremental: after each accepted merge the ASAP/ALAP
-    slack tables are re-propagated only through the merged node's affected
-    cone, the chain-position and successor tables are patched for the
-    merged support's chains, and the candidate universe is invalidated
-    only for pairs both of whose endpoints act on those chains — a pair's
-    candidacy reads nothing else, so everything outside that window is
-    provably unchanged. The cycle check inside {!Qgdg.Gdg.merge} runs as a
-    bounded reachability probe using the ASAP starts as ranks. The
-    accepted-merge sequence is identical to {!run_reference}'s. *)
+    The search is incremental. Deadlines are kept makespan-free, as each
+    node's tail (longest path to a sink, own latency included; a
+    successor's latest start is the makespan minus its tail), so after
+    each accepted merge the ASAP starts and the tails are re-propagated
+    by worklists seeded at the splice only, and the makespan is read off
+    the per-qubit chain ends. The chain-position and successor tables are
+    patched for the merged support's chains, the commutation groups are
+    regrouped in the window around the splice ({!Qgdg.Comm_group.refresh}),
+    and the candidate universe is invalidated only for pairs both of
+    whose endpoints act on those chains — a pair's candidacy reads
+    nothing else, so everything outside that window is provably
+    unchanged. The cycle check inside {!Qgdg.Gdg.merge} runs as a bounded
+    reachability probe using the ASAP starts as ranks. The accepted-merge
+    sequence is identical to {!run_reference}'s. *)
 
 val run_reference :
   ?width_limit:int ->
@@ -57,7 +64,8 @@ val run_reference :
   Qgdg.Gdg.t ->
   stats
 (** The pre-incremental aggregator, retained as an executable
-    specification: full slack recomputation after every merge, full group
-    rebuild and candidate re-enumeration per sweep. Same accepted merges,
+    specification: full slack recomputation after every merge, with its
+    own makespan-anchored ALAP deadlines rather than {!run}'s tails, full
+    group rebuild and candidate re-enumeration per sweep. Same accepted merges,
     same final schedule, asymptotically slower — used by the equivalence
     tests and as the baseline for performance comparisons. *)

@@ -17,46 +17,95 @@ let ensure_capacity t id =
     t.index <- index
   end
 
-let groups_of_chain commute _g chain =
-  (* the open group is kept as resolved instructions so each membership
-     probe skips the node lookup *)
-  let groups = ref [] and current = ref [] in
-  let flush () =
+(* {!refresh} on one qubit. The greedy partition closes a group at the
+   first element that fails to commute with one of its members, so a
+   group is settled by its members plus that element, and the partition
+   from a group start depends only on the chain from there on. Index
+   entries are rewritten for the window, and for the spliced-in old tail
+   only when the group count moved. *)
+let regroup commute g t q =
+  let old_groups = t.per_qubit.(q) in
+  let old_ids = Array.of_list (List.concat old_groups) in
+  let ids = Array.of_list (Gdg.chain_ids g q) in
+  let n_old = Array.length old_ids and n = Array.length ids in
+  let common = min n_old n in
+  let prefix = ref 0 in
+  while !prefix < common && old_ids.(!prefix) = ids.(!prefix) do
+    incr prefix
+  done;
+  let suffix = ref 0 in
+  while
+    !prefix + !suffix < common
+    && old_ids.(n_old - 1 - !suffix) = ids.(n - 1 - !suffix)
+  do
+    incr suffix
+  done;
+  let rec keep kept start = function
+    | grp :: rest when start + List.length grp < !prefix ->
+      keep (grp :: kept) (start + List.length grp) rest
+    | rest -> (kept, start, rest)
+  in
+  let kept_rev, restart, old_rest = keep [] 0 old_groups in
+  (* old groups from the restart on, with the chain position of the first *)
+  let old_tail = ref old_rest and old_start = ref restart in
+  let shift = n - n_old in
+  let fresh = ref [] and current = ref [] and spliced = ref false in
+  let close () =
     if !current <> [] then begin
-      groups :=
-        List.rev_map (fun (i : Inst.t) -> i.Inst.id) !current :: !groups;
+      fresh :=
+        List.rev_map (fun (i : Inst.t) -> i.Inst.id) !current :: !fresh;
       current := []
     end
   in
-  List.iter
-    (fun (inst : Inst.t) ->
-      let commutes_with_all =
-        List.for_all (fun prev -> commute prev inst) !current
-      in
-      if not commutes_with_all then flush ();
-      current := inst :: !current)
-    chain;
-  flush ();
-  List.rev !groups
-
-let set_qubit t q ordered =
-  List.iter
-    (fun group -> List.iter (fun id -> t.index.((id * t.nq) + q) <- -1) group)
-    t.per_qubit.(q);
-  t.per_qubit.(q) <- ordered;
-  List.iteri
-    (fun pos group ->
-      List.iter
-        (fun id ->
-          ensure_capacity t id;
-          t.index.((id * t.nq) + q) <- pos)
-        group)
-    ordered
+  let j = ref restart in
+  while (not !spliced) && !j < n do
+    (* the open group is kept as resolved instructions so each membership
+       probe skips the node lookup *)
+    let inst = Gdg.find g ids.(!j) in
+    if
+      !current = []
+      || not (List.for_all (fun prev -> commute prev inst) !current)
+    then begin
+      close ();
+      let old_j = !j - shift in
+      while !old_start < old_j && !old_tail <> [] do
+        old_start := !old_start + List.length (List.hd !old_tail);
+        old_tail := List.tl !old_tail
+      done;
+      spliced := !j >= n - !suffix && !old_start = old_j
+    end;
+    if not !spliced then begin
+      current := inst :: !current;
+      incr j
+    end
+  done;
+  close ();
+  let tail = if !spliced then !old_tail else [] in
+  let set pos grp =
+    List.iter
+      (fun id ->
+        ensure_capacity t id;
+        t.index.((id * t.nq) + q) <- pos)
+      grp
+  in
+  let rec replaced k = function
+    | rest when rest == tail -> k
+    | grp :: rest ->
+      set (-1) grp;
+      replaced (k + 1) rest
+    | [] -> k
+  in
+  let n_kept = List.length kept_rev in
+  let tail_pos = n_kept + replaced 0 old_rest in
+  let fresh = List.rev !fresh in
+  List.iteri (fun k grp -> set (n_kept + k) grp) fresh;
+  let n_fresh = List.length fresh in
+  if tail_pos <> n_kept + n_fresh then
+    List.iteri (fun k grp -> set (n_kept + n_fresh + k) grp) tail;
+  t.per_qubit.(q) <- List.rev_append kept_rev (fresh @ tail)
 
 let refresh ?(commute = Commute.insts) t g ~qubits =
-  List.iter
-    (fun q -> set_qubit t q (groups_of_chain commute g (Gdg.chain g q)))
-    (List.sort_uniq compare qubits)
+  List.iter (regroup commute g t) (List.sort_uniq compare qubits)
 
 (* The default build routes every pairwise check through the oracle with
    a per-build summary cache keyed by instruction id — ids are unique and

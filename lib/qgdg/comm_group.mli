@@ -27,7 +27,16 @@ val refresh :
   ?commute:(Inst.t -> Inst.t -> bool) -> t -> Gdg.t -> qubits:int list -> unit
 (** Recompute the groups of the listed qubits only — a merge changes
     membership solely on the merged instruction's support, so the
-    aggregator refreshes incrementally instead of rebuilding all chains. *)
+    aggregator refreshes incrementally instead of rebuilding all chains.
+    On each listed qubit only the window a splice can affect is redone:
+    the old groups settled inside the unchanged chain prefix are kept,
+    the greedy partition restarts at the first group not kept, and the
+    old groups are spliced back in once a group opens inside the
+    unchanged chain suffix at a position where an old group opened.
+    Instructions are resolved and probed only inside that window. The
+    result equals {!build}'s provided [commute] answers every pair of
+    instruction ids the same way each time it is asked; {!build} is this
+    routine over empty groups. *)
 
 val groups_on : t -> int -> int list list
 (** Ordered groups (of instruction ids) on a qubit. *)

@@ -102,6 +102,38 @@ let aggregator_cases =
         let g = gdg_of [ Gate.cnot 0 1 ] 2 in
         let stats = Aggregator.run ~cost g in
         check_int "no merges" 0 stats.Aggregator.merges);
+    (* a latency outside [0, ∞) would read as "no live node" (nan) or
+       break the chain-end makespan (negative), so [run] refuses it
+       wherever the cost model answers *)
+    case "rejects a bad merged-block cost" (fun () ->
+        List.iter
+          (fun bad ->
+            let g = gdg_of [ Gate.cnot 0 1; Gate.cnot 1 2 ] 3 in
+            let cost gs = if List.length gs > 1 then bad else cost gs in
+            match Aggregator.run ~cost g with
+            | _ -> Alcotest.failf "cost %g accepted" bad
+            | exception Invalid_argument _ -> ())
+          [ nan; infinity; -1. ]);
+    case "rejects a bad re-cost" (fun () ->
+        List.iter
+          (fun bad ->
+            (* one node: no candidate, so only the re-cost loop asks *)
+            let g = gdg_of [ Gate.cnot 0 1 ] 2 in
+            match Aggregator.run ~cost:(fun _ -> bad) g with
+            | _ -> Alcotest.failf "re-cost %g accepted" bad
+            | exception Invalid_argument _ -> ())
+          [ nan; infinity; -1. ]);
+    case "rejects a bad input latency" (fun () ->
+        List.iter
+          (fun bad ->
+            let g =
+              Gdg.of_circuit ~latency:(fun _ -> bad)
+                (Circuit.make 2 [ Gate.cnot 0 1 ])
+            in
+            match Aggregator.run ~cost g with
+            | _ -> Alcotest.failf "input latency %g accepted" bad
+            | exception Invalid_argument _ -> ())
+          [ nan; infinity ]);
     qcheck ~count:12 "aggregation preserves semantics on random circuits"
       QCheck.(int_range 0 10000)
       (fun seed ->
@@ -139,8 +171,8 @@ let aggregator_cases =
       QCheck.(int_range 0 10000)
       (fun seed ->
         let rng = Qgraph.Rand.create seed in
-        let gates = random_unitary_gates rng 4 12 in
-        let circuit = Circuit.make 4 gates in
+        let gates = random_unitary_gates rng 5 40 in
+        let circuit = Circuit.make 5 gates in
         let g = Gdg.of_circuit ~latency:cost circuit in
         let r = Gdg.copy g in
         let inc = Aggregator.run ~cost g in

@@ -276,6 +276,50 @@ let gdg_cases =
               i.Inst.qubits)
           (Gdg.insts g)) ]
 
+(* 3–5 qubits, 20–60 gates, mostly mutually commuting (ZZ blocks, Rzz,
+   Rz) with CNOT and H to break runs: long commutation groups whose
+   boundaries move when a splice changes their content *)
+let random_commuting_gdg rng =
+  let n = 3 + Qgraph.Rand.int rng 3 in
+  let gates =
+    List.concat
+      (List.init
+         (20 + Qgraph.Rand.int rng 41)
+         (fun _ ->
+           let q = Qgraph.Rand.int rng n in
+           let r = (q + 1 + Qgraph.Rand.int rng (n - 1)) mod n in
+           let angle = Qgraph.Rand.float rng 3. in
+           match Qgraph.Rand.int rng 6 with
+           | 0 -> zz (min q r) (max q r)
+           | 1 | 2 -> [ Gate.rzz angle q r ]
+           | 3 -> [ Gate.rz angle q ]
+           | 4 -> [ Gate.cnot q r ]
+           | _ -> [ Gate.h q ]))
+  in
+  Gdg.of_circuit ~latency:unit_latency (Circuit.make n gates)
+
+(* merge a random node with one of the next three on one of its chains;
+   [None] when the graph has one node or the merge would close a cycle *)
+let random_splice rng g =
+  let ids = List.map (fun (i : Inst.t) -> i.Inst.id) (Gdg.insts g) in
+  if List.length ids < 2 then None
+  else
+    let a = List.nth ids (Qgraph.Rand.int rng (List.length ids)) in
+    let ia = Gdg.find g a in
+    let q = List.nth ia.Inst.qubits (Qgraph.Rand.int rng (Inst.width ia)) in
+    let rec after = function
+      | x :: rest when x = a -> rest
+      | _ :: rest -> after rest
+      | [] -> []
+    in
+    match after (Gdg.chain_ids g q) with
+    | [] -> None
+    | later ->
+      let k = Qgraph.Rand.int rng (min 3 (List.length later)) in
+      (match Gdg.merge g ~latency:1.0 a (List.nth later k) with
+       | merged -> Some merged
+       | exception Invalid_argument _ -> None)
+
 let comm_group_cases =
   [ case "cnot-rz-cnot groups on control vs target" (fun () ->
         let c = Circuit.make 2 (zz 0 1) in
@@ -301,18 +345,35 @@ let comm_group_cases =
         let groups = Comm_group.build g in
         check_bool "cnots not reorderable" false
           (Comm_group.reorderable groups (Gdg.find g 0) (Gdg.find g 2)));
-    case "refresh matches rebuild" (fun () ->
-        let g = qaoa_triangle () in
-        let a = Comm_group.build g in
-        ignore (Gdg.merge g ~latency:3.0 4 5);
-        Comm_group.refresh a g
-          ~qubits:(List.init (Gdg.n_qubits g) (fun q -> q));
-        let b = Comm_group.build g in
-        for q = 0 to Gdg.n_qubits g - 1 do
-          Alcotest.(check (list (list int)))
-            (Printf.sprintf "qubit %d" q)
-            (Comm_group.groups_on b q) (Comm_group.groups_on a q)
-        done);
+    (* a chain of random splices, each followed by a refresh of the merged
+       support only: the window-local regroup must reproduce a fresh
+       build's groups and index on every qubit, including the [-1]
+       entries of merged-away ids *)
+    qcheck ~count:100 "refresh matches rebuild" QCheck.(int_range 0 10000)
+      (fun seed ->
+        let rng = Qgraph.Rand.create seed in
+        let g = random_commuting_gdg rng in
+        let groups = Comm_group.build g in
+        let agrees () =
+          let fresh = Comm_group.build g in
+          List.for_all
+            (fun q ->
+              Comm_group.groups_on groups q = Comm_group.groups_on fresh q
+              && List.for_all
+                   (fun id ->
+                     Comm_group.lookup groups ~qubit:q id
+                     = Comm_group.lookup fresh ~qubit:q id)
+                   (List.init (Gdg.next_id g) Fun.id))
+            (List.init (Gdg.n_qubits g) Fun.id)
+        in
+        List.for_all
+          (fun _ ->
+            match random_splice rng g with
+            | None -> true
+            | Some merged ->
+              Comm_group.refresh groups g ~qubits:merged.Inst.qubits;
+              agrees ())
+          (List.init 25 Fun.id));
     case "oracle build matches reference on every suite circuit" (fun () ->
         List.iter
           (fun (b : Qapps.Suite.benchmark) ->

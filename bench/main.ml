@@ -408,11 +408,10 @@ let pipeline () =
       (fun name ->
         let circuit = Qapps.Suite.lowered (Qapps.Suite.find name) in
         Printf.printf "  profiling %s...\n%!" name;
-        (* cold commutation memos per circuit so the recorded times do
+        (* cold memos per circuit so the recorded times do
            not depend on which benchmarks ran earlier in the process —
            the perf gate resets the same way before re-measuring *)
-        Qgdg.Commute.reset_memos ();
-        Qflow.Summary.reset_memo ();
+        Compiler.reset_all_memos ();
         (* one stage cache per circuit, as compile_all would use: the
            pipeline.cache.{hit,miss} counters land in each entry's
            metrics *)
@@ -452,152 +451,6 @@ let pipeline () =
   Qobs.Json.write_file "BENCH_pipeline.json" doc;
   Printf.printf "  wrote BENCH_pipeline.json (%d entries)\n%!"
     (List.length entries)
-
-(* fast CI guard: the shared-prefix cache must actually share (hits for
-   every strategy past the first) and must not change results *)
-let pipeline_smoke () =
-  header "Pipeline smoke: stage-cache sharing on two benchmarks";
-  let failed = ref false in
-  List.iter
-    (fun name ->
-      let circuit = Qapps.Suite.lowered (Qapps.Suite.find name) in
-      (* warm-up so the shared/isolated timings compare like for like *)
-      ignore (Compiler.compile ~strategy:Strategy.Cls_aggregation circuit);
-      let cache = Qcc.Pipeline.Cache.create () in
-      let t0 = Qobs.Clock.now_ns () in
-      let shared = Compiler.compile_all ~cache circuit in
-      let shared_ms = (Qobs.Clock.now_ns () -. t0) /. 1e6 in
-      let hits = Qcc.Pipeline.Cache.hits cache in
-      let t1 = Qobs.Clock.now_ns () in
-      let isolated =
-        List.map
-          (fun (s, _) -> (s, Compiler.compile ~strategy:s circuit))
-          shared
-      in
-      let isolated_ms = (Qobs.Clock.now_ns () -. t1) /. 1e6 in
-      (* a fully warm chain (every pass hits) must be near-free *)
-      let t2 = Qobs.Clock.now_ns () in
-      ignore
-        (Compiler.compile ~cache ~strategy:Strategy.Cls_aggregation circuit);
-      let warm_ms = (Qobs.Clock.now_ns () -. t2) /. 1e6 in
-      let mismatches =
-        List.filter
-          (fun ((_, (a : Compiler.result)), (_, (b : Compiler.result))) ->
-            a.Compiler.latency <> b.Compiler.latency
-            || a.Compiler.n_merges <> b.Compiler.n_merges
-            || a.Compiler.n_instructions <> b.Compiler.n_instructions)
-          (List.combine shared isolated)
-      in
-      Printf.printf
-        "  %-14s cache hits %3d | shared %8.1f ms | isolated %8.1f ms | warm recompile %6.2f ms | mismatches %d\n%!"
-        name hits shared_ms isolated_ms warm_ms (List.length mismatches);
-      if hits = 0 then begin
-        Printf.eprintf "  FAIL %s: stage cache recorded no hits\n%!" name;
-        failed := true
-      end;
-      if mismatches <> [] then begin
-        Printf.eprintf "  FAIL %s: cached results diverge from uncached\n%!"
-          name;
-        failed := true
-      end)
-    [ "maxcut-line"; "uccsd-n4" ];
-  if !failed then exit 1
-
-(* ------------------------------------------------------------------ *)
-(* Detect speed: oracle scanner vs the retained reference fixpoint     *)
-
-(* CI guard for the windowed, oracle-backed detect rewrite: on each
-   circuit the production path must perform the same merges and leave a
-   structurally identical graph, and must not be slower. Route counters
-   come from the ambient registry, so the printed breakdown is exactly
-   what [qcc stats] aggregates from ledgers. *)
-let detect_speed () =
-  header "Detect speed: oracle scanner vs reference fixpoint";
-  let cost gs = block_time gs in
-  let shape g =
-    List.map
-      (fun (i : Qgdg.Inst.t) -> (i.Qgdg.Inst.id, i.Qgdg.Inst.qubits, i.Qgdg.Inst.gates))
-      (Qgdg.Gdg.insts g)
-  in
-  let failed = ref false in
-  List.iter
-    (fun name ->
-      let circuit = Qapps.Suite.lowered (Qapps.Suite.find name) in
-      let metrics = Qobs.Metrics.create () in
-      Qcc.Compiler.reset_all_memos ();
-      let g_new = Qgdg.Gdg.of_circuit ~latency:cost circuit in
-      let t0 = Qobs.Clock.now_ns () in
-      let merges_new =
-        Qobs.Metrics.with_ambient metrics (fun () ->
-            Qgdg.Diagonal.detect_and_contract ~latency:cost g_new)
-      in
-      let new_ms = (Qobs.Clock.now_ns () -. t0) /. 1e6 in
-      let g_ref = Qgdg.Gdg.of_circuit ~latency:cost circuit in
-      let t1 = Qobs.Clock.now_ns () in
-      let merges_ref =
-        Qgdg.Diagonal.detect_and_contract_reference ~latency:cost g_ref
-      in
-      let ref_ms = (Qobs.Clock.now_ns () -. t1) /. 1e6 in
-      let identical =
-        merges_new = merges_ref
-        && Digest.string (Marshal.to_string (shape g_new) [])
-           = Digest.string (Marshal.to_string (shape g_ref) [])
-      in
-      let route r =
-        Qobs.Metrics.counter_value metrics (Printf.sprintf "detect.route.%s" r)
-      in
-      Printf.printf
-        "  %-14s reference %8.1f ms | oracle %8.1f ms | x%5.1f | merges %4d | \
-         routes s/m/pp/d/o %d/%d/%d/%d/%d\n%!"
-        name ref_ms new_ms
-        (if new_ms > 0. then ref_ms /. new_ms else infinity)
-        merges_new (route "structural") (route "memo") (route "phase_poly")
-        (route "dense") (route "oversize");
-      List.iter
-        (fun r ->
-          match
-            Qobs.Metrics.hist_value metrics
-              (Printf.sprintf "detect.route.%s.ms" r)
-          with
-          | Some h -> Printf.printf "    %-12s %6d checks %8.2f ms\n" r h.Qobs.Metrics.n h.Qobs.Metrics.sum
-          | None -> ())
-        [ "structural"; "memo"; "phase_poly"; "dense"; "oversize" ];
-      if not identical then begin
-        Printf.eprintf
-          "  FAIL %s: oracle detect diverges from reference (merges %d vs %d)\n%!"
-          name merges_new merges_ref;
-        let a = shape g_new and b = shape g_ref in
-        Printf.eprintf "    sizes %d vs %d\n%!" (List.length a) (List.length b);
-        (try
-           List.iteri
-             (fun i ((ida, qa, ga), (idb, qb, gb)) ->
-               if ida <> idb || qa <> qb || ga <> gb then begin
-                 Printf.eprintf
-                   "    first diff at %d: id %d vs %d, qubits [%s] vs [%s], \
-                    gates %d vs %d\n%!"
-                   i ida idb
-                   (String.concat ";" (List.map string_of_int qa))
-                   (String.concat ";" (List.map string_of_int qb))
-                   (List.length ga) (List.length gb);
-                 raise Exit
-               end)
-             (List.combine a b)
-         with Exit -> ());
-        failed := true
-      end;
-      let checks = Qobs.Metrics.counter_value metrics "detect.checks" in
-      let routed =
-        route "structural" + route "memo" + route "phase_poly" + route "dense"
-        + route "oversize"
-      in
-      if checks <> routed then begin
-        Printf.eprintf
-          "  FAIL %s: detect.route.* sums to %d but detect.checks is %d\n%!"
-          name routed checks;
-        failed := true
-      end)
-    [ "maxcut-reg4"; "sqrt-n3"; "uccsd-n6" ];
-  if !failed then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Perf gate: fresh per-pass times vs the committed baseline           *)
@@ -698,8 +551,7 @@ let perf_gate () =
       (fun bench ->
         let circuit = Qapps.Suite.lowered (Qapps.Suite.find bench) in
         (* cold memos, as when the baseline was recorded *)
-        Qgdg.Commute.reset_memos ();
-        Qflow.Summary.reset_memo ();
+        Compiler.reset_all_memos ();
         let cache = Qcc.Pipeline.Cache.create () in
         List.iter
           (fun strategy ->
@@ -936,8 +788,8 @@ let certify_overhead () =
 (* Parallel smoke: 4 domains, disjoint benchmark×strategy compiles     *)
 
 (* Runtime proof behind the domlint gate: four domains compile disjoint
-   benchmark×strategy jobs concurrently — per-domain memos (Commute /
-   Summary / Latency_model), per-domain ambient metrics shards, and one
+   benchmark×strategy jobs concurrently — per-domain memos (Oracle /
+   Latency_model), per-domain ambient metrics shards, and one
    SHARED mutex-guarded stage cache — and every latency, merge count and
    certificate digest must be byte-identical to a cold sequential run of
    the same jobs. The lazy suite circuits are forced on the main domain
@@ -1170,8 +1022,6 @@ let experiments =
     ("fidelity", fidelity);
     ("ablations", ablations);
     ("pipeline", pipeline);
-    ("pipeline-smoke", pipeline_smoke);
-    ("detect-speed", detect_speed);
     ("par-smoke", par_smoke);
     ("par-scale", par_scale);
     ("perf-gate", perf_gate);

@@ -434,8 +434,8 @@ let profile_cmd =
         let counter name (_, _, m) =
           string_of_int (Qobs.Metrics.counter_value m name)
         in
-        metric_row "commute fast" (counter "commute.fast_path");
-        metric_row "commute dense" (counter "commute.unitary");
+        metric_row "commute fast" (counter "commute.route.structural");
+        metric_row "commute dense" (counter "commute.route.dense");
         metric_row "agg attempted" (counter "agg.attempted");
         metric_row "agg accepted" (counter "agg.accepted");
         metric_row "agg vetoed" (counter "agg.vetoed_monotonic");
@@ -673,7 +673,6 @@ let analyze_cmd =
     let cfg = config topology width arch in
     let metrics = Qobs.Metrics.create () in
     Qobs.Metrics.with_ambient metrics @@ fun () ->
-    Qflow.Summary.reset_memo ();
     let cr = Qflow.Analysis.circuit circuit in
     let gdg =
       Qgdg.Gdg.of_circuit
@@ -690,11 +689,10 @@ let analyze_cmd =
             List.length
               (List.filter
                  (fun (i : Qflow.Analysis.inst_info) ->
-                   i.Qflow.Analysis.summary.Qflow.Summary.klass = k)
+                   i.Qflow.Analysis.summary.Qgdg.Oracle.klass = k)
                  gr.Qflow.Analysis.insts) ))
-        [ Qflow.Summary.Identity; Qflow.Summary.Diagonal;
-          Qflow.Summary.Clifford; Qflow.Summary.Phase_linear;
-          Qflow.Summary.General ]
+        [ Qgdg.Oracle.Identity; Qgdg.Oracle.Diagonal; Qgdg.Oracle.Clifford;
+          Qgdg.Oracle.Phase_linear; Qgdg.Oracle.General ]
     in
     let hits = Qobs.Metrics.counter_value metrics "qflow.summary.hit" in
     let misses = Qobs.Metrics.counter_value metrics "qflow.summary.miss" in
@@ -721,7 +719,7 @@ let analyze_cmd =
        List.iter
          (fun (k, n) ->
            if n > 0 then
-             Printf.printf " %s=%d" (Qflow.Summary.klass_to_string k) n)
+             Printf.printf " %s=%d" (Qgdg.Oracle.klass_to_string k) n)
          klass_counts;
        print_newline ();
        Printf.printf "summary cache: %d hits, %d misses\n" hits misses
@@ -751,7 +749,7 @@ let analyze_cmd =
              ( "klasses",
                Obj
                  (List.map
-                    (fun (k, n) -> (Qflow.Summary.klass_to_string k, Int n))
+                    (fun (k, n) -> (Qgdg.Oracle.klass_to_string k, Int n))
                     klass_counts) );
              ( "summary_cache",
                Obj [ ("hits", Int hits); ("misses", Int misses) ] ) ]

@@ -187,8 +187,6 @@ let compile ?(config = default_config) ?(check = false) ?(certify = false)
    return the calling domain to a cold start. Idempotent. *)
 let reset_all_memos () =
   Qgdg.Oracle.reset_memos ();
-  Qgdg.Commute.reset_memos ();
-  Qflow.Summary.reset_memo ();
   Qcontrol.Latency_model.reset_memos ()
 
 (* Pooled jobs tick into per-job metrics shards, merged into the

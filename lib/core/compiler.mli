@@ -176,8 +176,7 @@ val speedup : baseline:result -> result -> float
 
 val reset_all_memos : unit -> unit
 (** Return the {e calling domain} to a cold start: clears the commutation
-    classification/decision memos ([Qgdg.Oracle]), the block-summary and pair
-    memos ([Qflow.Summary]) and the latency-cost memos
-    ([Qcontrol.Latency_model]) — all per-domain tables. Idempotent; a
+    classification/decision memos ([Qgdg.Oracle]) and the latency-cost
+    memos ([Qcontrol.Latency_model]) — all per-domain tables. Idempotent; a
     compile after reset reports the same cache-miss counters as a fresh
     process. *)

@@ -34,10 +34,13 @@ let dense_on_support gates =
 let equal_on ~dense_limit:dl n a b =
   if gates_equal a b then (Proved, "identical")
   else
-    match (Tableau.of_gates ~n_qubits:n a, Tableau.of_gates ~n_qubits:n b) with
+    match
+      ( Qdomain.Tableau.of_gates ~n_qubits:n a,
+        Qdomain.Tableau.of_gates ~n_qubits:n b )
+    with
     | Some ta, Some tb ->
       (* complete on the Clifford fragment *)
-      if Tableau.equal ta tb then (Proved, "tableau")
+      if Qdomain.Tableau.equal ta tb then (Proved, "tableau")
       else (Refuted, "tableau")
     | _ ->
       (* dense work is ~(|a|+|b|)·4ⁿ·2^arity flops; refuse pathological
@@ -55,11 +58,12 @@ let equal_on ~dense_limit:dl n a b =
       end
       else
         match
-          (Phase_poly.of_gates ~n_qubits:n a, Phase_poly.of_gates ~n_qubits:n b)
+          ( Qdomain.Phase_poly.of_gates ~n_qubits:n a,
+            Qdomain.Phase_poly.of_gates ~n_qubits:n b )
         with
         | Some pa, Some pb ->
           (* sound both ways in practice; see the caveat in phase_poly.mli *)
-          if Phase_poly.equal pa pb then (Proved, "phase-poly")
+          if Qdomain.Phase_poly.equal pa pb then (Proved, "phase-poly")
           else (Refuted, "phase-poly")
         | _ -> (Unknown, "too-wide")
 
@@ -78,10 +82,10 @@ let is_diagonal_gates ?(dense_limit = default_dense) gates =
     if n = 0 then (Proved, "trivial")
     else
       let local = relabel joint gates in
-      match Phase_poly.of_gates ~n_qubits:n local with
+      match Qdomain.Phase_poly.of_gates ~n_qubits:n local with
       | Some p ->
         (* the affine part decides diagonality exactly on this fragment *)
-        if Phase_poly.is_linear_identity p then (Proved, "phase-poly")
+        if Qdomain.Phase_poly.is_linear_identity p then (Proved, "phase-poly")
         else (Refuted, "phase-poly")
       | None ->
         if n <= dense_limit then

@@ -8,8 +8,9 @@
     - diagonality in the computational basis ({!is_diagonal_gates}).
 
     Each judgment tries, in order: syntactic fast paths, the complete
-    symbolic domains ({!Tableau} for Clifford words, {!Phase_poly} for
-    CNOT+diagonal words), and a dense-unitary fallback
+    symbolic domains ({!Qdomain.Tableau} for Clifford words,
+    {!Qdomain.Phase_poly} for CNOT+diagonal words), and a dense-unitary
+    fallback
     ({!Qgate.Unitary.on_support}) on supports of at most {!dense_limit}
     qubits. A [Proved]/[Refuted] answer is always sound; [Unknown] means
     the word left every domain and was too wide for the dense check. *)

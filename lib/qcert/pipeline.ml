@@ -154,11 +154,14 @@ let cross_check_outcome (i : Inst.t) =
       find 0 support
     in
     let local = List.map (Gate.map_qubits index) i.Inst.gates in
-    match Phase_poly.of_gates ~n_qubits:k local with
+    match Qdomain.Phase_poly.of_gates ~n_qubits:k local with
     | None -> None
     | Some p ->
       let dense = Qgate.Unitary.of_gates ~n_qubits:k local in
-      if Qnum.Cmat.equal_up_to_phase ~eps:1e-7 (Phase_poly.to_matrix p) dense
+      if
+        Qnum.Cmat.equal_up_to_phase ~eps:1e-7
+          (Qdomain.Phase_poly.to_matrix p)
+          dense
       then Some (Certificate.outcome ~method_:"cross-domain" 1)
       else
         Some

@@ -20,7 +20,7 @@ type inst_info = {
   inst_id : int;
   input : (int * Absval.t) list;
   output : (int * Absval.t) list;
-  summary : Summary.t;
+  summary : Qgdg.Oracle.t;
   dead_members : int list;
 }
 

@@ -30,7 +30,7 @@ type inst_info = {
   inst_id : int;
   input : (int * Absval.t) list;  (** per support qubit, sorted *)
   output : (int * Absval.t) list;
-  summary : Summary.t;
+  summary : Qgdg.Oracle.t;
   dead_members : int list;
       (** member indexes provably identity at their point in the block *)
 }

@@ -1,127 +1,6 @@
-module Gate = Qgate.Gate
-
-type klass = Qgdg.Oracle.klass =
-  | Identity
-  | Diagonal
-  | Clifford
-  | Phase_linear
-  | General
-
-let klass_to_string = Qgdg.Oracle.klass_to_string
-
-type t = Qgdg.Oracle.t = {
-  digest : string;
-  support : int list;
-  klass : klass;
-  in_clifford : bool;
-  in_phase_poly : bool;
-  all_diagonal : bool;
-}
-
-(* order-preserving relabelling of a gate list onto 0..|support|-1 *)
-let relabel_onto support gs =
-  let local = Hashtbl.create 8 in
-  List.iteri (fun k q -> Hashtbl.replace local q k) support;
-  List.map (Gate.map_qubits (fun q -> Hashtbl.find local q)) gs
-
-(* Classification lives in the GDG-layer oracle (Qgdg.Oracle) so the
-   detect pass, CLS grouping and this summary layer share one
-   digest-keyed table; this module keeps only the algebraic pairwise memo
-   (the joint overlap pattern matters, so the single-block digests are
-   not a sufficient key). Memo entries are pure functions of their keys
-   and the table is per-domain (Domain.DLS), so per-domain re-warming
-   keeps results deterministic while no write can race. *)
-type memo_state = { pair : (string, bool option) Hashtbl.t }
-
-let memos =
-  Qobs.Domain_safe.Local.make (fun () -> { pair = Hashtbl.create 1024 })
-  [@@domain_safety domain_local]
-
 let of_gates gs =
   let s, hit = Qgdg.Oracle.of_gates gs in
   Qobs.Metrics.tick (if hit then "qflow.summary.hit" else "qflow.summary.miss");
   s
 
 let of_inst (i : Qgdg.Inst.t) = of_gates i.Qgdg.Inst.gates
-
-let max_pair_width = 12
-
-(* Route attribution, mirroring Qgdg.Commute: every [commutes] query
-   ticks "qflow.pair.checks" and exactly one "qflow.route.<r>" counter
-   (structural / oversize / memo / phase_poly / tableau / undecided),
-   plus the matching per-route time histogram. The clock is read only
-   when a metrics registry is ambient. *)
-let now_if_metrics () =
-  if Qobs.Metrics.enabled (Qobs.Metrics.ambient ()) then
-    Some (Qobs.Clock.now_ns ())
-  else None
-
-let route_structural = ("qflow.route.structural", "qflow.route.structural.ms")
-let route_oversize = ("qflow.route.oversize", "qflow.route.oversize.ms")
-let route_memo = ("qflow.route.memo", "qflow.route.memo.ms")
-let route_phase_poly = ("qflow.route.phase_poly", "qflow.route.phase_poly.ms")
-let route_tableau = ("qflow.route.tableau", "qflow.route.tableau.ms")
-let route_undecided = ("qflow.route.undecided", "qflow.route.undecided.ms")
-
-let route (name, hist) t0 =
-  match t0 with
-  | None -> ()
-  | Some t0 ->
-    Qobs.Metrics.tick name;
-    Qobs.Metrics.record hist (Qobs.Clock.elapsed_ns t0 /. 1e6)
-
-let commutes ~a ~b sa sb =
-  Qobs.Metrics.tick "qflow.pair.checks";
-  let t0 = now_if_metrics () in
-  if not (List.exists (fun q -> List.mem q sb.support) sa.support) then begin
-    route route_structural t0;
-    Some true
-  end
-  else if
-    (sa.klass = Identity || sa.klass = Diagonal)
-    && (sb.klass = Identity || sb.klass = Diagonal)
-  then begin
-    route route_structural t0;
-    Some true
-  end
-  else begin
-    let joint = List.sort_uniq compare (sa.support @ sb.support) in
-    let n_qubits = List.length joint in
-    if n_qubits > max_pair_width then begin
-      route route_oversize t0;
-      None
-    end
-    else begin
-      let la = relabel_onto joint a and lb = relabel_onto joint b in
-      let key = Marshal.to_string (la, lb) [] in
-      let m = Qobs.Domain_safe.Local.get memos in
-      match Hashtbl.find_opt m.pair key with
-      | Some r ->
-        Qobs.Metrics.tick "qflow.summary.hit";
-        route route_memo t0;
-        r
-      | None ->
-        Qobs.Metrics.tick "qflow.summary.miss";
-        let r, taken =
-          Qgdg.Oracle.algebraic_pair
-            ~in_phase_poly:(sa.in_phase_poly && sb.in_phase_poly)
-            ~in_clifford:(sa.in_clifford && sb.in_clifford)
-            ~n_qubits la lb
-        in
-        let route_taken =
-          match taken with
-          | Qgdg.Oracle.Pair_phase_poly -> route_phase_poly
-          | Qgdg.Oracle.Pair_tableau -> route_tableau
-          | Qgdg.Oracle.Pair_undecided -> route_undecided
-        in
-        Hashtbl.replace m.pair key r;
-        route route_taken t0;
-        r
-    end
-  end
-
-(* idempotent; clears the calling domain's pair table only — the shared
-   classification memo is the oracle's ({!Qgdg.Oracle.reset_memos}) *)
-let reset_memo () =
-  let m = Qobs.Domain_safe.Local.get memos in
-  Hashtbl.reset m.pair

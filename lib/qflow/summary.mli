@@ -1,59 +1,16 @@
-(** Content-addressed per-instruction algebraic summaries.
+(** Metered per-instruction algebraic summaries.
 
-    A summary classifies a member-gate block by the cheapest abstract
-    domain that pins its semantics — identity, diagonal, Clifford
-    (Pauli tableau), CNOT+diagonal (phase polynomial) — together with
-    its support and a content digest of the block relabelled onto its
-    own support. Classification lives in the GDG-layer commutation
-    oracle ({!Qgdg.Oracle}) and is memoized on the digest: congruent
-    blocks anywhere on the register (the same excitation or adder
-    template stamped onto different qubit sets) are classified once per
-    domain, and the detect pass, CLS grouping and this layer share the
-    table. Cache traffic is observable through the ambient metrics
-    registry as [qflow.summary.hit] / [qflow.summary.miss]
-    (see {!Qobs.Metrics}). *)
+    A summary ({!Qgdg.Oracle.t}) classifies a member-gate block by the
+    cheapest abstract domain that pins its semantics — identity,
+    diagonal, Clifford (Pauli tableau), CNOT+diagonal (phase polynomial)
+    — together with its support and a content digest of the block
+    relabelled onto its own support. Classification lives in the
+    commutation oracle and is memoized on the digest: congruent blocks
+    anywhere on the register are classified once per domain, and the
+    detect pass, CLS grouping and this layer share the table. This layer
+    only meters that cache traffic through the ambient metrics registry
+    as [qflow.summary.hit] / [qflow.summary.miss] (see {!Qobs.Metrics}),
+    which [qcc analyze] reports. *)
 
-type klass = Qgdg.Oracle.klass =
-  | Identity  (** provably identity up to global phase *)
-  | Diagonal  (** diagonal in the computational basis *)
-  | Clifford  (** inside the Pauli-tableau fragment *)
-  | Phase_linear  (** inside the CNOT+diagonal fragment (non-Clifford) *)
-  | General  (** escapes every algebraic domain *)
-
-val klass_to_string : klass -> string
-(** Lower-case name: ["identity"] … ["general"]. *)
-
-type t = Qgdg.Oracle.t = {
-  digest : string;  (** hex digest of the relabelled member list *)
-  support : int list;  (** sorted qubit support *)
-  klass : klass;
-  in_clifford : bool;  (** tableau domain applies (independent of klass) *)
-  in_phase_poly : bool;  (** phase-polynomial domain applies *)
-  all_diagonal : bool;  (** every member gate is syntactically diagonal *)
-}
-
-val of_gates : Qgate.Gate.t list -> t
-val of_inst : Qgdg.Inst.t -> t
-
-val commutes : a:Qgate.Gate.t list -> b:Qgate.Gate.t list -> t -> t -> bool option
-(** [commutes ~a ~b sa sb]: do the blocks commute as operators, decided
-    {e algebraically only} — disjoint supports, diagonal×diagonal, the
-    phase-polynomial domain (exact), or the tableau domain (up to a
-    statevector-column global-phase tie-break)? [None] when the pair
-    escapes all of these (no dense fallback here — see
-    {!Qgdg.Commute} for the full decision procedure). Decisions are
-    memoized under the relabelled pair. Joint supports wider than
-    {!max_pair_width} return [None].
-
-    Every call ticks [qflow.pair.checks] and exactly one
-    [qflow.route.<r>] counter (structural / oversize / memo /
-    phase_poly / tableau / undecided) with a matching [.ms] histogram,
-    when a metrics registry is ambient. *)
-
-val max_pair_width : int
-(** Joint-support cap for pairwise algebraic checks (12). *)
-
-val reset_memo : unit -> unit
-(** Clear the process-wide pair memo (tests). The shared classification
-    memo is cleared by {!Qgdg.Oracle.reset_memos} /
-    {!Qgdg.Commute.reset_memos}. *)
+val of_gates : Qgate.Gate.t list -> Qgdg.Oracle.t
+val of_inst : Qgdg.Inst.t -> Qgdg.Oracle.t

@@ -104,7 +104,9 @@ let regroup commute g t q =
     List.iteri (fun k grp -> set (n_kept + n_fresh + k) grp) tail;
   t.per_qubit.(q) <- List.rev_append kept_rev (fresh @ tail)
 
-let refresh ?(commute = Commute.insts) t g ~qubits =
+let refresh
+    ?(commute = fun a b -> Oracle.blocks a.Inst.gates b.Inst.gates) t g
+    ~qubits =
   List.iter (regroup commute g t) (List.sort_uniq compare qubits)
 
 (* The default build routes every pairwise check through the oracle with
@@ -139,8 +141,6 @@ let build ?commute g =
   in
   refresh ~commute t g ~qubits:(List.init n (fun q -> q));
   t
-
-let build_reference g = build ~commute:Commute.insts_reference g
 
 let groups_on t q = t.per_qubit.(q)
 

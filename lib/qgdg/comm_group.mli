@@ -16,12 +16,9 @@ val build : ?commute:(Inst.t -> Inst.t -> bool) -> Gdg.t -> t
     unique and blocks immutable, so caching by id is sound, and each
     instruction is digested and classified once per build instead of
     once per pair probe. Callers that rebuild groups repeatedly (the
-    aggregator) pass their own memoized [commute]. *)
-
-val build_reference : Gdg.t -> t
-(** {!build} over the memo-free pre-oracle decision chain
-    ({!Commute.insts_reference}); the qcheck suite pins the default
-    build's partitions against it on every suite circuit. *)
+    aggregator) pass their own memoized [commute]. The qcheck suite pins
+    the default build's partitions against a build over the memo-free
+    test-scope reference decision chain on every suite circuit. *)
 
 val refresh :
   ?commute:(Inst.t -> Inst.t -> bool) -> t -> Gdg.t -> qubits:int list -> unit

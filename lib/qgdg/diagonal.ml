@@ -1,116 +1,15 @@
 let max_run_gates = 10
 
-(* ---- reference implementations (pre-oracle), pinned by qcheck ---- *)
-
-(* grow the longest contiguous run starting at [id] whose support stays
-   within one qubit pair; each appended node must have its predecessor (on
-   every qubit it shares with the run) inside the run, so the run is a
-   schedulable contiguous block. [last_on] tracks, per qubit, the most
-   recently appended run node touching it — appends only extend chains
-   forward, so it is the chain-last run node on that qubit. *)
-let grow_run_reference g id =
-  let start = Gdg.find g id in
-  let run = ref [ id ] in
-  let run_mem = Hashtbl.create 8 in
-  Hashtbl.replace run_mem id ();
-  let gate_count = ref (List.length start.Inst.gates) in
-  let support = ref start.Inst.qubits in
-  let last_on = Hashtbl.create 4 in
-  List.iter (fun q -> Hashtbl.replace last_on q id) start.Inst.qubits;
-  let continue_ = ref true in
-  while !continue_ do
-    continue_ := false;
-    let candidates =
-      List.filter_map
-        (fun q ->
-          match Hashtbl.find_opt last_on q with
-          | None -> None
-          | Some last ->
-            (match Gdg.succ_on g last ~qubit:q with
-             | Some s when not (Hashtbl.mem run_mem s.Inst.id) -> Some s
-             | Some _ | None -> None))
-        !support
-    in
-    let eligible (c : Inst.t) =
-      let union = List.sort_uniq compare (c.Inst.qubits @ !support) in
-      List.length union <= 2
-      && !gate_count + List.length c.Inst.gates <= max_run_gates
-      && List.for_all
-           (fun q ->
-             (not (List.mem q !support))
-             ||
-             match Gdg.pred_on g c.Inst.id ~qubit:q with
-             | Some p -> Hashtbl.mem run_mem p.Inst.id
-             | None -> false)
-           c.Inst.qubits
-    in
-    match List.find_opt eligible candidates with
-    | Some c ->
-      run := c.Inst.id :: !run;
-      Hashtbl.replace run_mem c.Inst.id ();
-      gate_count := !gate_count + List.length c.Inst.gates;
-      support := List.sort_uniq compare (c.Inst.qubits @ !support);
-      List.iter (fun q -> Hashtbl.replace last_on q c.Inst.id) c.Inst.qubits;
-      continue_ := true
-    | None -> ()
-  done;
-  List.rev !run
-
-let diagonal_prefix_reference g run =
-  (* longest prefix (>= 2 nodes) whose composed unitary is diagonal *)
-  let rec prefixes acc rev_best = function
-    | [] -> rev_best
-    | id :: rest ->
-      let acc = acc @ [ id ] in
-      let gates = List.concat_map (fun i -> (Gdg.find g i).Inst.gates) acc in
-      let rev_best =
-        if List.length acc >= 2 && Commute.is_diagonal_block gates then Some acc
-        else rev_best
-      in
-      prefixes acc rev_best rest
-  in
-  prefixes [] None run
-
-let detect_and_contract_reference ~latency g =
-  let merges = ref 0 in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let ids = List.map (fun (i : Inst.t) -> i.Inst.id) (Gdg.insts g) in
-    List.iter
-      (fun id ->
-        if Gdg.mem g id then begin
-          let run = grow_run_reference g id in
-          match diagonal_prefix_reference g run with
-          | Some (first :: (_ :: _ as rest)) ->
-            let merged =
-              List.fold_left
-                (fun acc next ->
-                  let gates =
-                    (Gdg.find g acc).Inst.gates @ (Gdg.find g next).Inst.gates
-                  in
-                  (Gdg.merge g ~latency:(latency gates) acc next).Inst.id)
-                first rest
-            in
-            ignore merged;
-            incr merges;
-            changed := true
-          | Some _ | None -> ()
-        end)
-      ids
-  done;
-  !merges
-
 (* ---- windowed detection over flat per-qubit frontier tables ---- *)
 
-(* The reference costs O(sweeps × nodes × chain-length) in
-   [Gdg.succ_on]/[pred_on] walks plus a full Kahn pass per merge. The
-   production path below keeps flat pred/succ tables ([id*nq+q], -1
-   absent) and an incremental ASAP schedule, patched only around each
-   contraction the way Qagg patches its slack tables; the ASAP start
-   doubles as the topological potential handed to [Gdg.merge ~rank], so
-   acyclicity checks are bounded reachability probes instead of full
-   topological passes. *)
+(* The test-scope reference fixpoint costs O(sweeps × nodes ×
+   chain-length) in [Gdg.succ_on]/[pred_on] walks plus a full Kahn pass
+   per merge. The production path below keeps flat pred/succ tables
+   ([id*nq+q], -1 absent) and an incremental ASAP schedule, patched only
+   around each contraction the way Qagg patches its slack tables; the
+   ASAP start doubles as the topological potential handed to
+   [Gdg.merge ~rank], so acyclicity checks are bounded reachability
+   probes instead of full topological passes. *)
 type state = {
   g : Gdg.t;
   nq : int;
@@ -288,8 +187,8 @@ let update_state_after_merge st ~old_chains ~a ~b (merged : Inst.t) =
     end
   done
 
-(* table-backed [grow_run_reference]: identical runs (the qcheck suite
-   pins the equality), with the support held as at most two sorted ints
+(* table-backed run growth, yielding the same runs as the list-based
+   test-scope reference (the qcheck suite pins the equality), with the support held as at most two sorted ints
    ([Int.compare] ordering — supports are non-negative, so this matches
    the reference's polymorphic sort) and run membership as a linear scan
    of the ≤ [max_run_gates]-node run array. Candidates are probed in

@@ -14,9 +14,11 @@
     [detect.route.*]), merges are validated by bounded reachability
     probes against an incrementally-maintained ASAP rank, and sweeps
     after the first revisit only the neighborhood each contraction
-    invalidated. The pre-oracle implementation is retained as
-    {!detect_and_contract_reference} and the qcheck suite pins both to
-    identical merges and graphs on every suite circuit. *)
+    invalidated. The pre-oracle implementation (full re-sweep per round,
+    per-prefix dense re-checks, full topological validation per merge)
+    lives in test scope ([test/ref]), built on the public {!Gdg} API
+    only, and the qcheck suite pins both to identical merges and graphs
+    on every suite circuit. *)
 
 val max_run_gates : int
 (** 10, the paper's practical bound on exhaustive block search. *)
@@ -27,17 +29,7 @@ val detect_and_contract :
     GDG is modified in place; merged instructions are re-costed with
     [latency]. *)
 
-val detect_and_contract_reference :
-  latency:(Qgate.Gate.t list -> float) -> Gdg.t -> int
-(** The pre-oracle fixpoint (full re-sweep per round, per-prefix dense
-    re-checks, full topological validation per merge), retained as the
-    behavioural reference. *)
-
 val grow_run : Gdg.t -> int -> int list
 (** The longest contiguous run starting at a node whose support stays
     within one qubit pair (production table-backed bookkeeping; builds
     its tables per call — tests and one-off callers only). *)
-
-val grow_run_reference : Gdg.t -> int -> int list
-(** The list-based reference {!grow_run} (polymorphic sorts and chain
-    walks), pinned equal to the production path by qcheck. *)

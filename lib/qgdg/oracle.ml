@@ -71,7 +71,6 @@ let reset_memos () =
    first column that differs — most dense queries answer "no" within a
    few columns. *)
 let dense_on ~n_qubits a_gates b_gates =
-  Qobs.Metrics.tick "commute.unitary";
   let pa = Qgate.Unitary.program ~n_qubits a_gates in
   let pb = Qgate.Unitary.program ~n_qubits b_gates in
   let dim = 1 lsl n_qubits in
@@ -148,24 +147,13 @@ let of_gates gs =
 
 (* ---- pairwise commutation ---- *)
 
-(* observability: every commutation query ticks "commute.checks"; queries
-   resolved structurally (identical gates, disjoint supports, both sides
-   diagonal) tick "commute.fast_path", as do the algebraic decisions,
-   which additionally tick "commute.phase_poly" or "commute.tableau";
-   joint supports too wide to check tick "commute.oversize"; only queries
-   that actually build dense unitaries tick "commute.unitary" — the
-   fast-path ratio is the headline number for the detection cost (no-ops
-   unless a metrics registry is ambient, see Qobs.Metrics) *)
-let fast_path () = Qobs.Metrics.tick "commute.fast_path"
-
-(* Route attribution: on top of the legacy counters above, every query
-   that ticks "commute.checks" resolves through exactly one route —
-   structural / memo / phase_poly / tableau / dense / oversize — ticking
-   "commute.route.<r>" and recording the query's wall time in
-   "commute.route.<r>.ms". The per-route counters therefore sum to the
-   decision count, which [qcc stats] checks and reports as the route mix.
-   The clock is read only when a metrics registry is ambient, so the
-   disabled path stays one branch. *)
+(* Route attribution: every query that ticks "commute.checks" resolves
+   through exactly one route — structural / memo / phase_poly / tableau /
+   dense / oversize — ticking "commute.route.<r>" and recording the
+   query's wall time in "commute.route.<r>.ms". The per-route counters
+   therefore sum to the decision count, which [qcc stats] checks and
+   reports as the route mix. The clock is read only when a metrics
+   registry is ambient, so the disabled path stays one branch. *)
 let now_if_metrics () =
   if Qobs.Metrics.enabled (Qobs.Metrics.ambient ()) then
     Some (Qobs.Clock.now_ns ())
@@ -185,9 +173,7 @@ let route (name, hist) t0 =
     Qobs.Metrics.tick name;
     Qobs.Metrics.record hist (Qobs.Clock.elapsed_ns t0 /. 1e6)
 
-type pair_route = Pair_phase_poly | Pair_tableau | Pair_undecided
-
-(* The algebraic pair check shared by this module and Qflow.Summary,
+(* The algebraic pair check behind both {!decide} and {!algebraic},
    dispatched on the summaries' fragment-membership flags instead of
    re-attempting each abstract domain: a concatenation lies in a
    gate-wise fragment iff both blocks do, and fragment membership is
@@ -204,7 +190,11 @@ type pair_route = Pair_phase_poly | Pair_tableau | Pair_undecided
    read off one statevector column (|0…0⟩), far cheaper than the 2^n×2^n
    products. Genuine phase mismatches are multiples of π/4 on amplitudes
    of modulus ≥ 2^{-n/2}, so the 1e-6 tolerance only absorbs float
-   noise. *)
+   noise.
+
+   Returns the decision with the route that took it, or [None] when
+   neither domain decides (a phase-polynomial comparison that strict
+   equality cannot settle is [None] too, without a tableau attempt). *)
 let algebraic_pair ~in_phase_poly ~in_clifford ~n_qubits a b =
   let pp =
     if not in_phase_poly then None
@@ -218,9 +208,9 @@ let algebraic_pair ~in_phase_poly ~in_clifford ~n_qubits a b =
       | _ -> None
   in
   match pp with
-  | Some r -> (r, Pair_phase_poly)
+  | Some r -> Option.map (fun r -> (r, route_phase_poly)) r
   | None ->
-    if not in_clifford then (None, Pair_undecided)
+    if not in_clifford then None
     else (
       match
         ( Qdomain.Tableau.of_gates ~n_qubits (a @ b),
@@ -228,20 +218,26 @@ let algebraic_pair ~in_phase_poly ~in_clifford ~n_qubits a b =
       with
       | Some t_ab, Some t_ba ->
         let r =
-          if not (Qdomain.Tableau.equal t_ab t_ba) then Some false
-          else begin
-            let s_ab = Qgate.Unitary.state_of_gates ~n_qubits (a @ b) in
-            let s_ba = Qgate.Unitary.state_of_gates ~n_qubits (b @ a) in
-            let ok = ref true in
-            Array.iteri
-              (fun i z ->
-                if Qnum.Cx.abs (Qnum.Cx.sub z s_ba.(i)) > 1e-6 then ok := false)
-              s_ab;
-            Some !ok
-          end
+          Qdomain.Tableau.equal t_ab t_ba
+          &&
+          let s_ab = Qgate.Unitary.state_of_gates ~n_qubits (a @ b) in
+          let s_ba = Qgate.Unitary.state_of_gates ~n_qubits (b @ a) in
+          let ok = ref true in
+          Array.iteri
+            (fun i z ->
+              if Qnum.Cx.abs (Qnum.Cx.sub z s_ba.(i)) > 1e-6 then ok := false)
+            s_ab;
+          !ok
         in
-        (r, Pair_tableau)
-      | _ -> (None, Pair_undecided))
+        Some (r, route_tableau)
+      | _ -> None)
+
+let disjoint sa sb = not (List.exists (fun q -> List.mem q sb.support) sa.support)
+
+(* Identity or Diagonal: the operator is exactly diagonal (the affine
+   test behind the Diagonal klass is exact boolean algebra) or scalar, so
+   two such operators commute *)
+let diagonal_klass s = s.klass = Identity || s.klass = Diagonal
 
 (* positions of a summary's support inside the sorted joint support —
    together with the two digests this determines the relabelled pair
@@ -261,18 +257,10 @@ let decide ~t0 sa sb a_gates b_gates =
   let support = List.sort_uniq compare (sa.support @ sb.support) in
   let n_qubits = List.length support in
   if n_qubits > max_check_width then begin
-    Qobs.Metrics.tick "commute.oversize";
     route route_oversize t0;
     false
   end
-  else if
-    (sa.klass = Identity || sa.klass = Diagonal)
-    && (sb.klass = Identity || sb.klass = Diagonal)
-  then begin
-    (* both operators are exactly diagonal (the affine test behind the
-       Diagonal klass is exact boolean algebra) or scalar, so they
-       commute as operators — every downstream check would return true *)
-    fast_path ();
+  else if diagonal_klass sa && diagonal_klass sb then begin
     route route_structural t0;
     true
   end
@@ -286,32 +274,22 @@ let decide ~t0 sa sb a_gates b_gates =
     let m = Qobs.Domain_safe.Local.get memos in
     match Hashtbl.find_opt m.pair key with
     | Some r ->
-      Qobs.Metrics.tick "commute.memo_hits";
-      fast_path ();
       route route_memo t0;
       r
     | None ->
       let a = relabel_onto support a_gates in
       let b = relabel_onto support b_gates in
-      let decision, taken =
-        algebraic_pair
-          ~in_phase_poly:(sa.in_phase_poly && sb.in_phase_poly)
-          ~in_clifford:(sa.in_clifford && sb.in_clifford)
-          ~n_qubits a b
-      in
       let r =
-        match (decision, taken) with
-        | Some r, Pair_phase_poly ->
-          Qobs.Metrics.tick "commute.phase_poly";
-          fast_path ();
-          route route_phase_poly t0;
+        match
+          algebraic_pair
+            ~in_phase_poly:(sa.in_phase_poly && sb.in_phase_poly)
+            ~in_clifford:(sa.in_clifford && sb.in_clifford)
+            ~n_qubits a b
+        with
+        | Some (r, taken) ->
+          route taken t0;
           r
-        | Some r, Pair_tableau ->
-          Qobs.Metrics.tick "commute.tableau";
-          fast_path ();
-          route route_tableau t0;
-          r
-        | _ ->
+        | None ->
           Qobs.Metrics.record "commute.dense.width" (float_of_int n_qubits);
           let r = dense_on ~n_qubits a b in
           route route_dense t0;
@@ -326,22 +304,12 @@ let blocks ?sa ?sb a b =
   let t0 = now_if_metrics () in
   match (a, b) with
   | [], _ | _, [] ->
-    fast_path ();
     route route_structural t0;
     true
   | _ ->
     let sa = match sa with Some s -> s | None -> fst (of_gates a) in
     let sb = match sb with Some s -> s | None -> fst (of_gates b) in
-    let disjoint =
-      not (List.exists (fun q -> List.mem q sb.support) sa.support)
-    in
-    if disjoint then begin
-      fast_path ();
-      route route_structural t0;
-      true
-    end
-    else if sa.all_diagonal && sb.all_diagonal then begin
-      fast_path ();
+    if disjoint sa sb || (sa.all_diagonal && sb.all_diagonal) then begin
       route route_structural t0;
       true
     end
@@ -350,25 +318,36 @@ let blocks ?sa ?sb a b =
 let gates a b =
   Qobs.Metrics.tick "commute.checks";
   let t0 = now_if_metrics () in
-  if Gate.equal a b then begin
-    fast_path ();
-    route route_structural t0;
-    true
-  end
-  else if not (Gate.shares_qubit a b) then begin
-    fast_path ();
-    route route_structural t0;
-    true
-  end
-  else if Gate.is_diagonal_kind a.Gate.kind && Gate.is_diagonal_kind b.Gate.kind
+  if
+    Gate.equal a b
+    || (not (Gate.shares_qubit a b))
+    || (Gate.is_diagonal_kind a.Gate.kind && Gate.is_diagonal_kind b.Gate.kind)
   then begin
-    fast_path ();
     route route_structural t0;
     true
   end
   else
     let sa = fst (of_gates [ a ]) and sb = fst (of_gates [ b ]) in
     decide ~t0 sa sb [ a ] [ b ]
+
+(* The lint-side query (QL070): disjoint supports, then the klass-pair
+   shortcut, then the flag-dispatched algebraic domains on joint supports
+   up to [algebraic_width] qubits — wider than the dense cap because no
+   2ⁿ operator is ever built here. No dense step, no memo, no metric. *)
+let algebraic_width = 12
+
+let algebraic ~sa ~sb a b =
+  if disjoint sa sb || (diagonal_klass sa && diagonal_klass sb) then Some true
+  else
+    let joint = List.sort_uniq compare (sa.support @ sb.support) in
+    let n_qubits = List.length joint in
+    if n_qubits > algebraic_width then None
+    else
+      Option.map fst
+        (algebraic_pair
+           ~in_phase_poly:(sa.in_phase_poly && sb.in_phase_poly)
+           ~in_clifford:(sa.in_clifford && sb.in_clifford)
+           ~n_qubits (relabel_onto joint a) (relabel_onto joint b))
 
 (* ---- incremental diagonal-prefix scanning (the detect pass) ---- *)
 
@@ -480,8 +459,8 @@ let scan_push s gs =
           s.pp_alive <- false)
     gs
 
-(* Same decision chain as [Commute.is_diagonal_block], incrementally: the
-   syntactic all-diagonal shortcut, the support-width gate, then the
+(* Same decision chain as the reference diagonal-block test, incrementally:
+   the syntactic all-diagonal shortcut, the support-width gate, then the
    phase-polynomial affine test (exact boolean algebra, invariant under
    the injective relabelling and the padding to two local qubits), and
    the dense fallback on the original, unrelabelled gates — bit-for-bit

@@ -1,5 +1,10 @@
-(** The commutation oracle: one summary-keyed entry point for every
-    commutativity-detection decision (ROADMAP Open item 2).
+(** The commutation oracle: the one module that decides whether two
+    blocks commute, and the summary-keyed entry point for every
+    commutativity-detection decision. The paper resolves commutation "by
+    explicitly checking the equality of unitary operators ÂB̂ and B̂Â"
+    (§3.3); this module decides exactly that on the joint support, with
+    structural, klass and algebraic (phase-polynomial, tableau) shortcuts
+    before the dense comparison.
 
     A block's {e summary} is its content digest (relabelled onto its own
     support), its sorted support, and its classification by the cheapest
@@ -10,13 +15,15 @@
     excitation or adder template stamped onto different qubit sets) are
     classified once per domain.
 
-    Three consumers sit on top of the oracle: pairwise commutation
-    ({!blocks} / {!gates}, re-exported by {!Commute}), diagonal-prefix
+    Four consumers sit on top of the oracle: pairwise commutation
+    ({!blocks} / {!gates}, called by the aggregator), diagonal-prefix
     recognition for the detect pass ({!scan_push} / {!scan_is_diagonal},
-    consumed by {!Diagonal}), and CLS group construction
-    ({!Comm_group.build} passes per-instruction summaries back into
-    {!blocks}). All memo tables are per-domain (Domain.DLS) and cleared
-    by {!reset_memos}, so [-j N] runs stay byte-identical. *)
+    consumed by {!Diagonal}), CLS group construction ({!Comm_group.build}
+    passes per-instruction summaries back into {!blocks}), and the
+    algebraic-only lint query ({!algebraic}, QL070). All memo tables are
+    per-domain (Domain.DLS) and cleared by {!reset_memos}, so [-j N] runs
+    stay byte-identical. The memo-free executable specifications these
+    paths are pinned against live in test scope ([test/ref]). *)
 
 type klass = Identity | Diagonal | Clifford | Phase_linear | General
 
@@ -51,35 +58,28 @@ val blocks : ?sa:t -> ?sb:t -> Qgate.Gate.t list -> Qgate.Gate.t list -> bool
 
     Ticks [commute.checks] and exactly one [commute.route.<r>] counter
     (structural / memo / phase_poly / tableau / dense / oversize) with a
-    matching [.ms] histogram, plus the legacy [commute.*] counters, when
-    a metrics registry is ambient. *)
+    matching [.ms] histogram when a metrics registry is ambient; a dense
+    query also records its joint width in [commute.dense.width]. *)
 
 val gates : Qgate.Gate.t -> Qgate.Gate.t -> bool
 (** Do two gates commute as operators? *)
 
-type pair_route = Pair_phase_poly | Pair_tableau | Pair_undecided
-
-val algebraic_pair :
-  in_phase_poly:bool ->
-  in_clifford:bool ->
-  n_qubits:int ->
-  Qgate.Gate.t list ->
-  Qgate.Gate.t list ->
-  bool option * pair_route
-(** The algebraic-only pair check on an already-relabelled pair,
-    dispatched on the blocks' fragment-membership flags: phase-polynomial
-    strict equality when both blocks sit in the CNOT+diagonal fragment,
-    else tableau equality (with a statevector-column global-phase
-    tie-break) when both are Clifford, else undecided. No metrics, no
-    memo — callers ({!decide}'s slow path, {!Qflow.Summary.commutes})
-    own both. *)
+val algebraic :
+  sa:t -> sb:t -> Qgate.Gate.t list -> Qgate.Gate.t list -> bool option
+(** [algebraic ~sa ~sb a b]: do the blocks commute, decided
+    {e algebraically only}? [Some true] for disjoint supports or two
+    identity/diagonal klasses; otherwise joint supports wider than 12
+    qubits give [None], and the phase-polynomial domain (exact) or the
+    tableau domain (with a statevector-column global-phase tie-break)
+    decides when both blocks lie in it. [None] when the pair escapes
+    every domain — there is no dense fallback. Keeps no memo and ticks no
+    metric. *)
 
 val dense_on : n_qubits:int -> Qgate.Gate.t list -> Qgate.Gate.t list -> bool
 (** The dense comparison on already-relabelled gates (support 0..n-1):
     do A·B and B·A agree entrywise within 1e-9? Matrix-free — each
     basis column is pushed through both gate orders in 2ⁿ buffers
-    ({!Qgate.Unitary.run}), stopping at the first column that differs.
-    Ticks [commute.unitary]. *)
+    ({!Qgate.Unitary.run}), stopping at the first column that differs. *)
 
 (** {2 Incremental diagonal-prefix scanning}
 
@@ -104,9 +104,9 @@ val scan_push : scan -> Qgate.Gate.t list -> unit
 
 val scan_is_diagonal : scan -> bool
 (** Is the current prefix's composed unitary diagonal in the
-    computational basis? Decision-identical to
-    {!Commute.is_diagonal_block} on the concatenated prefix (the qcheck
-    suite pins this). *)
+    computational basis? Decision-identical to the test-scope reference
+    [Qref.is_diagonal_block] on the concatenated prefix (the qcheck suite
+    pins this). *)
 
 val reset_memos : unit -> unit
 (** Clear the calling domain's classification, pair and diagonal

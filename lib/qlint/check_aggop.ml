@@ -35,9 +35,7 @@ let run ?stage ?gate_time ~width_limit gdg =
               in
               if List.length joint <= width_limit then begin
                 let sa = summary a and sb = summary b in
-                match
-                  Qflow.Summary.commutes ~a:a.Inst.gates ~b:b.Inst.gates sa sb
-                with
+                match Qgdg.Oracle.algebraic ~sa ~sb a.Inst.gates b.Inst.gates with
                 | Some true ->
                   add
                     (D.make ?stage ~insts:[ a.Inst.id; bid ] ~qubits:joint
@@ -46,8 +44,8 @@ let run ?stage ?gate_time ~width_limit gdg =
                           "adjacent instructions %d and %d commute \
                            algebraically (%s x %s) but were never merged"
                           a.Inst.id bid
-                          (Qflow.Summary.klass_to_string sa.Qflow.Summary.klass)
-                          (Qflow.Summary.klass_to_string sb.Qflow.Summary.klass)))
+                          (Qgdg.Oracle.klass_to_string sa.Qgdg.Oracle.klass)
+                          (Qgdg.Oracle.klass_to_string sb.Qgdg.Oracle.klass)))
                 | Some false | None -> ()
               end
             end)

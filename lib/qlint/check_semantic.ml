@@ -56,7 +56,7 @@ let run ?stage ?(ancillas = []) circuit =
                && (not (Hashtbl.mem dead_idx j0))
                && set_eq (Gate.qubits gi) (Gate.qubits arr.(j0)) ->
           let s = Qflow.Summary.of_gates [ gi; arr.(j0) ] in
-          if s.Qflow.Summary.klass = Qflow.Summary.Identity then begin
+          if s.Qgdg.Oracle.klass = Qgdg.Oracle.Identity then begin
             Hashtbl.replace consumed j0 ();
             add
               (D.make ?stage ~gate_index:i ~qubits:(Gate.qubits gi)

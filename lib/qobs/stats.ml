@@ -40,7 +40,7 @@ let is_route name =
   let pre p =
     String.length name > String.length p && String.sub name 0 (String.length p) = p
   in
-  pre "commute.route." || pre "qflow.route." || pre "detect.route."
+  pre "commute.route." || pre "detect.route."
 
 let of_rows rows =
   let passes = Hashtbl.create 32 in

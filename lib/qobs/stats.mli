@@ -4,8 +4,8 @@
     Pure over parsed JSON rows: rows whose [schema] is not
     [qcc.ledger/1] are counted as skipped, everything else folds into
     per-pass wall/allocation totals, cache hit rates and the
-    commutation-route mix ([commute.route.*] / [qflow.route.*] /
-    [detect.route.*] counters summed across rows). JSON output carries
+    commutation-route mix ([commute.route.*] / [detect.route.*] counters
+    summed across rows). JSON output carries
     schema [qcc.stats/1]. *)
 
 val schema : string

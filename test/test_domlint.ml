@@ -176,8 +176,8 @@ let reset_cases =
           "cold counters reproduce after reset" (counters cold1)
           (counters cold2);
         check_bool "warm run reuses the decision memo" true
-          (Metrics.counter_value warm "commute.memo_hits"
-           >= Metrics.counter_value cold1 "commute.memo_hits"));
+          (Metrics.counter_value warm "commute.route.memo"
+           >= Metrics.counter_value cold1 "commute.route.memo"));
     case "latency memo reset is idempotent and re-warms identically"
       (fun () ->
         let device = Qcontrol.Device.default in

@@ -101,11 +101,11 @@ let domain_cases =
               | 1 -> Gate.rz (Qgraph.Rand.float rng 6.28) q
               | _ -> Gate.t q)
         in
-        match Qcert.Phase_poly.of_gates ~n_qubits:n gates with
+        match Qdomain.Phase_poly.of_gates ~n_qubits:n gates with
         | None -> false
         | Some p ->
           Cmat.equal_up_to_phase ~eps:1e-7
-            (Qcert.Phase_poly.to_matrix p)
+            (Qdomain.Phase_poly.to_matrix p)
             (Qgate.Unitary.of_gates ~n_qubits:n gates));
     qcheck ~count:40 "blocks_commute verdicts agree with the dense reference"
       QCheck.(int_range 0 100000)

@@ -7,6 +7,7 @@ module Gate = Qgate.Gate
 module Circuit = Qgate.Circuit
 module Inst = Qgdg.Inst
 module Gdg = Qgdg.Gdg
+module Oracle = Qgdg.Oracle
 module A = Qflow.Absval
 module T = Qflow.Transfer
 module D = Qlint.Diagnostic
@@ -176,15 +177,15 @@ let analysis_cases =
 
 let summary_cases =
   [ case "klass classification by cheapest domain" (fun () ->
-        let k gs = (Qflow.Summary.of_gates gs).Qflow.Summary.klass in
-        check_bool "identity" true (k [ Gate.h 0; Gate.h 0 ] = Qflow.Summary.Identity);
-        check_bool "diagonal" true (k [ Gate.t 0; Gate.cz 0 1 ] = Qflow.Summary.Diagonal);
-        check_bool "clifford" true (k [ Gate.h 0; Gate.cnot 0 1 ] = Qflow.Summary.Clifford);
+        let k gs = (Qflow.Summary.of_gates gs).Oracle.klass in
+        check_bool "identity" true (k [ Gate.h 0; Gate.h 0 ] = Oracle.Identity);
+        check_bool "diagonal" true (k [ Gate.t 0; Gate.cz 0 1 ] = Oracle.Diagonal);
+        check_bool "clifford" true (k [ Gate.h 0; Gate.cnot 0 1 ] = Oracle.Clifford);
         check_bool "phase-linear" true
-          (k [ Gate.cnot 0 1; Gate.t 1 ] = Qflow.Summary.Phase_linear);
-        check_bool "general" true (k [ Gate.rx 0.3 0 ] = Qflow.Summary.General));
+          (k [ Gate.cnot 0 1; Gate.t 1 ] = Oracle.Phase_linear);
+        check_bool "general" true (k [ Gate.rx 0.3 0 ] = Oracle.General));
     case "summaries are content-addressed across qubit relabelings" (fun () ->
-        Qflow.Summary.reset_memo ();
+        Oracle.reset_memos ();
         let m = Qobs.Metrics.create () in
         Qobs.Metrics.with_ambient m (fun () ->
             let template q r = [ Gate.h q; Gate.cnot q r; Gate.t r ] in
@@ -195,28 +196,28 @@ let summary_cases =
         check_int "two hits" 2 (Qobs.Metrics.counter_value m "qflow.summary.hit");
         let s1 = Qflow.Summary.of_gates [ Gate.h 0; Gate.cnot 0 1; Gate.t 1 ]
         and s2 = Qflow.Summary.of_gates [ Gate.h 4; Gate.cnot 4 7; Gate.t 7 ] in
-        Alcotest.(check string) "same digest" s1.Qflow.Summary.digest
-          s2.Qflow.Summary.digest;
+        Alcotest.(check string) "same digest" s1.Oracle.digest s2.Oracle.digest;
         check_bool "different support" false
-          (s1.Qflow.Summary.support = s2.Qflow.Summary.support));
+          (s1.Oracle.support = s2.Oracle.support));
+    (* QL070's algebraic-only pair query *)
     case "commutes: disjoint, diagonal pairs, and anti-commuting paulis"
       (fun () ->
         let s gs = Qflow.Summary.of_gates gs in
         let a = [ Gate.h 0 ] and b = [ Gate.h 5 ] in
         check_bool "disjoint" true
-          (Qflow.Summary.commutes ~a ~b (s a) (s b) = Some true);
+          (Oracle.algebraic ~sa:(s a) ~sb:(s b) a b = Some true);
         let a = [ Gate.t 0; Gate.rzz 0.4 0 1 ] and b = [ Gate.cz 1 2 ] in
         check_bool "diagonal x diagonal" true
-          (Qflow.Summary.commutes ~a ~b (s a) (s b) = Some true);
+          (Oracle.algebraic ~sa:(s a) ~sb:(s b) a b = Some true);
         let a = [ Gate.z 0 ] and b = [ Gate.x 0 ] in
         check_bool "z vs x" true
-          (Qflow.Summary.commutes ~a ~b (s a) (s b) = Some false);
+          (Oracle.algebraic ~sa:(s a) ~sb:(s b) a b = Some false);
         let a = [ Gate.z 0 ] and b = [ Gate.cnot 0 1 ] in
         check_bool "z vs control of cnot" true
-          (Qflow.Summary.commutes ~a ~b (s a) (s b) = Some true);
+          (Oracle.algebraic ~sa:(s a) ~sb:(s b) a b = Some true);
         let a = [ Gate.z 0 ] and b = [ Gate.cnot 1 0 ] in
         check_bool "z vs target of cnot" true
-          (Qflow.Summary.commutes ~a ~b (s a) (s b) = Some false)) ]
+          (Oracle.algebraic ~sa:(s a) ~sb:(s b) a b = Some false)) ]
 
 (* ---------- QL06x / QL07x lints: seeded witnesses per code ---------- *)
 

@@ -98,35 +98,35 @@ let inst_cases =
 
 let commute_cases =
   [ case "disjoint gates commute" (fun () ->
-        check_bool "h0 vs h1" true (Commute.gates (Gate.h 0) (Gate.h 1)));
+        check_bool "h0 vs h1" true (Oracle.gates (Gate.h 0) (Gate.h 1)));
     case "diagonal gates commute" (fun () ->
-        check_bool "rz vs cz" true (Commute.gates (Gate.rz 0.3 0) (Gate.cz 0 1));
+        check_bool "rz vs cz" true (Oracle.gates (Gate.rz 0.3 0) (Gate.cz 0 1));
         check_bool "rzz vs rzz shared" true
-          (Commute.gates (Gate.rzz 0.5 0 1) (Gate.rzz 0.7 1 2)));
+          (Oracle.gates (Gate.rzz 0.5 0 1) (Gate.rzz 0.7 1 2)));
     case "table 2: control commutes with rz" (fun () ->
-        check_bool "rz on control" true (Commute.gates (Gate.rz 0.4 0) (Gate.cnot 0 1));
-        check_bool "rz on target" false (Commute.gates (Gate.rz 0.4 1) (Gate.cnot 0 1)));
+        check_bool "rz on control" true (Oracle.gates (Gate.rz 0.4 0) (Gate.cnot 0 1));
+        check_bool "rz on target" false (Oracle.gates (Gate.rz 0.4 1) (Gate.cnot 0 1)));
     case "table 2: cnots with shared control" (fun () ->
-        check_bool "shared control" true (Commute.gates (Gate.cnot 0 1) (Gate.cnot 0 2));
-        check_bool "shared target" true (Commute.gates (Gate.cnot 0 2) (Gate.cnot 1 2));
+        check_bool "shared control" true (Oracle.gates (Gate.cnot 0 1) (Gate.cnot 0 2));
+        check_bool "shared target" true (Oracle.gates (Gate.cnot 0 2) (Gate.cnot 1 2));
         check_bool "control-target clash" false
-          (Commute.gates (Gate.cnot 0 1) (Gate.cnot 1 2)));
+          (Oracle.gates (Gate.cnot 0 1) (Gate.cnot 1 2)));
     case "x and rx commute" (fun () ->
-        check_bool "same axis" true (Commute.gates (Gate.x 0) (Gate.rx 1.1 0)));
+        check_bool "same axis" true (Oracle.gates (Gate.x 0) (Gate.rx 1.1 0)));
     case "h and x do not commute" (fun () ->
-        check_bool "h x" false (Commute.gates (Gate.h 0) (Gate.x 0)));
+        check_bool "h x" false (Oracle.gates (Gate.h 0) (Gate.x 0)));
     case "blocks: zz structures commute" (fun () ->
-        check_bool "zz 01 vs zz 12" true (Commute.blocks (zz 0 1) (zz 1 2)));
+        check_bool "zz 01 vs zz 12" true (Oracle.blocks (zz 0 1) (zz 1 2)));
     case "blocks: cnot chains do not" (fun () ->
         check_bool "cnot vs zz on target" false
-          (Commute.blocks [ Gate.cnot 0 1 ] (zz 1 2) |> fun r ->
+          (Oracle.blocks [ Gate.cnot 0 1 ] (zz 1 2) |> fun r ->
            (* cnot(0,1) vs diagonal zz(1,2): cnot's target is in zz support *)
            r));
     case "is_diagonal_block" (fun () ->
-        check_bool "zz block" true (Commute.is_diagonal_block (zz 0 1));
+        check_bool "zz block" true (Qref.is_diagonal_block (zz 0 1));
         check_bool "with stray h" false
-          (Commute.is_diagonal_block (zz 0 1 @ [ Gate.h 0 ]));
-        check_bool "empty" true (Commute.is_diagonal_block []));
+          (Qref.is_diagonal_block (zz 0 1 @ [ Gate.h 0 ]));
+        check_bool "empty" true (Qref.is_diagonal_block []));
     (* the matrix-free dense check and the whole oracle against full
        unitaries, on blocks of up to four gates over the whole vocabulary
        on 3–6 qubits (so General-class blocks reach the dense route); half
@@ -148,10 +148,10 @@ let commute_cases =
             (Qgate.Unitary.of_gates ~n_qubits:n b)
         in
         Oracle.dense_on ~n_qubits:n a b = dense
-        && Commute.blocks a b = dense
+        && Oracle.blocks a b = dense
         &&
         match (a, b) with
-        | [ ga ], [ gb ] -> Commute.gates ga gb = dense
+        | [ ga ], [ gb ] -> Oracle.gates ga gb = dense
         | _ -> true);
     (* the dispatching oracle (tableau / phase-polynomial fast paths plus
        the embedded dense fallback) against the one-shot dense check, on
@@ -163,7 +163,7 @@ let commute_cases =
         let n = 2 + Qgraph.Rand.int rng 7 in
         let a = random_clifford_gates rng n 5 in
         let b = random_clifford_gates rng n 5 in
-        Commute.blocks a b = Commute.dense_commute a b);
+        Oracle.blocks a b = Qref.dense_commute a b);
     qcheck ~count:25 "blocks agrees with dense on CNOT+Rz blocks"
       QCheck.(int_range 0 10000)
       (fun seed ->
@@ -171,11 +171,11 @@ let commute_cases =
         let n = 2 + Qgraph.Rand.int rng 7 in
         let a = random_cnot_rz_gates rng n 6 in
         let b = random_cnot_rz_gates rng n 6 in
-        Commute.blocks a b = Commute.dense_commute a b);
+        Oracle.blocks a b = Qref.dense_commute a b);
     case "blocks: anti-commuting Paulis rejected" (fun () ->
-        check_bool "x vs z" false (Commute.blocks [ Gate.x 0 ] [ Gate.z 0 ]);
-        check_bool "x vs y" false (Commute.blocks [ Gate.x 0 ] [ Gate.y 0 ]);
-        check_bool "h vs h" true (Commute.blocks [ Gate.h 0 ] [ Gate.h 0 ]));
+        check_bool "x vs z" false (Oracle.blocks [ Gate.x 0 ] [ Gate.z 0 ]);
+        check_bool "x vs y" false (Oracle.blocks [ Gate.x 0 ] [ Gate.y 0 ]);
+        check_bool "h vs h" true (Oracle.blocks [ Gate.h 0 ] [ Gate.h 0 ]));
     (* the oracle dispatcher against the retained pre-oracle decision
        chain: memoization, summary shortcuts and route dispatch must not
        change a single verdict *)
@@ -186,7 +186,7 @@ let commute_cases =
         let n = 2 + Qgraph.Rand.int rng 5 in
         let a = random_clifford_gates rng n 5 in
         let b = random_clifford_gates rng n 5 in
-        Commute.blocks a b = Commute.blocks_reference a b);
+        Oracle.blocks a b = Qref.blocks_reference a b);
     qcheck ~count:25 "blocks matches blocks_reference on CNOT+Rz blocks"
       QCheck.(int_range 0 10000)
       (fun seed ->
@@ -194,7 +194,25 @@ let commute_cases =
         let n = 2 + Qgraph.Rand.int rng 5 in
         let a = random_cnot_rz_gates rng n 6 in
         let b = random_cnot_rz_gates rng n 6 in
-        Commute.blocks a b = Commute.blocks_reference a b) ]
+        Oracle.blocks a b = Qref.blocks_reference a b);
+    (* QL070's algebraic-only query: whenever it decides, it must agree
+       with the dense comparison (joint width ≤ 6, so the dense check
+       always runs) *)
+    qcheck ~count:100 "algebraic agrees with dense when it decides"
+      QCheck.(int_range 0 10000)
+      (fun seed ->
+        let rng = Qgraph.Rand.create seed in
+        let n = 2 + Qgraph.Rand.int rng 5 in
+        let block () =
+          let depth = 1 + Qgraph.Rand.int rng 5 in
+          if Qgraph.Rand.bool rng then random_clifford_gates rng n depth
+          else random_cnot_rz_gates rng n depth
+        in
+        let a = block () and b = block () in
+        let summary gs = fst (Oracle.of_gates gs) in
+        match Oracle.algebraic ~sa:(summary a) ~sb:(summary b) a b with
+        | Some r -> r = Qref.dense_commute a b
+        | None -> true) ]
 
 let gdg_cases =
   [ case "of_circuit sizes" (fun () ->
@@ -380,7 +398,7 @@ let comm_group_cases =
             let circuit = Qapps.Suite.lowered b in
             let g = Gdg.of_circuit ~latency:sum_latency circuit in
             let oracle = Comm_group.build g in
-            let reference = Comm_group.build_reference g in
+            let reference = Comm_group.build ~commute:Qref.insts_reference g in
             for q = 0 to Gdg.n_qubits g - 1 do
               Alcotest.(check (list (list int)))
                 (Printf.sprintf "%s qubit %d" b.Qapps.Suite.name q)
@@ -404,7 +422,7 @@ let diagonal_cases =
         List.iter
           (fun (i : Inst.t) ->
             if List.length i.Inst.gates > 1 then
-              check_bool "diagonal" true (Commute.is_diagonal_block i.Inst.gates))
+              check_bool "diagonal" true (Qref.is_diagonal_block i.Inst.gates))
           (Gdg.insts g));
     case "does not contract non-diagonal runs" (fun () ->
         let c = Circuit.make 2 [ Gate.h 0; Gate.cnot 0 1; Gate.h 1 ] in
@@ -446,7 +464,7 @@ let diagonal_cases =
         List.for_all
           (fun (i : Inst.t) ->
             let run = Diagonal.grow_run g i.Inst.id in
-            let reference = Diagonal.grow_run_reference g i.Inst.id in
+            let reference = Qref.grow_run_reference g i.Inst.id in
             let support =
               List.sort_uniq compare
                 (List.concat_map
@@ -479,7 +497,7 @@ let diagonal_cases =
               Diagonal.detect_and_contract ~latency:sum_latency g_new
             in
             let merges_ref =
-              Diagonal.detect_and_contract_reference ~latency:sum_latency g_ref
+              Qref.detect_and_contract_reference ~latency:sum_latency g_ref
             in
             check_int
               (Printf.sprintf "%s merges" b.Qapps.Suite.name)

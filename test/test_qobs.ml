@@ -411,7 +411,6 @@ let test_ledger_stats_roundtrip () =
   Metrics.incr m ~by:10 "commute.checks";
   Metrics.incr m ~by:4 "commute.route.memo";
   Metrics.incr m ~by:6 "commute.route.dense";
-  Metrics.incr m ~by:3 "qflow.route.structural";
   Metrics.incr m ~by:5 "detect.checks";
   Metrics.incr m ~by:2 "detect.route.memo";
   Metrics.incr m ~by:3 "detect.route.phase_poly";
@@ -458,7 +457,6 @@ let test_ledger_stats_roundtrip () =
       in
       checki "memo route" 4 (route "commute.route.memo");
       checki "dense route" 6 (route "commute.route.dense");
-      checki "qflow route" 3 (route "qflow.route.structural");
       checki "route sum = checks" t.Qobs.Stats.commute_checks
         (route "commute.route.memo" + route "commute.route.dense");
       checki "detect checks" 5 t.Qobs.Stats.detect_checks;
@@ -523,9 +521,6 @@ let test_route_sum_invariant () =
   let checks = Metrics.counter_value metrics "commute.checks" in
   checkb "commutation queries happened" true (checks > 0);
   checki "commute routes sum to checks" checks (sum_routes "commute.route.");
-  let pair_checks = Metrics.counter_value metrics "qflow.pair.checks" in
-  checki "qflow routes sum to pair checks" pair_checks
-    (sum_routes "qflow.route.");
   let detect_checks = Metrics.counter_value metrics "detect.checks" in
   checkb "detection queries happened" true (detect_checks > 0);
   checki "detect routes sum to checks" detect_checks

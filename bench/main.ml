@@ -1,6 +1,8 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (see DESIGN.md section 5 for the experiment index) plus
-   Bechamel microbenchmarks of the compiler passes.
+(* Paper-evaluation harness: regenerates every table and figure of the
+   paper's evaluation (see DESIGN.md section 5 for the experiment index),
+   the ablations and the certification-overhead table. Timing, per-pass
+   attribution and domain-pool scaling are measured by bench/measure
+   (run.sh), not here.
 
      dune exec bench/main.exe             -- everything
      dune exec bench/main.exe fig9 fig10  -- selected experiments *)
@@ -395,366 +397,7 @@ let ablations () =
     [ "maxcut-line"; "ising-n30" ]
 
 (* ------------------------------------------------------------------ *)
-(* Pipeline observability: per-pass wall time for BENCH_pipeline.json  *)
-
-let pipeline_benchmarks =
-  [ "maxcut-line"; "maxcut-reg4"; "ising-n30"; "sqrt-n3"; "uccsd-n4";
-    "uccsd-n6" ]
-
-let pipeline () =
-  header "Pipeline: per-pass wall-time breakdown (BENCH_pipeline.json)";
-  let entries =
-    List.concat_map
-      (fun name ->
-        let circuit = Qapps.Suite.lowered (Qapps.Suite.find name) in
-        Printf.printf "  profiling %s...\n%!" name;
-        (* cold memos per circuit so the recorded times do
-           not depend on which benchmarks ran earlier in the process —
-           the perf gate resets the same way before re-measuring *)
-        Compiler.reset_all_memos ();
-        (* one stage cache per circuit, as compile_all would use: the
-           pipeline.cache.{hit,miss} counters land in each entry's
-           metrics *)
-        let cache = Qcc.Pipeline.Cache.create () in
-        List.map
-          (fun strategy ->
-            let obs = Qobs.Trace.create () in
-            let metrics = Qobs.Metrics.create () in
-            let r = Compiler.compile ~obs ~metrics ~cache ~strategy circuit in
-            let passes =
-              (* one row per pass span under the compile root, with wall
-                 time and the GC allocation delta (same shape as the
-                 flight-recorder ledger rows) *)
-              match r.Compiler.trace with
-              | None -> []
-              | Some root ->
-                List.map Qobs.Ledger.pass_row (Qobs.Span.children root)
-            in
-            Qobs.Json.Obj
-              [ ("benchmark", Qobs.Json.Str name);
-                ("strategy", Qobs.Json.Str (Strategy.to_string strategy));
-                ("compile_time_s", Qobs.Json.Float r.Compiler.compile_time);
-                ("latency_ns", Qobs.Json.Float r.Compiler.latency);
-                ("instructions", Qobs.Json.Int r.Compiler.n_instructions);
-                ("swaps", Qobs.Json.Int r.Compiler.n_swaps_inserted);
-                ("merges", Qobs.Json.Int r.Compiler.n_merges);
-                ("passes", Qobs.Json.List passes);
-                ("metrics", Qobs.Metrics.to_json metrics) ])
-          Strategy.all)
-      pipeline_benchmarks
-  in
-  let doc =
-    Qobs.Json.Obj
-      [ ("schema", Qobs.Json.Str "qcc.bench.pipeline/1");
-        ("entries", Qobs.Json.List entries) ]
-  in
-  Qobs.Json.write_file "BENCH_pipeline.json" doc;
-  Printf.printf "  wrote BENCH_pipeline.json (%d entries)\n%!"
-    (List.length entries)
-
-(* ------------------------------------------------------------------ *)
-(* Perf gate: fresh per-pass times vs the committed baseline           *)
-
-(* Compares a fresh min-of-N run against BENCH_pipeline.json with a
-   per-pass tolerance. To stay robust against uniform machine skew
-   (different hardware, load) while still catching a single slow pass,
-   the per-pass ratios are calibrated by their median: a machine that is
-   2x slower everywhere has median ratio 2 and normalized ratios ~1, but
-   one regressed pass sticks out of the median unchanged. Knobs (env):
-     QCC_PERF_BASELINE      baseline file    (BENCH_pipeline.json)
-     QCC_PERF_GATE_FACTOR   fail threshold on the normalized ratio (1.75)
-     QCC_PERF_GATE_FLOOR_MS ignore passes with baseline below this (2.0)
-     QCC_PERF_GATE_REPS     fresh repetitions, min taken (3)
-     QCC_PERF_GATE_BENCHMARKS  comma-separated subset of the baseline's
-                               benchmarks (maxcut-line,sqrt-n3,uccsd-n4)
-     QCC_PERF_GATE_REQUIRE  comma-separated pass names that must each
-                            contribute at least one qualifying gated row
-                            (detect,schedule) — catches a baseline whose
-                            hot passes all fell below the floor, which
-                            would silently un-gate them
-     QCC_PERF_GATE_HANDICAP pass=factor: multiply that pass's fresh time
-                            (self-test hook: a seeded 2x slowdown must
-                            fail the gate) *)
-let perf_gate () =
-  header "Perf gate: fresh per-pass wall times vs committed baseline";
-  let getenv name default =
-    match Sys.getenv_opt name with Some v -> v | None -> default
-  in
-  let baseline_path = getenv "QCC_PERF_BASELINE" "BENCH_pipeline.json" in
-  let factor = float_of_string (getenv "QCC_PERF_GATE_FACTOR" "1.75") in
-  let floor_ms = float_of_string (getenv "QCC_PERF_GATE_FLOOR_MS" "2.0") in
-  let reps = int_of_string (getenv "QCC_PERF_GATE_REPS" "3") in
-  let benches =
-    String.split_on_char ','
-      (getenv "QCC_PERF_GATE_BENCHMARKS" "maxcut-line,sqrt-n3,uccsd-n4")
-  in
-  let required =
-    List.filter
-      (fun s -> s <> "")
-      (String.split_on_char ',' (getenv "QCC_PERF_GATE_REQUIRE" "detect,schedule"))
-  in
-  let handicap =
-    match Sys.getenv_opt "QCC_PERF_GATE_HANDICAP" with
-    | None -> None
-    | Some s -> (
-      match String.split_on_char '=' s with
-      | [ pass; f ] -> Some (pass, float_of_string f)
-      | _ -> failwith "QCC_PERF_GATE_HANDICAP: expected PASS=FACTOR")
-  in
-  let baseline_doc =
-    match
-      Qobs.Json.of_string
-        (In_channel.with_open_text baseline_path In_channel.input_all)
-    with
-    | Ok j -> j
-    | Error msg -> failwith (Printf.sprintf "%s: %s" baseline_path msg)
-    | exception Sys_error msg -> failwith msg
-  in
-  let base = Hashtbl.create 64 in
-  (match Qobs.Json.member "entries" baseline_doc with
-   | Some (Qobs.Json.List entries) ->
-     List.iter
-       (fun e ->
-         let str k =
-           match Qobs.Json.member k e with
-           | Some (Qobs.Json.Str s) -> s
-           | _ -> ""
-         in
-         let bench = str "benchmark" and strat = str "strategy" in
-         match Qobs.Json.member "passes" e with
-         | Some (Qobs.Json.List passes) ->
-           List.iter
-             (fun p ->
-               let pname =
-                 match Qobs.Json.member "pass" p with
-                 | Some (Qobs.Json.Str s) -> s
-                 | _ -> ""
-               in
-               let wall =
-                 match Qobs.Json.member "wall_ns" p with
-                 | Some (Qobs.Json.Float f) -> f
-                 | Some (Qobs.Json.Int n) -> float_of_int n
-                 | _ -> 0.
-               in
-               let key = (bench, strat, pname) in
-               Hashtbl.replace base key
-                 (wall +. Option.value ~default:0. (Hashtbl.find_opt base key)))
-             passes
-         | _ -> ())
-       entries
-   | _ -> failwith (Printf.sprintf "%s: no entries array" baseline_path));
-  (* fresh measurement: min over reps, per-circuit stage cache as the
-     baseline run used *)
-  let fresh = Hashtbl.create 64 in
-  for _rep = 1 to reps do
-    List.iter
-      (fun bench ->
-        let circuit = Qapps.Suite.lowered (Qapps.Suite.find bench) in
-        (* cold memos, as when the baseline was recorded *)
-        Compiler.reset_all_memos ();
-        let cache = Qcc.Pipeline.Cache.create () in
-        List.iter
-          (fun strategy ->
-            let obs = Qobs.Trace.create () in
-            let r = Compiler.compile ~obs ~cache ~strategy circuit in
-            match r.Compiler.trace with
-            | None -> ()
-            | Some root ->
-              let totals = Hashtbl.create 16 in
-              List.iter
-                (fun span ->
-                  let k = span.Qobs.Span.name in
-                  Hashtbl.replace totals k
-                    (Qobs.Span.duration_ns span
-                     +. Option.value ~default:0. (Hashtbl.find_opt totals k)))
-                (Qobs.Span.children root);
-              Hashtbl.iter
-                (fun pname wall ->
-                  let key = (bench, Strategy.to_string strategy, pname) in
-                  match Hashtbl.find_opt fresh key with
-                  | Some prev when prev <= wall -> ()
-                  | _ -> Hashtbl.replace fresh key wall)
-                totals)
-          Strategy.all)
-      benches
-  done;
-  (* qualifying rows: both sides present, baseline above the floor *)
-  let rows =
-    Hashtbl.fold
-      (fun ((bench, _, pname) as key) base_ns acc ->
-        if base_ns /. 1e6 < floor_ms || not (List.mem bench benches) then acc
-        else
-          match Hashtbl.find_opt fresh key with
-          | None -> acc
-          | Some f ->
-            let f =
-              match handicap with
-              | Some (hp, hf) when hp = pname -> f *. hf
-              | _ -> f
-            in
-            (key, base_ns, f) :: acc)
-      base []
-  in
-  if rows = [] then
-    failwith
-      (Printf.sprintf
-         "perf gate: no passes at or above the %.1f ms floor — regenerate \
-          the baseline (bench/main.exe pipeline)" floor_ms);
-  (* every required pass must actually be gated by at least one row:
-     a pass whose baseline dropped below the floor everywhere would
-     otherwise silently stop being measured *)
-  List.iter
-    (fun pass ->
-      if not (List.exists (fun ((_, _, p), _, _) -> p = pass) rows) then
-        failwith
-          (Printf.sprintf
-             "perf gate: required pass %S has no qualifying row (floor %.1f \
-              ms) — lower QCC_PERF_GATE_FLOOR_MS, widen \
-              QCC_PERF_GATE_BENCHMARKS, or drop it from \
-              QCC_PERF_GATE_REQUIRE"
-             pass floor_ms))
-    required;
-  let ratios = List.sort compare (List.map (fun (_, b, f) -> f /. b) rows) in
-  let median = List.nth ratios (List.length ratios / 2) in
-  (* calibration is itself clamped so a pathological baseline cannot
-     silently raise the bar *)
-  let skew = Float.max 0.25 (Float.min 4.0 median) in
-  let normalized =
-    List.sort
-      (fun (_, _, _, a) (_, _, _, b) -> compare b a)
-      (List.map (fun (key, b, f) -> (key, b, f, f /. b /. skew)) rows)
-  in
-  Printf.printf
-    "  %d passes gated (floor %.1f ms, factor %.2f, reps %d, machine skew %.2fx)\n"
-    (List.length rows) floor_ms factor reps skew;
-  List.iteri
-    (fun i ((bench, strat, pname), b, f, r) ->
-      if i < 12 then
-        Printf.printf "  %-14s %-16s %-12s base %9.2f ms | fresh %9.2f ms | x%5.2f\n"
-          bench strat pname (b /. 1e6) (f /. 1e6) r)
-    normalized;
-  let failures = List.filter (fun (_, _, _, r) -> r > factor) normalized in
-  if failures <> [] then begin
-    List.iter
-      (fun ((bench, strat, pname), b, f, r) ->
-        Printf.eprintf
-          "  FAIL %s/%s/%s: %.2f ms vs baseline %.2f ms (normalized %.2fx > %.2fx)\n%!"
-          bench strat pname (f /. 1e6) (b /. 1e6) r factor)
-      failures;
-    exit 1
-  end
-  else Printf.printf "  perf gate OK\n%!"
-
-(* ------------------------------------------------------------------ *)
-(* Observability overhead: the default-off path must be free           *)
-
-let obs_overhead () =
-  header "Observability overhead: disabled collectors vs instrumented compile";
-  let circuit = Qapps.Qaoa.triangle_example () in
-  let config =
-    { Compiler.default_config with
-      Compiler.topology = Some (Qmap.Topology.line 3) }
-  in
-  let compile_off () =
-    Compiler.compile ~config ~strategy:Strategy.Cls_aggregation circuit
-  in
-  let compile_on () =
-    Compiler.compile ~config ~obs:(Qobs.Trace.create ())
-      ~metrics:(Qobs.Metrics.create ()) ~strategy:Strategy.Cls_aggregation
-      circuit
-  in
-  (* direct wall-clock comparison over many runs: default-off must stay
-     within noise (<2%) of a build without instrumentation, and since the
-     instrumented path IS this build, we check off vs on instead -- off
-     must not be slower than on beyond noise *)
-  let time_n n f =
-    let t0 = Qobs.Clock.now_ns () in
-    for _ = 1 to n do ignore (f ()) done;
-    (Qobs.Clock.now_ns () -. t0) /. float_of_int n
-  in
-  ignore (time_n 3 compile_off);
-  (* warm-up *)
-  let off = time_n 20 compile_off in
-  let on = time_n 20 compile_on in
-  Printf.printf
-    "  compile (cls+aggregation, Fig. 4 triangle): off %10.0f ns/run | on %10.0f ns/run (on/off %.3fx)\n%!"
-    off on (on /. off);
-  let open Bechamel in
-  let tests =
-    [ Test.make ~name:"with_span-disabled"
-        (Staged.stage (fun () ->
-             Qobs.Trace.with_span Qobs.Trace.disabled "pass" (fun () -> 42)));
-      Test.make ~name:"metrics-tick-ambient-disabled"
-        (Staged.stage (fun () -> Qobs.Metrics.tick "bench.noop"));
-      Test.make ~name:"compile-obs-off" (Staged.stage compile_off);
-      Test.make ~name:"compile-obs-on" (Staged.stage compile_on) ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let stats = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> Printf.printf "  %-28s %12.1f ns/run\n%!" name est
-          | Some _ | None -> Printf.printf "  %-28s (no estimate)\n%!" name)
-        stats)
-    tests
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks of the compiler passes                     *)
-
-let bechamel () =
-  header "Bechamel: compiler-pass microbenchmarks (maxcut-line workload)";
-  let open Bechamel in
-  let circuit = Qapps.Suite.lowered (Qapps.Suite.find "maxcut-line") in
-  let latency gs = Qcontrol.Latency_model.isa_critical_path device gs in
-  let make_gdg () = Qgdg.Gdg.of_circuit ~latency circuit in
-  let contracted () =
-    let g = make_gdg () in
-    ignore (Qgdg.Diagonal.detect_and_contract ~latency g);
-    g
-  in
-  let tests =
-    [ Test.make ~name:"gdg-construction" (Staged.stage make_gdg);
-      Test.make ~name:"diagonal-detection" (Staged.stage contracted);
-      Test.make ~name:"cls-schedule"
-        (Staged.stage (fun () -> Qsched.Cls.schedule (contracted ())));
-      Test.make ~name:"placement-routing"
-        (Staged.stage (fun () ->
-             Qmap.Router.route_circuit ~topology:(Qmap.Topology.grid_for 20)
-               circuit));
-      Test.make ~name:"latency-model-zz"
-        (Staged.stage (fun () ->
-             block_time [ Gate.cnot 0 1; Gate.rz gamma 1; Gate.cnot 0 1 ]));
-      Test.make ~name:"weyl-coordinates"
-        (Staged.stage (fun () ->
-             Qcontrol.Weyl.coordinates (Qgate.Unitary.of_kind Gate.Iswap)))
-    ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let stats = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> Printf.printf "  %-24s %12.0f ns/run\n%!" name est
-          | Some _ | None -> Printf.printf "  %-24s (no estimate)\n%!" name)
-        stats)
-    tests
-
-(* ------------------------------------------------------------------ *)
+(* Certification overhead: plain vs certified compile of each cell     *)
 
 let certify_overhead () =
   header
@@ -764,9 +407,14 @@ let certify_overhead () =
       let circuit = Qapps.Suite.lowered (Qapps.Suite.find bench) in
       List.iter
         (fun strategy ->
+          (* both compiles start from cold memos: otherwise the certified
+             one reuses the commutation and latency memos the plain one
+             warmed, and the ratio understates certification cost *)
+          Compiler.reset_all_memos ();
           let t0 = Qobs.Clock.now_ns () in
           ignore (Compiler.compile ~strategy circuit);
           let plain = Qobs.Clock.now_ns () -. t0 in
+          Compiler.reset_all_memos ();
           let t1 = Qobs.Clock.now_ns () in
           let r = Compiler.compile ~certify:true ~strategy circuit in
           let certified = Qobs.Clock.now_ns () -. t1 in
@@ -784,231 +432,6 @@ let certify_overhead () =
         Strategy.all)
     [ "maxcut-line"; "ising-n30"; "uccsd-n4" ]
 
-(* ------------------------------------------------------------------ *)
-(* Parallel smoke: 4 domains, disjoint benchmark×strategy compiles     *)
-
-(* Runtime proof behind the domlint gate: four domains compile disjoint
-   benchmark×strategy jobs concurrently — per-domain memos (Oracle /
-   Latency_model), per-domain ambient metrics shards, and one
-   SHARED mutex-guarded stage cache — and every latency, merge count and
-   certificate digest must be byte-identical to a cold sequential run of
-   the same jobs. The lazy suite circuits are forced on the main domain
-   before any spawn (see the [@@domain_safety unsafe] note on
-   Qapps.Suite.all). *)
-let par_smoke () =
-  header "Parallel smoke: 4-domain compiles vs sequential (byte-identical)";
-  let circuits =
-    List.map
-      (fun b -> (b, Qapps.Suite.lowered (Qapps.Suite.find b)))
-      [ "maxcut-line"; "uccsd-n4" ]
-  in
-  let jobs =
-    Array.of_list
-      (List.concat_map
-         (fun (b, c) -> List.map (fun s -> (b, s, c)) Strategy.all)
-         circuits)
-  in
-  let fingerprint r =
-    let digest =
-      match r.Compiler.certificate with
-      | Some c ->
-        Digest.to_hex
-          (Digest.string (Qobs.Json.to_string (Qcert.Certificate.to_json c)))
-      | None -> "<uncertified>"
-    in
-    (Printf.sprintf "%h" r.Compiler.latency, r.Compiler.n_merges, digest)
-  in
-  (* sequential reference: every job from cold per-domain memos *)
-  let expected =
-    Array.map
-      (fun (_, strategy, circuit) ->
-        Compiler.reset_all_memos ();
-        fingerprint (Compiler.compile ~certify:true ~strategy circuit))
-      jobs
-  in
-  (* parallel: round-robin the jobs over 4 domains sharing one
-     mutex-guarded stage cache (a hit skips only the work, so results
-     and certificates are unchanged); each job compiles into its own
-     metrics shard, merged after the join *)
-  let n_domains = 4 in
-  let cache = Qcc.Pipeline.Cache.create () in
-  let worker d () =
-    let out = ref [] in
-    Array.iteri
-      (fun i (_, strategy, circuit) ->
-        if i mod n_domains = d then begin
-          Compiler.reset_all_memos ();
-          let metrics = Qobs.Metrics.create () in
-          let r =
-            Compiler.compile ~certify:true ~metrics ~cache ~strategy circuit
-          in
-          out := (i, fingerprint r, metrics) :: !out
-        end)
-      jobs;
-    !out
-  in
-  let domains =
-    List.init n_domains (fun d -> Domain.spawn (worker d))
-  in
-  let got = List.concat_map Domain.join domains in
-  let shards = List.map (fun (_, _, m) -> m) got in
-  let merged =
-    List.fold_left Qobs.Metrics.merge (Qobs.Metrics.create ()) shards
-  in
-  let failed = ref false in
-  (* the index multiset comes first: the per-job comparison below indexes
-     [expected] by whatever indices the workers returned, so a dropped or
-     double-assigned job would otherwise pass it silently *)
-  let indices = List.sort compare (List.map (fun (i, _, _) -> i) got) in
-  if indices <> List.init (Array.length jobs) Fun.id then begin
-    let count i = List.length (List.filter (Int.equal i) indices) in
-    let show l = String.concat ", " (List.map string_of_int l) in
-    let missing =
-      List.filter (fun i -> count i = 0)
-        (List.init (Array.length jobs) Fun.id)
-    in
-    let duplicated =
-      List.sort_uniq compare (List.filter (fun i -> count i > 1) indices)
-    in
-    Printf.eprintf
-      "  FAIL: job index multiset mismatch (%d results for %d jobs; \
-       missing [%s]; duplicated [%s])\n%!"
-      (List.length got) (Array.length jobs) (show missing) (show duplicated);
-    failed := true
-  end;
-  List.iter
-    (fun (i, fp, _) ->
-      let bench, strategy, _ = jobs.(i) in
-      let (e_lat, e_merges, e_digest) = expected.(i)
-      and (g_lat, g_merges, g_digest) = fp in
-      if fp <> expected.(i) then begin
-        Printf.eprintf
-          "  FAIL %s/%s: parallel (lat %s, merges %d, cert %s) vs sequential \
-           (lat %s, merges %d, cert %s)\n%!"
-          bench (Strategy.to_string strategy) g_lat g_merges g_digest e_lat
-          e_merges e_digest;
-        failed := true
-      end)
-    got;
-  Printf.printf
-    "  %d jobs on %d domains: commute.checks %d | cache hits %d (misses %d) | %s\n%!"
-    (Array.length jobs) n_domains
-    (Qobs.Metrics.counter_value merged "commute.checks")
-    (Qcc.Pipeline.Cache.hits cache)
-    (Qcc.Pipeline.Cache.misses cache)
-    (if !failed then "MISMATCH" else "all byte-identical");
-  if !failed then exit 1
-
-(* ------------------------------------------------------------------ *)
-(* Parallel scaling: jobs ∈ {1,2,4,8} over the full matrix             *)
-
-(* The real driver end-to-end: [Compiler.compile_matrix] over the whole
-   benchmark×strategy matrix at each pool size, through the Parallel
-   executor, the shared compute-once stage cache and per-job metrics
-   shards — certification on, so the byte-identity assertion covers the
-   certificate digests too. The jobs=1 sweep is the pooled sequential
-   reference every other pool size must match cell for cell. *)
-let par_scale () =
-  header "Parallel scaling: jobs in {1,2,4,8} over the benchmark matrix \
-          (BENCH_par.json)";
-  let named =
-    (* force the lazy suite circuits on the main domain before any spawn *)
-    List.map
-      (fun b -> (b, Qapps.Suite.lowered (Qapps.Suite.find b)))
-      pipeline_benchmarks
-  in
-  let fingerprint r =
-    let digest =
-      match r.Compiler.certificate with
-      | Some c ->
-        Digest.to_hex
-          (Digest.string (Qobs.Json.to_string (Qcert.Certificate.to_json c)))
-      | None -> "<uncertified>"
-    in
-    (Printf.sprintf "%h" r.Compiler.latency, r.Compiler.n_merges, digest)
-  in
-  let sweep jobs =
-    let t0 = Qobs.Clock.now_ns () in
-    let rows = Compiler.compile_matrix ~certify:true ~jobs named in
-    let wall_s = (Qobs.Clock.now_ns () -. t0) /. 1e9 in
-    let cells =
-      List.concat_map
-        (fun (bench, results) ->
-          List.map
-            (fun (s, r) ->
-              ((bench, Strategy.to_string s), fingerprint r,
-               r.Compiler.compile_time))
-            results)
-        rows
-    in
-    (wall_s, cells)
-  in
-  let quantile q times =
-    let a = Array.of_list (List.sort compare times) in
-    let n = Array.length a in
-    if n = 0 then 0.
-    else a.(max 0 (min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1)))
-  in
-  let sweeps =
-    List.map
-      (fun jobs ->
-        Printf.printf "  jobs=%d: compiling %d cells...\n%!" jobs
-          (List.length named * List.length Strategy.all);
-        let wall_s, cells = sweep jobs in
-        (jobs, wall_s, cells))
-      [ 1; 2; 4; 8 ]
-  in
-  let _, ref_wall, ref_cells = List.hd sweeps in
-  let failed = ref false in
-  List.iter
-    (fun (jobs, _, cells) ->
-      List.iter2
-        (fun (key, e_fp, _) (key', g_fp, _) ->
-          assert (key = key');
-          if g_fp <> e_fp then begin
-            let bench, strategy = key in
-            let (e_lat, e_merges, e_digest) = e_fp
-            and (g_lat, g_merges, g_digest) = g_fp in
-            Printf.eprintf
-              "  FAIL %s/%s at jobs=%d: (lat %s, merges %d, cert %s) vs \
-               jobs=1 (lat %s, merges %d, cert %s)\n%!"
-              bench strategy jobs g_lat g_merges g_digest e_lat e_merges
-              e_digest;
-            failed := true
-          end)
-        ref_cells cells)
-    (List.tl sweeps);
-  let sweep_json (jobs, wall_s, cells) =
-    let job_times = List.map (fun (_, _, t) -> t) cells in
-    Printf.printf
-      "  jobs=%d: wall %6.2f s | speedup %5.2fx | job p50 %6.1f ms, p99 \
-       %6.1f ms\n%!"
-      jobs wall_s (ref_wall /. wall_s)
-      (quantile 0.5 job_times *. 1e3)
-      (quantile 0.99 job_times *. 1e3);
-    Qobs.Json.Obj
-      [ ("jobs", Qobs.Json.Int jobs);
-        ("wall_s", Qobs.Json.Float wall_s);
-        ("speedup", Qobs.Json.Float (ref_wall /. wall_s));
-        ("job_wall_p50_s", Qobs.Json.Float (quantile 0.5 job_times));
-        ("job_wall_p99_s", Qobs.Json.Float (quantile 0.99 job_times)) ]
-  in
-  let doc =
-    Qobs.Json.Obj
-      [ ("schema", Qobs.Json.Str "qcc.bench.par/1");
-        ("benchmarks",
-         Qobs.Json.List
-           (List.map (fun b -> Qobs.Json.Str b) pipeline_benchmarks));
-        ("strategies", Qobs.Json.Int (List.length Strategy.all));
-        ("cells", Qobs.Json.Int (List.length ref_cells));
-        ("identical", Qobs.Json.Bool (not !failed));
-        ("sweeps", Qobs.Json.List (List.map sweep_json sweeps)) ]
-  in
-  Qobs.Json.write_file "BENCH_par.json" doc;
-  Printf.printf "  wrote BENCH_par.json (%s)\n%!"
-    (if !failed then "MISMATCH" else "all pool sizes byte-identical");
-  if !failed then exit 1
-
 let experiments =
   [ ("table1", table1);
     ("fig4", fig4);
@@ -1021,13 +444,7 @@ let experiments =
     ("verify", verify);
     ("fidelity", fidelity);
     ("ablations", ablations);
-    ("pipeline", pipeline);
-    ("par-smoke", par_smoke);
-    ("par-scale", par_scale);
-    ("perf-gate", perf_gate);
-    ("obs-overhead", obs_overhead);
-    ("certify-overhead", certify_overhead);
-    ("bechamel", bechamel) ]
+    ("certify-overhead", certify_overhead) ]
 
 let () =
   let requested =

@@ -200,11 +200,17 @@ let compile_all_jobs_matches_sequential () =
            (Compiler.compile_all ~certify:true ~jobs circuit)))
     [ 1; 3 ]
 
+(* the small circuits plus two suite benchmarks: every strategy of each
+   runs on a 4-domain pool sharing one stage cache, and latency, merges
+   and certificate digests must equal the sequential driver's *)
 let compile_matrix_regroups () =
   let named =
     List.mapi
       (fun i c -> (Printf.sprintf "c%d" i, c))
       (Lazy.force small_circuits)
+    @ List.map
+        (fun b -> (b, Qapps.Suite.lowered (Qapps.Suite.find b)))
+        [ "maxcut-line"; "uccsd-n4" ]
   in
   let seq = Compiler.compile_matrix ~certify:true named in
   let par = Compiler.compile_matrix ~certify:true ~jobs:4 named in

@@ -67,7 +67,7 @@ let ensure_capacity s id =
    round boundaries *)
 let compute_slack g =
   let nq = Gdg.n_qubits g in
-  let cap = Gdg.fresh_id g in
+  let cap = Gdg.next_id g in
   let start = Array.make cap nan and finish = Array.make cap nan in
   let tail = Array.make cap nan in
   let pred = Array.make (cap * nq) (-1)
@@ -333,6 +333,10 @@ let merge_bound ~pessimism (ia : Inst.t) (ib : Inst.t) ~predicted =
     if single_one_qubit ia || single_one_qubit ib then predicted
     else ia.Inst.latency +. ib.Inst.latency
 
+let merged_width g a b =
+  let ia = Gdg.find g a and ib = Gdg.find g b in
+  List.length (List.sort_uniq compare (ia.Inst.qubits @ ib.Inst.qubits))
+
 (* a successor's latest start, read off its makespan-free tail *)
 let tail_deadline slack c = slack.makespan -. slack.tail.(c)
 
@@ -392,8 +396,9 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
       s.start.(id)
     else neg_infinity
   in
-  (* {!Action.is_schedulable_tables} against the array-backed chain
-     tables: same per-qubit test, O(shared qubits) array reads *)
+  (* the action-space test of paper §4.1 against the array-backed chain
+     tables: [a] precedes [b] on every shared qubit, where the two are
+     same-group siblings or chain-adjacent; O(shared qubits) array reads *)
   let schedulable (ia : Inst.t) (ib : Inst.t) =
     let s = !slack in
     let nq = s.nq in
@@ -456,10 +461,10 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
      which the two members are chain-adjacent or same-group, so walking
      one chain's consecutive pairs plus each group's ordered pairs
      (group lists preserve chain order) generates every candidate whose
-     shared qubit this is — the union over qubits is exactly
-     {!Action.candidates}, without the per-node group searches *)
+     shared qubit this is — the union over qubits is exactly the set of
+     schedulable pairs, without the per-node group searches *)
   let pair_ok u v =
-    Action.merged_width g u v <= width_limit
+    merged_width g u v <= width_limit
     && schedulable (Gdg.find g u) (Gdg.find g v)
   in
   let add_candidates_on q =
@@ -606,7 +611,7 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
         (fun (_, a, b, _) ->
           if
             Gdg.mem g a && Gdg.mem g b
-            && Action.merged_width g a b <= width_limit
+            && merged_width g a b <= width_limit
             && schedulable (Gdg.find g a) (Gdg.find g b)
             &&
             let predicted = merged_cost a b in
@@ -667,129 +672,6 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
     if !merged_this_round = 0 && not !recosted then continue_outer := false
   done;
   Qobs.Metrics.tick ~by:!rounds "agg.rounds";
-  { merges = !merges;
-    rounds = !rounds;
-    initial_makespan;
-    final_makespan = Gdg.makespan g }
-
-(* The pre-incremental aggregator, kept verbatim as an executable
-   specification: full slack recomputation after every accepted merge,
-   full group rebuild and candidate re-enumeration per sweep, full
-   topological cycle check inside every merge. The qcheck suite asserts
-   {!run} is observationally identical (merge count, final makespan,
-   certified result); it is also the honest baseline for the performance
-   numbers in EXPERIMENTS.md. *)
-(* ALAP latest starts anchored on the makespan, folded down in reverse
-   topological order: deadline arithmetic independent of {!run}'s tails,
-   so the reference pins {!tail_deadline} instead of sharing it *)
-let latest_starts g slack =
-  let nq = slack.nq in
-  let latest_start = Array.make (Array.length slack.start) nan in
-  List.iter
-    (fun (i : Inst.t) ->
-      let id = i.Inst.id in
-      let latest_finish =
-        List.fold_left
-          (fun acc q ->
-            let c = slack.succ.(id * nq + q) in
-            if c < 0 then acc else Float.min acc latest_start.(c))
-          slack.makespan i.Inst.qubits
-      in
-      latest_start.(id) <- latest_finish -. i.Inst.latency)
-    (List.rev (Gdg.insts g));
-  fun c -> latest_start.(c)
-
-let run_reference ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model)
-    ~cost g =
-  let initial_makespan = Gdg.makespan g in
-  let commute_cache : (int * int, bool) Hashtbl.t = Hashtbl.create 1024 in
-  let commute (x : Inst.t) (y : Inst.t) =
-    let key = (min x.Inst.id y.Inst.id, max x.Inst.id y.Inst.id) in
-    match Hashtbl.find_opt commute_cache key with
-    | Some v -> v
-    | None ->
-      let v = Qgdg.Oracle.blocks x.Inst.gates y.Inst.gates in
-      Hashtbl.replace commute_cache key v;
-      v
-  in
-  let cost_cache : (int * int, float) Hashtbl.t = Hashtbl.create 1024 in
-  let merged_cost a b =
-    let key = (min a b, max a b) in
-    match Hashtbl.find_opt cost_cache key with
-    | Some v -> v
-    | None ->
-      let gates = (Gdg.find g a).Inst.gates @ (Gdg.find g b).Inst.gates in
-      let v = cost gates in
-      Hashtbl.replace cost_cache key v;
-      v
-  in
-  let merges = ref 0 and rounds = ref 0 in
-  let continue_outer = ref true in
-  while !continue_outer && !rounds < max_rounds do
-    incr rounds;
-    let merged_this_round = ref 0 in
-    let sweep_again = ref true in
-    while !sweep_again do
-      sweep_again := false;
-      let groups = ref (Comm_group.build ~commute g) in
-      let slack = ref (compute_slack g) in
-      let deadline = ref (latest_starts g !slack) in
-      let scored =
-        Action.candidates g !groups ~width_limit
-        |> List.filter_map (fun (a, b) ->
-               let ia = Gdg.find g a and ib = Gdg.find g b in
-               let predicted = merged_cost a b in
-               let bound = merge_bound ~pessimism ia ib ~predicted in
-               if monotonic g !slack ~deadline:!deadline a b
-                    ~merged_latency:bound
-               then begin
-                 let gain = ia.Inst.latency +. ib.Inst.latency -. predicted in
-                 if gain >= -1e-6 then Some (gain, a, b, predicted) else None
-               end
-               else None)
-        |> List.sort (fun (ga, a1, b1, _) (gb, a2, b2, _) ->
-               match compare gb ga with
-               | 0 -> compare (a1, b1) (a2, b2)
-               | c -> c)
-      in
-      List.iter
-        (fun (_, a, b, _) ->
-          if
-            Gdg.mem g a && Gdg.mem g b
-            && Action.merged_width g a b <= width_limit
-            && Action.is_schedulable g !groups a b
-            &&
-            let predicted = merged_cost a b in
-            let bound =
-              merge_bound ~pessimism (Gdg.find g a) (Gdg.find g b) ~predicted
-            in
-            monotonic g !slack ~deadline:!deadline a b ~merged_latency:bound
-          then begin
-            let predicted = merged_cost a b in
-            match Gdg.merge g ~latency:predicted a b with
-            | exception Invalid_argument _ -> ()
-            | merged ->
-              incr merges;
-              incr merged_this_round;
-              sweep_again := true;
-              Comm_group.refresh ~commute !groups g
-                ~qubits:merged.Inst.qubits;
-              slack := compute_slack g;
-              deadline := latest_starts g !slack
-          end)
-        scored
-    done;
-    let recosted = ref false in
-    List.iter
-      (fun (i : Inst.t) ->
-        let fresh = cost i.Inst.gates in
-        if Float.abs (fresh -. i.Inst.latency) > 1e-9 then begin
-          Gdg.set_latency g i.Inst.id fresh;
-          recosted := true
-        end)
-      (Gdg.insts g);
-    if !merged_this_round = 0 && not !recosted then continue_outer := false
-  done;
   { merges = !merges;
     rounds = !rounds;
     initial_makespan;

@@ -53,19 +53,6 @@ val run :
     whose endpoints act on those chains — a pair's candidacy reads
     nothing else, so everything outside that window is provably
     unchanged. The cycle check inside {!Qgdg.Gdg.merge} runs as a bounded
-    reachability probe using the ASAP starts as ranks. The accepted-merge
-    sequence is identical to {!run_reference}'s. *)
-
-val run_reference :
-  ?width_limit:int ->
-  ?max_rounds:int ->
-  ?pessimism:[ `Serial | `Model ] ->
-  cost:(Qgate.Gate.t list -> float) ->
-  Qgdg.Gdg.t ->
-  stats
-(** The pre-incremental aggregator, retained as an executable
-    specification: full slack recomputation after every merge, with its
-    own makespan-anchored ALAP deadlines rather than {!run}'s tails, full
-    group rebuild and candidate re-enumeration per sweep. Same accepted merges,
-    same final schedule, asymptotically slower — used by the equivalence
-    tests and as the baseline for performance comparisons. *)
+    reachability probe using the ASAP starts as ranks. The test suite pins
+    the accepted-merge sequence, the round count and the final graph
+    against a full-recompute specification of the same search. *)

@@ -8,18 +8,14 @@
 
 type order = First | Second
 
-val step_gates :
-  ?order:order -> time:float -> Qgate.Pauli.t list -> Qgate.Gate.t list
-(** One Trotter step evolving exp(-i·H·time) for H = Σ terms. First
-    order: ∏ exp(-i·h·t). Second order (Strang): forward half-steps then
-    backward half-steps, error O(t³) per step. *)
-
 val circuit :
   ?order:order -> n:int -> time:float -> steps:int -> Qgate.Pauli.t list ->
   Qgate.Circuit.t
-(** [steps] repetitions of [step_gates ~time:(time/steps)]. Raises
-    [Invalid_argument] on non-positive [steps] or a term register other
-    than [n]. *)
+(** [steps] repetitions of one Trotter step evolving exp(-i·H·dt) for
+    H = Σ terms and dt = time/steps. First order: ∏ exp(-i·h·dt). Second
+    order (Strang): forward half-steps then backward half-steps, error
+    O(dt³) per step. Raises [Invalid_argument] on non-positive [steps] or
+    a term register other than [n]. *)
 
 val exact : n:int -> time:float -> Qgate.Pauli.t list -> Qnum.Cmat.t
 (** exp(-i·H·time) by dense exponentiation (small n — the test oracle). *)

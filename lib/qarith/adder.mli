@@ -8,9 +8,6 @@
 val maj : int -> int -> int -> Qgate.Gate.t list
 (** [maj c b a]: the majority block (2 CNOT + 1 Toffoli). *)
 
-val uma : int -> int -> int -> Qgate.Gate.t list
-(** [uma c b a]: the unmajority-and-add block. *)
-
 val ripple_add :
   a:int list -> b:int list -> ancilla:int -> carry_out:int -> Qgate.Gate.t list
 (** Full adder: b ← a + b, carry into [carry_out] (must be |0⟩). Registers

@@ -34,8 +34,6 @@ let mcx ~controls ~target ~ancillas =
     @ List.rev compute
   | [] -> assert false
 
-let mcz_via_flag ~controls ~flag ~ancillas = mcx ~controls ~target:flag ~ancillas
-
 let flip_zero_controls controls ~value =
   List.concat
     (List.mapi

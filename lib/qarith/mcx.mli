@@ -9,11 +9,6 @@ val mcx :
 (** Raises [Invalid_argument] on overlapping qubits, no controls, or too
     few ancillas. *)
 
-val mcz_via_flag :
-  controls:int list -> flag:int -> ancillas:int list -> Qgate.Gate.t list
-(** Phase-flip on |11…1⟩ by kickback: the [flag] qubit must be prepared in
-    |−⟩ by the caller (X then H); this emits only the {!mcx} onto it. *)
-
 val flip_zero_controls : int list -> value:int -> Qgate.Gate.t list
 (** X gates on the control qubits whose bit of [value] is 0 (LSB-first
     register order) — turning an equality test against [value] into an

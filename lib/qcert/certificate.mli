@@ -28,8 +28,6 @@
 
 type status = Proved | Refuted | Skipped
 
-val status_to_string : status -> string
-
 (** What one boundary certifier established. *)
 type outcome = {
   checks : int;  (** elementary facts discharged *)
@@ -79,15 +77,9 @@ val ok : t -> bool
 val diagnostics : t -> Qlint.Diagnostic.t list
 (** All boundary diagnostics, in pipeline order. *)
 
-val summary_line : t -> string
-(** e.g. ["cls_agg: CERTIFIED — 9 boundaries, 1284 facts (3 skipped)"]. *)
-
 val pp : Format.formatter -> t -> unit
-(** Summary line, one line per boundary, then any diagnostics. *)
+(** Summary line (e.g. ["cls_agg: CERTIFIED — 9 boundaries, 1284 facts
+    (3 skipped)"]), one line per boundary, then any diagnostics. *)
 
 val to_json : t -> Qobs.Json.t
 (** Schema ["qcc.certificate/1"]. *)
-
-val diag_to_json : Qlint.Diagnostic.t -> Qobs.Json.t
-(** A diagnostic as a {!Qobs.Json} object (qlint's own emitter returns a
-    raw string; certification reports embed diagnostics structurally). *)

@@ -21,14 +21,6 @@ let relabel joint gates =
 
 let gates_equal = List.equal Gate.equal
 
-let dense_on_support gates =
-  match support gates with
-  | [] -> None
-  | joint when List.length joint <= dense_limit ->
-    Some (Qgate.Unitary.of_gates ~n_qubits:(List.length joint)
-            (relabel joint gates))
-  | _ -> None
-
 (* decide a ≡ b (up to global phase) for words already relabelled to a
    common register of [n] qubits *)
 let equal_on ~dense_limit:dl n a b =

@@ -45,7 +45,3 @@ val is_diagonal_gates :
   ?dense_limit:int -> Qgate.Gate.t list -> verdict * string
 (** Whether the word's unitary is diagonal in the computational basis
     (the semantic property {!Qgdg.Diagonal} relies on). *)
-
-val dense_on_support : Qgate.Gate.t list -> Qnum.Cmat.t option
-(** The word's unitary relabelled to its support, when the support is
-    within {!dense_limit} (and the word nonempty); [None] otherwise. *)

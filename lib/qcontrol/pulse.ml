@@ -13,7 +13,6 @@ let constant ~dt ~labels ~steps amplitudes =
   make ~dt ~labels (Array.init steps (fun _ -> Array.copy amplitudes))
 
 let n_steps p = Array.length p.amps
-let n_channels p = Array.length p.labels
 let duration p = p.dt *. float_of_int (n_steps p)
 
 let concat a b =

@@ -17,7 +17,6 @@ val constant : dt:float -> labels:string array -> steps:int -> float array -> t
 (** All slices equal to the given per-channel amplitudes. *)
 
 val n_steps : t -> int
-val n_channels : t -> int
 val duration : t -> float
 
 val concat : t -> t -> t

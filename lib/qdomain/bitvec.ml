@@ -39,18 +39,6 @@ let xor_into ~src dst =
 let is_zero v = Bytes.for_all (fun c -> c = '\000') v.bits
 let equal a b = a.n = b.n && Bytes.equal a.bits b.bits
 
-let popcount v =
-  let total = ref 0 in
-  Bytes.iter
-    (fun c ->
-      let x = ref (Char.code c) in
-      while !x <> 0 do
-        x := !x land (!x - 1);
-        incr total
-      done)
-    v.bits;
-  !total
-
 let to_key v = Printf.sprintf "%d:%s" v.n (Bytes.to_string v.bits)
 
 let pp ppf v =

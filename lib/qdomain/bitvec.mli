@@ -27,7 +27,6 @@ val xor_into : src:t -> t -> unit
 
 val is_zero : t -> bool
 val equal : t -> t -> bool
-val popcount : t -> int
 
 val to_key : t -> string
 (** An opaque string usable as a hash-table key; equal vectors (same

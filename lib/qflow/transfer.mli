@@ -25,10 +25,6 @@
 val angle_eps : float
 (** Tolerance for recognizing angles modulo 2π ([1e-9]). *)
 
-val multiple_of : float -> float -> bool
-(** [multiple_of m a]: is [a] within {!angle_eps} of an integer
-    multiple of [m]? *)
-
 val dead : Absval.t array -> Qgate.Gate.t -> bool
 (** Is the gate provably identity (up to global phase) on this state?
     Never true for gates that could change any computational-basis

@@ -10,12 +10,10 @@ val isa_kind : Gate.kind -> bool
 (** Membership in the standard logical ISA the paper compiles from:
     1-qubit gates, CNOT and SWAP. *)
 
-val lower_gate : Gate.t -> Gate.t list
-(** One lowering step for a non-ISA gate ([Ccx], [Cz], [Cphase], [Rzz],
-    [Rxx], [Ryy], [Iswap], [Sqrt_iswap]); ISA gates return themselves. *)
-
 val to_isa : Circuit.t -> Circuit.t
-(** Fixpoint of {!lower_gate} over the whole circuit. *)
+(** Lowers every non-ISA gate ([Ccx], [Cz], [Cphase], [Rzz], [Rxx],
+    [Ryy], [Iswap], [Sqrt_iswap]) one step at a time, to a fixpoint over
+    the whole circuit; ISA gates are kept. *)
 
 val ccx : int -> int -> int -> Gate.t list
 (** Standard 6-CNOT Toffoli decomposition, [ccx c1 c2 target]. *)

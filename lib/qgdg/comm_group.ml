@@ -137,7 +137,7 @@ let build ?commute g =
   let t =
     { per_qubit = Array.make nq [];
       nq;
-      index = Array.make (max 1 (Gdg.fresh_id g) * nq) (-1) }
+      index = Array.make (max 1 (Gdg.next_id g) * nq) (-1) }
   in
   refresh ~commute t g ~qubits:(List.init n (fun q -> q));
   t

@@ -64,17 +64,18 @@ val children : t -> int -> Inst.t list
 val merge : ?rank:(int -> float) -> t -> latency:float -> int -> int -> Inst.t
 (** [merge g ~latency a b] replaces nodes [a] and [b] by one block whose
     members are [a]'s followed by [b]'s, positioned at the earlier of the
-    two on every shared qubit chain. The caller must have checked the
-    action is schedulable ([Qagg.Action]); this function only re-checks
-    that the result is acyclic and raises [Invalid_argument] otherwise
-    (leaving the graph unchanged, fresh-id counter included). Without
-    [rank], acyclicity is established by a full topological pass. With
-    [rank] — a pre-merge ASAP start time per node id, [neg_infinity] when
-    unknown — the check is a bounded reachability probe around the merged
-    node: contraction can only create cycles through it, and any returning
-    path stays below the largest predecessor rank, so only the time-window
-    between the endpoints is explored. Both variants accept and reject
-    identical merges; [rank] is purely a cost optimization. *)
+    two on every shared qubit chain. The caller must have checked that
+    the action is schedulable (paper §4.1, as the aggregator does); this
+    function only re-checks that the result is acyclic and raises
+    [Invalid_argument] otherwise (leaving the graph unchanged, fresh-id
+    counter included). Without [rank], acyclicity is established by a
+    full topological pass. With [rank] — a pre-merge ASAP start time per
+    node id, [neg_infinity] when unknown — the check is a bounded
+    reachability probe around the merged node: contraction can only
+    create cycles through it, and any returning path stays below the
+    largest predecessor rank, so only the time-window between the
+    endpoints is explored. Both variants accept and reject identical
+    merges; [rank] is purely a cost optimization. *)
 
 val set_latency : t -> int -> float -> unit
 
@@ -105,8 +106,6 @@ val problems : t -> problem list
 (** All structural-invariant violations, in deterministic order (empty
     for a well-formed graph). Total even on corrupted graphs — the static
     checkers build diagnostics from this. *)
-
-val problem_message : problem -> string
 
 val validate : t -> unit
 (** Raises [Failure] with the first {!problems} message, if any (used by

@@ -18,7 +18,6 @@ let width i = List.length i.qubits
 let acts_on i q = List.mem q i.qubits
 let common_qubits a b = List.filter (fun q -> acts_on b q) a.qubits
 let shares_qubit a b = common_qubits a b <> []
-let is_singleton i = match i.gates with [ _ ] -> true | _ -> false
 
 let merge ~id ~latency earlier later =
   make ~id ~latency (earlier.gates @ later.gates)

@@ -21,12 +21,11 @@ val width : t -> int
 val acts_on : t -> int -> bool
 val shares_qubit : t -> t -> bool
 val common_qubits : t -> t -> int list
-val is_singleton : t -> bool
 
 val merge : id:int -> latency:float -> t -> t -> t
 (** [merge ~id ~latency earlier later] concatenates members in time order.
     The caller is responsible for the merge being schedulable (see
-    [Qagg.Action]). *)
+    {!Gdg.merge}). *)
 
 val unitary_on_support : t -> int list * Qnum.Cmat.t
 (** Support and composed unitary with qubits relabelled to the support

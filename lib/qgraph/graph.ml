@@ -132,9 +132,6 @@ let connected_components g =
 
 let is_connected g = g.n <= 1 || List.length (connected_components g) = 1
 
-let total_weight g =
-  List.fold_left (fun acc (_, _, w) -> acc +. w) 0. (edges g)
-
 let cut_weight g side =
   if Array.length side <> g.n then invalid_arg "Graph.cut_weight: size mismatch";
   List.fold_left

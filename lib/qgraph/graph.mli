@@ -48,8 +48,6 @@ val connected_components : t -> int list list
 
 val is_connected : t -> bool
 
-val total_weight : t -> float
-
 val cut_weight : t -> bool array -> float
 (** [cut_weight g side] is the total weight of edges crossing the
     bipartition described by [side]. *)

@@ -12,9 +12,6 @@ val bisect : ?passes:int -> Graph.t -> bool array
     Deterministic. [passes] caps Kernighan–Lin refinement sweeps
     (default 8). *)
 
-val bisect_list : ?passes:int -> Graph.t -> int list * int list
-(** Same, as two sorted vertex lists (A, B) with |A| ≥ |B|. *)
-
 val recursive_order : ?passes:int -> Graph.t -> int array
 (** [recursive_order g] recursively bisects [g] and concatenates the
     leaves, yielding a vertex order in which strongly-connected clusters

@@ -15,9 +15,6 @@ type t = {
   loc : location;
 }
 
-let no_loc =
-  { stage = None; insts = []; qubits = []; gate_index = None; interval = None }
-
 let make ?stage ?(insts = []) ?(qubits = []) ?gate_index ?interval ~code
     ~severity message =
   { code;

@@ -35,8 +35,6 @@ type t = {
   loc : location;
 }
 
-val no_loc : location
-
 val make :
   ?stage:string ->
   ?insts:int list ->

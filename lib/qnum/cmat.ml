@@ -93,10 +93,6 @@ let mul a b =
   done;
   m
 
-let mul_list = function
-  | [] -> invalid_arg "Cmat.mul_list: empty list"
-  | first :: rest -> List.fold_left mul first rest
-
 let rec pow m k =
   if m.r <> m.c then invalid_arg "Cmat.pow: not square";
   if k < 0 then invalid_arg "Cmat.pow: negative exponent";

@@ -39,9 +39,6 @@ val scale_real : float -> t -> t
 val mul : t -> t -> t
 (** Matrix product. Raises [Invalid_argument] on dimension mismatch. *)
 
-val mul_list : t list -> t
-(** [mul_list [a; b; c]] is [a*b*c]. Raises on the empty list. *)
-
 val pow : t -> int -> t
 (** [pow m k] for square [m], [k >= 0]. *)
 
@@ -63,7 +60,6 @@ val apply : t -> Vec.t -> Vec.t
 val column : t -> int -> Vec.t
 val row : t -> int -> Vec.t
 
-val max_abs : t -> float
 val max_abs_diff : t -> t -> float
 val frobenius_norm : t -> float
 

@@ -47,7 +47,6 @@ let pow z w = if z.re = 0. && z.im = 0. then zero else exp (mul w (log z))
 let equal ?(eps = 1e-12) a b =
   Float.abs (a.re -. b.re) <= eps && Float.abs (a.im -. b.im) <= eps
 
-let is_real ?(eps = 1e-12) a = Float.abs a.im <= eps
 let is_zero ?(eps = 1e-12) a = Float.abs a.re <= eps && Float.abs a.im <= eps
 let ( + ) = add
 let ( - ) = sub

@@ -62,7 +62,6 @@ val equal : ?eps:float -> t -> t -> bool
 (** Componentwise comparison with absolute tolerance [eps]
     (default [1e-12]). *)
 
-val is_real : ?eps:float -> t -> bool
 val is_zero : ?eps:float -> t -> bool
 
 val ( + ) : t -> t -> t

@@ -13,7 +13,6 @@ let init n f =
   v
 
 let of_array a = init (Array.length a) (fun k -> a.(k))
-let to_array v = Array.init (dim v) (fun k -> Cx.make v.re.(k) v.im.(k))
 let copy v = { re = Array.copy v.re; im = Array.copy v.im }
 let get v k = Cx.make v.re.(k) v.im.(k)
 

@@ -12,7 +12,6 @@ val dim : t -> int
 
 val init : int -> (int -> Cx.t) -> t
 val of_array : Cx.t array -> t
-val to_array : t -> Cx.t array
 val copy : t -> t
 
 val get : t -> int -> Cx.t
@@ -22,7 +21,6 @@ val basis : int -> int -> t
 (** [basis n k] is the [n]-dimensional standard basis vector e_k. *)
 
 val scale : Cx.t -> t -> t
-val scale_inplace : Cx.t -> t -> unit
 val add : t -> t -> t
 val sub : t -> t -> t
 

@@ -20,8 +20,6 @@ type t =
 val to_string : t -> string
 (** Compact (single-line) rendering. *)
 
-val to_buffer : Buffer.t -> t -> unit
-
 val pp : Format.formatter -> t -> unit
 (** [to_string] followed by a newline. *)
 

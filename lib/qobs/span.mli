@@ -54,8 +54,6 @@ val count : t -> int
 val find_all : name:string -> t -> t list
 (** All spans with that name, depth-first. *)
 
-val attr_json : attr -> Json.t
-
 val to_json : t -> Json.t
 (** [{name, start_ns, dur_ns, alloc?, attrs, children}] — start times
     relative to the process clock origin; [alloc] present only when the

@@ -62,8 +62,6 @@ let attr t name v =
     | [] -> ()
 
 let attr_int t name v = if t.enabled then attr t name (Span.Int v)
-let attr_float t name v = if t.enabled then attr t name (Span.Float v)
-let attr_bool t name v = if t.enabled then attr t name (Span.Bool v)
 let attr_str t name v = if t.enabled then attr t name (Span.Str v)
 
 let roots t = List.rev t.rev_roots
@@ -103,4 +101,3 @@ let to_chrome t =
       ("displayTimeUnit", Json.Str "ns") ]
 
 let write_chrome_file path t = Json.write_file path (to_chrome t)
-let write_json_file path t = Json.write_file path (to_json t)

@@ -28,8 +28,6 @@ val attr_int : t -> string -> int -> unit
 (** Attach an attribute to the innermost open span; no-op when disabled
     or outside any [with_span]. *)
 
-val attr_float : t -> string -> float -> unit
-val attr_bool : t -> string -> bool -> unit
 val attr_str : t -> string -> string -> unit
 
 val roots : t -> Span.t list
@@ -54,4 +52,3 @@ val to_chrome : t -> Json.t
     [about://tracing] or Perfetto. *)
 
 val write_chrome_file : string -> t -> unit
-val write_json_file : string -> t -> unit

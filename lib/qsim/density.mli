@@ -13,9 +13,6 @@ val n_qubits : t -> int
 val zero : int -> t
 (** |0…0⟩⟨0…0|. *)
 
-val of_state : State.t -> t
-(** The pure-state projector. *)
-
 val matrix : t -> Qnum.Cmat.t
 (** A copy of the underlying 2ⁿ×2ⁿ matrix. *)
 

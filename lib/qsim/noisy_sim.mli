@@ -15,14 +15,12 @@ type noise = {
 val default_noise : noise
 (** T₁ = 30 µs, T₂ = 15 µs — representative of the paper-era transmons. *)
 
-val run_schedule : ?noise:noise -> Qsched.Schedule.t -> Density.t
-(** Start from |0…0⟩, apply every schedule entry at its start time with
-    idle decoherence filling the gaps, and idle all qubits to the
-    makespan. Practical for schedules on ≤ 8 qubits. *)
-
 val schedule_fidelity : ?noise:noise -> Qsched.Schedule.t -> float
-(** Fidelity ⟨ψ|ρ|ψ⟩ of the noisy output against the schedule's own
-    noiseless output state. *)
+(** Starts from |0…0⟩, applies every schedule entry at its start time
+    with idle decoherence filling the gaps, idles all qubits to the
+    makespan, and returns the fidelity ⟨ψ|ρ|ψ⟩ of that noisy output
+    against the schedule's own noiseless output state. Practical for
+    schedules on ≤ 8 qubits. *)
 
 val survival_estimate : ?noise:noise -> n_qubits:int -> float -> float
 (** The paper's back-of-envelope bound: e^{-t·n/T₁}·e^{-t·n/T₂} for

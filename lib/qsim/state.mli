@@ -41,11 +41,9 @@ val probabilities : t -> float array
 val expectation : t -> Qgate.Pauli.t -> float
 (** ⟨ψ|P|ψ⟩ for a Hermitian Pauli string (real by construction). *)
 
-val measure_all : Qgraph.Rand.t -> t -> int
-(** Sample a basis state from the Born distribution. *)
-
 val sample : Qgraph.Rand.t -> t -> int -> int list
-(** [sample rng st shots] draws [shots] independent measurements. *)
+(** [sample rng st shots] draws [shots] independent basis states from the
+    Born distribution. *)
 
 val fidelity : t -> t -> float
 (** |⟨a|b⟩|². *)

@@ -1,6 +1,7 @@
-(* Memo-free executable specifications for the commutation oracle and
-   the detect pass. The qcheck suite pins every production path in
-   Qgdg against these; nothing here is linked into the compiler. *)
+(* Memo-free executable specifications for the commutation oracle, the
+   detect pass and the aggregation search. The qcheck suite pins the
+   production paths in Qgdg and Qagg against these; nothing here is
+   linked into the compiler. *)
 
 module Gate = Qgate.Gate
 module Gdg = Qgdg.Gdg
@@ -197,3 +198,181 @@ let detect_and_contract_reference ~latency g =
       ids
   done;
   !merges
+
+(* ---- the aggregation search (paper §4.1, §4.3) ---- *)
+
+(* position of [id] in the chain of qubit [q]; raises Not_found *)
+let chain_pos g q id =
+  let rec walk k = function
+    | [] -> raise Not_found
+    | x :: rest -> if x = id then k else walk (k + 1) rest
+  in
+  walk 0 (Gdg.chain_ids g q)
+
+(* the action space of §4.1: [a]'s block may absorb [b] ([a]'s members
+   first) when they overlap and, on every shared qubit, [a] comes first
+   and the two are same-group siblings or immediate parent and child *)
+let is_schedulable g groups a b =
+  a <> b && Gdg.mem g a && Gdg.mem g b
+  &&
+  let common = Inst.common_qubits (Gdg.find g a) (Gdg.find g b) in
+  common <> []
+  && List.for_all
+       (fun q ->
+         chain_pos g q a < chain_pos g q b
+         && (Qgdg.Comm_group.same_group groups ~qubit:q a b
+             ||
+             match Gdg.pred_on g b ~qubit:q with
+             | Some p -> p.Inst.id = a
+             | None -> false))
+       common
+
+let merged_width g a b =
+  let ia = Gdg.find g a and ib = Gdg.find g b in
+  List.length (List.sort_uniq compare (ia.Inst.qubits @ ib.Inst.qubits))
+
+(* every schedulable (a, b) within the width limit, by trying all ordered
+   pairs of nodes; sorted *)
+let candidates g groups ~width_limit =
+  let ids =
+    List.sort compare (List.map (fun (i : Inst.t) -> i.Inst.id) (Gdg.insts g))
+  in
+  List.concat_map
+    (fun a ->
+      List.filter
+        (fun b ->
+          is_schedulable g groups a b && merged_width g a b <= width_limit)
+        ids
+      |> List.map (fun b -> (a, b)))
+    ids
+
+(* ASAP (start, finish) per node from [Gdg.asap], and ALAP latest starts
+   folded in reverse topological order down from the makespan *)
+type slack = {
+  start : (int, float) Hashtbl.t;
+  finish : (int, float) Hashtbl.t;
+  latest_start : (int, float) Hashtbl.t;
+  makespan : float;
+}
+
+let slack g =
+  let times, makespan = Gdg.asap g in
+  let start = Hashtbl.create 64 and finish = Hashtbl.create 64 in
+  List.iter
+    (fun (id, (s, f)) ->
+      Hashtbl.replace start id s;
+      Hashtbl.replace finish id f)
+    times;
+  let latest_start = Hashtbl.create 64 in
+  List.iter
+    (fun (i : Inst.t) ->
+      let latest_finish =
+        List.fold_left
+          (fun acc q ->
+            match Gdg.succ_on g i.Inst.id ~qubit:q with
+            | Some c -> Float.min acc (Hashtbl.find latest_start c.Inst.id)
+            | None -> acc)
+          makespan i.Inst.qubits
+      in
+      Hashtbl.replace latest_start i.Inst.id (latest_finish -. i.Inst.latency))
+    (List.rev (Gdg.insts g));
+  { start; finish; latest_start; makespan }
+
+(* the merged block starts at [a]'s start, delayed by [b]'s predecessors
+   on the qubits [a] does not cover; the merge is monotonic iff it then
+   finishes by every other successor's latest start and by the makespan *)
+let monotonic g sl a b ~merged_latency =
+  let ia = Gdg.find g a and ib = Gdg.find g b in
+  let delay =
+    List.fold_left
+      (fun acc q ->
+        if Inst.acts_on ia q then acc
+        else
+          match Gdg.pred_on g b ~qubit:q with
+          | Some p -> Float.max acc (Hashtbl.find sl.finish p.Inst.id)
+          | None -> acc)
+      0. ib.Inst.qubits
+  in
+  let new_finish = Float.max (Hashtbl.find sl.start a) delay +. merged_latency in
+  new_finish <= sl.makespan +. 1e-9
+  && List.for_all
+       (fun (c : Inst.t) ->
+         let c = c.Inst.id in
+         c = a || c = b
+         || new_finish <= Hashtbl.find sl.latest_start c +. 1e-9)
+       (Gdg.children g a @ Gdg.children g b)
+
+(* the duration the monotonicity check assumes: the model's prediction,
+   or under [`Serial] the members' serial sum unless one member is a lone
+   1-qubit gate *)
+let merge_bound ~pessimism (ia : Inst.t) (ib : Inst.t) ~predicted =
+  match pessimism with
+  | `Model -> predicted
+  | `Serial ->
+    if Inst.width ia = 1 || Inst.width ib = 1 then predicted
+    else ia.Inst.latency +. ib.Inst.latency
+
+type aggregate_stats = { merges : int; rounds : int }
+
+(* The global-best-action loop of §4.3, recomputed from scratch: every
+   sweep enumerates all candidates, scores the monotonic ones by gain and
+   applies them best first, rechecking each against the graph as merged
+   so far; groups and slack are rebuilt after every merge and every
+   merge runs the full topological cycle check. When a sweep merges
+   nothing, every block is re-costed and the next round starts; the
+   search stops at a round that neither merges nor re-costs. *)
+let aggregate_reference ?(width_limit = 10) ?(max_rounds = 8)
+    ?(pessimism = `Model) ~cost g =
+  let merged_cost a b =
+    cost ((Gdg.find g a).Inst.gates @ (Gdg.find g b).Inst.gates)
+  in
+  let merges = ref 0 and rounds = ref 0 and converged = ref false in
+  while (not !converged) && !rounds < max_rounds do
+    incr rounds;
+    let merged_this_round = ref 0 and sweep_again = ref true in
+    while !sweep_again do
+      sweep_again := false;
+      let groups = ref (Qgdg.Comm_group.build g) and sl = ref (slack g) in
+      let admissible a b =
+        let ia = Gdg.find g a and ib = Gdg.find g b in
+        let predicted = merged_cost a b in
+        monotonic g !sl a b
+          ~merged_latency:(merge_bound ~pessimism ia ib ~predicted)
+      in
+      candidates g !groups ~width_limit
+      |> List.filter_map (fun (a, b) ->
+             let gain =
+               (Gdg.find g a).Inst.latency +. (Gdg.find g b).Inst.latency
+               -. merged_cost a b
+             in
+             if admissible a b && gain >= -1e-6 then Some (gain, a, b)
+             else None)
+      |> List.sort (fun (ga, a1, b1) (gb, a2, b2) ->
+             compare (gb, a1, b1) (ga, a2, b2))
+      |> List.iter (fun (_, a, b) ->
+             if
+               is_schedulable g !groups a b
+               && merged_width g a b <= width_limit
+               && admissible a b
+             then
+               match Gdg.merge g ~latency:(merged_cost a b) a b with
+               | exception Invalid_argument _ -> ()
+               | _ ->
+                 incr merges;
+                 incr merged_this_round;
+                 sweep_again := true;
+                 groups := Qgdg.Comm_group.build g;
+                 sl := slack g)
+    done;
+    let recosted = ref false in
+    List.iter
+      (fun (i : Inst.t) ->
+        let fresh = cost i.Inst.gates in
+        if Float.abs (fresh -. i.Inst.latency) > 1e-9 then begin
+          Gdg.set_latency g i.Inst.id fresh;
+          recosted := true
+        end)
+      (Gdg.insts g);
+    if !merged_this_round = 0 && not !recosted then converged := true
+  done;
+  { merges = !merges; rounds = !rounds }

@@ -1,4 +1,5 @@
-(* tests for the aggregation action space and the monotonic aggregator *)
+(* tests for the aggregation action space (against its test-scope
+   specification in Qref) and the monotonic aggregator *)
 
 open Qagg
 open Util
@@ -16,47 +17,60 @@ let action_cases =
   [ case "adjacent gates on shared qubit are schedulable" (fun () ->
         let g = gdg_of [ Gate.cnot 0 1; Gate.cnot 1 2 ] 3 in
         let groups = Qgdg.Comm_group.build g in
-        check_bool "0 absorbs 1" true (Action.is_schedulable g groups 0 1);
-        check_bool "wrong direction" false (Action.is_schedulable g groups 1 0));
+        check_bool "0 absorbs 1" true (Qref.is_schedulable g groups 0 1);
+        check_bool "wrong direction" false (Qref.is_schedulable g groups 1 0));
     case "disjoint gates are not schedulable" (fun () ->
         let g = gdg_of [ Gate.h 0; Gate.h 1 ] 2 in
         let groups = Qgdg.Comm_group.build g in
-        check_bool "no overlap" false (Action.is_schedulable g groups 0 1));
+        check_bool "no overlap" false (Qref.is_schedulable g groups 0 1));
     case "non-adjacent non-commuting are rejected" (fun () ->
         let g = gdg_of [ Gate.h 0; Gate.x 0; Gate.h 0 ] 1 in
         let groups = Qgdg.Comm_group.build g in
-        check_bool "h..h blocked by x" false (Action.is_schedulable g groups 0 2));
+        check_bool "h..h blocked by x" false (Qref.is_schedulable g groups 0 2));
     case "same-group siblings are schedulable" (fun () ->
         (* rz and rzz commute: the first and third can merge past the second *)
         let g = gdg_of [ Gate.rz 0.1 0; Gate.rzz 0.2 0 1; Gate.rz 0.3 0 ] 2 in
         let groups = Qgdg.Comm_group.build g in
-        check_bool "rz past rzz" true (Action.is_schedulable g groups 0 2));
+        check_bool "rz past rzz" true (Qref.is_schedulable g groups 0 2));
     case "merged width" (fun () ->
         let g = gdg_of [ Gate.cnot 0 1; Gate.cnot 1 2 ] 3 in
-        check_int "3 qubits" 3 (Action.merged_width g 0 1));
+        check_int "3 qubits" 3 (Qref.merged_width g 0 1));
     case "candidates respect width limit" (fun () ->
         let g = gdg_of [ Gate.cnot 0 1; Gate.cnot 1 2 ] 3 in
         let groups = Qgdg.Comm_group.build g in
         check_bool "found at width 3" true
-          (List.mem (0, 1) (Action.candidates g groups ~width_limit:3));
+          (List.mem (0, 1) (Qref.candidates g groups ~width_limit:3));
         check_bool "excluded at width 2" false
-          (List.mem (0, 1) (Action.candidates g groups ~width_limit:2)));
+          (List.mem (0, 1) (Qref.candidates g groups ~width_limit:2)));
     case "candidates on triangle qaoa" (fun () ->
         let g =
           Gdg.of_circuit ~latency:cost (Qapps.Qaoa.triangle_example ())
         in
         let groups = Qgdg.Comm_group.build g in
-        let cands = Action.candidates g groups ~width_limit:10 in
+        let cands = Qref.candidates g groups ~width_limit:10 in
         check_bool "non-empty" true (cands <> []);
         List.iter
           (fun (a, b) ->
             check_bool "each candidate is schedulable" true
-              (Action.is_schedulable g groups a b))
+              (Qref.is_schedulable g groups a b))
           cands) ]
 
 let semantics_preserved original g =
   let after = Circuit.make (Gdg.n_qubits g) (Gdg.all_gates g) in
   Circuit.equal_semantics ~eps:1e-8 original after
+
+(* the final graph as its sorted (id, gates, latency) list *)
+let final_blocks g =
+  List.sort compare
+    (List.map
+       (fun (i : Inst.t) -> (i.Inst.id, i.Inst.gates, i.Inst.latency))
+       (Gdg.insts g))
+
+let matches_reference (inc : Aggregator.stats) (spec : Qref.aggregate_stats)
+    g r =
+  inc.Aggregator.merges = spec.Qref.merges
+  && inc.Aggregator.rounds = spec.Qref.rounds
+  && final_blocks g = final_blocks r
 
 let aggregator_cases =
   [ case "staircase collapses to one block" (fun () ->
@@ -164,9 +178,9 @@ let aggregator_cases =
         Gdg.validate g;
         semantics_preserved circuit g);
     (* the incremental aggregator (maintained slack, windowed candidate
-       universe, memoized caches) against the retained full-recompute
-       reference: same accepted-merge count and final makespan, on the
-       same starting graph *)
+       universe, memoized caches) against the full-recompute specification
+       in Qref: same merge count, same rounds and the same final graph,
+       merged-node ids included, from the same starting graph *)
     qcheck ~count:10 "incremental aggregator matches the reference"
       QCheck.(int_range 0 10000)
       (fun seed ->
@@ -176,13 +190,9 @@ let aggregator_cases =
         let g = Gdg.of_circuit ~latency:cost circuit in
         let r = Gdg.copy g in
         let inc = Aggregator.run ~cost g in
-        let ref_ = Aggregator.run_reference ~cost r in
+        let spec = Qref.aggregate_reference ~cost r in
         Gdg.validate g;
-        inc.Aggregator.merges = ref_.Aggregator.merges
-        && Float.abs
-             (inc.Aggregator.final_makespan -. ref_.Aggregator.final_makespan)
-           <= 1e-9
-        && semantics_preserved circuit g);
+        matches_reference inc spec g r && semantics_preserved circuit g);
     qcheck ~count:10 "incremental matches reference on commutative circuits"
       QCheck.(int_range 0 10000)
       (fun seed ->
@@ -200,13 +210,9 @@ let aggregator_cases =
         ignore (Qgdg.Diagonal.detect_and_contract ~latency:cost g);
         let r = Gdg.copy g in
         let inc = Aggregator.run ~cost g in
-        let ref_ = Aggregator.run_reference ~cost r in
+        let spec = Qref.aggregate_reference ~cost r in
         Gdg.validate g;
-        inc.Aggregator.merges = ref_.Aggregator.merges
-        && Float.abs
-             (inc.Aggregator.final_makespan -. ref_.Aggregator.final_makespan)
-           <= 1e-9
-        && semantics_preserved circuit g) ]
+        matches_reference inc spec g r && semantics_preserved circuit g) ]
 
 let suites =
   [ ("qagg.action", action_cases); ("qagg.aggregator", aggregator_cases) ]

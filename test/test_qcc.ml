@@ -1,81 +1,10 @@
-(* tests for the frontend, hand optimization and end-to-end compilation *)
+(* tests for hand optimization and end-to-end compilation *)
 
 open Util
 module Gate = Qgate.Gate
 module Circuit = Qgate.Circuit
 module Compiler = Qcc.Compiler
 module Strategy = Qcc.Strategy
-
-let frontend_cases =
-  [ case "flatten loop unrolling" (fun () ->
-        let p =
-          Qfront.Program.make ~n_qubits:1 ~modules:[]
-            [ Qfront.Program.Repeat (3, [ Qfront.Program.Apply (Gate.x 0) ]) ]
-        in
-        check_int "three x" 3 (Circuit.n_gates (Qfront.Lower.flatten p)));
-    case "flatten module call with remap" (fun () ->
-        let bell =
-          { Qfront.Program.name = "bell";
-            arity = 2;
-            body =
-              [ Qfront.Program.Apply (Gate.h 0); Qfront.Program.Apply (Gate.cnot 0 1) ] }
-        in
-        let p =
-          Qfront.Program.make ~n_qubits:4 ~modules:[ bell ]
-            [ Qfront.Program.Call ("bell", [ 2; 3 ]) ]
-        in
-        let c = Qfront.Lower.flatten p in
-        check_bool "remapped" true
-          (Circuit.gates c = [ Gate.h 2; Gate.cnot 2 3 ]));
-    case "nested modules" (fun () ->
-        let inner =
-          { Qfront.Program.name = "inner"; arity = 1;
-            body = [ Qfront.Program.Apply (Gate.x 0) ] }
-        in
-        let outer =
-          { Qfront.Program.name = "outer"; arity = 2;
-            body =
-              [ Qfront.Program.Call ("inner", [ 1 ]);
-                Qfront.Program.Apply (Gate.cnot 0 1) ] }
-        in
-        let p =
-          Qfront.Program.make ~n_qubits:3 ~modules:[ inner; outer ]
-            [ Qfront.Program.Call ("outer", [ 0; 2 ]) ]
-        in
-        check_bool "flattened" true
-          (Circuit.gates (Qfront.Lower.flatten p) = [ Gate.x 2; Gate.cnot 0 2 ]));
-    case "unknown module raises" (fun () ->
-        let p =
-          Qfront.Program.make ~n_qubits:1 ~modules:[]
-            [ Qfront.Program.Call ("ghost", [ 0 ]) ]
-        in
-        check_bool "raises" true
-          (try ignore (Qfront.Lower.flatten p); false
-           with Qfront.Lower.Lowering_error _ -> true));
-    case "arity mismatch raises" (fun () ->
-        let m =
-          { Qfront.Program.name = "m"; arity = 2;
-            body = [ Qfront.Program.Apply (Gate.cnot 0 1) ] }
-        in
-        let p =
-          Qfront.Program.make ~n_qubits:2 ~modules:[ m ]
-            [ Qfront.Program.Call ("m", [ 0 ]) ]
-        in
-        check_bool "raises" true
-          (try ignore (Qfront.Lower.flatten p); false
-           with Qfront.Lower.Lowering_error _ -> true));
-    case "recursion guard" (fun () ->
-        let m =
-          { Qfront.Program.name = "loop"; arity = 1;
-            body = [ Qfront.Program.Call ("loop", [ 0 ]) ] }
-        in
-        let p =
-          Qfront.Program.make ~n_qubits:1 ~modules:[ m ]
-            [ Qfront.Program.Call ("loop", [ 0 ]) ]
-        in
-        check_bool "raises" true
-          (try ignore (Qfront.Lower.flatten p); false
-           with Qfront.Lower.Lowering_error _ -> true)) ]
 
 let handopt_semantics original =
   let optimized = Qcc.Handopt.optimize original in
@@ -307,7 +236,6 @@ let integration_cases =
         check_bool "beats random" true (e_comp > 2.5)) ]
 
 let suites =
-  [ ("qfront.lower", frontend_cases);
-    ("qcc.handopt", handopt_cases);
+  [ ("qcc.handopt", handopt_cases);
     ("qcc.compiler", compiler_cases);
     ("qcc.integration", integration_cases) ]

@@ -21,7 +21,9 @@ let or_die f =
     Printf.eprintf "qcc: %s\n" msg;
     exit 2
   in
-  try f () with Failure msg | Invalid_argument msg -> die msg
+  try f ()
+  with Failure msg | Invalid_argument msg | Qgate.Qasm.Parse_error msg ->
+    die msg
 
 let load_circuit ~qasm_file ~benchmark =
   match (qasm_file, benchmark) with

@@ -34,6 +34,68 @@ type slack = {
   mutable makespan : float;
 }
 
+(* Array-backed binary min-heap of node ids keyed by a float: the slack
+   worklists pop in key order, so a topological potential as the key
+   makes each re-timed node pop about once. The arrays grow by doubling
+   and are reused across merges, so a push or pop allocates nothing. *)
+module Heap = struct
+  type t = {
+    mutable keys : float array;
+    mutable ids : int array;
+    mutable size : int;
+  }
+
+  let create () = { keys = Array.make 64 0.; ids = Array.make 64 0; size = 0 }
+
+  let is_empty h = h.size = 0
+
+  let push h (key : float) id =
+    if h.size = Array.length h.keys then begin
+      let grow a fill =
+        let b = Array.make (2 * h.size) fill in
+        Array.blit a 0 b 0 h.size;
+        b
+      in
+      h.keys <- grow h.keys 0.;
+      h.ids <- grow h.ids 0
+    end;
+    let i = ref h.size in
+    h.size <- h.size + 1;
+    while !i > 0 && h.keys.((!i - 1) / 2) > key do
+      let p = (!i - 1) / 2 in
+      h.keys.(!i) <- h.keys.(p);
+      h.ids.(!i) <- h.ids.(p);
+      i := p
+    done;
+    h.keys.(!i) <- key;
+    h.ids.(!i) <- id
+
+  let pop h =
+    let top = h.ids.(0) in
+    let n = h.size - 1 in
+    h.size <- n;
+    if n > 0 then begin
+      let key = h.keys.(n) and id = h.ids.(n) in
+      let i = ref 0 and sifting = ref true in
+      while !sifting do
+        let l = (2 * !i) + 1 in
+        if l >= n then sifting := false
+        else begin
+          let c = if l + 1 < n && h.keys.(l + 1) < h.keys.(l) then l + 1 else l in
+          if h.keys.(c) < key then begin
+            h.keys.(!i) <- h.keys.(c);
+            h.ids.(!i) <- h.ids.(c);
+            i := c
+          end
+          else sifting := false
+        end
+      done;
+      h.keys.(!i) <- key;
+      h.ids.(!i) <- id
+    end;
+    top
+end
+
 let ensure_capacity s id =
   let cap = Array.length s.start in
   if id >= cap then begin
@@ -146,10 +208,17 @@ let compute_slack g =
    [merged] and for the pre-merge chain neighbours of [a] and [b] alone
    ([old_neighbors]), so both worklists are seeded there; every
    recomputation uses exactly the fold of the full pass, and the fixpoint
-   on a DAG is unique. The qcheck suite pins the resulting merges against
-   the reference aggregator, which recomputes makespan-anchored deadlines
-   from scratch. *)
-let update_slack_after_merge g slack ~a ~b ~old_neighbors (merged : Inst.t) =
+   on a DAG is unique, so the visit order cannot change the tables. Both
+   worklists are the min-heap [heap], keyed by the node's start (forward)
+   or tail (backward) as the tables hold it at push time. Those are
+   topological potentials, so a re-timed node is mostly popped once,
+   after the inputs that re-time it have settled; only [merged] has a
+   [nan] key, which reads as [neg_infinity] and pops first. The qcheck
+   suite pins the resulting merges against the reference aggregator,
+   which recomputes makespan-anchored deadlines from scratch. Returns the
+   number of worklist pops over both directions. *)
+let update_slack_after_merge g slack heap ~a ~b ~old_neighbors
+    (merged : Inst.t) =
   let m = merged.Inst.id in
   ensure_capacity slack m;
   let nq = slack.nq in
@@ -203,22 +272,31 @@ let update_slack_after_merge g slack ~a ~b ~old_neighbors (merged : Inst.t) =
         List.iter (fun x -> if x >= 0 && x <> a && x <> b then push x) xs)
       old_neighbors
   in
+  let pops = ref 0 in
+  (* one epoch per direction; [key] is the table that orders the heap *)
+  let pusher key =
+    slack.epoch <- slack.epoch + 1;
+    let ep = slack.epoch in
+    fun x ->
+      if slack.stamp.(x) <> ep then begin
+        slack.stamp.(x) <- ep;
+        let k = key.(x) in
+        Heap.push heap (if Float.is_nan k then neg_infinity else k) x
+      end
+  in
+  let pop () =
+    incr pops;
+    let x = Heap.pop heap in
+    slack.stamp.(x) <- 0;
+    x
+  in
   (* 2. forward ASAP re-propagation from the splice; a missing predecessor
      finish reads as 0 and is corrected when that predecessor lands
      (setting a value always re-pushes its successors) *)
-  slack.epoch <- slack.epoch + 1;
-  let fep = slack.epoch in
-  let queue = Queue.create () in
-  let push x =
-    if slack.stamp.(x) <> fep then begin
-      slack.stamp.(x) <- fep;
-      Queue.add x queue
-    end
-  in
+  let push = pusher slack.start in
   seed push ~dir:slack.succ;
-  while not (Queue.is_empty queue) do
-    let x = Queue.pop queue in
-    slack.stamp.(x) <- 0;
+  while not (Heap.is_empty heap) do
+    let x = pop () in
     let inst = node_of x in
     let s =
       List.fold_left
@@ -249,19 +327,10 @@ let update_slack_after_merge g slack ~a ~b ~old_neighbors (merged : Inst.t) =
       (fun acc x -> if x < 0 then acc else Float.max acc slack.finish.(x))
       0. slack.ends;
   (* 4. backward tail re-propagation from the splice, mirroring step 2 *)
-  slack.epoch <- slack.epoch + 1;
-  let bep = slack.epoch in
-  let bqueue = Queue.create () in
-  let bpush x =
-    if slack.stamp.(x) <> bep then begin
-      slack.stamp.(x) <- bep;
-      Queue.add x bqueue
-    end
-  in
+  let bpush = pusher slack.tail in
   seed bpush ~dir:slack.pred;
-  while not (Queue.is_empty bqueue) do
-    let x = Queue.pop bqueue in
-    slack.stamp.(x) <- 0;
+  while not (Heap.is_empty heap) do
+    let x = pop () in
     let inst = node_of x in
     let t =
       inst.Inst.latency
@@ -282,7 +351,8 @@ let update_slack_after_merge g slack ~a ~b ~old_neighbors (merged : Inst.t) =
           if p >= 0 then bpush p)
         inst.Inst.qubits
     end
-  done
+  done;
+  !pops
 
 (* merged block placed at a's start, delayed by b's predecessors on the
    qubits a does not cover; monotonic iff every successor's latest start
@@ -359,13 +429,16 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
      unboxed keys hash and compare without allocation in these innermost
      caches *)
   let pack a b = if a < b then (a lsl 31) lor b else (b lsl 31) lor a in
+  (* the id-pair decision cache sits on the oracle with one summary per
+     block id ({!Comm_group.oracle_commute}) *)
+  let oracle = Comm_group.oracle_commute () in
   let commute_cache : (int, bool) Hashtbl.t = Hashtbl.create 1024 in
   let commute (x : Inst.t) (y : Inst.t) =
     let key = pack x.Inst.id y.Inst.id in
     match Hashtbl.find_opt commute_cache key with
     | Some v -> v
     | None ->
-      let v = Qgdg.Oracle.blocks x.Inst.gates y.Inst.gates in
+      let v = oracle x y in
       Hashtbl.replace commute_cache key v;
       v
   in
@@ -390,6 +463,7 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
      candidate universe indexed by shared qubit *)
   let groups = Comm_group.build ~commute g in
   let slack = ref (compute_slack g) in
+  let heap = Heap.create () and slack_visits = ref 0 in
   let rank id =
     let s = !slack in
     if id < Array.length s.start && not (Float.is_nan s.start.(id)) then
@@ -649,7 +723,10 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
                   merged.Inst.qubits
               in
               Comm_group.refresh ~commute groups g ~qubits:merged.Inst.qubits;
-              update_slack_after_merge g !slack ~a ~b ~old_neighbors merged;
+              slack_visits :=
+                !slack_visits
+                + update_slack_after_merge g !slack heap ~a ~b ~old_neighbors
+                    merged;
               update_universe_after_merge ~a ~b merged ~old_groups
                 ~old_neighbors
           end)
@@ -672,6 +749,7 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
     if !merged_this_round = 0 && not !recosted then continue_outer := false
   done;
   Qobs.Metrics.tick ~by:!rounds "agg.rounds";
+  Qobs.Metrics.tick ~by:!slack_visits "agg.slack_visits";
   { merges = !merges;
     rounds = !rounds;
     initial_makespan;

@@ -46,13 +46,17 @@ val run :
     successor's latest start is the makespan minus its tail), so after
     each accepted merge the ASAP starts and the tails are re-propagated
     by worklists seeded at the splice only, and the makespan is read off
-    the per-qubit chain ends. The chain-position and successor tables are
-    patched for the merged support's chains, the commutation groups are
-    regrouped in the window around the splice ({!Qgdg.Comm_group.refresh}),
-    and the candidate universe is invalidated only for pairs both of
-    whose endpoints act on those chains — a pair's candidacy reads
-    nothing else, so everything outside that window is provably
-    unchanged. The cycle check inside {!Qgdg.Gdg.merge} runs as a bounded
+    the per-qubit chain ends. The worklists are min-heaps keyed by each
+    node's start or tail, so a re-timed node is mostly popped once; the
+    pops are ticked as [agg.slack_visits] once per run. Commutation goes
+    through one {!Qgdg.Comm_group.oracle_commute}, one summary per block
+    id, under an id-pair decision cache. The chain-position and successor
+    tables are patched for the merged support's chains, the commutation
+    groups are regrouped in the window around the splice
+    ({!Qgdg.Comm_group.refresh}), and the candidate universe is
+    invalidated only for pairs both of whose endpoints act on those
+    chains — a pair's candidacy reads nothing else, so everything
+    outside that window is provably unchanged. The cycle check inside {!Qgdg.Gdg.merge} runs as a bounded
     reachability probe using the ASAP starts as ranks. The test suite pins
     the accepted-merge sequence, the round count and the final graph
     against a full-recompute specification of the same search. *)

@@ -1,21 +1,23 @@
 open Qnum
 module Gate = Qgate.Gate
 
-(* All three cost memos (per-gate-kind, per-segment-shape, per-block-
-   shape) live in one per-domain slot: every entry is a pure function
-   of its key, so per-domain re-warming keeps costs deterministic while
-   no write can race. *)
+(* All four memos (per-gate-kind, per-segment-shape and per-block-shape
+   costs, per-2-qubit-shape Weyl coordinates) live in one per-domain
+   slot: every entry is a pure function of its key, so per-domain
+   re-warming keeps costs deterministic while no write can race. *)
 type memo_state = {
   gate : (Device.t * Gate.kind, float) Hashtbl.t;
   segment : (Device.t * string, float) Hashtbl.t;
   block : (Device.t * int * string, float) Hashtbl.t;
+  coords : (string, Weyl.coords) Hashtbl.t;
 }
 
 let memos =
   Qobs.Domain_safe.Local.make (fun () ->
       { gate = Hashtbl.create 64;
         segment = Hashtbl.create 1024;
-        block = Hashtbl.create 256 })
+        block = Hashtbl.create 256;
+        coords = Hashtbl.create 256 })
   [@@domain_safety domain_local]
 
 (* idempotent; clears the calling domain's tables only *)
@@ -23,7 +25,8 @@ let reset_memos () =
   let m = Qobs.Domain_safe.Local.get memos in
   Hashtbl.reset m.gate;
   Hashtbl.reset m.segment;
-  Hashtbl.reset m.block
+  Hashtbl.reset m.block;
+  Hashtbl.reset m.coords
 
 let one_qubit_unitary_time device u =
   if Cmat.rows u <> 2 || Cmat.cols u <> 2 then
@@ -59,8 +62,8 @@ let local_factors u =
   in
   (a, b)
 
-let two_qubit_unitary_time device u =
-  let c = Weyl.coordinates u in
+(* [c] is [u]'s Weyl coordinates *)
+let two_qubit_time device u c =
   let t_int = Weyl.interaction_time device c in
   if t_int <= 1e-9 then begin
     (* purely local content: both 1-qubit factors run in parallel *)
@@ -87,6 +90,9 @@ let two_qubit_unitary_time device u =
     in
     t_int +. (layers *. half)
   end
+
+let two_qubit_unitary_time device u =
+  two_qubit_time device u (Weyl.coordinates u)
 
 let rec gate_time device g =
   Qobs.Metrics.tick "latency_model.gate_queries";
@@ -248,16 +254,30 @@ let block_shape support gates =
   in
   Marshal.to_string shape []
 
+(* Weyl coordinates of a 2-qubit shape's composed unitary [u ()],
+   memoized by the shape alone ([memos].coords): they do not depend on
+   the device, and the decomposition is by far the most expensive step
+   of a block-cost query, asked for by both a 2-qubit block and every
+   2-qubit segment of a wider one *)
+let shape_coords shape u =
+  let coords_memo = (Qobs.Domain_safe.Local.get memos).coords in
+  match Hashtbl.find_opt coords_memo shape with
+  | Some c -> c
+  | None ->
+    let c = Weyl.coordinates (u ()) in
+    Hashtbl.replace coords_memo shape c;
+    c
+
 (* irreducible time of a <=2-qubit segment: the Weyl interaction time of
    its composed unitary (2q) or the geodesic rotation time (1q) — what no
    pulse optimizer can undercut on that segment's qubits. Memoized by
-   relabelled shape ([memos].segment): the Weyl decomposition is by far
-   the most expensive step of a block-cost query, and segment shapes
-   recur constantly. *)
+   relabelled shape ([memos].segment), since segment shapes recur
+   constantly. *)
 let segment_irreducible device seg =
   let segment_memo = (Qobs.Domain_safe.Local.get memos).segment in
   let support = List.sort_uniq compare (List.concat_map Gate.qubits seg) in
-  let key = (device, block_shape support seg) in
+  let shape = block_shape support seg in
+  let key = (device, shape) in
   match Hashtbl.find_opt segment_memo key with
   | Some t -> t
   | None ->
@@ -267,8 +287,8 @@ let segment_irreducible device seg =
         let _, u = Qgate.Unitary.on_support seg in
         one_qubit_unitary_time device u
       | [ _; _ ] ->
-        let _, u = Qgate.Unitary.on_support seg in
-        Weyl.interaction_time device (Weyl.coordinates u)
+        Weyl.interaction_time device
+          (shape_coords shape (fun () -> snd (Qgate.Unitary.on_support seg)))
       | _ -> isa_critical_path device seg
     in
     Hashtbl.replace segment_memo key t;
@@ -281,17 +301,18 @@ let rec block_time ?(width_limit = 10) device gates =
   if gates = [] then invalid_arg "Latency_model.block_time: empty block";
   let block_memo = (Qobs.Domain_safe.Local.get memos).block in
   let support = List.sort_uniq compare (List.concat_map Gate.qubits gates) in
-  let key = (device, width_limit, block_shape support gates) in
+  let shape = block_shape support gates in
+  let key = (device, width_limit, shape) in
   match Hashtbl.find_opt block_memo key with
   | Some t ->
     Qobs.Metrics.tick "latency_model.block_memo_hits";
     t
   | None ->
-    let t = block_time_uncached ~width_limit device gates support in
+    let t = block_time_uncached ~width_limit device gates support shape in
     Hashtbl.replace block_memo key t;
     t
 
-and block_time_uncached ~width_limit device gates support =
+and block_time_uncached ~width_limit device gates support shape =
   let k = List.length support in
   let isa = isa_critical_path device gates in
   if k > width_limit then isa
@@ -301,7 +322,7 @@ and block_time_uncached ~width_limit device gates support =
   end
   else if k = 2 then begin
     let _, u = Qgate.Unitary.on_support gates in
-    Float.min isa (two_qubit_unitary_time device u)
+    Float.min isa (two_qubit_time device u (shape_coords shape (fun () -> u)))
   end
   else begin
     let segs = segments gates in

@@ -51,6 +51,8 @@ val segments : Qgate.Gate.t list -> Qgate.Gate.t list list
     and for the aggregation heuristic. *)
 
 val reset_memos : unit -> unit
-(** Clear the calling domain's gate/segment/block cost memos (they are
-    per-domain, see [Qobs.Domain_safe.Local]). Idempotent; subsequent
-    queries re-warm from cold with identical results. *)
+(** Clear the calling domain's gate/segment/block cost memos and its
+    memo of Weyl coordinates per 2-qubit shape, which {!block_time}
+    shares between 2-qubit blocks and the 2-qubit segments of wider ones
+    (they are per-domain, see [Qobs.Domain_safe.Local]). Idempotent;
+    subsequent queries re-warm from cold with identical results. *)

@@ -130,6 +130,7 @@ let parse_expr ?(env = fun name -> fail "unknown parameter %S" name) s =
   in
   let v = expr () in
   if !toks <> [] then fail "trailing tokens in expression %S" s;
+  if not (Float.is_finite v) then fail "non-finite value in expression %S" s;
   v
 
 (* --- gate definitions --- *)
@@ -358,7 +359,8 @@ let of_string text =
               int_of_string_opt
                 (String.sub operands (lb + 1) (String.length operands - lb - 2))
             with
-            | Some n -> size := n
+            | Some n when n > 0 -> size := n
+            | Some _ -> fail "non-positive qreg size in %S" stmt
             | None -> fail "bad qreg size in %S" stmt)
          | _ -> fail "bad qreg declaration %S" stmt)
       | _ ->

@@ -11,7 +11,9 @@
     gate parameters, unary minus, [+ - * /] and parentheses. *)
 
 exception Parse_error of string
-(** Raised with a message containing the offending line. *)
+(** Raised with a message containing the offending line — also for an
+    angle expression whose value is not finite and for a [qreg] size
+    below 1. *)
 
 val of_string : string -> Circuit.t
 val to_string : Circuit.t -> string

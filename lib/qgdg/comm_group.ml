@@ -109,11 +109,8 @@ let refresh
     ~qubits =
   List.iter (regroup commute g t) (List.sort_uniq compare qubits)
 
-(* The default build routes every pairwise check through the oracle with
-   a per-build summary cache keyed by instruction id — ids are unique and
-   blocks immutable, so caching per id is sound, and each instruction's
-   digest/classification is computed once per build instead of once per
-   pair probe. *)
+(* every pairwise check through the oracle, with one summary per
+   instruction id for the closure's lifetime *)
 let oracle_commute () =
   let summaries : (int, Oracle.t) Hashtbl.t = Hashtbl.create 256 in
   let summary_of (i : Inst.t) =

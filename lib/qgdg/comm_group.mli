@@ -9,15 +9,19 @@
 
 type t
 
+val oracle_commute : unit -> Inst.t -> Inst.t -> bool
+(** A fresh commutation decision over {!Oracle.blocks} with its own
+    summary cache keyed by instruction id: ids are unique and blocks
+    immutable, so caching by id is sound, and each instruction is
+    digested and classified once per cache instead of once per pair
+    probe. Decisions equal [Oracle.blocks a.gates b.gates]. *)
+
 val build : ?commute:(Inst.t -> Inst.t -> bool) -> Gdg.t -> t
 (** Pairwise operator-commutation checks along every chain. By default
-    every check goes through the commutation oracle ({!Oracle.blocks})
-    with a per-build summary cache keyed by instruction id — ids are
-    unique and blocks immutable, so caching by id is sound, and each
-    instruction is digested and classified once per build instead of
-    once per pair probe. Callers that rebuild groups repeatedly (the
-    aggregator) pass their own memoized [commute]. The qcheck suite pins
-    the default build's partitions against a build over the memo-free
+    every check goes through a fresh {!oracle_commute}. Callers that
+    refresh groups repeatedly (the aggregator) pass their own memoized
+    [commute], built on {!oracle_commute}. The qcheck suite pins the
+    default build's partitions against a build over the memo-free
     test-scope reference decision chain on every suite circuit. *)
 
 val refresh :

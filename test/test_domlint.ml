@@ -159,6 +159,10 @@ let reset_cases =
   [ case "reset_all_memos returns a domain to a cold start" (fun () ->
         let circuit = Qapps.Suite.lowered (Qapps.Suite.find "maxcut-line") in
         let run () =
+          (* each run starts a fresh major cycle, so [alloc.major_collections]
+             counts the compile's own allocation, not the heap state the
+             earlier tests left behind *)
+          Gc.compact ();
           let m = Metrics.create () in
           ignore
             (Compiler.compile ~metrics:m ~strategy:Strategy.Cls_aggregation

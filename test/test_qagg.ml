@@ -212,6 +212,26 @@ let aggregator_cases =
         let inc = Aggregator.run ~cost g in
         let spec = Qref.aggregate_reference ~cost r in
         Gdg.validate g;
+        matches_reference inc spec g r && semantics_preserved circuit g);
+    (* free 1-qubit blocks make zero-latency nodes, so chain neighbours
+       share starts and tails: the slack worklists' heap keys tie along
+       edges, and the tables must still match the full recompute *)
+    qcheck ~count:10 "incremental matches reference under key ties"
+      QCheck.(int_range 0 10000)
+      (fun seed ->
+        let cost gs =
+          match Gate.qubits (List.hd gs) with
+          | [ q ] when List.for_all (fun g -> Gate.qubits g = [ q ]) gs -> 0.
+          | _ -> cost gs
+        in
+        let rng = Qgraph.Rand.create seed in
+        let gates = random_unitary_gates rng 5 40 in
+        let circuit = Circuit.make 5 gates in
+        let g = Gdg.of_circuit ~latency:cost circuit in
+        let r = Gdg.copy g in
+        let inc = Aggregator.run ~cost g in
+        let spec = Qref.aggregate_reference ~cost r in
+        Gdg.validate g;
         matches_reference inc spec g r && semantics_preserved circuit g) ]
 
 let suites =

@@ -228,7 +228,40 @@ let latency_cases =
         let rng = Qgraph.Rand.create seed in
         let gates = random_unitary_gates rng 3 8 in
         let t = Latency_model.block_time device gates in
-        t >= 0. && t <= Latency_model.isa_critical_path device gates +. 1e-9) ]
+        t >= 0. && t <= Latency_model.isa_critical_path device gates +. 1e-9);
+    (* the shape-keyed memos (block costs, segment bounds, Weyl
+       coordinates) are pure caches: a block's cost has the same bits
+       from cold as after its own segments and a shuffled batch of other
+       blocks, some of them on shifted wires, have warmed them *)
+    qcheck ~count:30 "block time independent of memo warmth"
+      QCheck.(int_range 0 10000)
+      (fun seed ->
+        let rng = Qgraph.Rand.create seed in
+        let block () =
+          random_unitary_gates rng (2 + Qgraph.Rand.int rng 4) (4 + Qgraph.Rand.int rng 10)
+        in
+        let gates = block () in
+        let bits () =
+          Int64.bits_of_float (Latency_model.block_time device gates)
+        in
+        Latency_model.reset_memos ();
+        let cold = bits () in
+        Latency_model.reset_memos ();
+        let shifted gs = List.map (Gate.map_qubits (fun q -> q + 3)) gs in
+        let others = List.init 6 (fun _ -> block ()) in
+        let warm_up =
+          Array.of_list
+            (Latency_model.segments gates
+            @ List.map shifted (Latency_model.segments gates)
+            @ others @ List.map shifted others)
+        in
+        Qgraph.Rand.shuffle rng warm_up;
+        Array.iter
+          (fun gs -> ignore (Latency_model.block_time device gs))
+          warm_up;
+        let warm = bits () in
+        Latency_model.reset_memos ();
+        cold = warm) ]
 
 let grape_cases =
   [ slow_case "converges for X gate" (fun () ->

@@ -300,6 +300,20 @@ let qasm_cases =
              ignore (Qasm.of_string "qreg q[2]; h r[0];");
              false
            with Qasm.Parse_error _ -> true));
+    case "non-finite angle raises" (fun () ->
+        List.iter
+          (fun expr ->
+            match Qasm.of_string (Printf.sprintf "qreg q[1]; rz(%s) q[0];" expr) with
+            | _ -> Alcotest.failf "rz(%s) accepted" expr
+            | exception Qasm.Parse_error _ -> ())
+          [ "1e999"; "1e308*10"; "-1e999"; "1e999-1e999" ]);
+    case "non-positive qreg size raises" (fun () ->
+        List.iter
+          (fun n ->
+            match Qasm.of_string (Printf.sprintf "qreg q[%s];" n) with
+            | _ -> Alcotest.failf "qreg q[%s] accepted" n
+            | exception Qasm.Parse_error _ -> ())
+          [ "0"; "-3" ]);
     case "roundtrip preserves semantics" (fun () ->
         let original =
           Circuit.make 3

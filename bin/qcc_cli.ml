@@ -244,25 +244,15 @@ let compare_cmd =
       | Some _, _ :: _ ->
         failwith "give either a QASM file or benchmarks, not both"
       | None, (_ :: _ as benches) ->
-        if jobs <= 1 then
-          List.map
-            (fun name ->
-              let circuit =
-                load_circuit ~qasm_file:None ~benchmark:(Some name)
-              in
-              ( name,
-                Qcc.Compiler.compile_all ~config:cfg ?ledger
-                  ~source_label:name circuit ))
-            benches
-        else
-          (* every benchmark×strategy cell becomes a pool job; circuits
-             are loaded (and the lazy suite entries forced) here on the
-             caller's domain, before any worker spawns *)
-          Qcc.Compiler.compile_matrix ~config:cfg ?ledger ~jobs
-            (List.map
-               (fun name ->
-                 (name, load_circuit ~qasm_file:None ~benchmark:(Some name)))
-               benches)
+        (* every benchmark×strategy cell becomes a pool job (at -j 1 the
+           pool is the caller's domain); circuits are loaded (and the lazy
+           suite entries forced) here on the caller's domain, before any
+           worker spawns *)
+        Qcc.Compiler.compile_matrix ~config:cfg ?ledger ~jobs
+          (List.map
+             (fun name ->
+               (name, load_circuit ~qasm_file:None ~benchmark:(Some name)))
+             benches)
       | _ ->
         [ ( "circuit",
             Qcc.Compiler.compile_all ~config:cfg ?ledger
@@ -328,11 +318,9 @@ let profile_cmd =
         (strategy, r, metrics)
       in
       let results =
-        if jobs <= 1 then Array.map compile_cell cells
-        else
-          Qcc.Parallel.map ~jobs ~init:Qcc.Compiler.reset_all_memos
-            (fun _ cell -> compile_cell cell)
-            cells
+        Qcc.Parallel.map ~jobs ~init:Qcc.Compiler.reset_all_memos
+          (fun _ cell -> compile_cell cell)
+          cells
       in
       List.mapi
         (fun bi (bname, circuit) ->
@@ -793,12 +781,10 @@ let certify_cmd =
       | exception Qcert.Certificate.Certification_failed c -> c
     in
     let certs =
-      if jobs <= 1 then List.map cert_of strategies
-      else
-        Array.to_list
-          (Qcc.Parallel.map ~jobs ~init:Qcc.Compiler.reset_all_memos
-             (fun _ strategy -> cert_of strategy)
-             (Array.of_list strategies))
+      Array.to_list
+        (Qcc.Parallel.map ~jobs ~init:Qcc.Compiler.reset_all_memos
+           (fun _ strategy -> cert_of strategy)
+           (Array.of_list strategies))
     in
     (match format with
      | "text" ->

@@ -164,8 +164,8 @@ val compile_matrix :
     compute-once stage cache spans the whole matrix; each job's
     [source_label] (and its ledger row's [source]) is the given name.
     Same determinism contract and shard discipline as
-    [compile_all ~jobs]. Backs [qcc compare -j] and the [matrix-pool]
-    workload of bench/measure. *)
+    [compile_all ~jobs]. Backs [qcc compare -b] at every [-j] and the
+    [matrix-pool] workload of bench/measure. *)
 
 val blocks : result -> Qgate.Gate.t list list
 (** Final aggregated instructions as member-gate lists (for

@@ -1,6 +1,7 @@
 module Inst = Qgdg.Inst
 module Gdg = Qgdg.Gdg
 module Comm_group = Qgdg.Comm_group
+module Timing = Qgdg.Timing
 
 type stats = {
   merges : int;
@@ -9,356 +10,11 @@ type stats = {
   final_makespan : float;
 }
 
-(* Slack tables are flat arrays indexed by node id (the id space is dense:
-   initial nodes plus one fresh id per merge, so capacity grows by
-   doubling). [nan] marks an id with no live node in the float tables;
-   [-1] marks a missing chain neighbour / position in the int tables,
-   which are laid out [id * nq + qubit].
-
-   Deadlines are kept makespan-free: [tail x] is the longest path from [x]
-   to any sink, [x]'s own latency included, so [x]'s ALAP start is
-   [makespan -. tail x]. A merge that moves the makespan therefore leaves
-   every tail valid, and both re-propagations start at the splice. *)
-type slack = {
-  mutable start : float array;
-  mutable finish : float array;
-  mutable tail : float array;
-  mutable pred : int array;
-  mutable succ : int array;
-  mutable pos : int array;  (* position within the qubit's chain *)
-  mutable node : Inst.t option array;  (* id -> live instruction *)
-  mutable stamp : int array;  (* worklist membership, epoch-tagged *)
-  mutable epoch : int;
-  nq : int;
-  ends : int array;  (* qubit -> last node of its chain, [-1] when empty *)
-  mutable makespan : float;
-}
-
-(* Array-backed binary min-heap of node ids keyed by a float: the slack
-   worklists pop in key order, so a topological potential as the key
-   makes each re-timed node pop about once. The arrays grow by doubling
-   and are reused across merges, so a push or pop allocates nothing. *)
-module Heap = struct
-  type t = {
-    mutable keys : float array;
-    mutable ids : int array;
-    mutable size : int;
-  }
-
-  let create () = { keys = Array.make 64 0.; ids = Array.make 64 0; size = 0 }
-
-  let is_empty h = h.size = 0
-
-  let push h (key : float) id =
-    if h.size = Array.length h.keys then begin
-      let grow a fill =
-        let b = Array.make (2 * h.size) fill in
-        Array.blit a 0 b 0 h.size;
-        b
-      in
-      h.keys <- grow h.keys 0.;
-      h.ids <- grow h.ids 0
-    end;
-    let i = ref h.size in
-    h.size <- h.size + 1;
-    while !i > 0 && h.keys.((!i - 1) / 2) > key do
-      let p = (!i - 1) / 2 in
-      h.keys.(!i) <- h.keys.(p);
-      h.ids.(!i) <- h.ids.(p);
-      i := p
-    done;
-    h.keys.(!i) <- key;
-    h.ids.(!i) <- id
-
-  let pop h =
-    let top = h.ids.(0) in
-    let n = h.size - 1 in
-    h.size <- n;
-    if n > 0 then begin
-      let key = h.keys.(n) and id = h.ids.(n) in
-      let i = ref 0 and sifting = ref true in
-      while !sifting do
-        let l = (2 * !i) + 1 in
-        if l >= n then sifting := false
-        else begin
-          let c = if l + 1 < n && h.keys.(l + 1) < h.keys.(l) then l + 1 else l in
-          if h.keys.(c) < key then begin
-            h.keys.(!i) <- h.keys.(c);
-            h.ids.(!i) <- h.ids.(c);
-            i := c
-          end
-          else sifting := false
-        end
-      done;
-      h.keys.(!i) <- key;
-      h.ids.(!i) <- id
-    end;
-    top
-end
-
-let ensure_capacity s id =
-  let cap = Array.length s.start in
-  if id >= cap then begin
-    let ncap = max (id + 1) (2 * cap) in
-    let grow_float a =
-      let b = Array.make ncap nan in
-      Array.blit a 0 b 0 cap;
-      b
-    and grow_int a =
-      let b = Array.make (ncap * s.nq) (-1) in
-      Array.blit a 0 b 0 (cap * s.nq);
-      b
-    in
-    s.start <- grow_float s.start;
-    s.finish <- grow_float s.finish;
-    s.tail <- grow_float s.tail;
-    s.pred <- grow_int s.pred;
-    s.succ <- grow_int s.succ;
-    s.pos <- grow_int s.pos;
-    let node = Array.make ncap None in
-    Array.blit s.node 0 node 0 cap;
-    s.node <- node;
-    let stamp = Array.make ncap 0 in
-    Array.blit s.stamp 0 stamp 0 cap;
-    s.stamp <- stamp
-  end
-
-(* one chain pass + one Kahn pass computes the topological order, the ASAP
-   times, the makespan and the tails; the incremental path below
-   maintains the same tables in place so this full pass only runs at
-   round boundaries *)
-let compute_slack g =
-  let nq = Gdg.n_qubits g in
-  let cap = Gdg.next_id g in
-  let start = Array.make cap nan and finish = Array.make cap nan in
-  let tail = Array.make cap nan in
-  let pred = Array.make (cap * nq) (-1)
-  and succ = Array.make (cap * nq) (-1)
-  and pos = Array.make (cap * nq) (-1) in
-  let ends = Array.make nq (-1) in
-  let indeg = Array.make cap 0 in
-  for q = 0 to nq - 1 do
-    let rec link k = function
-      | x :: (y :: _ as rest) ->
-        pos.(x * nq + q) <- k;
-        succ.(x * nq + q) <- y;
-        pred.(y * nq + q) <- x;
-        indeg.(y) <- indeg.(y) + 1;
-        link (k + 1) rest
-      | [ x ] ->
-        pos.(x * nq + q) <- k;
-        ends.(q) <- x
-      | [] -> ()
-    in
-    link 0 (Gdg.chain_ids g q)
-  done;
-  let node = Array.make cap None in
-  let queue = Queue.create () in
-  Gdg.iter_insts g (fun i ->
-      node.(i.Inst.id) <- Some i;
-      if indeg.(i.Inst.id) = 0 then Queue.add i.Inst.id queue);
-  let order = ref [] in
-  let seen = ref 0 in
-  let makespan = ref 0. in
-  while not (Queue.is_empty queue) do
-    let id = Queue.pop queue in
-    order := id :: !order;
-    incr seen;
-    let inst = match node.(id) with Some i -> i | None -> assert false in
-    let s =
-      List.fold_left
-        (fun acc q ->
-          let p = pred.(id * nq + q) in
-          if p < 0 then acc else Float.max acc finish.(p))
-        0. inst.Inst.qubits
-    in
-    let f = s +. inst.Inst.latency in
-    start.(id) <- s;
-    finish.(id) <- f;
-    if f > !makespan then makespan := f;
-    List.iter
-      (fun q ->
-        let c = succ.(id * nq + q) in
-        if c >= 0 then begin
-          indeg.(c) <- indeg.(c) - 1;
-          if indeg.(c) = 0 then Queue.add c queue
-        end)
-      inst.Inst.qubits
-  done;
-  if !seen <> Gdg.size g then failwith "Aggregator: cyclic dependence graph";
-  List.iter
-    (fun id ->
-      let inst = match node.(id) with Some i -> i | None -> assert false in
-      tail.(id) <-
-        inst.Inst.latency
-        +. List.fold_left
-             (fun acc q ->
-               let c = succ.(id * nq + q) in
-               if c < 0 then acc else Float.max acc tail.(c))
-             0. inst.Inst.qubits)
-    !order;
-  { start; finish; tail; pred; succ; pos; node;
-    stamp = Array.make cap 0; epoch = 0; nq; ends; makespan = !makespan }
-
-(* Incremental counterpart of {!compute_slack} after one accepted merge of
-   [a] and [b] into [merged]. Only the chains of the merged support
-   changed, so the pred/succ/position tables are patched for those chains
-   alone. A node's start reads only its chain predecessors and its tail
-   only its chain successors, and the splice changed those neighbours for
-   [merged] and for the pre-merge chain neighbours of [a] and [b] alone
-   ([old_neighbors]), so both worklists are seeded there; every
-   recomputation uses exactly the fold of the full pass, and the fixpoint
-   on a DAG is unique, so the visit order cannot change the tables. Both
-   worklists are the min-heap [heap], keyed by the node's start (forward)
-   or tail (backward) as the tables hold it at push time. Those are
-   topological potentials, so a re-timed node is mostly popped once,
-   after the inputs that re-time it have settled; only [merged] has a
-   [nan] key, which reads as [neg_infinity] and pops first. The qcheck
-   suite pins the resulting merges against the reference aggregator,
-   which recomputes makespan-anchored deadlines from scratch. Returns the
-   number of worklist pops over both directions. *)
-let update_slack_after_merge g slack heap ~a ~b ~old_neighbors
-    (merged : Inst.t) =
-  let m = merged.Inst.id in
-  ensure_capacity slack m;
-  let nq = slack.nq in
-  (* the merge removed [a] and [b] and added [merged]; every other node
-     record is untouched (latencies only change at round boundaries,
-     which rebuild the slack wholesale), so the id->instruction cache is
-     patched in place *)
-  let node_of x =
-    match slack.node.(x) with Some i -> i | None -> assert false
-  in
-  List.iter
-    (fun x ->
-      List.iter
-        (fun q ->
-          slack.pos.(x * nq + q) <- -1;
-          slack.pred.(x * nq + q) <- -1;
-          slack.succ.(x * nq + q) <- -1)
-        (node_of x).Inst.qubits;
-      slack.node.(x) <- None;
-      slack.start.(x) <- nan;
-      slack.finish.(x) <- nan;
-      slack.tail.(x) <- nan)
-    [ a; b ];
-  slack.node.(m) <- Some merged;
-  (* 1. re-link the affected chains *)
-  List.iter
-    (fun q ->
-      let rec link k = function
-        | x :: (y :: _ as rest) ->
-          slack.pos.(x * nq + q) <- k;
-          slack.succ.(x * nq + q) <- y;
-          slack.pred.(y * nq + q) <- x;
-          link (k + 1) rest
-        | [ x ] ->
-          slack.pos.(x * nq + q) <- k;
-          slack.succ.(x * nq + q) <- -1;
-          slack.ends.(q) <- x
-        | [] -> ()
-      in
-      link 0 (Gdg.chain_ids g q))
-    merged.Inst.qubits;
-  let seed push ~dir =
-    push m;
-    List.iter
-      (fun q ->
-        let x = dir.(m * nq + q) in
-        if x >= 0 then push x)
-      merged.Inst.qubits;
-    List.iter
-      (fun (_, xs) ->
-        List.iter (fun x -> if x >= 0 && x <> a && x <> b then push x) xs)
-      old_neighbors
-  in
-  let pops = ref 0 in
-  (* one epoch per direction; [key] is the table that orders the heap *)
-  let pusher key =
-    slack.epoch <- slack.epoch + 1;
-    let ep = slack.epoch in
-    fun x ->
-      if slack.stamp.(x) <> ep then begin
-        slack.stamp.(x) <- ep;
-        let k = key.(x) in
-        Heap.push heap (if Float.is_nan k then neg_infinity else k) x
-      end
-  in
-  let pop () =
-    incr pops;
-    let x = Heap.pop heap in
-    slack.stamp.(x) <- 0;
-    x
-  in
-  (* 2. forward ASAP re-propagation from the splice; a missing predecessor
-     finish reads as 0 and is corrected when that predecessor lands
-     (setting a value always re-pushes its successors) *)
-  let push = pusher slack.start in
-  seed push ~dir:slack.succ;
-  while not (Heap.is_empty heap) do
-    let x = pop () in
-    let inst = node_of x in
-    let s =
-      List.fold_left
-        (fun acc q ->
-          let p = slack.pred.(x * nq + q) in
-          if p < 0 then acc
-          else
-            let f = slack.finish.(p) in
-            Float.max acc (if Float.is_nan f then 0. else f))
-        0. inst.Inst.qubits
-    in
-    let f = s +. inst.Inst.latency in
-    if not (slack.start.(x) = s && slack.finish.(x) = f) then begin
-      slack.start.(x) <- s;
-      slack.finish.(x) <- f;
-      List.iter
-        (fun q ->
-          let c = slack.succ.(x * nq + q) in
-          if c >= 0 then push c)
-        inst.Inst.qubits
-    end
-  done;
-  (* 3. makespan over the chain ends: latencies are non-negative, so
-     [finish] never decreases along a chain and its maximum sits at one of
-     them *)
-  slack.makespan <-
-    Array.fold_left
-      (fun acc x -> if x < 0 then acc else Float.max acc slack.finish.(x))
-      0. slack.ends;
-  (* 4. backward tail re-propagation from the splice, mirroring step 2 *)
-  let bpush = pusher slack.tail in
-  seed bpush ~dir:slack.pred;
-  while not (Heap.is_empty heap) do
-    let x = pop () in
-    let inst = node_of x in
-    let t =
-      inst.Inst.latency
-      +. List.fold_left
-           (fun acc q ->
-             let c = slack.succ.(x * nq + q) in
-             if c < 0 then acc
-             else
-               let tc = slack.tail.(c) in
-               if Float.is_nan tc then acc else Float.max acc tc)
-           0. inst.Inst.qubits
-    in
-    if slack.tail.(x) <> t then begin
-      slack.tail.(x) <- t;
-      List.iter
-        (fun q ->
-          let p = slack.pred.(x * nq + q) in
-          if p >= 0 then bpush p)
-        inst.Inst.qubits
-    end
-  done;
-  !pops
-
 (* merged block placed at a's start, delayed by b's predecessors on the
    qubits a does not cover; monotonic iff every successor's latest start
-   ([deadline]) and the makespan still hold under the pessimistic serial
-   latency *)
-let monotonic g slack ~deadline a b ~merged_latency =
+   (the makespan minus its tail) and the makespan still hold under the
+   pessimistic serial latency *)
+let monotonic g (slack : Timing.t) a b ~merged_latency =
   let nq = slack.nq in
   let ia = Gdg.find g a and ib = Gdg.find g b in
   let delay =
@@ -387,7 +43,7 @@ let monotonic g slack ~deadline a b ~merged_latency =
   in
   new_finish <= slack.makespan +. 1e-9
   && List.for_all
-       (fun c -> new_finish <= deadline c +. 1e-9)
+       (fun c -> new_finish <= slack.makespan -. slack.tail.(c) +. 1e-9)
        succs
 
 (* the monotonicity bound for a candidate merge: the paper's pessimistic
@@ -406,9 +62,6 @@ let merge_bound ~pessimism (ia : Inst.t) (ib : Inst.t) ~predicted =
 let merged_width g a b =
   let ia = Gdg.find g a and ib = Gdg.find g b in
   List.length (List.sort_uniq compare (ia.Inst.qubits @ ib.Inst.qubits))
-
-(* a successor's latest start, read off its makespan-free tail *)
-let tail_deadline slack c = slack.makespan -. slack.tail.(c)
 
 (* the slack tables read a nan as "no live node" and the chain-end
    makespan needs latencies ≥ 0, so any other latency is refused before it
@@ -462,19 +115,13 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
      as equivalent to a rebuild), chain positions, slack tables, and the
      candidate universe indexed by shared qubit *)
   let groups = Comm_group.build ~commute g in
-  let slack = ref (compute_slack g) in
-  let heap = Heap.create () and slack_visits = ref 0 in
-  let rank id =
-    let s = !slack in
-    if id < Array.length s.start && not (Float.is_nan s.start.(id)) then
-      s.start.(id)
-    else neg_infinity
-  in
+  let slack = ref (Timing.create g) in
+  let slack_visits = ref 0 in
   (* the action-space test of paper §4.1 against the array-backed chain
      tables: [a] precedes [b] on every shared qubit, where the two are
      same-group siblings or chain-adjacent; O(shared qubits) array reads *)
   let schedulable (ia : Inst.t) (ib : Inst.t) =
-    let s = !slack in
+    let s : Timing.t = !slack in
     let nq = s.nq in
     let a = ia.Inst.id and b = ib.Inst.id in
     a <> b
@@ -581,7 +228,7 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
      surviving pairs. *)
   let update_universe_after_merge ~a ~b (merged : Inst.t) ~old_groups
       ~old_neighbors =
-    let s = !slack in
+    let s : Timing.t = !slack in
     let nq = s.nq in
     List.iter
       (fun q ->
@@ -663,10 +310,7 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
                let ia = Gdg.find g a and ib = Gdg.find g b in
                let predicted = merged_cost a b in
                let bound = merge_bound ~pessimism ia ib ~predicted in
-               if
-                 monotonic g !slack ~deadline:(tail_deadline !slack) a b
-                   ~merged_latency:bound
-               then begin
+               if monotonic g !slack a b ~merged_latency:bound then begin
                  let gain = ia.Inst.latency +. ib.Inst.latency -. predicted in
                  (* neutral-gain growth merges are allowed: they never
                     lengthen the schedule and enable later wide wins *)
@@ -692,11 +336,12 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
             let bound =
               merge_bound ~pessimism (Gdg.find g a) (Gdg.find g b) ~predicted
             in
-            monotonic g !slack ~deadline:(tail_deadline !slack) a b
-              ~merged_latency:bound
+            monotonic g !slack a b ~merged_latency:bound
           then begin
             let predicted = merged_cost a b in
-            match Gdg.merge ~rank g ~latency:predicted a b with
+            match
+              Gdg.merge ~rank:(Timing.rank !slack) g ~latency:predicted a b
+            with
             | exception Invalid_argument _ -> ()
             | merged ->
               Qobs.Metrics.tick "agg.accepted";
@@ -704,16 +349,15 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
               incr merged_this_round;
               sweep_again := true;
               (* pre-merge groups and splice neighbours, read before the
-                 refresh / slack update overwrite them — the universe
-                 diff needs both sides of the change, and the slack
-                 worklists start at the neighbours *)
+                 refresh / splice overwrite them — the universe diff
+                 needs both sides of the change *)
               let old_groups =
                 List.map
                   (fun q -> (q, Comm_group.groups_on groups q))
                   merged.Inst.qubits
               in
               let old_neighbors =
-                let s = !slack in
+                let s : Timing.t = !slack in
                 let nq = s.nq in
                 List.map
                   (fun q ->
@@ -723,10 +367,7 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
                   merged.Inst.qubits
               in
               Comm_group.refresh ~commute groups g ~qubits:merged.Inst.qubits;
-              slack_visits :=
-                !slack_visits
-                + update_slack_after_merge g !slack heap ~a ~b ~old_neighbors
-                    merged;
+              slack_visits := !slack_visits + Timing.splice !slack ~a ~b merged;
               update_universe_after_merge ~a ~b merged ~old_groups
                 ~old_neighbors
           end)
@@ -745,7 +386,7 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
     (* latencies moved globally, so the slack fixpoint is rebuilt once per
        round; groups, positions and the candidate universe are
        latency-independent and stay valid *)
-    if !recosted then slack := compute_slack g;
+    if !recosted then slack := Timing.create g;
     if !merged_this_round = 0 && not !recosted then continue_outer := false
   done;
   Qobs.Metrics.tick ~by:!rounds "agg.rounds";

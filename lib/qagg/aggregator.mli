@@ -41,22 +41,18 @@ val run :
     node of the input graph, or [cost] for any block, has a nan, infinite
     or negative latency.
 
-    The search is incremental. Deadlines are kept makespan-free, as each
-    node's tail (longest path to a sink, own latency included; a
-    successor's latest start is the makespan minus its tail), so after
-    each accepted merge the ASAP starts and the tails are re-propagated
-    by worklists seeded at the splice only, and the makespan is read off
-    the per-qubit chain ends. The worklists are min-heaps keyed by each
-    node's start or tail, so a re-timed node is mostly popped once; the
-    pops are ticked as [agg.slack_visits] once per run. Commutation goes
+    The search is incremental. The chain links, ASAP starts and
+    makespan-free deadlines (each node's tail; a successor's latest start
+    is the makespan minus its tail) are one {!Qgdg.Timing} table, patched
+    by {!Qgdg.Timing.splice} after each accepted merge and rebuilt only
+    when a round re-costs the blocks; its worklist pops are ticked as
+    [agg.slack_visits] once per run, and its ASAP starts are the ranks
+    that bound the cycle probe inside {!Qgdg.Gdg.merge}. Commutation goes
     through one {!Qgdg.Comm_group.oracle_commute}, one summary per block
-    id, under an id-pair decision cache. The chain-position and successor
-    tables are patched for the merged support's chains, the commutation
-    groups are regrouped in the window around the splice
-    ({!Qgdg.Comm_group.refresh}), and the candidate universe is
-    invalidated only for pairs both of whose endpoints act on those
-    chains — a pair's candidacy reads nothing else, so everything
-    outside that window is provably unchanged. The cycle check inside {!Qgdg.Gdg.merge} runs as a bounded
-    reachability probe using the ASAP starts as ranks. The test suite pins
-    the accepted-merge sequence, the round count and the final graph
-    against a full-recompute specification of the same search. *)
+    id, under an id-pair decision cache. The commutation groups are
+    regrouped in the window around the splice ({!Qgdg.Comm_group.refresh}),
+    and the candidate universe is invalidated only for pairs both of whose
+    endpoints act on the merged support's chains — a pair's candidacy
+    reads nothing else, so everything outside that window is provably
+    unchanged. The test suite pins the accepted-merge sequence, the round count and the final
+    graph against a full-recompute specification of the same search. *)

@@ -37,13 +37,23 @@ let rec has_dup = function
   | [] -> false
   | q :: rest -> List.mem q rest || has_dup rest
 
+let params g =
+  match g.kind with
+  | Rx a | Ry a | Rz a | Phase a | Cphase a | Rxx a | Ryy a | Rzz a -> [ a ]
+  | I | X | Y | Z | H | S | Sdg | T | Tdg | Cnot | Cz | Swap | Iswap
+  | Sqrt_iswap | Ccx ->
+    []
+
 let make kind qubits =
   if List.length qubits <> kind_arity kind then
     invalid_arg "Gate.make: arity mismatch";
   if has_dup qubits then invalid_arg "Gate.make: repeated qubit";
   if List.exists (fun q -> q < 0) qubits then
     invalid_arg "Gate.make: negative qubit";
-  { kind; qubits }
+  let g = { kind; qubits } in
+  if not (List.for_all Float.is_finite (params g)) then
+    invalid_arg "Gate.make: non-finite angle";
+  g
 
 let id q = make I [ q ]
 let x q = make X [ q ]
@@ -95,13 +105,6 @@ let name g =
   | Ryy _ -> "ryy"
   | Rzz _ -> "rzz"
   | Ccx -> "ccx"
-
-let params g =
-  match g.kind with
-  | Rx a | Ry a | Rz a | Phase a | Cphase a | Rxx a | Ryy a | Rzz a -> [ a ]
-  | I | X | Y | Z | H | S | Sdg | T | Tdg | Cnot | Cz | Swap | Iswap
-  | Sqrt_iswap | Ccx ->
-    []
 
 let adjoint g =
   let kind =

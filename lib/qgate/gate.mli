@@ -45,7 +45,8 @@ val arity : t -> int
 
 val make : kind -> int list -> t
 (** Raises [Invalid_argument] when the qubit count does not match the
-    kind's arity, or when qubits repeat. *)
+    kind's arity, when qubits repeat or are negative, or when an angle is
+    nan or infinite. *)
 
 (** {1 Constructors} *)
 

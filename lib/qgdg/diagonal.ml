@@ -1,191 +1,12 @@
 let max_run_gates = 10
 
-(* ---- windowed detection over flat per-qubit frontier tables ---- *)
-
 (* The test-scope reference fixpoint costs O(sweeps × nodes ×
    chain-length) in [Gdg.succ_on]/[pred_on] walks plus a full Kahn pass
-   per merge. The production path below keeps flat pred/succ tables
-   ([id*nq+q], -1 absent) and an incremental ASAP schedule, patched only
-   around each contraction the way Qagg patches its slack tables; the
-   ASAP start doubles as the topological potential handed to
-   [Gdg.merge ~rank], so acyclicity checks are bounded reachability
-   probes instead of full topological passes. *)
-type state = {
-  g : Gdg.t;
-  nq : int;
-  mutable pred : int array;  (* id*nq+q -> chain predecessor id, -1 none *)
-  mutable succ : int array;
-  mutable start : float array;  (* ASAP start, nan = absent *)
-  mutable finish : float array;
-  mutable stamp : int array;  (* worklist dedup, epoch-stamped *)
-  mutable epoch : int;
-}
-
-let ensure_capacity st id =
-  let cap = Array.length st.start in
-  if id >= cap then begin
-    let ncap = max (id + 1) (2 * max 1 cap) in
-    let grow_int a def =
-      let b = Array.make (ncap * (Array.length a / max 1 cap)) def in
-      Array.blit a 0 b 0 (Array.length a);
-      b
-    in
-    let grow_float a =
-      let b = Array.make ncap nan in
-      Array.blit a 0 b 0 (Array.length a);
-      b
-    in
-    st.pred <- grow_int st.pred (-1);
-    st.succ <- grow_int st.succ (-1);
-    st.stamp <- grow_int st.stamp 0;
-    st.start <- grow_float st.start;
-    st.finish <- grow_float st.finish
-  end
-
-let build_state g =
-  let nq = max 1 (Gdg.n_qubits g) in
-  let cap = max 1 (Gdg.next_id g) in
-  let st =
-    { g;
-      nq;
-      pred = Array.make (cap * nq) (-1);
-      succ = Array.make (cap * nq) (-1);
-      start = Array.make cap nan;
-      finish = Array.make cap nan;
-      stamp = Array.make cap 0;
-      epoch = 0 }
-  in
-  let indeg = Array.make cap 0 in
-  for q = 0 to Gdg.n_qubits g - 1 do
-    let rec link = function
-      | x :: (y :: _ as rest) ->
-        st.succ.((x * nq) + q) <- y;
-        st.pred.((y * nq) + q) <- x;
-        indeg.(y) <- indeg.(y) + 1;
-        link rest
-      | _ -> ()
-    in
-    link (Gdg.chain_ids g q)
-  done;
-  (* forward ASAP pass (Kahn over the chain edges) *)
-  let queue = Queue.create () in
-  Gdg.iter_insts g (fun i ->
-      if indeg.(i.Inst.id) = 0 then Queue.add i.Inst.id queue);
-  while not (Queue.is_empty queue) do
-    let id = Queue.pop queue in
-    let inst = Gdg.find g id in
-    let s =
-      List.fold_left
-        (fun acc q ->
-          let p = st.pred.((id * nq) + q) in
-          if p < 0 then acc else Float.max acc st.finish.(p))
-        0. inst.Inst.qubits
-    in
-    st.start.(id) <- s;
-    st.finish.(id) <- s +. inst.Inst.latency;
-    List.iter
-      (fun q ->
-        let c = st.succ.((id * nq) + q) in
-        if c >= 0 then begin
-          indeg.(c) <- indeg.(c) - 1;
-          if indeg.(c) = 0 then Queue.add c queue
-        end)
-      inst.Inst.qubits
-  done;
-  st
-
-let rank st id =
-  if id < Array.length st.start && not (Float.is_nan st.start.(id)) then
-    st.start.(id)
-  else neg_infinity
-
-(* Incremental counterpart of {!build_state} after one accepted merge of
-   [a] and [b] into [merged] (Qagg's slack-patching idiom): only the
-   merged support's chains changed, so their pred/succ entries are
-   re-linked and the ASAP times re-propagated by worklist from those
-   chains — each recomputation uses exactly the folds of the full pass,
-   and the fixpoint on a DAG is unique, so the tables equal a
-   from-scratch recomputation. [old_chains] are the (qubit, chain ids) of
-   the merged support captured before the merge. *)
-let update_state_after_merge st ~old_chains ~a ~b (merged : Inst.t) =
-  ensure_capacity st merged.Inst.id;
-  let nq = st.nq in
-  let a_id = a and b_id = b in
-  let new_chains =
-    List.map (fun q -> (q, Gdg.chain_ids st.g q)) merged.Inst.qubits
-  in
-  (* nodes whose chain predecessor was a merge endpoint: the only nodes
-     (besides the merged one) whose ASAP inputs changed structurally —
-     the seeds of the repropagation below *)
-  let reseeds = ref [] in
-  List.iter
-    (fun (q, old_ids) ->
-      let prev = ref (-1) in
-      List.iter
-        (fun x ->
-          if (!prev = a_id || !prev = b_id) && x <> a_id && x <> b_id then
-            reseeds := x :: !reseeds;
-          prev := x;
-          st.pred.((x * nq) + q) <- -1;
-          st.succ.((x * nq) + q) <- -1)
-        old_ids)
-    old_chains;
-  List.iter
-    (fun (q, ids) ->
-      let rec link = function
-        | x :: (y :: _ as rest) ->
-          st.succ.((x * nq) + q) <- y;
-          st.pred.((y * nq) + q) <- x;
-          link rest
-        | _ -> ()
-      in
-      link ids)
-    new_chains;
-  st.start.(a) <- nan;
-  st.finish.(a) <- nan;
-  st.start.(b) <- nan;
-  st.finish.(b) <- nan;
-  st.epoch <- st.epoch + 1;
-  let ep = st.epoch in
-  let queue = Queue.create () in
-  let push x =
-    if st.stamp.(x) <> ep then begin
-      st.stamp.(x) <- ep;
-      Queue.add x queue
-    end
-  in
-  (* seed only where an ASAP input changed: the merged node (fresh
-     latency, inherited predecessors) and the old followers of the two
-     endpoints (their chain predecessor is now the merged node or the
-     endpoint's former predecessor); everything downstream is reached by
-     the finish-changed cascade *)
-  push merged.Inst.id;
-  List.iter push !reseeds;
-  while not (Queue.is_empty queue) do
-    let x = Queue.pop queue in
-    st.stamp.(x) <- 0;
-    let inst = Gdg.find st.g x in
-    let s =
-      List.fold_left
-        (fun acc q ->
-          let p = st.pred.((x * nq) + q) in
-          if p < 0 then acc
-          else
-            let f = st.finish.(p) in
-            Float.max acc (if Float.is_nan f then 0. else f))
-        0. inst.Inst.qubits
-    in
-    let f = s +. inst.Inst.latency in
-    if not (st.start.(x) = s && st.finish.(x) = f) then begin
-      st.start.(x) <- s;
-      st.finish.(x) <- f;
-      List.iter
-        (fun q ->
-          let c = st.succ.((x * nq) + q) in
-          if c >= 0 then push c)
-        inst.Inst.qubits
-    end
-  done
+   per merge. The production path below reads the chain tables of
+   {!Timing}, patched only around each contraction; the ASAP start
+   doubles as the topological potential handed to [Gdg.merge ~rank], so
+   acyclicity checks are bounded reachability probes instead of full
+   topological passes. *)
 
 (* table-backed run growth, yielding the same runs as the list-based
    test-scope reference (the qcheck suite pins the equality), with the support held as at most two sorted ints
@@ -194,7 +15,7 @@ let update_state_after_merge st ~old_chains ~a ~b (merged : Inst.t) =
    of the ≤ [max_run_gates]-node run array. Candidates are probed in
    ascending support-qubit order and the first eligible one is appended,
    exactly the reference's [filter_map] + [find_opt] order. *)
-let grow_run_state st id =
+let grow_run_state (st : Timing.t) id =
   let g = st.g in
   let nq = st.nq in
   let start = Gdg.find g id in
@@ -300,11 +121,11 @@ let grow_run_state st id =
   done;
   Array.to_list (Array.sub run 0 !run_len)
 
-let grow_run g id = grow_run_state (build_state g) id
+let grow_run g id = grow_run_state (Timing.create g) id
 
 (* longest prefix (>= 2 nodes) whose composed unitary is diagonal,
    decided by one incremental oracle scan over the run *)
-let diagonal_prefix_state st run =
+let diagonal_prefix_state (st : Timing.t) run =
   let scan = Oracle.scan_create () in
   let best = ref 0 in
   List.iteri
@@ -325,7 +146,7 @@ let diagonal_prefix_state st run =
    sweeps. *)
 let invalidate_depth = max_run_gates + 2
 
-let mark_dirty st dirty (merged : Inst.t) =
+let mark_dirty (st : Timing.t) dirty (merged : Inst.t) =
   let nq = st.nq in
   let seeds = ref [ merged.Inst.id ] in
   List.iter
@@ -357,7 +178,7 @@ let mark_dirty st dirty (merged : Inst.t) =
 
 let detect_and_contract ~latency g =
   let merges = ref 0 in
-  let st = build_state g in
+  let st = Timing.create g in
   let dirty : (int, unit) Hashtbl.t = Hashtbl.create 256 in
   let first_sweep = ref true in
   let changed = ref true in
@@ -379,16 +200,11 @@ let detect_and_contract ~latency g =
                 (fun acc next ->
                   let ia = Gdg.find g acc and ib = Gdg.find g next in
                   let gates = ia.Inst.gates @ ib.Inst.gates in
-                  let old_chains =
-                    List.map
-                      (fun q -> (q, Gdg.chain_ids g q))
-                      (List.sort_uniq compare (ia.Inst.qubits @ ib.Inst.qubits))
-                  in
                   let merged =
-                    Gdg.merge g ~rank:(rank st) ~latency:(latency gates) acc
-                      next
+                    Gdg.merge g ~rank:(Timing.rank st) ~latency:(latency gates)
+                      acc next
                   in
-                  update_state_after_merge st ~old_chains ~a:acc ~b:next merged;
+                  ignore (Timing.splice st ~a:acc ~b:next merged : int);
                   merged.Inst.id)
                 first rest
             in

@@ -7,14 +7,14 @@
     commutativity-aware scheduler's freedom. Runs are limited to 2 qubits
     (to preserve parallelism) and [max_run_gates] member gates.
 
-    The production path runs on the commutation oracle ({!Oracle}): flat
-    per-qubit frontier tables replace the per-query chain walks, each
-    run's prefixes are decided by one incremental phase-polynomial scan
-    (digest-memoized per congruence class, attributed to
-    [detect.route.*]), merges are validated by bounded reachability
-    probes against an incrementally-maintained ASAP rank, and sweeps
-    after the first revisit only the neighborhood each contraction
-    invalidated. The pre-oracle implementation (full re-sweep per round,
+    The production path runs on the commutation oracle ({!Oracle}) and
+    the incremental timing tables ({!Timing}): the flat chain tables
+    replace the per-query chain walks, each run's prefixes are decided by
+    one incremental phase-polynomial scan (digest-memoized per congruence
+    class, attributed to [detect.route.*]), merges are validated by
+    bounded reachability probes against {!Timing.rank} and patched in by
+    {!Timing.splice}, and sweeps after the first revisit only the
+    neighborhood each contraction invalidated. The pre-oracle implementation (full re-sweep per round,
     per-prefix dense re-checks, full topological validation per merge)
     lives in test scope ([test/ref]), built on the public {!Gdg} API
     only, and the qcheck suite pins both to identical merges and graphs
@@ -32,4 +32,4 @@ val detect_and_contract :
 val grow_run : Gdg.t -> int -> int list
 (** The longest contiguous run starting at a node whose support stays
     within one qubit pair (production table-backed bookkeeping; builds
-    its tables per call — tests and one-off callers only). *)
+    a {!Timing} table per call — tests and one-off callers only). *)

@@ -3,6 +3,10 @@
    production paths in Qgdg and Qagg against these; nothing here is
    linked into the compiler. *)
 
+(* the bit-vector simulator the reversible-arithmetic tests check
+   Qarith's circuits against *)
+module Rev_sim = Rev_sim
+
 module Gate = Qgate.Gate
 module Gdg = Qgdg.Gdg
 module Inst = Qgdg.Inst

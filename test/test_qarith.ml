@@ -2,6 +2,7 @@
 
 open Qarith
 open Util
+module Rev_sim = Qref.Rev_sim
 module Gate = Qgate.Gate
 module Circuit = Qgate.Circuit
 

@@ -20,6 +20,15 @@ let gate_cases =
     case "repeated qubit raises" (fun () ->
         Alcotest.check_raises "raises" (Invalid_argument "Gate.make: repeated qubit")
           (fun () -> ignore (Gate.make Gate.Cnot [ 1; 1 ])));
+    case "non-finite angle raises" (fun () ->
+        let raises name f =
+          Alcotest.check_raises name
+            (Invalid_argument "Gate.make: non-finite angle") (fun () ->
+              ignore (f ()))
+        in
+        raises "rz nan" (fun () -> Gate.rz nan 0);
+        raises "cphase infinity" (fun () -> Gate.cphase infinity 0 1);
+        raises "rzz neg_infinity" (fun () -> Gate.rzz neg_infinity 0 1));
     case "arity per kind" (fun () ->
         check_int "1q" 1 (Gate.kind_arity Gate.H);
         check_int "2q" 2 (Gate.kind_arity Gate.Iswap);

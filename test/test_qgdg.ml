@@ -513,9 +513,95 @@ let diagonal_cases =
               (Qsched.Cls.makespan g_ref) (Qsched.Cls.makespan g_new))
           Qapps.Suite.all) ]
 
+(* [t]'s tables against a from-scratch [Timing.create] on the same graph,
+   float entries compared bit for bit; the fresh tables are themselves
+   checked against [Gdg.asap], and every merged-away id must rank as
+   unknown *)
+let timing_agrees (t : Timing.t) g =
+  let f = Timing.create g in
+  let nq = Gdg.n_qubits g in
+  let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  let asap, makespan = Gdg.asap g in
+  same t.makespan f.makespan
+  && same f.makespan makespan
+  && t.ends = f.ends
+  && List.for_all
+       (fun (x, (s, fin)) -> same f.start.(x) s && same f.finish.(x) fin)
+       asap
+  && List.for_all
+       (fun (i : Inst.t) ->
+         let x = i.Inst.id in
+         List.for_all
+           (fun (a, b) -> same a.(x) b.(x))
+           [ (t.start, f.start); (t.finish, f.finish); (t.tail, f.tail) ]
+         && List.for_all
+              (fun q ->
+                let k = (x * nq) + q in
+                t.pred.(k) = f.pred.(k)
+                && t.succ.(k) = f.succ.(k)
+                && t.pos.(k) = f.pos.(k))
+              (List.init nq Fun.id))
+       (Gdg.insts g)
+  && List.for_all
+       (fun x -> Gdg.mem g x || Timing.rank t x = neg_infinity)
+       (List.init (Gdg.next_id g) Fun.id)
+
+let timing_cases =
+  [ (* random merges, each validated by the rank-bounded cycle probe and
+       followed by a splice: the patched tables must equal a fresh pass
+       after every step. Pairs are either chain-near (mostly accepted) or
+       arbitrary (often cyclic, so rejected merges must leave [t] alone);
+       latencies are random, zero included, so ties and re-timed tails
+       both occur *)
+    qcheck ~count:100 "splice matches create after every merge"
+      QCheck.(int_range 0 10000)
+      (fun seed ->
+        let rng = Qgraph.Rand.create seed in
+        let n = 3 + Qgraph.Rand.int rng 3 in
+        let latency () =
+          if Qgraph.Rand.int rng 5 = 0 then 0.
+          else Qgraph.Rand.float rng 100.
+        in
+        let g =
+          Gdg.of_circuit
+            ~latency:(fun _ -> latency ())
+            (Circuit.make n
+               (List.init
+                  (15 + Qgraph.Rand.int rng 40)
+                  (fun _ -> random_vocabulary_gate rng n)))
+        in
+        let t = Timing.create g in
+        let pick xs = List.nth xs (Qgraph.Rand.int rng (List.length xs)) in
+        let partner a =
+          if Qgraph.Rand.bool rng then
+            pick (List.map (fun (i : Inst.t) -> i.Inst.id) (Gdg.insts g))
+          else
+            let q = pick (Gdg.find g a).Inst.qubits in
+            let rec after = function
+              | x :: rest when x = a -> rest
+              | _ :: rest -> after rest
+              | [] -> []
+            in
+            match after (Gdg.chain_ids g q) with
+            | [] -> a
+            | later -> List.nth later (Qgraph.Rand.int rng (min 3 (List.length later)))
+        in
+        List.for_all
+          (fun _ ->
+            let a = pick (List.map (fun (i : Inst.t) -> i.Inst.id) (Gdg.insts g)) in
+            let b = partner a in
+            (a = b
+            ||
+            match Gdg.merge g ~rank:(Timing.rank t) ~latency:(latency ()) a b with
+            | exception Invalid_argument _ -> true
+            | merged -> Timing.splice t ~a ~b merged >= 1)
+            && timing_agrees t g)
+          (List.init 25 Fun.id)) ]
+
 let suites =
   [ ("qgdg.inst", inst_cases);
     ("qgdg.commute", commute_cases);
     ("qgdg.gdg", gdg_cases);
     ("qgdg.comm_group", comm_group_cases);
+    ("qgdg.timing", timing_cases);
     ("qgdg.diagonal", diagonal_cases) ]

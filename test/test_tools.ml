@@ -107,45 +107,45 @@ let trotter_cases =
   [ case "first order approximates exact" (fun () ->
         let n = 3 in
         let terms = Qapps.Ising.hamiltonian_terms n in
-        let exact = Qapps.Trotter.exact ~n ~time:0.4 terms in
+        let exact = Trotter.exact ~n ~time:0.4 terms in
         let approx =
-          Circuit.unitary (Qapps.Trotter.circuit ~n ~time:0.4 ~steps:20 terms)
+          Circuit.unitary (Trotter.circuit ~n ~time:0.4 ~steps:20 terms)
         in
         check_bool "close" true (Qnum.Cmat.fidelity exact approx > 0.999));
     case "second order beats first at equal steps" (fun () ->
         let n = 3 in
         let terms = Qapps.Ising.hamiltonian_terms n in
-        let exact = Qapps.Trotter.exact ~n ~time:0.8 terms in
+        let exact = Trotter.exact ~n ~time:0.8 terms in
         let err order =
           1.
           -. Qnum.Cmat.fidelity exact
                (Circuit.unitary
-                  (Qapps.Trotter.circuit ~order ~n ~time:0.8 ~steps:4 terms))
+                  (Trotter.circuit ~order ~n ~time:0.8 ~steps:4 terms))
         in
         check_bool "ordering" true
-          (err Qapps.Trotter.Second < err Qapps.Trotter.First));
+          (err Trotter.Second < err Trotter.First));
     case "error shrinks with steps" (fun () ->
         let n = 2 in
         let terms =
           [ Qgate.Pauli.of_string 0.7 "ZZ"; Qgate.Pauli.of_string 0.4 "XI";
             Qgate.Pauli.of_string 0.3 "IY" ]
         in
-        let exact = Qapps.Trotter.exact ~n ~time:1.0 terms in
+        let exact = Trotter.exact ~n ~time:1.0 terms in
         let err steps =
           1.
           -. Qnum.Cmat.fidelity exact
-               (Circuit.unitary (Qapps.Trotter.circuit ~n ~time:1.0 ~steps terms))
+               (Circuit.unitary (Trotter.circuit ~n ~time:1.0 ~steps terms))
         in
         check_bool "monotone-ish" true (err 16 < err 2));
     case "bad inputs raise" (fun () ->
         Alcotest.check_raises "steps"
           (Invalid_argument "Trotter.circuit: non-positive step count") (fun () ->
-            ignore (Qapps.Trotter.circuit ~n:2 ~time:1. ~steps:0 []));
+            ignore (Trotter.circuit ~n:2 ~time:1. ~steps:0 []));
         Alcotest.check_raises "register"
           (Invalid_argument "Trotter.circuit: term register size mismatch")
           (fun () ->
             ignore
-              (Qapps.Trotter.circuit ~n:3 ~time:1. ~steps:1
+              (Trotter.circuit ~n:3 ~time:1. ~steps:1
                  [ Qgate.Pauli.of_string 1. "ZZ" ]))) ]
 
 let compiled_line () =

@@ -10,6 +10,8 @@ let support_of gates =
 
 let make ~id ~latency gates =
   if gates = [] then invalid_arg "Inst.make: empty gate list";
+  if not (Float.is_finite latency) then
+    invalid_arg "Inst.make: non-finite latency";
   if latency < 0. then invalid_arg "Inst.make: negative latency";
   { id; gates; qubits = support_of gates; latency }
 

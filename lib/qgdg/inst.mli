@@ -14,7 +14,8 @@ type t = {
 }
 
 val make : id:int -> latency:float -> Qgate.Gate.t list -> t
-(** Raises [Invalid_argument] on an empty gate list or negative latency. *)
+(** Raises [Invalid_argument] on an empty gate list or a negative or
+    non-finite ([nan], [infinity], [neg_infinity]) latency. *)
 
 val of_gate : id:int -> latency:float -> Qgate.Gate.t -> t
 val width : t -> int

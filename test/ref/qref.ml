@@ -1,7 +1,7 @@
 (* Memo-free executable specifications for the commutation oracle, the
-   detect pass and the aggregation search. The qcheck suite pins the
-   production paths in Qgdg and Qagg against these; nothing here is
-   linked into the compiler. *)
+   detect pass, the aggregation search and the CLS scheduler. The qcheck
+   suite pins the production paths in Qgdg, Qagg and Qsched against
+   these; nothing here is linked into the compiler. *)
 
 (* the bit-vector simulator the reversible-arithmetic tests check
    Qarith's circuits against *)
@@ -380,3 +380,140 @@ let aggregate_reference ?(width_limit = 10) ?(max_rounds = 8)
     if !merged_this_round = 0 && not !recosted then converged := true
   done;
   { merges = !merges; rounds = !rounds }
+
+(* ---- CLS (paper §3.3.2, Algorithm 1) ---- *)
+
+(* The scan-based list scheduler: every round re-filters the whole
+   unscheduled suffix of the topological order for the instructions that
+   sit in the current commutation group on all their qubits and are
+   free, claims wide ones greedily, matches the rest, and steps time to
+   the next qubit release when nothing is startable. Same counters as
+   [Cls.schedule] apart from [cls.ready_visits]. *)
+let cls_reference g =
+  let n_qubits = Qgdg.Gdg.n_qubits g in
+  let groups = Qgdg.Comm_group.build g in
+  (* Per-qubit cursor over the ordered groups: [head.(q)] is the current
+     group's position and [remaining.(q).(pos)] counts its unscheduled
+     members. Membership probes are O(1) flat-index lookups against the
+     group index instead of [List.mem] scans of a shrinking head list,
+     and emptying the current group advances the cursor exactly where
+     the list version dropped an emptied head — an unscheduled
+     instruction is in the current group iff its group position equals
+     the cursor. *)
+  let total = Qgdg.Gdg.size g in
+  let scheduled : (int, Qsched.Schedule.entry) Hashtbl.t = Hashtbl.create total in
+  let qubit_free = Array.make (max 1 n_qubits) 0. in
+  let head = Array.make (max 1 n_qubits) 0 in
+  let remaining =
+    Array.init (max 1 n_qubits) (fun q ->
+        Array.of_list
+          (List.map List.length (Qgdg.Comm_group.groups_on groups q)))
+  in
+  let in_current_group id q =
+    head.(q) < Array.length remaining.(q)
+    && Qgdg.Comm_group.lookup groups ~qubit:q id = head.(q)
+  in
+  let drop_from_group id q =
+    let pos = Qgdg.Comm_group.lookup groups ~qubit:q id in
+    if pos >= 0 then begin
+      remaining.(q).(pos) <- remaining.(q).(pos) - 1;
+      while
+        head.(q) < Array.length remaining.(q) && remaining.(q).(head.(q)) = 0
+      do
+        head.(q) <- head.(q) + 1
+      done
+    end
+  in
+  (* the unscheduled suffix of the topological order, pruned each round
+     so the per-round scans shrink as the schedule fills (relative order
+     is preserved, so candidate order — and therefore every matching
+     decision — is unchanged) *)
+  let topo_rest = ref (Qgdg.Gdg.insts g) in
+  let eps = 1e-9 in
+  let time = ref 0. in
+  let entries = ref [] in
+  while Hashtbl.length scheduled < total do
+    topo_rest :=
+      List.filter
+        (fun (i : Inst.t) -> not (Hashtbl.mem scheduled i.Inst.id))
+        !topo_rest;
+    let candidates =
+      List.filter
+        (fun (i : Inst.t) ->
+          List.for_all
+            (fun q ->
+              in_current_group i.Inst.id q && qubit_free.(q) <= !time +. eps)
+            i.Inst.qubits)
+        !topo_rest
+    in
+    let claimed = Array.make (max 1 n_qubits) false in
+    let select (i : Inst.t) =
+      let entry =
+        { Qsched.Schedule.inst = i;
+          start = !time;
+          finish = !time +. i.Inst.latency }
+      in
+      Hashtbl.replace scheduled i.Inst.id entry;
+      entries := entry :: !entries;
+      List.iter
+        (fun q ->
+          claimed.(q) <- true;
+          qubit_free.(q) <- entry.Qsched.Schedule.finish;
+          drop_from_group i.Inst.id q)
+        i.Inst.qubits
+    in
+    if candidates <> [] then begin
+      Qobs.Metrics.tick "cls.matching_rounds";
+      (* wide instructions claim greedily; the rest go through matching *)
+      let wide, narrow = List.partition (fun i -> Inst.width i > 2) candidates in
+      List.iter
+        (fun (i : Inst.t) ->
+          if List.for_all (fun q -> not claimed.(q)) i.Inst.qubits then select i)
+        wide;
+      let edges =
+        List.filter_map
+          (fun (i : Inst.t) ->
+            if List.exists (fun q -> claimed.(q)) i.Inst.qubits then None
+            else
+              match i.Inst.qubits with
+              | [ q ] -> Some { Qgraph.Matching.u = q; v = q; label = i }
+              | [ q; r ] -> Some { Qgraph.Matching.u = q; v = r; label = i }
+              | _ -> None)
+          narrow
+      in
+      let chosen = Qgraph.Matching.maximal_edges ~n:n_qubits edges in
+      Qobs.Metrics.tick ~by:(List.length chosen) "cls.matched";
+      List.iter (fun e -> select e.Qgraph.Matching.label) chosen
+    end;
+    if Hashtbl.length scheduled < total then begin
+      let startable_now =
+        List.exists
+          (fun (i : Inst.t) ->
+            (not (Hashtbl.mem scheduled i.Inst.id))
+            && List.for_all
+                 (fun q ->
+                   in_current_group i.Inst.id q
+                   && qubit_free.(q) <= !time +. eps)
+                 i.Inst.qubits)
+          !topo_rest
+      in
+      if not startable_now then begin
+        (* advance to the next qubit-release event: a candidate only
+           becomes startable when some qubit frees up, and the release
+           instants are exactly the [qubit_free] values, so stepping to
+           the least one past [time] visits every instant at which the
+           candidate set can grow (completions that are not any qubit's
+           latest were barren rounds) *)
+        let next =
+          Array.fold_left
+            (fun acc f -> if f > !time +. eps then Float.min acc f else acc)
+            Float.infinity qubit_free
+        in
+        if next = Float.infinity then
+          failwith "Cls.schedule: deadlock (malformed dependence graph)";
+        Qobs.Metrics.tick "cls.time_advances";
+        time := next
+      end
+    end
+  done;
+  Qsched.Schedule.make ~n_qubits !entries

@@ -84,6 +84,15 @@ let inst_cases =
     case "empty raises" (fun () ->
         Alcotest.check_raises "raises" (Invalid_argument "Inst.make: empty gate list")
           (fun () -> ignore (Inst.make ~id:0 ~latency:1.0 [])));
+    case "non-finite latency raises" (fun () ->
+        (* [nan] slips past a [latency < 0.] test and would surface later
+           as a CLS deadlock or a nan ASAP makespan *)
+        List.iter
+          (fun latency ->
+            Alcotest.check_raises (Printf.sprintf "%h" latency)
+              (Invalid_argument "Inst.make: non-finite latency") (fun () ->
+                ignore (Inst.make ~id:0 ~latency [ Gate.h 0 ])))
+          [ nan; infinity; neg_infinity ]);
     case "merge keeps order" (fun () ->
         let a = Inst.of_gate ~id:0 ~latency:1. (Gate.h 0) in
         let b = Inst.of_gate ~id:1 ~latency:1. (Gate.cnot 0 1) in

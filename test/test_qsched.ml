@@ -204,7 +204,163 @@ let cls_cases =
         Schedule.no_qubit_overlap s
         && List.length s.Schedule.entries = Gdg.size g) ]
 
+(* ---- event-driven CLS against the scan-based specification ---- *)
+
+let cls_counters = [ "cls.matching_rounds"; "cls.matched"; "cls.time_advances" ]
+
+(* one schedule with its counters: the entries as id plus exact start and
+   finish, in the schedule's order, then the three counters both
+   schedulers tick *)
+let cls_trace schedule g =
+  let m = Qobs.Metrics.create () in
+  let s = Qobs.Metrics.with_ambient m (fun () -> schedule g) in
+  ( List.map
+      (fun (e : Schedule.entry) ->
+        Printf.sprintf "%d %h %h" e.Schedule.inst.Inst.id e.Schedule.start
+          e.Schedule.finish)
+      s.Schedule.entries,
+    List.map (Qobs.Metrics.counter_value m) cls_counters )
+
+(* Random instruction streams for CLS: widths 1 to 4 (3+ qubit blocks
+   take the greedy wide claim), diagonal gates so commutation groups grow
+   past one member and the ready set holds several candidates per qubit,
+   and latencies drawn from {0, 1, 2, 3} so zero-latency instructions and
+   equal-finish ties are common. *)
+let random_cls_gdg rng =
+  let n = 3 + Qgraph.Rand.int rng 4 in
+  let distinct k =
+    let rec go acc =
+      if List.length acc = k then acc
+      else
+        let q = Qgraph.Rand.int rng n in
+        go (if List.mem q acc then acc else q :: acc)
+    in
+    go []
+  in
+  let theta () = Qgraph.Rand.float rng 3. in
+  let pair_gate a b =
+    match Qgraph.Rand.int rng 4 with
+    | 0 -> Gate.cnot a b
+    | 1 -> Gate.cz a b
+    | _ -> Gate.rzz (theta ()) a b
+  in
+  let gates_on = function
+    | [ q ] ->
+      (match Qgraph.Rand.int rng 4 with
+       | 0 -> [ Gate.h q ]
+       | 1 -> [ Gate.x q ]
+       | _ -> [ Gate.rz (theta ()) q ])
+    | [ a; b ] -> [ pair_gate a b ]
+    | [ a; b; c ] when Qgraph.Rand.int rng 4 = 0 -> [ Gate.ccx a b c ]
+    | qs ->
+      let rec chain = function
+        | a :: (b :: _ as rest) -> pair_gate a b :: chain rest
+        | _ -> []
+      in
+      chain qs
+  in
+  let insts =
+    List.init
+      (10 + Qgraph.Rand.int rng 50)
+      (fun id ->
+        let width =
+          match Qgraph.Rand.int rng 7 with
+          | 0 | 1 -> 1
+          | 2 | 3 | 4 -> 2
+          | 5 -> 3
+          | _ -> min 4 n
+        in
+        Inst.make ~id
+          ~latency:(float_of_int (Qgraph.Rand.int rng 4))
+          (gates_on (distinct width)))
+  in
+  Gdg.of_insts ~n_qubits:n insts
+
+(* the suite's CLS inputs: each benchmark's logical GDG (serial costs,
+   diagonal blocks contracted, as the [cls] strategy schedules it) and the
+   routed GDG the final CLS of [cls], [cls+hand] and [cls+aggregation]
+   schedules *)
+let suite_cls_gdgs =
+  lazy
+    (let backend = Qcc.Backend.default in
+     List.concat_map
+       (fun (b : Qapps.Suite.benchmark) ->
+         let circuit = Qapps.Suite.lowered b in
+         let logical =
+           Gdg.of_circuit ~latency:(Qcc.Backend.serial_cost backend) circuit
+         in
+         ignore
+           (Qgdg.Diagonal.detect_and_contract
+              ~latency:(Qcc.Backend.serial_cost backend)
+              logical);
+         let cache = Qcc.Pipeline.Cache.create () in
+         ( b.Qapps.Suite.name ^ " logical", false, logical )
+         :: List.map
+              (fun strategy ->
+                let r = Qcc.Compiler.compile ~cache ~strategy circuit in
+                ( b.Qapps.Suite.name ^ " " ^ Qcc.Strategy.to_string strategy,
+                  true,
+                  r.Qcc.Compiler.gdg ))
+              Qcc.Strategy.[ Cls; Cls_hand; Cls_aggregation ])
+       Qapps.Suite.all)
+
+(* a graph whose merge slipped past the rank-bounded cycle probe: the
+   ranks below are not ASAP starts, so contracting node 0 (h on qubit 0)
+   with node 3 (h on qubit 2) across the cnot chain 1, 2 is accepted and
+   closes the cycle m -> 1 -> 2 -> m *)
+let cyclic_gdg () =
+  let g =
+    Gdg.of_circuit ~latency:unit_latency
+      (Circuit.make 3 [ Gate.h 0; Gate.cnot 0 1; Gate.cnot 1 2; Gate.h 2 ])
+  in
+  ignore (Gdg.merge g ~rank:(fun id -> -.float_of_int id) ~latency:2. 0 3);
+  g
+
+let cls_reference_cases =
+  [ qcheck ~count:300 "cls matches the scan-based reference"
+      QCheck.(int_range 0 100000)
+      (fun seed ->
+        let g = random_cls_gdg (Qgraph.Rand.create seed) in
+        cls_trace Cls.schedule g = cls_trace Qref.cls_reference g);
+    slow_case "cls matches the reference on every suite CLS graph" (fun () ->
+        List.iter
+          (fun (name, _, g) ->
+            let entries, counters = cls_trace Cls.schedule g in
+            let ref_entries, ref_counters = cls_trace Qref.cls_reference g in
+            Alcotest.(check (list string)) (name ^ " entries") ref_entries
+              entries;
+            Alcotest.(check (list int)) (name ^ " counters") ref_counters
+              counters)
+          (Lazy.force suite_cls_gdgs));
+    slow_case "cls ready visits stay linear on every routed suite graph"
+      (fun () ->
+        (* a per-round rescan of the unscheduled instructions examines
+           up to 2,737 times the graph size here (sqrt-n5), the ready set
+           at most 2.8 times (maxcut-cluster) *)
+        List.iter
+          (fun (name, routed, g) ->
+            if routed then begin
+              let m = Qobs.Metrics.create () in
+              ignore (Qobs.Metrics.with_ambient m (fun () -> Cls.schedule g));
+              let visits = Qobs.Metrics.counter_value m "cls.ready_visits" in
+              if visits > 4 * Gdg.size g then
+                Alcotest.failf "%s: %d ready visits for %d instructions" name
+                  visits (Gdg.size g)
+            end)
+          (Lazy.force suite_cls_gdgs));
+    case "cls and the reference fail alike on a cyclic graph" (fun () ->
+        let failure schedule =
+          match schedule (cyclic_gdg ()) with
+          | _ -> None
+          | exception Failure msg -> Some msg
+        in
+        let reference = failure Qref.cls_reference in
+        check_bool "reference fails" true (reference <> None);
+        Alcotest.(check (option string)) "same failure" reference
+          (failure Cls.schedule)) ]
+
 let suites =
   [ ("qsched.schedule", schedule_cases);
     ("qsched.asap", asap_cases);
-    ("qsched.cls", cls_cases) ]
+    ("qsched.cls", cls_cases);
+    ("qsched.cls_reference", cls_reference_cases) ]

@@ -9,6 +9,7 @@
 
 module Gate = Qgate.Gate
 module Compiler = Qcc.Compiler
+module Backend = Qcc.Backend
 module Strategy = Qcc.Strategy
 
 let device = Qcontrol.Device.default
@@ -56,8 +57,8 @@ let fig4 () =
   header "Fig. 4: QAOA triangle on a 3-qubit line";
   let circuit = Qapps.Qaoa.triangle_example () in
   let config =
-    { Compiler.default_config with
-      Compiler.topology = Some (Qmap.Topology.line 3) }
+    { Backend.default with
+      Backend.topology = Some (Qmap.Topology.line 3) }
   in
   let results = Compiler.compile_all ~config circuit in
   List.iter
@@ -176,7 +177,7 @@ let fig10 () =
       List.map
         (fun w ->
           let config =
-            { Compiler.default_config with Compiler.width_limit = w }
+            { Backend.default with Backend.width_limit = w }
           in
           let r =
             Compiler.compile ~config ~strategy:Strategy.Cls_aggregation circuit
@@ -241,7 +242,7 @@ let verify () =
      Sec. 4.2 diagonal blocks *)
   let narrow =
     Compiler.compile
-      ~config:{ Compiler.default_config with Compiler.width_limit = 2 }
+      ~config:{ Backend.default with Backend.width_limit = 2 }
       ~strategy:Strategy.Cls_aggregation
       (Qapps.Suite.lowered (Qapps.Suite.find "maxcut-line"))
   in
@@ -282,8 +283,8 @@ let fidelity () =
   in
   let circuit = Qapps.Qaoa.circuit ~gamma:0.4 ~beta:1.2 graph in
   let config =
-    { Compiler.default_config with
-      Compiler.topology = Some (Qmap.Topology.line 6) }
+    { Backend.default with
+      Backend.topology = Some (Qmap.Topology.line 6) }
   in
   let noise = Qsim.Noisy_sim.default_noise in
   Printf.printf
@@ -344,8 +345,8 @@ let ablations () =
   List.iter
     (fun interaction ->
       let config =
-        { Compiler.default_config with
-          Compiler.device =
+        { Backend.default with
+          Backend.device =
             Qcontrol.Device.with_interaction interaction Qcontrol.Device.default;
           topology = Some (Qmap.Topology.line 3) }
       in

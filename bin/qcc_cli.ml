@@ -100,7 +100,7 @@ let config topology width arch =
   if width <= 0 then
     failwith
       (Printf.sprintf "--width: %d is not a positive width limit" width);
-  { Qcc.Compiler.device = device_of arch;
+  { Qcc.Backend.device = device_of arch;
     topology = topology_of topology;
     width_limit = width }
 
@@ -602,8 +602,8 @@ let lint_cmd =
               if semantic then
                 Qlint.Check_aggop.run ~stage:"aggregate"
                   ~gate_time:
-                    (Qcontrol.Latency_model.gate_time cfg.Qcc.Compiler.device)
-                  ~width_limit:cfg.Qcc.Compiler.width_limit r.Qcc.Compiler.gdg
+                    (Qcontrol.Latency_model.gate_time cfg.Qcc.Backend.device)
+                  ~width_limit:cfg.Qcc.Backend.width_limit r.Qcc.Compiler.gdg
               else []
             in
             (r.Qcc.Compiler.diagnostics, aggop)
@@ -668,7 +668,7 @@ let analyze_cmd =
       Qgdg.Gdg.of_circuit
         ~latency:
           (Qcontrol.Latency_model.block_time
-             ~width_limit:cfg.Qcc.Compiler.width_limit cfg.Qcc.Compiler.device)
+             ~width_limit:cfg.Qcc.Backend.width_limit cfg.Qcc.Backend.device)
         circuit
     in
     let gr = Qflow.Analysis.gdg gdg in

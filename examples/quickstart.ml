@@ -17,8 +17,8 @@ let () =
     (Qgate.Circuit.gates circuit);
 
   let config =
-    { Qcc.Compiler.default_config with
-      Qcc.Compiler.topology = Some (Qmap.Topology.line 3) }
+    { Qcc.Backend.default with
+      Qcc.Backend.topology = Some (Qmap.Topology.line 3) }
   in
   let results = Qcc.Compiler.compile_all ~config circuit in
   let isa = List.assoc Qcc.Strategy.Isa results in

@@ -11,6 +11,7 @@
      dune exec examples/variational_loop.exe *)
 
 module Compiler = Qcc.Compiler
+module Backend = Qcc.Backend
 module State = Qsim.State
 
 let () =
@@ -19,8 +20,8 @@ let () =
     Qgraph.Graph.of_edges n (List.init n (fun k -> (k, (k + 1) mod n)))
   in
   let config =
-    { Compiler.default_config with
-      Compiler.topology = Some (Qmap.Topology.line n) }
+    { Backend.default with
+      Backend.topology = Some (Qmap.Topology.line n) }
   in
   (* one full compilation fixes the instruction structure and mapping *)
   let t0 = Sys.time () in

@@ -4,10 +4,7 @@
     compiles for: the physical device (interaction type and control
     amplitudes), the qubit connectivity, and the aggregated-instruction
     width limit. Passes reach it through {!Pass.ctx}; alternative targets
-    are alternative values of {!t}, not edits to the compiler.
-
-    {!Compiler.config} is an alias of this record, so existing
-    [{ Compiler.default_config with ... }] call sites keep working. *)
+    are alternative values of {!t}, not edits to the compiler. *)
 
 type t = {
   device : Qcontrol.Device.t;

@@ -5,16 +5,6 @@ let log_src = Logs.Src.create "qcc" ~doc:"qcc compilation pipeline"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-(* re-export so existing [{ default_config with topology = ... }] call
-   sites keep working; the pipeline itself consumes the Backend value *)
-type config = Backend.t = {
-  device : Qcontrol.Device.t;
-  topology : Qmap.Topology.t option;
-  width_limit : int;
-}
-
-let default_config = Backend.default
-
 type result = {
   strategy : Strategy.t;
   schedule : Qsched.Schedule.t;
@@ -79,7 +69,7 @@ let chain_digest strategy =
 let source_digest circuit =
   Digest.to_hex (Digest.string (Qgate.Qasm.to_string circuit))
 
-let compile ?(config = default_config) ?(check = false) ?(certify = false)
+let compile ?(config = Backend.default) ?(check = false) ?(certify = false)
     ?obs ?metrics ?cache ?ledger ?source_label ~strategy circuit =
   (* the ledger needs an enabled trace (per-pass rows) and registry
      (metric snapshot); give it private ones when the caller brought

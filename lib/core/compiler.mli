@@ -22,18 +22,6 @@
 
     The returned GDG and schedule are on physical (device-site) qubits. *)
 
-type config = Backend.t = {
-  device : Qcontrol.Device.t;
-  topology : Qmap.Topology.t option;
-      (** default: smallest near-square grid fitting the circuit *)
-  width_limit : int;  (** aggregation width bound (default 10) *)
-}
-(** Alias for {!Backend.t} — the compiler's view of the target machine.
-    Kept as a transparent record so [{ default_config with ... }] call
-    sites read naturally. *)
-
-val default_config : config
-
 type result = {
   strategy : Strategy.t;
   schedule : Qsched.Schedule.t;
@@ -76,12 +64,14 @@ val canonical_passes : unit -> string list
     derived from the registry (used by [qcc profile]'s pass table). *)
 
 val compile :
-  ?config:config -> ?check:bool -> ?certify:bool -> ?obs:Qobs.Trace.t ->
+  ?config:Backend.t -> ?check:bool -> ?certify:bool -> ?obs:Qobs.Trace.t ->
   ?metrics:Qobs.Metrics.t -> ?cache:Pipeline.Cache.t ->
   ?ledger:Qobs.Ledger.t -> ?source_label:string ->
   strategy:Strategy.t -> Qgate.Circuit.t ->
   result
-(** [~check:true] runs the Qlint checker families at every pass boundary
+(** [~config] (default {!Backend.default}) is the compilation target.
+
+    [~check:true] runs the Qlint checker families at every pass boundary
     (lowered circuit, GDG construction, logical CLS schedule, routing,
     aggregation, final schedule). Warnings and infos accumulate into
     {!field:result.diagnostics}; the first boundary that produces an
@@ -125,7 +115,7 @@ val compile :
     field (e.g. the benchmark or file name). *)
 
 val compile_all :
-  ?config:config -> ?check:bool -> ?certify:bool -> ?obs:Qobs.Trace.t ->
+  ?config:Backend.t -> ?check:bool -> ?certify:bool -> ?obs:Qobs.Trace.t ->
   ?metrics:Qobs.Metrics.t -> ?cache:Pipeline.Cache.t ->
   ?ledger:Qobs.Ledger.t -> ?source_label:string -> ?jobs:int ->
   Qgate.Circuit.t ->
@@ -152,7 +142,7 @@ val compile_all :
     [n > 1]; row contents are not. *)
 
 val compile_matrix :
-  ?config:config -> ?check:bool -> ?certify:bool ->
+  ?config:Backend.t -> ?check:bool -> ?certify:bool ->
   ?metrics:Qobs.Metrics.t -> ?cache:Pipeline.Cache.t ->
   ?ledger:Qobs.Ledger.t -> ?jobs:int ->
   (string * Qgate.Circuit.t) list ->

@@ -7,7 +7,7 @@ let check_same_shape g g' =
     invalid_arg
       "Partial.reparameterize: rebinding must preserve gate kind and qubits"
 
-let reparameterize ?(config = Compiler.default_config) result f =
+let reparameterize ?(config = Backend.default) result f =
   let t0 = Sys.time () in
   let cost gates = Backend.block_cost config gates in
   let rebound =

@@ -11,7 +11,7 @@
     cheaper than compiling from scratch (measured in the tests). *)
 
 val reparameterize :
-  ?config:Compiler.config ->
+  ?config:Backend.t ->
   Compiler.result ->
   (Qgate.Gate.t -> Qgate.Gate.t) ->
   Compiler.result
@@ -19,10 +19,10 @@ val reparameterize :
     instruction through [f]. [f] must preserve the gate's name and
     qubits (only parameters may change); [Invalid_argument] otherwise.
     [config] must match the one used for the original compilation
-    (defaults to {!Compiler.default_config}). *)
+    (defaults to {!Backend.default}). *)
 
 val rebind_rotations :
-  ?config:Compiler.config ->
+  ?config:Backend.t ->
   Compiler.result ->
   gamma:float ->
   beta:float ->

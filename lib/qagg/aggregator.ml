@@ -110,10 +110,9 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
       Hashtbl.replace cost_cache key v;
       v
   in
-  (* persistent state maintained across merges and sweeps: commutation
-     groups (refreshed on the merged support, which the qgdg suite pins
-     as equivalent to a rebuild), chain positions, slack tables, and the
-     candidate universe indexed by shared qubit *)
+  (* state kept across merges and sweeps: commutation groups (refreshed
+     on the merged support, which the qgdg suite pins as equivalent to a
+     rebuild) and the timing tables *)
   let groups = Comm_group.build ~commute g in
   let slack = ref (Timing.create g) in
   let slack_visits = ref 0 in
@@ -135,49 +134,6 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
                || s.succ.((a * nq) + q) = b))
          common
   in
-  (* each pair is registered under (q, endpoint) for every qubit its
-     endpoints share — its stored common-qubit list makes removal
-     possible after an endpoint has been merged away, and the per-node
-     registry lets a merge invalidate only the pairs touching the nodes
-     whose chain neighbourhood or group actually changed *)
-  let universe : (int * int, int list) Hashtbl.t = Hashtbl.create 1024 in
-  let reg : (int * int, (int * int, unit) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 4096
-  in
-  let reg_tbl key =
-    match Hashtbl.find_opt reg key with
-    | Some t -> t
-    | None ->
-      let t = Hashtbl.create 8 in
-      Hashtbl.replace reg key t;
-      t
-  in
-  let add_pair ((a, b) as p) =
-    if not (Hashtbl.mem universe p) then begin
-      let common = Inst.common_qubits (Gdg.find g a) (Gdg.find g b) in
-      Hashtbl.replace universe p common;
-      List.iter
-        (fun q ->
-          Hashtbl.replace (reg_tbl (q, a)) p ();
-          Hashtbl.replace (reg_tbl (q, b)) p ())
-        common
-    end
-  in
-  let remove_pair ((a, b) as p) =
-    match Hashtbl.find_opt universe p with
-    | None -> ()
-    | Some common ->
-      Hashtbl.remove universe p;
-      List.iter
-        (fun q ->
-          (match Hashtbl.find_opt reg (q, a) with
-          | Some t -> Hashtbl.remove t p
-          | None -> ());
-          match Hashtbl.find_opt reg (q, b) with
-          | Some t -> Hashtbl.remove t p
-          | None -> ())
-        common
-  in
   (* per-qubit candidate enumeration: a valid pair shares some qubit on
      which the two members are chain-adjacent or same-group, so walking
      one chain's consecutive pairs plus each group's ordered pairs
@@ -188,123 +144,42 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
     merged_width g u v <= width_limit
     && schedulable (Gdg.find g u) (Gdg.find g v)
   in
-  let add_candidates_on q =
-    let rec consec = function
-      | u :: (v :: _ as rest) ->
-        if pair_ok u v then add_pair (u, v);
-        consec rest
-      | _ -> ()
-    in
-    consec (Gdg.chain_ids g q);
-    List.iter
-      (fun group ->
-        let rec pairs = function
-          | [] -> ()
-          | u :: rest ->
-            List.iter (fun v -> if pair_ok u v then add_pair (u, v)) rest;
-            pairs rest
-        in
-        pairs group)
-      (Comm_group.groups_on groups q)
-  in
-  for q = 0 to Gdg.n_qubits g - 1 do
-    add_candidates_on q
-  done;
-  (* After merging [a] and [b] into [merged], a pair's candidacy can flip
-     only through a changed per-qubit certificate — same-group membership
-     or chain adjacency on a shared qubit — and both are confined to a
-     window around the splice. Groups outside the structurally-unchanged
-     prefix/suffix of the old vs. new group lists ("middle" groups) hold
-     every node whose group membership moved (equal-index ⟺ same-group
-     survives an index shift, so untouched groups certify unchanged
-     membership even when their positions slide); adjacency changes only
-     at [merged]'s position and where [a]/[b] left their chains. The
-     union of those nodes is the changed set: pairs registered under
-     (q, changed node) are dropped, then each changed node re-proposes
-     its chain-neighbour pairs and its current-group pairs, which covers
-     every certificate a dropped-or-new candidate could hold on q.
-     Positions only shift uniformly past the splice, so relative chain
-     order — the remaining ingredient of candidacy — never changes for
-     surviving pairs. *)
-  let update_universe_after_merge ~a ~b (merged : Inst.t) ~old_groups
-      ~old_neighbors =
-    let s : Timing.t = !slack in
-    let nq = s.nq in
-    List.iter
-      (fun q ->
-        let old_gs = List.assoc q old_groups in
-        let new_gs = Comm_group.groups_on groups q in
-        let rec strip xs ys =
-          match (xs, ys) with
-          | x :: xs', y :: ys' when x = y -> strip xs' ys'
-          | _ -> (xs, ys)
-        in
-        let mid_old, mid_new =
-          let xs, ys = strip old_gs new_gs in
-          let rx, ry = strip (List.rev xs) (List.rev ys) in
-          (List.rev rx, List.rev ry)
-        in
-        let changed =
-          List.sort_uniq compare
-            (List.filter
-               (fun x -> x >= 0)
-               (a :: b :: merged.Inst.id
-                :: s.pred.((merged.Inst.id * nq) + q)
-                :: s.succ.((merged.Inst.id * nq) + q)
-                :: (List.assoc q old_neighbors
-                   @ List.concat mid_old @ List.concat mid_new)))
-        in
-        List.iter
-          (fun x ->
-            match Hashtbl.find_opt reg (q, x) with
-            | None -> ()
-            | Some pairs ->
-              Hashtbl.fold (fun p () acc -> p :: acc) pairs []
-              |> List.iter remove_pair)
-          changed;
-        List.iter
-          (fun x ->
-            if Gdg.mem g x then begin
-              let p = s.pred.((x * nq) + q) and c = s.succ.((x * nq) + q) in
-              if p >= 0 && pair_ok p x then add_pair (p, x);
-              if c >= 0 && pair_ok x c then add_pair (x, c);
-              match Comm_group.group_index groups ~qubit:q x with
-              | exception Not_found -> ()
-              | gi ->
-                let group = List.nth (Comm_group.groups_on groups q) gi in
-                (* group lists preserve chain order: members before [x]
-                   are the earlier element of their pair *)
-                let rec before = function
-                  | [] -> ()
-                  | w :: rest ->
-                    if w = x then after rest
-                    else begin
-                      if pair_ok w x then add_pair (w, x);
-                      before rest
-                    end
-                and after = function
-                  | [] -> ()
-                  | w :: rest ->
-                    if pair_ok x w then add_pair (x, w);
-                    after rest
-                in
-                before group
-            end)
-          changed)
-      merged.Inst.qubits
+  let candidates () =
+    let seen : (int * int, unit) Hashtbl.t = Hashtbl.create 1024 in
+    let add u v = if pair_ok u v then Hashtbl.replace seen (u, v) () in
+    for q = 0 to Gdg.n_qubits g - 1 do
+      let rec consec = function
+        | u :: (v :: _ as rest) ->
+          add u v;
+          consec rest
+        | _ -> ()
+      in
+      consec (Gdg.chain_ids g q);
+      List.iter
+        (fun group ->
+          let rec pairs = function
+            | [] -> ()
+            | u :: rest ->
+              List.iter (add u) rest;
+              pairs rest
+          in
+          pairs group)
+        (Comm_group.groups_on groups q)
+    done;
+    Hashtbl.fold (fun p () acc -> p :: acc) seen []
   in
   let merges = ref 0 and rounds = ref 0 in
   let continue_outer = ref true in
   while !continue_outer && !rounds < max_rounds do
     incr rounds;
     let merged_this_round = ref 0 in
-    (* inner sweeps: score the maintained universe, then apply best-first
-       with rechecks against the live tables *)
+    (* inner sweeps: enumerate and score the action space, then apply
+       best-first with rechecks against the live tables *)
     let sweep_again = ref true in
     while !sweep_again do
       sweep_again := false;
       let scored =
-        Hashtbl.fold (fun p _ acc -> p :: acc) universe []
+        candidates ()
         |> List.filter_map (fun (a, b) ->
                Qobs.Metrics.tick "agg.attempted";
                let ia = Gdg.find g a and ib = Gdg.find g b in
@@ -348,28 +223,8 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
               incr merges;
               incr merged_this_round;
               sweep_again := true;
-              (* pre-merge groups and splice neighbours, read before the
-                 refresh / splice overwrite them — the universe diff
-                 needs both sides of the change *)
-              let old_groups =
-                List.map
-                  (fun q -> (q, Comm_group.groups_on groups q))
-                  merged.Inst.qubits
-              in
-              let old_neighbors =
-                let s : Timing.t = !slack in
-                let nq = s.nq in
-                List.map
-                  (fun q ->
-                    ( q,
-                      [ s.pred.((a * nq) + q); s.succ.((a * nq) + q);
-                        s.pred.((b * nq) + q); s.succ.((b * nq) + q) ] ))
-                  merged.Inst.qubits
-              in
               Comm_group.refresh ~commute groups g ~qubits:merged.Inst.qubits;
-              slack_visits := !slack_visits + Timing.splice !slack ~a ~b merged;
-              update_universe_after_merge ~a ~b merged ~old_groups
-                ~old_neighbors
+              slack_visits := !slack_visits + Timing.splice !slack ~a ~b merged
           end)
         scored
     done;
@@ -384,8 +239,8 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
         end)
       (Gdg.insts g);
     (* latencies moved globally, so the slack fixpoint is rebuilt once per
-       round; groups, positions and the candidate universe are
-       latency-independent and stay valid *)
+       round; groups and chain positions are latency-independent and stay
+       valid *)
     if !recosted then slack := Timing.create g;
     if !merged_this_round = 0 && not !recosted then continue_outer := false
   done;

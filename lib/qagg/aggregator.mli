@@ -50,9 +50,17 @@ val run :
     that bound the cycle probe inside {!Qgdg.Gdg.merge}. Commutation goes
     through one {!Qgdg.Comm_group.oracle_commute}, one summary per block
     id, under an id-pair decision cache. The commutation groups are
-    regrouped in the window around the splice ({!Qgdg.Comm_group.refresh}),
-    and the candidate universe is invalidated only for pairs both of whose
-    endpoints act on the merged support's chains — a pair's candidacy
-    reads nothing else, so everything outside that window is provably
-    unchanged. The test suite pins the accepted-merge sequence, the round count and the final
-    graph against a full-recompute specification of the same search. *)
+    regrouped in the window around the splice ({!Qgdg.Comm_group.refresh}).
+
+    Each inner sweep enumerates the action space afresh: per qubit, the
+    chain's consecutive pairs and each commutation group's ordered pairs,
+    kept when they are schedulable and within [width_limit], deduplicated
+    across qubits. A schedulable pair is chain-adjacent or same-group on
+    every qubit it shares, so it is found on any of them, and the
+    enumeration equals the all-pairs action space of the specification;
+    its size is ticked as [agg.attempted]. Scored candidates are applied
+    in (gain descending, pair) order, a total order, so the order of
+    enumeration cannot change a decision. The test suite pins the
+    accepted-merge sequence, the round count, the attempted count and the
+    final graph against a full-recompute specification of the same
+    search. *)

@@ -149,6 +149,9 @@ let children g id =
   |> List.sort_uniq (fun (a : Inst.t) b -> compare a.Inst.id b.Inst.id)
 
 let set_latency g id latency =
+  if not (Float.is_finite latency) then
+    invalid_arg "Gdg.set_latency: non-finite latency";
+  if latency < 0. then invalid_arg "Gdg.set_latency: negative latency";
   let inst = find g id in
   Hashtbl.replace g.nodes id { inst with Inst.latency }
 

@@ -78,6 +78,8 @@ val merge : ?rank:(int -> float) -> t -> latency:float -> int -> int -> Inst.t
     merges; [rank] is purely a cost optimization. *)
 
 val set_latency : t -> int -> float -> unit
+(** Replaces one node's latency. Raises [Invalid_argument] on a nan,
+    infinite or negative latency, as {!Inst.make} does. *)
 
 val asap : t -> (int * (float * float)) list * float
 (** Chain-order ASAP schedule: per-node (start, finish) and the makespan.

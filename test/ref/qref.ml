@@ -316,21 +316,23 @@ let merge_bound ~pessimism (ia : Inst.t) (ib : Inst.t) ~predicted =
     if Inst.width ia = 1 || Inst.width ib = 1 then predicted
     else ia.Inst.latency +. ib.Inst.latency
 
-type aggregate_stats = { merges : int; rounds : int }
+type aggregate_stats = { merges : int; rounds : int; attempted : int }
 
 (* The global-best-action loop of §4.3, recomputed from scratch: every
    sweep enumerates all candidates, scores the monotonic ones by gain and
    applies them best first, rechecking each against the graph as merged
-   so far; groups and slack are rebuilt after every merge and every
-   merge runs the full topological cycle check. When a sweep merges
-   nothing, every block is re-costed and the next round starts; the
-   search stops at a round that neither merges nor re-costs. *)
+   so far; [attempted] sums the enumerated candidates over all sweeps.
+   Groups and slack are rebuilt after every merge and every merge runs
+   the full topological cycle check. When a sweep merges nothing, every
+   block is re-costed and the next round starts; the search stops at a
+   round that neither merges nor re-costs. *)
 let aggregate_reference ?(width_limit = 10) ?(max_rounds = 8)
     ?(pessimism = `Model) ~cost g =
   let merged_cost a b =
     cost ((Gdg.find g a).Inst.gates @ (Gdg.find g b).Inst.gates)
   in
   let merges = ref 0 and rounds = ref 0 and converged = ref false in
+  let attempted = ref 0 in
   while (not !converged) && !rounds < max_rounds do
     incr rounds;
     let merged_this_round = ref 0 and sweep_again = ref true in
@@ -343,7 +345,9 @@ let aggregate_reference ?(width_limit = 10) ?(max_rounds = 8)
         monotonic g !sl a b
           ~merged_latency:(merge_bound ~pessimism ia ib ~predicted)
       in
-      candidates g !groups ~width_limit
+      let cands = candidates g !groups ~width_limit in
+      attempted := !attempted + List.length cands;
+      cands
       |> List.filter_map (fun (a, b) ->
              let gain =
                (Gdg.find g a).Inst.latency +. (Gdg.find g b).Inst.latency
@@ -379,7 +383,7 @@ let aggregate_reference ?(width_limit = 10) ?(max_rounds = 8)
       (Gdg.insts g);
     if !merged_this_round = 0 && not !recosted then converged := true
   done;
-  { merges = !merges; rounds = !rounds }
+  { merges = !merges; rounds = !rounds; attempted = !attempted }
 
 (* ---- CLS (paper §3.3.2, Algorithm 1) ---- *)
 

@@ -96,8 +96,8 @@ let noisy_cases =
         in
         let circuit = Qapps.Qaoa.circuit ~gamma:0.4 ~beta:1.2 graph in
         let config =
-          { Qcc.Compiler.default_config with
-            Qcc.Compiler.topology = Some (Qmap.Topology.line 5) }
+          { Qcc.Backend.default with
+            Qcc.Backend.topology = Some (Qmap.Topology.line 5) }
         in
         let fid strategy =
           let r = Qcc.Compiler.compile ~config ~strategy circuit in
@@ -176,8 +176,8 @@ let arch_cases =
         List.iter
           (fun i ->
             let config =
-              { Qcc.Compiler.default_config with
-                Qcc.Compiler.device = dev i;
+              { Qcc.Backend.default with
+                Qcc.Backend.device = dev i;
                 topology = Some (Qmap.Topology.line 3) }
             in
             let r =

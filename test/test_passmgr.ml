@@ -4,6 +4,7 @@
 
 open Util
 module Compiler = Qcc.Compiler
+module Backend = Qcc.Backend
 module Strategy = Qcc.Strategy
 module Pipeline = Qcc.Pipeline
 module Pass = Qcc.Pass
@@ -122,7 +123,7 @@ let cache_cases =
         let circuit = circuit_of "maxcut-line" in
         let cache = Pipeline.Cache.create () in
         let r1 = Compiler.compile ~cache ~strategy:Strategy.Isa circuit in
-        let config = { Compiler.default_config with width_limit = 4 } in
+        let config = { Backend.default with width_limit = 4 } in
         let r2 = Compiler.compile ~config ~cache ~strategy:Strategy.Isa circuit in
         check_int "no cross-backend hits" 0 (Pipeline.Cache.hits cache);
         check_bool "distinct gdg" true (r1.Compiler.gdg != r2.Compiler.gdg));

@@ -7,6 +7,7 @@ open Util
 module Gate = Qgate.Gate
 module Circuit = Qgate.Circuit
 module Compiler = Qcc.Compiler
+module Backend = Qcc.Backend
 module Strategy = Qcc.Strategy
 
 let topologies n =
@@ -86,8 +87,8 @@ let fuzz_strategy strategy =
         (fun topology ->
           let width = 2 + Qgraph.Rand.int rng 6 in
           let config =
-            { Compiler.default_config with
-              Compiler.topology = Some topology;
+            { Backend.default with
+              Backend.topology = Some topology;
               width_limit = width }
           in
           let r = Compiler.compile ~config ~strategy circuit in
@@ -116,8 +117,8 @@ let failure_injection_cases =
         check_bool "latency positive" true (r.Compiler.latency > 0.));
     case "device too small raises" (fun () ->
         let config =
-          { Compiler.default_config with
-            Compiler.topology = Some (Qmap.Topology.line 2) }
+          { Backend.default with
+            Backend.topology = Some (Qmap.Topology.line 2) }
         in
         check_bool "raises" true
           (try

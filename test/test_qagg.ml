@@ -66,10 +66,16 @@ let final_blocks g =
        (fun (i : Inst.t) -> (i.Inst.id, i.Inst.gates, i.Inst.latency))
        (Gdg.insts g))
 
-let matches_reference (inc : Aggregator.stats) (spec : Qref.aggregate_stats)
-    g r =
+(* [run] under its own metrics registry, with its [agg.attempted] count *)
+let run_counted ~cost g =
+  let m = Qobs.Metrics.create () in
+  let stats = Qobs.Metrics.with_ambient m (fun () -> Aggregator.run ~cost g) in
+  (stats, Qobs.Metrics.counter_value m "agg.attempted")
+
+let matches_reference (inc, attempted) (spec : Qref.aggregate_stats) g r =
   inc.Aggregator.merges = spec.Qref.merges
   && inc.Aggregator.rounds = spec.Qref.rounds
+  && attempted = spec.Qref.attempted
   && final_blocks g = final_blocks r
 
 let aggregator_cases =
@@ -140,14 +146,17 @@ let aggregator_cases =
     case "rejects a bad input latency" (fun () ->
         List.iter
           (fun bad ->
-            (* [Inst.make] refuses a non-finite latency, so the bad value
-               enters through [Gdg.set_latency], which does not check *)
-            let g = gdg_of [ Gate.cnot 0 1 ] 2 in
-            Gdg.set_latency g 0 bad;
+            (* [Inst.make] and [Gdg.set_latency] refuse a bad latency, so
+               the bad value enters as a raw record *)
+            let i =
+              { Inst.id = 0; gates = [ Gate.cnot 0 1 ]; qubits = [ 0; 1 ];
+                latency = bad }
+            in
+            let g = Gdg.of_insts ~n_qubits:2 [ i ] in
             match Aggregator.run ~cost g with
             | _ -> Alcotest.failf "input latency %g accepted" bad
             | exception Invalid_argument _ -> ())
-          [ nan; infinity ]);
+          [ nan; infinity; -1. ]);
     qcheck ~count:12 "aggregation preserves semantics on random circuits"
       QCheck.(int_range 0 10000)
       (fun seed ->
@@ -177,10 +186,11 @@ let aggregator_cases =
         ignore (Aggregator.run ~cost g);
         Gdg.validate g;
         semantics_preserved circuit g);
-    (* the incremental aggregator (maintained slack, windowed candidate
-       universe, memoized caches) against the full-recompute specification
-       in Qref: same merge count, same rounds and the same final graph,
-       merged-node ids included, from the same starting graph *)
+    (* the incremental aggregator (spliced timing tables, windowed
+       regrouping, memoized caches) against the full-recompute
+       specification in Qref: same merge count, same rounds, the same
+       number of candidates enumerated over all sweeps and the same final
+       graph, merged-node ids included, from the same starting graph *)
     qcheck ~count:10 "incremental aggregator matches the reference"
       QCheck.(int_range 0 10000)
       (fun seed ->
@@ -189,7 +199,7 @@ let aggregator_cases =
         let circuit = Circuit.make 5 gates in
         let g = Gdg.of_circuit ~latency:cost circuit in
         let r = Gdg.copy g in
-        let inc = Aggregator.run ~cost g in
+        let inc = run_counted ~cost g in
         let spec = Qref.aggregate_reference ~cost r in
         Gdg.validate g;
         matches_reference inc spec g r && semantics_preserved circuit g);
@@ -209,7 +219,7 @@ let aggregator_cases =
         let g = Gdg.of_circuit ~latency:cost circuit in
         ignore (Qgdg.Diagonal.detect_and_contract ~latency:cost g);
         let r = Gdg.copy g in
-        let inc = Aggregator.run ~cost g in
+        let inc = run_counted ~cost g in
         let spec = Qref.aggregate_reference ~cost r in
         Gdg.validate g;
         matches_reference inc spec g r && semantics_preserved circuit g);
@@ -229,7 +239,7 @@ let aggregator_cases =
         let circuit = Circuit.make 5 gates in
         let g = Gdg.of_circuit ~latency:cost circuit in
         let r = Gdg.copy g in
-        let inc = Aggregator.run ~cost g in
+        let inc = run_counted ~cost g in
         let spec = Qref.aggregate_reference ~cost r in
         Gdg.validate g;
         matches_reference inc spec g r && semantics_preserved circuit g) ]

@@ -4,6 +4,7 @@ open Util
 module Gate = Qgate.Gate
 module Circuit = Qgate.Circuit
 module Compiler = Qcc.Compiler
+module Backend = Qcc.Backend
 module Strategy = Qcc.Strategy
 
 let handopt_semantics original =
@@ -64,7 +65,7 @@ let handopt_cases =
         check_bool "triangle" true (handopt_semantics (Qapps.Qaoa.triangle_example ()))) ]
 
 let line3 =
-  { Compiler.default_config with Compiler.topology = Some (Qmap.Topology.line 3) }
+  { Backend.default with Backend.topology = Some (Qmap.Topology.line 3) }
 
 let compiler_cases =
   [ case "all strategies beat or match nothing-worse-than-2x" (fun () ->
@@ -116,7 +117,7 @@ let compiler_cases =
           Strategy.all);
     case "width limit respected end to end" (fun () ->
         let circuit = Qapps.Qaoa.circuit (Qapps.Graphs.line 6) in
-        let config = { Compiler.default_config with Compiler.width_limit = 3 } in
+        let config = { Backend.default with Backend.width_limit = 3 } in
         let r = Compiler.compile ~config ~strategy:Strategy.Cls_aggregation circuit in
         List.iter
           (fun block ->
@@ -137,7 +138,7 @@ let compiler_cases =
         List.iter
           (fun topology ->
             let config =
-              { Compiler.default_config with Compiler.topology = Some topology }
+              { Backend.default with Backend.topology = Some topology }
             in
             let n = Qmap.Topology.n_sites topology in
             List.iter
@@ -212,8 +213,8 @@ let integration_cases =
         let graph = Qgraph.Graph.of_edges 5 (List.init 5 (fun k -> (k, (k + 1) mod 5))) in
         let circuit = Qapps.Qaoa.circuit ~gamma:0.4 ~beta:1.2 graph in
         let config =
-          { Compiler.default_config with
-            Compiler.topology = Some (Qmap.Topology.full 5) }
+          { Backend.default with
+            Backend.topology = Some (Qmap.Topology.full 5) }
         in
         let r = Compiler.compile ~config ~strategy:Strategy.Cls_aggregation circuit in
         let compiled = Circuit.make 5 (List.concat (Compiler.blocks r)) in

@@ -281,6 +281,18 @@ let gdg_cases =
         let g = qaoa_triangle () in
         Gdg.set_latency g 0 42.0;
         check_float "updated" 42.0 (Gdg.find g 0).Inst.latency);
+    case "set_latency rejects nan" (fun () ->
+        Alcotest.check_raises "raises"
+          (Invalid_argument "Gdg.set_latency: non-finite latency")
+          (fun () -> Gdg.set_latency (qaoa_triangle ()) 0 nan));
+    case "set_latency rejects infinity" (fun () ->
+        Alcotest.check_raises "raises"
+          (Invalid_argument "Gdg.set_latency: non-finite latency")
+          (fun () -> Gdg.set_latency (qaoa_triangle ()) 0 infinity));
+    case "set_latency rejects a negative latency" (fun () ->
+        Alcotest.check_raises "raises"
+          (Invalid_argument "Gdg.set_latency: negative latency")
+          (fun () -> Gdg.set_latency (qaoa_triangle ()) 0 (-1.)));
     case "neighbor tables match pred_on" (fun () ->
         let g = qaoa_triangle () in
         let pred, succ = Gdg.neighbor_tables g in

@@ -5,6 +5,7 @@ open Util
 module Gate = Qgate.Gate
 module Circuit = Qgate.Circuit
 module Compiler = Qcc.Compiler
+module Backend = Qcc.Backend
 
 let nelder_mead_cases =
   [ case "quadratic bowl" (fun () ->
@@ -39,8 +40,8 @@ let nelder_mead_cases =
         check_float ~eps:0. "same" a.Qopt.Nelder_mead.value b.Qopt.Nelder_mead.value) ]
 
 let line n =
-  { Compiler.default_config with
-    Compiler.topology = Some (Qmap.Topology.line n) }
+  { Backend.default with
+    Backend.topology = Some (Qmap.Topology.line n) }
 
 let partial_cases =
   [ case "rebinding preserves structure" (fun () ->

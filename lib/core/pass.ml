@@ -66,8 +66,12 @@ let with_span ctx name f =
 let note_gdg ctx gdg =
   if observing ctx then begin
     let nodes = Qgdg.Gdg.size gdg in
-    let _, succ = Qgdg.Gdg.neighbor_tables gdg in
-    let edges = Hashtbl.length succ in
+    (* (node, qubit) pairs with a chain successor *)
+    let edges =
+      Array.fold_left
+        (fun acc x -> acc + max 0 (List.length (Qgdg.Gdg.chain_ids gdg x) - 1))
+        0 (Array.init (Qgdg.Gdg.n_qubits gdg) Fun.id)
+    in
     Qobs.Trace.attr_int ctx.obs "nodes" nodes;
     Qobs.Trace.attr_int ctx.obs "edges" edges;
     Qobs.Metrics.gauge ctx.metrics "gdg.nodes" (float_of_int nodes);

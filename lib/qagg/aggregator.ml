@@ -13,38 +13,36 @@ type stats = {
 (* merged block placed at a's start, delayed by b's predecessors on the
    qubits a does not cover; monotonic iff every successor's latest start
    (the makespan minus its tail) and the makespan still hold under the
-   pessimistic serial latency *)
-let monotonic g (slack : Timing.t) a b ~merged_latency =
-  let nq = slack.nq in
-  let ia = Gdg.find g a and ib = Gdg.find g b in
-  let delay =
-    List.fold_left
-      (fun acc q ->
-        if Inst.acts_on ia q then acc
-        else
-          let p = slack.pred.(b * nq + q) in
-          if p >= 0 && p <> a then Float.max acc slack.finish.(p) else acc)
-      0. ib.Inst.qubits
+   pessimistic serial latency. Chain neighbours are read from the links
+   of [a] and [b] (see {!Gdg.t}). *)
+let monotonic (slack : Timing.t) a b ~merged_latency =
+  let g = slack.g in
+  let la = g.Gdg.links.(a) and lb = g.Gdg.links.(b) in
+  let wa = Array.length la / 4 and wb = Array.length lb / 4 in
+  let on_a q =
+    let rec go k = k < wa && (la.(k) = q || go (k + 1)) in
+    go 0
   in
-  let new_start = Float.max slack.start.(a) delay in
+  let delay = ref 0. in
+  for k = 0 to wb - 1 do
+    if not (on_a lb.(k)) then begin
+      let p = lb.(wb + k) in
+      if p >= 0 && p <> a then delay := Float.max !delay slack.finish.(p)
+    end
+  done;
+  let new_start = Float.max slack.start.(a) !delay in
   let new_finish = new_start +. merged_latency in
-  let succ_of id qubits =
-    List.filter_map
-      (fun q ->
-        let c = slack.succ.(id * nq + q) in
-        if c >= 0 then Some c else None)
-      qubits
-  in
-  let succs =
-    List.sort_uniq compare
-      (List.filter
-         (fun c -> c <> a && c <> b)
-         (succ_of a ia.Inst.qubits @ succ_of b ib.Inst.qubits))
+  (* every chain successor of either member, the other member aside *)
+  let rec succs_hold l w k =
+    k >= 3 * w
+    || (let c = l.(k) in
+        c < 0 || c = a || c = b
+        || new_finish <= slack.makespan -. slack.tail.(c) +. 1e-9)
+       && succs_hold l w (k + 1)
   in
   new_finish <= slack.makespan +. 1e-9
-  && List.for_all
-       (fun c -> new_finish <= slack.makespan -. slack.tail.(c) +. 1e-9)
-       succs
+  && succs_hold la wa (2 * wa)
+  && succs_hold lb wb (2 * wb)
 
 (* the monotonicity bound for a candidate merge: the paper's pessimistic
    serial sum by default, except that absorbing a single 1-qubit gate is
@@ -116,23 +114,32 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
   let groups = Comm_group.build ~commute g in
   let slack = ref (Timing.create g) in
   let slack_visits = ref 0 in
-  (* the action-space test of paper §4.1 against the array-backed chain
-     tables: [a] precedes [b] on every shared qubit, where the two are
-     same-group siblings or chain-adjacent; O(shared qubits) array reads *)
-  let schedulable (ia : Inst.t) (ib : Inst.t) =
-    let s : Timing.t = !slack in
-    let nq = s.nq in
-    let a = ia.Inst.id and b = ib.Inst.id in
+  (* the action-space test of paper §4.1 against the chain links: [a]
+     precedes [b] on every shared qubit, where the two are same-group
+     siblings or chain-adjacent; O(width²) array reads *)
+  let schedulable a b =
     a <> b
     &&
-    let common = Inst.common_qubits ia ib in
-    common <> []
-    && List.for_all
-         (fun q ->
-           s.pos.((a * nq) + q) < s.pos.((b * nq) + q)
-           && (Comm_group.same_group groups ~qubit:q a b
-               || s.succ.((a * nq) + q) = b))
-         common
+    let la = g.Gdg.links.(a) and lb = g.Gdg.links.(b) in
+    let wa = Array.length la / 4 and wb = Array.length lb / 4 in
+    let shared = ref false in
+    let rec holds ka =
+      ka >= wa
+      || (let q = la.(ka) in
+          let rec slot_b kb =
+            if kb >= wb then -1 else if lb.(kb) = q then kb else slot_b (kb + 1)
+          in
+          let kb = slot_b 0 in
+          kb < 0
+          || begin
+            shared := true;
+            la.((3 * wa) + ka) < lb.((3 * wb) + kb)
+            && (Comm_group.same_group groups ~qubit:q a b
+                || la.((2 * wa) + ka) = b)
+          end)
+         && holds (ka + 1)
+    in
+    holds 0 && !shared
   in
   (* per-qubit candidate enumeration: a valid pair shares some qubit on
      which the two members are chain-adjacent or same-group, so walking
@@ -142,7 +149,7 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
      schedulable pairs, without the per-node group searches *)
   let pair_ok u v =
     merged_width g u v <= width_limit
-    && schedulable (Gdg.find g u) (Gdg.find g v)
+    && schedulable u v
   in
   let candidates () =
     let seen : (int * int, unit) Hashtbl.t = Hashtbl.create 1024 in
@@ -185,7 +192,7 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
                let ia = Gdg.find g a and ib = Gdg.find g b in
                let predicted = merged_cost a b in
                let bound = merge_bound ~pessimism ia ib ~predicted in
-               if monotonic g !slack a b ~merged_latency:bound then begin
+               if monotonic !slack a b ~merged_latency:bound then begin
                  let gain = ia.Inst.latency +. ib.Inst.latency -. predicted in
                  (* neutral-gain growth merges are allowed: they never
                     lengthen the schedule and enable later wide wins *)
@@ -205,26 +212,24 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
           if
             Gdg.mem g a && Gdg.mem g b
             && merged_width g a b <= width_limit
-            && schedulable (Gdg.find g a) (Gdg.find g b)
+            && schedulable a b
             &&
             let predicted = merged_cost a b in
             let bound =
               merge_bound ~pessimism (Gdg.find g a) (Gdg.find g b) ~predicted
             in
-            monotonic g !slack a b ~merged_latency:bound
+            monotonic !slack a b ~merged_latency:bound
           then begin
             let predicted = merged_cost a b in
-            match
-              Gdg.merge ~rank:(Timing.rank !slack) g ~latency:predicted a b
-            with
+            match Timing.merge !slack ~latency:predicted a b with
             | exception Invalid_argument _ -> ()
-            | merged ->
+            | merged, pops ->
               Qobs.Metrics.tick "agg.accepted";
               incr merges;
               incr merged_this_round;
               sweep_again := true;
               Comm_group.refresh ~commute groups g ~qubits:merged.Inst.qubits;
-              slack_visits := !slack_visits + Timing.splice !slack ~a ~b merged
+              slack_visits := !slack_visits + pops
           end)
         scored
     done;

@@ -41,13 +41,15 @@ val run :
     node of the input graph, or [cost] for any block, has a nan, infinite
     or negative latency.
 
-    The search is incremental. The chain links, ASAP starts and
-    makespan-free deadlines (each node's tail; a successor's latest start
-    is the makespan minus its tail) are one {!Qgdg.Timing} table, patched
-    by {!Qgdg.Timing.splice} after each accepted merge and rebuilt only
-    when a round re-costs the blocks; its worklist pops are ticked as
-    [agg.slack_visits] once per run, and its ASAP starts are the ranks
-    that bound the cycle probe inside {!Qgdg.Gdg.merge}. Commutation goes
+    The search is incremental. Chain neighbours and positions are read
+    from the {!Qgdg.Gdg} links. ASAP starts and makespan-free deadlines
+    (each node's tail; a successor's latest start is the makespan minus
+    its tail) are one {!Qgdg.Timing} table: every merge goes through
+    {!Qgdg.Timing.merge}, which re-propagates the times around the splice,
+    and the table is rebuilt only when a round re-costs the blocks. Its
+    worklist pops are ticked as [agg.slack_visits] once per run, and its
+    ASAP starts are the ranks that bound the cycle probe inside
+    {!Qgdg.Gdg.merge}, which exclusive-edge merges skip. Commutation goes
     through one {!Qgdg.Comm_group.oracle_commute}, one summary per block
     id, under an id-pair decision cache. The commutation groups are
     regrouped in the window around the splice ({!Qgdg.Comm_group.refresh}).

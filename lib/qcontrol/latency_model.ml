@@ -239,20 +239,17 @@ let segments gates =
    instructions optimized to ~0.2-0.3 of their gate-based time *)
 let width_discount k = Float.max 0.25 (1.4 /. float_of_int k)
 
-(* order-preserving relabelling of a block onto 0..k-1, serialized as a
-   content-addressed key: every cost below depends only on the relative
-   qubit pattern, so congruent blocks on different wires share entries.
-   Float parameters are keyed by their exact bit patterns via Marshal. *)
+(* order-preserving relabelling of a block onto 0..k-1, encoded as a
+   content-addressed key ({!Gate.add_key}): every cost below depends only
+   on the relative qubit pattern, so congruent blocks on different wires
+   share entries. Float parameters are keyed by their exact bit
+   patterns. *)
 let block_shape support gates =
   let local = Hashtbl.create 8 in
   List.iteri (fun k q -> Hashtbl.replace local q k) support;
-  let shape =
-    List.map
-      (fun g ->
-        (g.Gate.kind, List.map (Hashtbl.find local) (Gate.qubits g)))
-      gates
-  in
-  Marshal.to_string shape []
+  let key = Buffer.create 64 in
+  List.iter (Gate.add_key key ~qubit:(Hashtbl.find local)) gates;
+  Buffer.contents key
 
 (* Weyl coordinates of a 2-qubit shape's composed unitary [u ()],
    memoized by the shape alone ([memos].coords): they do not depend on

@@ -42,17 +42,16 @@ let gdg g =
   let order = Qgdg.Gdg.insts g in
   let pos = Hashtbl.create 64 in
   List.iteri (fun k (i : Qgdg.Inst.t) -> Hashtbl.replace pos i.Qgdg.Inst.id k) order;
-  let preds, succs = Qgdg.Gdg.neighbor_tables g in
   (* per-instruction output values on its support qubits *)
   let out : (int, (int * Absval.t) list) Hashtbl.t = Hashtbl.create 64 in
   let info : (int, inst_info) Hashtbl.t = Hashtbl.create 64 in
   let input_of (i : Qgdg.Inst.t) =
     List.map
       (fun q ->
-        match Hashtbl.find_opt preds (i.Qgdg.Inst.id, q) with
+        match Qgdg.Gdg.pred_on g i.Qgdg.Inst.id ~qubit:q with
         | None -> (q, Absval.bottom)
         | Some p -> (
-          match Hashtbl.find_opt out p with
+          match Hashtbl.find_opt out p.Qgdg.Inst.id with
           | Some vals -> (q, try List.assoc q vals with Not_found -> Absval.top)
           | None -> (q, Absval.bottom)))
       i.Qgdg.Inst.qubits
@@ -95,8 +94,10 @@ let gdg g =
     if changed then
       List.iter
         (fun q ->
-          match Hashtbl.find_opt succs (id, q) with
-          | Some s -> work := Work.add (Hashtbl.find pos s, s) !work
+          match Qgdg.Gdg.succ_on g id ~qubit:q with
+          | Some s ->
+            let s = s.Qgdg.Inst.id in
+            work := Work.add (Hashtbl.find pos s, s) !work
           | None -> ())
         i.Qgdg.Inst.qubits
   done;

@@ -171,3 +171,40 @@ let pp ppf g =
     (String.concat "," (List.map (Printf.sprintf "q%d") g.qubits))
 
 let to_string g = Format.asprintf "%a" pp g
+
+(* one tag byte, the parameters as raw IEEE bits, then the qubits as
+   16-bit little-endian ints; every kind has a fixed arity and parameter
+   count, so each gate's length is determined by its tag *)
+let add_key buf ~qubit g =
+  let tag t = Buffer.add_char buf (Char.chr t) in
+  let param x = Buffer.add_int64_le buf (Int64.bits_of_float x) in
+  (match g.kind with
+   | I -> tag 0
+   | X -> tag 1
+   | Y -> tag 2
+   | Z -> tag 3
+   | H -> tag 4
+   | S -> tag 5
+   | Sdg -> tag 6
+   | T -> tag 7
+   | Tdg -> tag 8
+   | Rx x -> tag 9; param x
+   | Ry x -> tag 10; param x
+   | Rz x -> tag 11; param x
+   | Phase x -> tag 12; param x
+   | Cnot -> tag 13
+   | Cz -> tag 14
+   | Cphase x -> tag 15; param x
+   | Swap -> tag 16
+   | Iswap -> tag 17
+   | Sqrt_iswap -> tag 18
+   | Rxx x -> tag 19; param x
+   | Ryy x -> tag 20; param x
+   | Rzz x -> tag 21; param x
+   | Ccx -> tag 22);
+  List.iter
+    (fun q ->
+      let q = qubit q in
+      Buffer.add_char buf (Char.chr (q land 0xff));
+      Buffer.add_char buf (Char.chr ((q lsr 8) land 0xff)))
+    g.qubits

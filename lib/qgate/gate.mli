@@ -100,6 +100,14 @@ val acts_on : t -> int -> bool
 val shares_qubit : t -> t -> bool
 val common_qubits : t -> t -> int list
 
+val add_key : Buffer.t -> qubit:(int -> int) -> t -> unit
+(** Appends a compact injective encoding of the gate, its qubits mapped
+    through [qubit] (below 65536), to a memo key: a tag byte, the
+    parameters as raw IEEE bits, then the qubits. Every kind has a fixed
+    arity and parameter count, so a concatenation of encodings is
+    uniquely decodable. The key depends on values only, unlike
+    [Marshal], whose output depends on which float boxes are shared. *)
+
 val map_qubits : (int -> int) -> t -> t
 (** Raises [Invalid_argument] if the renaming collapses two qubits. *)
 

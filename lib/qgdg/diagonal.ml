@@ -1,136 +1,69 @@
 let max_run_gates = 10
 
-(* The test-scope reference fixpoint costs O(sweeps × nodes ×
-   chain-length) in [Gdg.succ_on]/[pred_on] walks plus a full Kahn pass
-   per merge. The production path below reads the chain tables of
-   {!Timing}, patched only around each contraction; the ASAP start
-   doubles as the topological potential handed to [Gdg.merge ~rank], so
-   acyclicity checks are bounded reachability probes instead of full
-   topological passes. *)
+(* The test-scope reference fixpoint re-sweeps every node per round and
+   re-checks every prefix densely. The production path below reads the
+   {!Gdg} links directly and merges without a rank: every contraction is
+   an exclusive edge (run members are contiguous on each chain, so when
+   the fold merges [acc] with [next], either [next] adds no qubit and all
+   its predecessors are [acc], or it adds one and [acc], on one qubit,
+   has [next] as its only successor), which [Gdg.merge] accepts without
+   a cycle probe. *)
 
-(* table-backed run growth, yielding the same runs as the list-based
-   test-scope reference (the qcheck suite pins the equality), with the support held as at most two sorted ints
-   ([Int.compare] ordering — supports are non-negative, so this matches
-   the reference's polymorphic sort) and run membership as a linear scan
-   of the ≤ [max_run_gates]-node run array. Candidates are probed in
-   ascending support-qubit order and the first eligible one is appended,
-   exactly the reference's [filter_map] + [find_opt] order. *)
-let grow_run_state (st : Timing.t) id =
-  let g = st.g in
-  let nq = st.nq in
-  let start = Gdg.find g id in
-  let run = Array.make (max_run_gates + 1) (-1) in
-  run.(0) <- id;
-  let run_len = ref 1 in
-  let in_run x =
-    let rec scan k = k < !run_len && (run.(k) = x || scan (k + 1)) in
-    scan 0
-  in
-  let gate_count = ref (List.length start.Inst.gates) in
-  (* sorted support, at most a pair: s0 < s1 when both present *)
-  let s0 = ref (-1) and s1 = ref (-1) in
-  let last0 = ref (-1) and last1 = ref (-1) in
-  List.iter
-    (fun q ->
-      if !s0 < 0 then begin
-        s0 := q;
-        last0 := id
-      end
-      else if q < !s0 then begin
-        s1 := !s0;
-        last1 := !last0;
-        s0 := q;
-        last0 := id
-      end
-      else begin
-        s1 := q;
-        last1 := id
-      end)
-    start.Inst.qubits;
-  (* reference eligibility: the union of supports stays within one
-     qubit pair, the gate budget holds, and every qubit the candidate
-     shares with the run has its chain predecessor inside the run
-     (qubits fresh to the run always pass) *)
-  let eligible (c : Inst.t) =
-    let fresh =
-      List.fold_left
-        (fun acc q -> if q = !s0 || q = !s1 then acc else acc + 1)
-        0 c.Inst.qubits
-    in
-    let width = (if !s0 >= 0 then 1 else 0) + (if !s1 >= 0 then 1 else 0) in
-    width + fresh <= 2
-    && !gate_count + List.length c.Inst.gates <= max_run_gates
-    && List.for_all
-         (fun q ->
-           (q <> !s0 && q <> !s1)
-           ||
-           let p = st.pred.((c.Inst.id * nq) + q) in
-           p >= 0 && in_run p)
-         c.Inst.qubits
-  in
+(* the longest contiguous run from [id] within one qubit pair, grown
+   exactly as the test-scope reference grows it (the qcheck suite pins
+   the equality): [last] pairs each support qubit, in ascending order,
+   with the chain-last run node on it; their chain successors outside the
+   run are the candidates, probed in that order, and the first eligible
+   one is appended. A candidate is eligible when the support stays
+   within a pair, the gate budget holds, and on every qubit it shares
+   with the run its chain predecessor is in the run. *)
+let grow_run (g : Gdg.t) id =
+  let run = ref [] and gates = ref 0 and last = ref [] in
   let append (c : Inst.t) =
-    run.(!run_len) <- c.Inst.id;
-    incr run_len;
-    gate_count := !gate_count + List.length c.Inst.gates;
-    List.iter
-      (fun q ->
-        if q = !s0 then last0 := c.Inst.id
-        else if q = !s1 then last1 := c.Inst.id
-        else if !s0 < 0 then begin
-          s0 := q;
-          last0 := c.Inst.id
-        end
-        else if !s1 < 0 then
-          if q < !s0 then begin
-            s1 := !s0;
-            last1 := !last0;
-            s0 := q;
-            last0 := c.Inst.id
-          end
-          else begin
-            s1 := q;
-            last1 := c.Inst.id
-          end
-        else assert false)
-      c.Inst.qubits
+    run := c.Inst.id :: !run;
+    gates := !gates + List.length c.Inst.gates;
+    last :=
+      List.sort compare
+        (List.map (fun q -> (q, c.Inst.id)) c.Inst.qubits
+        @ List.filter (fun (q, _) -> not (Inst.acts_on c q)) !last)
   in
-  let candidate_on last q =
-    if last < 0 then None
-    else
-      let sid = st.succ.((last * nq) + q) in
-      if sid >= 0 && not (in_run sid) then Some (Gdg.find g sid) else None
+  let eligible (c : Inst.t) =
+    let l = g.Gdg.links.(c.Inst.id) in
+    let w = Array.length l / 4 in
+    let shared k = List.mem_assoc l.(k) !last in
+    let fresh = List.filter (fun k -> not (shared k)) (List.init w Fun.id) in
+    List.length !last + List.length fresh <= 2
+    && !gates + List.length c.Inst.gates <= max_run_gates
+    && List.for_all
+         (fun k -> (not (shared k)) || List.mem l.(w + k) !run)
+         (List.init w Fun.id)
   in
-  let continue_ = ref true in
-  while !continue_ do
-    continue_ := false;
-    let pick =
-      match candidate_on !last0 !s0 with
-      | Some c when eligible c -> Some c
-      | _ -> (
-        if !s1 < 0 then None
-        else
-          match candidate_on !last1 !s1 with
-          | Some c when eligible c -> Some c
+  let rec grow () =
+    let candidates =
+      List.filter_map
+        (fun (q, x) ->
+          match Gdg.succ_on g x ~qubit:q with
+          | Some c when not (List.mem c.Inst.id !run) -> Some c
           | _ -> None)
+        !last
     in
-    match pick with
+    match List.find_opt eligible candidates with
     | Some c ->
       append c;
-      continue_ := true
-    | None -> ()
-  done;
-  Array.to_list (Array.sub run 0 !run_len)
-
-let grow_run g id = grow_run_state (Timing.create g) id
+      grow ()
+    | None -> List.rev !run
+  in
+  append (Gdg.find g id);
+  grow ()
 
 (* longest prefix (>= 2 nodes) whose composed unitary is diagonal,
    decided by one incremental oracle scan over the run *)
-let diagonal_prefix_state (st : Timing.t) run =
+let diagonal_prefix g run =
   let scan = Oracle.scan_create () in
   let best = ref 0 in
   List.iteri
     (fun k id ->
-      Oracle.scan_push scan (Gdg.find st.g id).Inst.gates;
+      Oracle.scan_push scan (Gdg.find g id).Inst.gates;
       if k >= 1 && Oracle.scan_is_diagonal scan then best := k + 1)
     run;
   if !best >= 2 then Some (List.filteri (fun k _ -> k < !best) run) else None
@@ -146,16 +79,13 @@ let diagonal_prefix_state (st : Timing.t) run =
    sweeps. *)
 let invalidate_depth = max_run_gates + 2
 
-let mark_dirty (st : Timing.t) dirty (merged : Inst.t) =
-  let nq = st.nq in
-  let seeds = ref [ merged.Inst.id ] in
-  List.iter
-    (fun q ->
-      let p = st.pred.((merged.Inst.id * nq) + q) in
-      if p >= 0 then seeds := p :: !seeds;
-      let s = st.succ.((merged.Inst.id * nq) + q) in
-      if s >= 0 then seeds := s :: !seeds)
-    merged.Inst.qubits;
+let mark_dirty (g : Gdg.t) dirty m =
+  let seeds = ref [ m ] in
+  let l = g.Gdg.links.(m) in
+  let w = Array.length l / 4 in
+  for k = w to (3 * w) - 1 do
+    if l.(k) >= 0 then seeds := l.(k) :: !seeds
+  done;
   let frontier = ref !seeds in
   for _ = 0 to invalidate_depth do
     let next = ref [] in
@@ -163,14 +93,12 @@ let mark_dirty (st : Timing.t) dirty (merged : Inst.t) =
       (fun x ->
         if not (Hashtbl.mem dirty x) then begin
           Hashtbl.replace dirty x ();
-          match Gdg.find st.g x with
-          | inst ->
-            List.iter
-              (fun q ->
-                let p = st.pred.((x * nq) + q) in
-                if p >= 0 && not (Hashtbl.mem dirty p) then next := p :: !next)
-              inst.Inst.qubits
-          | exception Not_found -> ()
+          let l = g.Gdg.links.(x) in
+          let w = Array.length l / 4 in
+          for k = w to (2 * w) - 1 do
+            let p = l.(k) in
+            if p >= 0 && not (Hashtbl.mem dirty p) then next := p :: !next
+          done
         end)
       !frontier;
     frontier := !next
@@ -178,7 +106,6 @@ let mark_dirty (st : Timing.t) dirty (merged : Inst.t) =
 
 let detect_and_contract ~latency g =
   let merges = ref 0 in
-  let st = Timing.create g in
   let dirty : (int, unit) Hashtbl.t = Hashtbl.create 256 in
   let first_sweep = ref true in
   let changed = ref true in
@@ -192,23 +119,18 @@ let detect_and_contract ~latency g =
         if Gdg.mem g id && (!first_sweep || Hashtbl.mem dirty id) then begin
           incr processed;
           Hashtbl.remove dirty id;
-          let run = grow_run_state st id in
-          match diagonal_prefix_state st run with
+          let run = grow_run g id in
+          match diagonal_prefix g run with
           | Some (first :: (_ :: _ as rest)) ->
             let merged =
               List.fold_left
                 (fun acc next ->
                   let ia = Gdg.find g acc and ib = Gdg.find g next in
                   let gates = ia.Inst.gates @ ib.Inst.gates in
-                  let merged =
-                    Gdg.merge g ~rank:(Timing.rank st) ~latency:(latency gates)
-                      acc next
-                  in
-                  ignore (Timing.splice st ~a:acc ~b:next merged : int);
-                  merged.Inst.id)
+                  (Gdg.merge g ~latency:(latency gates) acc next).Inst.id)
                 first rest
             in
-            mark_dirty st dirty (Gdg.find g merged);
+            mark_dirty g dirty merged;
             incr merges;
             changed := true
           | Some _ | None -> ()

@@ -8,17 +8,19 @@
     (to preserve parallelism) and [max_run_gates] member gates.
 
     The production path runs on the commutation oracle ({!Oracle}) and
-    the incremental timing tables ({!Timing}): the flat chain tables
-    replace the per-query chain walks, each run's prefixes are decided by
-    one incremental phase-polynomial scan (digest-memoized per congruence
-    class, attributed to [detect.route.*]), merges are validated by
-    bounded reachability probes against {!Timing.rank} and patched in by
-    {!Timing.splice}, and sweeps after the first revisit only the
-    neighborhood each contraction invalidated. The pre-oracle implementation (full re-sweep per round,
-    per-prefix dense re-checks, full topological validation per merge)
-    lives in test scope ([test/ref]), built on the public {!Gdg} API
-    only, and the qcheck suite pins both to identical merges and graphs
-    on every suite circuit. *)
+    reads the {!Gdg} chain links directly: each run's prefixes are
+    decided by one incremental phase-polynomial scan (digest-memoized per
+    congruence class, attributed to [detect.route.*]), sweeps after the
+    first revisit only the neighborhood each contraction invalidated, and
+    no timing table is kept. Every contraction is an exclusive edge — run
+    members are contiguous on each chain, so the node folded in next has
+    the accumulated block as its only predecessor, or the block (on one
+    qubit) has it as its only successor — so {!Gdg.merge} takes its
+    no-probe shortcut and [gdg.merge.probes] stays 0 (the slow suite
+    pins this). The pre-oracle implementation (full re-sweep per round,
+    per-prefix dense re-checks) lives in test scope ([test/ref]), built
+    on the public {!Gdg} API only, and the qcheck suite pins both to
+    identical merges and graphs on every suite circuit. *)
 
 val max_run_gates : int
 (** 10, the paper's practical bound on exhaustive block search. *)
@@ -31,5 +33,4 @@ val detect_and_contract :
 
 val grow_run : Gdg.t -> int -> int list
 (** The longest contiguous run starting at a node whose support stays
-    within one qubit pair (production table-backed bookkeeping; builds
-    a {!Timing} table per call — tests and one-off callers only). *)
+    within one qubit pair, read from the chain links. *)

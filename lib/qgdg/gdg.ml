@@ -1,7 +1,9 @@
 type t = {
   n_qubits : int;
   nodes : (int, Inst.t) Hashtbl.t;
-  chains : int list array;
+  mutable links : int array array;
+  head : int array;
+  last : int array;
   mutable next : int;
 }
 
@@ -20,25 +22,73 @@ let fresh_id g =
 
 let next_id g = g.next
 
+(* the links of [x], [[||]] for an id with no live node *)
+let links_of g x = if x >= 0 && x < Array.length g.links then g.links.(x) else [||]
+
+(* the slot of qubit [q] in a link array, [-1] when the node is not on
+   that chain *)
+let slot l q =
+  let w = Array.length l / 4 in
+  let rec go k = if k >= w then -1 else if l.(k) = q then k else go (k + 1) in
+  go 0
+
+(* field [f] (1 predecessor, 2 successor, 3 position label) of the slot
+   of qubit [q] in a link array, [-1] off the node's support *)
+let field l q f = match slot l q with -1 -> -1 | k -> l.((f * (Array.length l / 4)) + k)
+
+(* rewire [x]'s predecessor ([f = 1]) or successor ([f = 2]) on [q] to
+   [v]; [x = -1] stands for the chain's end or head pointer *)
+let set_field g x q f v =
+  if x >= 0 then
+    let l = g.links.(x) in
+    l.((f * (Array.length l / 4)) + slot l q) <- v
+  else if f = 2 then g.head.(q) <- v
+  else g.last.(q) <- v
+
+let ensure_capacity g id =
+  let cap = Array.length g.links in
+  if id >= cap then begin
+    let links = Array.make (max (id + 1) (2 * cap)) [||] in
+    Array.blit g.links 0 links 0 cap;
+    g.links <- links
+  end
+
 let of_insts ~n_qubits insts =
   let nodes = Hashtbl.create 64 in
-  let chains = Array.make (max 1 n_qubits) [] in
-  let next = ref 0 in
+  let nq = max 1 n_qubits in
+  let g =
+    { n_qubits; nodes; links = [||]; head = Array.make nq (-1);
+      last = Array.make nq (-1); next = 0 }
+  in
   List.iter
     (fun (i : Inst.t) ->
-      if Hashtbl.mem nodes i.Inst.id then
+      let id = i.Inst.id in
+      if Hashtbl.mem nodes id then
         invalid_arg "Gdg.of_insts: duplicate instruction id";
       List.iter
         (fun q ->
           if q < 0 || q >= n_qubits then
             invalid_arg "Gdg.of_insts: qubit out of range")
         i.Inst.qubits;
-      Hashtbl.replace nodes i.Inst.id i;
-      if i.Inst.id >= !next then next := i.Inst.id + 1;
-      List.iter (fun q -> chains.(q) <- i.Inst.id :: chains.(q)) i.Inst.qubits)
+      let w = List.length i.Inst.qubits in
+      if List.length (List.sort_uniq compare i.Inst.qubits) <> w then
+        invalid_arg "Gdg.of_insts: repeated qubit";
+      Hashtbl.replace nodes id i;
+      if id >= g.next then g.next <- id + 1;
+      ensure_capacity g id;
+      let l = Array.make (4 * w) (-1) in
+      g.links.(id) <- l;
+      List.iteri
+        (fun k q ->
+          let p = g.last.(q) in
+          l.(k) <- q;
+          l.(w + k) <- p;
+          l.((3 * w) + k) <- (if p < 0 then 0 else field g.links.(p) q 3 + 1);
+          set_field g p q 2 id;
+          g.last.(q) <- id)
+        i.Inst.qubits)
     insts;
-  Array.iteri (fun q c -> chains.(q) <- List.rev c) chains;
-  { n_qubits; nodes; chains; next = !next }
+  g
 
 let of_circuit ~latency circuit =
   let insts =
@@ -48,29 +98,11 @@ let of_circuit ~latency circuit =
   in
   of_insts ~n_qubits:(Qgate.Circuit.n_qubits circuit) insts
 
-(* per-(node, qubit) chain neighbors, built in one pass over all chains *)
-let edge_tables g =
-  let pred : (int * int, int) Hashtbl.t = Hashtbl.create (2 * size g) in
-  let succ : (int * int, int) Hashtbl.t = Hashtbl.create (2 * size g) in
-  Array.iteri
-    (fun q chain ->
-      let rec walk = function
-        | [] | [ _ ] -> ()
-        | x :: (y :: _ as rest) ->
-          Hashtbl.replace succ (x, q) y;
-          Hashtbl.replace pred (y, q) x;
-          walk rest
-      in
-      walk chain)
-    g.chains;
-  (pred, succ)
-
 (* Kahn topological order over per-qubit chain edges; nodes left with a
-   positive in-degree sit on (or behind) a dependence cycle. Edges whose
-   endpoint is not a live node (a dangling chain id) are skipped so the
-   walk stays total on corrupted graphs. *)
+   positive in-degree sit on (or behind) a dependence cycle. Links to an
+   id that is not a live node are skipped so the walk stays total on
+   corrupted graphs. *)
 let kahn g =
-  let _, succ = edge_tables g in
   let indeg = Hashtbl.create (size g) in
   Hashtbl.iter (fun id _ -> Hashtbl.replace indeg id 0) g.nodes;
   let bump id d =
@@ -78,26 +110,26 @@ let kahn g =
     | None -> ()
     | Some v -> Hashtbl.replace indeg id (v + d)
   in
-  Hashtbl.iter (fun _ s -> bump s 1) succ;
+  let iter_succs id f =
+    let l = links_of g id in
+    let w = Array.length l / 4 in
+    for k = 0 to w - 1 do
+      let s = l.((2 * w) + k) in
+      if s >= 0 then f s
+    done
+  in
+  Hashtbl.iter (fun id _ -> iter_succs id (fun s -> bump s 1)) g.nodes;
   let order = ref [] in
   let module Iset = Set.Make (Int) in
   let ready = ref Iset.empty in
   Hashtbl.iter (fun id d -> if d = 0 then ready := Iset.add id !ready) indeg;
-  let emitted = ref 0 in
   while not (Iset.is_empty !ready) do
     let id = Iset.min_elt !ready in
     ready := Iset.remove id !ready;
     order := id :: !order;
-    incr emitted;
-    let inst = find g id in
-    List.iter
-      (fun q ->
-        match Hashtbl.find_opt succ (id, q) with
-        | None -> ()
-        | Some s ->
-          bump s (-1);
-          if Hashtbl.find_opt indeg s = Some 0 then ready := Iset.add s !ready)
-      inst.Inst.qubits
+    iter_succs id (fun s ->
+        bump s (-1);
+        if Hashtbl.find_opt indeg s = Some 0 then ready := Iset.add s !ready)
   done;
   let stuck =
     Hashtbl.fold (fun id d acc -> if d > 0 then id :: acc else acc) indeg []
@@ -112,29 +144,22 @@ let topo_ids g =
 let insts g = List.map (find g) (topo_ids g)
 let iter_insts g f = Hashtbl.iter (fun _ i -> f i) g.nodes
 
-let chain g q =
-  if q < 0 || q >= g.n_qubits then invalid_arg "Gdg.chain: qubit out of range";
-  List.map (find g) g.chains.(q)
-
 let chain_ids g q =
   if q < 0 || q >= g.n_qubits then
     invalid_arg "Gdg.chain_ids: qubit out of range";
-  g.chains.(q)
+  let rec walk acc x = if x < 0 then acc else walk (x :: acc) (field (links_of g x) q 1) in
+  walk [] g.last.(q)
 
-let neighbor_on g id ~qubit ~dir =
+let chain g q =
+  if q < 0 || q >= g.n_qubits then invalid_arg "Gdg.chain: qubit out of range";
+  List.map (find g) (chain_ids g q)
+
+let neighbor_on g id x =
   if not (mem g id) then raise Not_found;
-  let rec walk = function
-    | [] | [ _ ] -> None
-    | x :: (y :: _ as rest) ->
-      if x = id && dir = `Succ then Some y
-      else if y = id && dir = `Pred then Some x
-      else walk rest
-  in
-  Option.map (find g) (walk g.chains.(qubit))
+  if x < 0 then None else Some (find g x)
 
-let pred_on g id ~qubit = neighbor_on g id ~qubit ~dir:`Pred
-let succ_on g id ~qubit = neighbor_on g id ~qubit ~dir:`Succ
-let neighbor_tables g = edge_tables g
+let pred_on g id ~qubit = neighbor_on g id (field (links_of g id) qubit 1)
+let succ_on g id ~qubit = neighbor_on g id (field (links_of g id) qubit 2)
 
 let parents g id =
   let inst = find g id in
@@ -158,7 +183,9 @@ let set_latency g id latency =
 let copy g =
   { n_qubits = g.n_qubits;
     nodes = Hashtbl.copy g.nodes;
-    chains = Array.copy g.chains;
+    links = Array.map Array.copy g.links;
+    head = Array.copy g.head;
+    last = Array.copy g.last;
     next = g.next }
 
 (* Bounded cycle check after contracting two nodes into [m]. Contracting
@@ -175,103 +202,98 @@ let copy g =
    whole graph. Callers should return [neg_infinity] for unknown ids
    (never pruned, keeping the check sound). *)
 let cycle_through g ~rank m =
-  let inst = find g m in
-  let preds = ref [] and succs = ref [] in
-  List.iter
-    (fun q ->
-      let rec walk prev = function
-        | [] -> ()
-        | x :: rest ->
-          if x = m then begin
-            (match prev with Some p -> preds := p :: !preds | None -> ());
-            match rest with y :: _ -> succs := y :: !succs | [] -> ()
-          end
-          else walk (Some x) rest
-      in
-      walk None g.chains.(q))
-    inst.Inst.qubits;
-  match !preds with
-  | [] -> false
-  | ps ->
-    let bound = List.fold_left (fun acc p -> Float.max acc (rank p)) neg_infinity ps in
-    (* lazy per-qubit successor index: only chains the BFS actually
-       crosses get walked *)
-    let next_tbl : (int, (int, int) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in
-    let next_on q id =
-      let tbl =
-        match Hashtbl.find_opt next_tbl q with
-        | Some t -> t
-        | None ->
-          let t = Hashtbl.create 16 in
-          let rec idx = function
-            | x :: (y :: _ as rest) ->
-              Hashtbl.replace t x y;
-              idx rest
-            | _ -> ()
-          in
-          idx g.chains.(q);
-          Hashtbl.replace next_tbl q t;
-          t
-      in
-      Hashtbl.find_opt tbl id
-    in
-    let visited = Hashtbl.create 16 in
-    let queue = Queue.create () in
-    List.iter
-      (fun s ->
-        if rank s <= bound && not (Hashtbl.mem visited s) then begin
-          Hashtbl.replace visited s ();
-          Queue.add s queue
-        end)
-      !succs;
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty queue) do
-      let x = Queue.pop queue in
-      List.iter
-        (fun q ->
-          match next_on q x with
-          | None -> ()
-          | Some y ->
-            if y = m then found := true
-            else if (not (Hashtbl.mem visited y)) && rank y <= bound then begin
-              Hashtbl.replace visited y ();
-              Queue.add y queue
-            end)
-        (find g x).Inst.qubits
-    done;
-    !found
+  Qobs.Metrics.tick "gdg.merge.probes";
+  let l = g.links.(m) and w = Array.length g.links.(m) / 4 in
+  let preds = List.filter (fun p -> p >= 0) (Array.to_list (Array.sub l w w)) in
+  preds <> []
+  &&
+  let bound = List.fold_left (fun acc p -> Float.max acc (rank p)) neg_infinity preds in
+  let visited = Hashtbl.create 16 and queue = Queue.create () in
+  let found = ref false in
+  let visit_succs x =
+    let l = g.links.(x) and w = Array.length g.links.(x) / 4 in
+    for k = 2 * w to (3 * w) - 1 do
+      let y = l.(k) in
+      if y = m then found := true
+      else if y >= 0 && (not (Hashtbl.mem visited y)) && rank y <= bound then begin
+        Hashtbl.replace visited y ();
+        Queue.add y queue
+      end
+    done
+  in
+  visit_succs m;
+  while (not !found) && not (Queue.is_empty queue) do
+    visit_succs (Queue.pop queue)
+  done;
+  !found
+
+(* [b]'s predecessor is [a] on each of [b]'s qubits, or [a]'s successor
+   is [b] on each of [a]'s: every path between the two is the edge
+   itself, so contracting it cannot close a cycle *)
+let exclusive_edge la lb a b =
+  let all l f v =
+    let w = Array.length l / 4 in
+    Array.for_all (( = ) v) (Array.sub l (f * w) w)
+  in
+  all lb 1 a || all la 2 b
 
 let merge ?rank g ~latency a b =
   if a = b then invalid_arg "Gdg.merge: cannot merge a node with itself";
   let ia = find g a and ib = find g b in
-  let saved_chains = Array.copy g.chains in
+  let la = g.links.(a) and lb = g.links.(b) in
   let saved_next = g.next in
   let merged = Inst.merge ~id:(fresh_id g) ~latency ia ib in
-  let replace chain =
-    (* put the merged node at the first occurrence of either id, drop the
-       second occurrence *)
-    let rec go seen = function
-      | [] -> []
-      | x :: rest when x = a || x = b ->
-        if seen then go seen rest else merged.Inst.id :: go true rest
-      | x :: rest -> x :: go seen rest
-    in
-    go false chain
-  in
-  List.iter
-    (fun q -> g.chains.(q) <- replace g.chains.(q))
+  let m = merged.Inst.id in
+  ensure_capacity g m;
+  let wm = List.length merged.Inst.qubits in
+  let lm = Array.make (4 * wm) (-1) in
+  (* on each support qubit [m] takes the place and label of the earlier
+     endpoint and the later one, if any, is unlinked. Only [m]'s slots and
+     the surviving neighbours' are written, so [a] and [b] keep theirs
+     for a rollback. *)
+  List.iteri
+    (fun k q ->
+      let pos l = if slot l q < 0 then max_int else field l q 3 in
+      let le, ll, later = if pos la < pos lb then (la, lb, b) else (lb, la, a) in
+      let p = field le q 1 and s = field le q 2 in
+      let s =
+        if pos ll = max_int then s
+        else if s = later then field ll q 2
+        else begin
+          set_field g (field ll q 1) q 2 (field ll q 2);
+          set_field g (field ll q 2) q 1 (field ll q 1);
+          s
+        end
+      in
+      List.iteri (fun f v -> lm.((f * wm) + k) <- v) [ q; p; s; pos le ];
+      set_field g p q 2 m;
+      set_field g s q 1 m)
     merged.Inst.qubits;
+  g.links.(m) <- lm;
+  g.links.(a) <- [||];
+  g.links.(b) <- [||];
   Hashtbl.remove g.nodes a;
   Hashtbl.remove g.nodes b;
-  Hashtbl.replace g.nodes merged.Inst.id merged;
+  Hashtbl.replace g.nodes m merged;
   let cyclic =
-    match rank with
-    | Some rank -> cycle_through g ~rank merged.Inst.id
-    | None -> (match kahn g with _, [] -> false | _ -> true)
+    (not (exclusive_edge la lb a b))
+    && cycle_through g ~rank:(Option.value rank ~default:(fun _ -> neg_infinity)) m
   in
   if cyclic then begin
-    Array.blit saved_chains 0 g.chains 0 Array.(length saved_chains);
-    Hashtbl.remove g.nodes merged.Inst.id;
+    (* re-attach [a] and [b] from their own slots; a neighbour that is
+       the other endpoint kept its slots *)
+    List.iter
+      (fun (x, l) ->
+        g.links.(x) <- l;
+        let w = Array.length l / 4 in
+        for k = 0 to w - 1 do
+          let q = l.(k) and p = l.(w + k) and s = l.((2 * w) + k) in
+          if p <> a && p <> b then set_field g p q 2 x;
+          if s <> a && s <> b then set_field g s q 1 x
+        done)
+      [ (a, la); (b, lb) ];
+    g.links.(m) <- [||];
+    Hashtbl.remove g.nodes m;
     Hashtbl.replace g.nodes a ia;
     Hashtbl.replace g.nodes b ib;
     g.next <- saved_next;
@@ -280,23 +302,19 @@ let merge ?rank g ~latency a b =
   merged
 
 let asap g =
-  let pred, _ = edge_tables g in
-  let finish = Hashtbl.create (size g) in
+  let finish = Array.make (Array.length g.links) 0. in
   let entries = ref [] in
   let makespan = ref 0. in
   List.iter
     (fun id ->
-      let inst = find g id in
+      let l = g.links.(id) and w = Array.length g.links.(id) / 4 in
       let start =
-        List.fold_left
-          (fun acc q ->
-            match Hashtbl.find_opt pred (id, q) with
-            | None -> acc
-            | Some p -> Float.max acc (Hashtbl.find finish p))
-          0. inst.Inst.qubits
+        Array.fold_left
+          (fun acc p -> if p < 0 then acc else Float.max acc finish.(p))
+          0. (Array.sub l w w)
       in
-      let f = start +. inst.Inst.latency in
-      Hashtbl.replace finish id f;
+      let f = start +. (find g id).Inst.latency in
+      finish.(id) <- f;
       entries := (id, (start, f)) :: !entries;
       if f > !makespan then makespan := f)
     (topo_ids g);
@@ -327,40 +345,37 @@ let problem_message = function
       (String.concat ", " (List.map string_of_int ids))
 
 let problems g =
-  (* every chain id resolves; every node appears exactly once per support
-     qubit and nowhere else; the graph is acyclic *)
+  (* every chain, walked head to end through the successor links, visits
+     live nodes acting on that qubit, each once; every node sits on each
+     of its support chains; the graph is acyclic. A walk stops at the
+     first broken link, so it terminates on any corruption. *)
   let probs = ref [] in
   let add p = probs := p :: !probs in
-  Array.iteri
-    (fun q chain ->
-      List.iter
-        (fun id ->
-          match Hashtbl.find_opt g.nodes id with
-          | None -> add (Dangling_node { qubit = q; id })
-          | Some inst ->
-            if not (Inst.acts_on inst q) then
-              add (Not_in_support { qubit = q; id }))
-        chain;
-      let sorted = List.sort compare chain in
-      let rec dups = function
-        | x :: y :: rest when x = y ->
-          add (Duplicate_on_chain { qubit = q; id = x });
-          dups (List.filter (fun z -> z <> x) rest)
-        | _ :: rest -> dups rest
-        | [] -> ()
-      in
-      dups sorted)
-    g.chains;
+  let on_chain = Array.init g.n_qubits (fun _ -> Hashtbl.create 16) in
+  for q = 0 to g.n_qubits - 1 do
+    let seen = on_chain.(q) in
+    let rec walk x =
+      if x >= 0 then
+        if not (mem g x) then add (Dangling_node { qubit = q; id = x })
+        else if Hashtbl.mem seen x then
+          add (Duplicate_on_chain { qubit = q; id = x })
+        else begin
+          Hashtbl.replace seen x ();
+          if not (Inst.acts_on (find g x) q) || slot (links_of g x) q < 0
+          then add (Not_in_support { qubit = q; id = x })
+          else walk (field (links_of g x) q 2)
+        end
+    in
+    walk g.head.(q)
+  done;
   let ids = List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) g.nodes []) in
   List.iter
     (fun id ->
-      let inst = find g id in
       List.iter
         (fun q ->
-          if q >= 0 && q < Array.length g.chains
-             && not (List.mem id g.chains.(q)) then
+          if q >= 0 && q < g.n_qubits && not (Hashtbl.mem on_chain.(q) id) then
             add (Missing_from_chain { qubit = q; id }))
-        inst.Inst.qubits)
+        (find g id).Inst.qubits)
     ids;
   (match kahn g with _, [] -> () | _, stuck -> add (Cycle stuck));
   List.rev !probs

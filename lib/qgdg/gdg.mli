@@ -4,13 +4,34 @@
     each qubit orders the instructions acting on it, and an instruction's
     parents are its immediate chain predecessors. Commutation rules later
     relax this order (see {!Comm_group} and the CLS scheduler); the chains
-    themselves always record one valid program order. *)
+    themselves always record one valid program order.
 
-type t
+    The chains are doubly linked through per-instruction slots, and this
+    graph is their only owner: every pass that reads a chain neighbour
+    reads these links, and {!merge} splices them in O(width). The record
+    is [private] so hot loops read the links directly; only this module
+    writes them. *)
+
+type t = private {
+  n_qubits : int;
+  nodes : (int, Inst.t) Hashtbl.t;  (** id -> live instruction *)
+  mutable links : int array array;
+      (** id -> the node's chain slots, [[||]] for an id with no live node.
+          A node of width [w] has one slot [k] per support qubit, in
+          [Inst.qubits] order, laid out in one array of length [4 * w]:
+          [l.(k)] is the qubit, [l.(w + k)] the chain predecessor on it,
+          [l.(2 * w + k)] the chain successor ([-1] at either end) and
+          [l.(3 * w + k)] the position label, strictly increasing along
+          the chain (labels are not renumbered after a merge, so they
+          order nodes but do not count them). *)
+  head : int array;  (** qubit -> first node of its chain, [-1] if empty *)
+  last : int array;  (** qubit -> last node of its chain, [-1] if empty *)
+  mutable next : int;  (** see {!next_id} *)
+}
 
 val of_insts : n_qubits:int -> Inst.t list -> t
 (** Builds chains in list order. Raises [Invalid_argument] on duplicate
-    ids or out-of-range qubits. *)
+    ids, out-of-range qubits or an instruction listing a qubit twice. *)
 
 val of_circuit :
   latency:(Qgate.Gate.t list -> float) -> Qgate.Circuit.t -> t
@@ -43,18 +64,14 @@ val chain : t -> int -> Inst.t list
 
 val chain_ids : t -> int -> int list
 (** The chain of qubit [q] as raw instruction ids, without resolving each
-    node — O(1), for callers that maintain their own per-chain indexes. *)
+    node — one walk of the links. *)
 
 val pred_on : t -> int -> qubit:int -> Inst.t option
-(** Immediate predecessor of a node on one of its qubits. *)
+(** Immediate predecessor of a node on one of its qubits ([None] at the
+    chain head or off the node's support) — a read of the node's slots.
+    Raises [Not_found] for an id with no live node. *)
 
 val succ_on : t -> int -> qubit:int -> Inst.t option
-
-val neighbor_tables :
-  t -> (int * int, int) Hashtbl.t * (int * int, int) Hashtbl.t
-(** [(pred, succ)] keyed by (instruction id, qubit), built in one pass
-    over all chains — use these instead of repeated {!pred_on}/{!succ_on}
-    queries in O(n) algorithms (ASAP/ALAP passes, aggregation rounds). *)
 
 val parents : t -> int -> Inst.t list
 (** Distinct immediate predecessors across the node's qubits. *)
@@ -64,17 +81,23 @@ val children : t -> int -> Inst.t list
 val merge : ?rank:(int -> float) -> t -> latency:float -> int -> int -> Inst.t
 (** [merge g ~latency a b] replaces nodes [a] and [b] by one block whose
     members are [a]'s followed by [b]'s, positioned at the earlier of the
-    two on every shared qubit chain. The caller must have checked that
-    the action is schedulable (paper §4.1, as the aggregator does); this
-    function only re-checks that the result is acyclic and raises
-    [Invalid_argument] otherwise (leaving the graph unchanged, fresh-id
-    counter included). Without [rank], acyclicity is established by a
-    full topological pass. With [rank] — a pre-merge ASAP start time per
-    node id, [neg_infinity] when unknown — the check is a bounded
-    reachability probe around the merged node: contraction can only
-    create cycles through it, and any returning path stays below the
-    largest predecessor rank, so only the time-window between the
-    endpoints is explored. Both variants accept and reject identical
+    two on every shared qubit chain (taking that node's position label)
+    and spliced into the links in O(width). The caller must have checked
+    that the action is schedulable (paper §4.1, as the aggregator does);
+    this function only re-checks that the result is acyclic and raises
+    [Invalid_argument] otherwise, leaving the graph unchanged: [a] and
+    [b] are re-attached from their own untouched slots and the fresh-id
+    counter is restored.
+
+    The acyclicity check has one shortcut and one probe. When [b]'s
+    chain predecessor is [a] on every qubit of [b], or [a]'s successor is
+    [b] on every qubit of [a], the merge contracts an exclusive edge and
+    cannot close a cycle, so nothing runs. Otherwise a reachability probe
+    from the merged node's successors looks for a path back into it,
+    ticking [gdg.merge.probes]. With [rank] — a pre-merge ASAP start time
+    per node id, [neg_infinity] when unknown — the probe is pruned at the
+    largest predecessor rank, since any returning path stays below it;
+    without [rank] it runs unpruned. Both accept and reject identical
     merges; [rank] is purely a cost optimization. *)
 
 val set_latency : t -> int -> float -> unit
@@ -92,6 +115,8 @@ val all_gates : t -> Qgate.Gate.t list
 (** Member gates of all instructions, in a topological program order. *)
 
 val copy : t -> t
+(** A deep copy, links included: in-place passes mutate their copy and
+    must never reach a cached artifact's chains. *)
 
 type problem =
   | Dangling_node of { qubit : int; id : int }
@@ -101,13 +126,16 @@ type problem =
   | Missing_from_chain of { qubit : int; id : int }
       (** a node acts on a qubit but is absent from its chain *)
   | Duplicate_on_chain of { qubit : int; id : int }
+      (** a chain's successor links revisit a node *)
   | Cycle of int list
       (** ids on or behind a dependence cycle *)
 
 val problems : t -> problem list
 (** All structural-invariant violations, in deterministic order (empty
-    for a well-formed graph). Total even on corrupted graphs — the static
-    checkers build diagnostics from this. *)
+    for a well-formed graph). Each chain is walked from its head through
+    the successor links and stops at the first broken link, so this is
+    total even on corrupted links — the static checkers build
+    diagnostics from it. *)
 
 val validate : t -> unit
 (** Raises [Failure] with the first {!problems} message, if any (used by

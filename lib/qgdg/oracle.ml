@@ -22,11 +22,15 @@ type t = {
 
 let all_diagonal gs = List.for_all (fun g -> Gate.is_diagonal_kind g.Gate.kind) gs
 
-(* order-preserving relabelling of a gate list onto 0..|support|-1 *)
-let relabel_onto support gs =
+(* each support qubit's position: the order-preserving relabelling onto
+   0..|support|-1 *)
+let local_index support =
   let local = Hashtbl.create 8 in
   List.iteri (fun k q -> Hashtbl.replace local q k) support;
-  List.map (Gate.map_qubits (fun q -> Hashtbl.find local q)) gs
+  local
+
+let relabel_onto support gs =
+  List.map (Gate.map_qubits (Hashtbl.find (local_index support))) gs
 
 let support_of gs = List.sort_uniq compare (List.concat_map Gate.qubits gs)
 
@@ -129,16 +133,23 @@ let classify ~n_qubits local =
   in
   (klass, in_clifford, in_phase_poly, all_diag)
 
+(* the digest encodes the relabelled gates without building them; the
+   relabelled list is made only for a classify miss *)
 let of_gates gs =
   let support = support_of gs in
-  let local = relabel_onto support gs in
-  let digest = Digest.to_hex (Digest.string (Marshal.to_string local [])) in
+  let local = local_index support in
+  let key = Buffer.create 64 in
+  List.iter (Gate.add_key key ~qubit:(Hashtbl.find local)) gs;
+  let digest = Digest.to_hex (Digest.string (Buffer.contents key)) in
   let m = Qobs.Domain_safe.Local.get memos in
   let payload, hit =
     match Hashtbl.find_opt m.classify digest with
     | Some payload -> (payload, true)
     | None ->
-      let payload = classify ~n_qubits:(List.length support) local in
+      let payload =
+        classify ~n_qubits:(List.length support)
+          (List.map (Gate.map_qubits (Hashtbl.find local)) gs)
+      in
       Hashtbl.replace m.classify digest payload;
       (payload, false)
   in
@@ -241,12 +252,24 @@ let diagonal_klass s = s.klass = Identity || s.klass = Diagonal
 
 (* positions of a summary's support inside the sorted joint support —
    together with the two digests this determines the relabelled pair
-   exactly, so the digest-pair memo key is as precise as marshalling the
-   relabelled gate lists themselves, without rebuilding them *)
-let embedding joint support =
-  let local = Hashtbl.create 8 in
-  List.iteri (fun k q -> Hashtbl.replace local q k) joint;
-  List.map (fun q -> Hashtbl.find local q) support
+   exactly, so the digest-pair memo key is as precise as an encoding of
+   the relabelled gate lists themselves, without rebuilding them *)
+let embedding joint support = List.map (Hashtbl.find (local_index joint)) support
+
+(* the digest-pair memo key: two fixed-length hex digests, each followed
+   by its length-prefixed embedding (positions below [max_check_width],
+   one byte each) *)
+let pair_key joint sa sb =
+  let buf = Buffer.create 80 in
+  let add s =
+    let e = embedding joint s.support in
+    Buffer.add_string buf s.digest;
+    Buffer.add_char buf (Char.chr (List.length e));
+    List.iter (fun k -> Buffer.add_char buf (Char.chr k)) e
+  in
+  add sa;
+  add sb;
+  Buffer.contents buf
 
 (* Shared slow path: support width gate, then the klass-pair shortcut
    (two provably diagonal operators commute exactly), then the
@@ -265,12 +288,7 @@ let decide ~t0 sa sb a_gates b_gates =
     true
   end
   else begin
-    let key =
-      Marshal.to_string
-        (sa.digest, embedding support sa.support,
-         sb.digest, embedding support sb.support)
-        []
-    in
+    let key = pair_key support sa sb in
     let m = Qobs.Domain_safe.Local.get memos in
     match Hashtbl.find_opt m.pair key with
     | Some r ->
@@ -374,48 +392,9 @@ let detect_oversize = ("detect.route.oversize", "detect.route.oversize.ms")
      by [Phase_poly.apply_gate] and dies permanently once a gate escapes
      the CNOT+diagonal fragment (fragment membership is gate-wise);
    - the memo key is a byte buffer of the relabelled gates (encoded per
-     gate by [add_gate_key], whose fixed-length-per-tag format keeps the
+     gate by [Gate.add_key], whose fixed-length-per-tag format keeps the
      concatenation prefix-free), digested per decision and cached in the
      per-domain [diagonal] table. *)
-(* Compact injective gate encoding for the scan's memo key: one tag
-   byte, the kind's parameters as raw IEEE bits, then the (relabelled)
-   qubits as 16-bit little-endian ints. Every kind has a fixed arity and
-   parameter count, so each gate's length is determined by its tag and
-   the concatenation is uniquely decodable — the same prefix-freeness
-   Marshal gave, at a fraction of the cost on this innermost loop. *)
-let add_gate_key buf (g : Gate.t) =
-  let tag t = Buffer.add_char buf (Char.chr t) in
-  let param x = Buffer.add_int64_le buf (Int64.bits_of_float x) in
-  (match g.Gate.kind with
-   | Gate.I -> tag 0
-   | Gate.X -> tag 1
-   | Gate.Y -> tag 2
-   | Gate.Z -> tag 3
-   | Gate.H -> tag 4
-   | Gate.S -> tag 5
-   | Gate.Sdg -> tag 6
-   | Gate.T -> tag 7
-   | Gate.Tdg -> tag 8
-   | Gate.Rx x -> tag 9; param x
-   | Gate.Ry x -> tag 10; param x
-   | Gate.Rz x -> tag 11; param x
-   | Gate.Phase x -> tag 12; param x
-   | Gate.Cnot -> tag 13
-   | Gate.Cz -> tag 14
-   | Gate.Cphase x -> tag 15; param x
-   | Gate.Swap -> tag 16
-   | Gate.Iswap -> tag 17
-   | Gate.Sqrt_iswap -> tag 18
-   | Gate.Rxx x -> tag 19; param x
-   | Gate.Ryy x -> tag 20; param x
-   | Gate.Rzz x -> tag 21; param x
-   | Gate.Ccx -> tag 22);
-  List.iter
-    (fun q ->
-      Buffer.add_char buf (Char.chr (q land 0xff));
-      Buffer.add_char buf (Char.chr ((q lsr 8) land 0xff)))
-    g.Gate.qubits
-
 type scan = {
   mutable rev_gates : Gate.t list list;  (* node gate lists, newest first *)
   mutable all_diag : bool;
@@ -453,7 +432,7 @@ let scan_push s gs =
               k)
           g
       in
-      add_gate_key s.key lg;
+      Gate.add_key s.key ~qubit:Fun.id lg;
       if s.pp_alive then
         if s.next_local > 2 || not (Qdomain.Phase_poly.apply_gate s.pp lg) then
           s.pp_alive <- false)

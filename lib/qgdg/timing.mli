@@ -1,21 +1,20 @@
-(** Incrementally maintained timing tables of a {!Gdg} (paper §4.2–4.3).
+(** Incrementally maintained ASAP times and tails of a {!Gdg} (paper
+    §4.3).
 
-    Diagonal contraction and monotonic aggregation both need, after every
-    merge, each node's per-qubit chain neighbours and its ASAP schedule;
-    aggregation also needs each node's makespan-free deadline. This module
-    is the one owner of those tables: {!create} computes them from
-    scratch, and {!splice} patches them after one accepted {!Gdg.merge},
-    re-linking only the merged support's chains and re-propagating starts
-    and tails from the splice alone. The fixpoint on a DAG is unique, so
-    the patched tables are bit-identical to a fresh {!create} on the
-    merged graph (the qgdg qcheck suite pins this).
+    Monotonic aggregation needs, after every merge, each node's ASAP
+    schedule and its makespan-free deadline. This module owns those times
+    and nothing else: the chain neighbours they are folded over are the
+    {!Gdg} links. {!create} computes the times from scratch, and {!merge}
+    performs one {!Gdg.merge} and re-propagates starts and tails from the
+    splice alone. The fixpoint on a DAG is unique, so the patched tables
+    are bit-identical to a fresh {!create} on the merged graph (the qgdg
+    qcheck suite pins this).
 
     Tables are flat arrays indexed by node id; the id space is dense
     (initial nodes plus one fresh id per merge), so capacity grows by
-    doubling. Per-qubit tables are laid out [id * nq + qubit]. [nan] marks
-    an id with no live node in the float tables, [-1] a missing chain
-    neighbour or position in the int tables. The record is [private] so
-    hot loops read the arrays directly; only this module writes them. *)
+    doubling. [nan] marks an id with no live node. The record is
+    [private] so hot loops read the arrays directly; only this module
+    writes them. *)
 
 type work
 (** The re-propagation worklist: a reusable min-heap with epoch-stamped
@@ -23,32 +22,29 @@ type work
 
 type t = private {
   g : Gdg.t;
-  nq : int;  (** [Gdg.n_qubits g] *)
   mutable start : float array;  (** ASAP start *)
   mutable finish : float array;  (** ASAP start plus own latency *)
   mutable tail : float array;
       (** longest path to any sink, own latency included: the ALAP start
           is [makespan -. tail], so tails survive a makespan change *)
-  mutable pred : int array;  (** chain predecessor, [id * nq + q] *)
-  mutable succ : int array;  (** chain successor, [id * nq + q] *)
-  mutable pos : int array;  (** position within the chain, [id * nq + q] *)
   mutable node : Inst.t option array;  (** id -> live instruction *)
-  ends : int array;  (** qubit -> last node of its chain, [-1] when empty *)
   mutable makespan : float;
   work : work;
 }
 
 val create : Gdg.t -> t
-(** One chain pass plus one Kahn pass. Latencies must be finite and
+(** One Kahn pass over the links. Latencies must be finite and
     non-negative. The tables hold the instruction records as they are now,
     so a caller that changes a latency ({!Gdg.set_latency}) creates afresh.
     Raises [Failure] on a cyclic graph. *)
 
-val splice : t -> a:int -> b:int -> Inst.t -> int
-(** [splice t ~a ~b merged] updates [t] after [Gdg.merge t.g a b] returned
-    [merged]. The pre-merge neighbours of [a] and [b] are read from [t]'s
-    own tables, so no merge may happen between the two calls. Returns the
-    number of worklist pops over both directions. *)
+val merge : t -> latency:float -> int -> int -> Inst.t * int
+(** [merge t ~latency a b] reads [a]'s and [b]'s chain neighbours from
+    the links, calls [Gdg.merge ~rank:(rank t) t.g ~latency a b] and
+    re-propagates starts, the makespan and tails. Returns the merged
+    node and the number of worklist pops over both directions. A
+    rejected merge raises [Invalid_argument] from {!Gdg.merge} and leaves
+    [t] unchanged. *)
 
 val rank : t -> int -> float
 (** The ASAP start of a live node, [neg_infinity] for any other id: the

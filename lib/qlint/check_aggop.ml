@@ -18,15 +18,15 @@ let run ?stage ?gate_time ~width_limit gdg =
   (* QL070 — chain-adjacent pairs that commute algebraically; enumerate
      successors in topological inst order / sorted qubit order so the
      report is deterministic *)
-  let _, succs = Qgdg.Gdg.neighbor_tables gdg in
   let seen = Hashtbl.create 64 in
   List.iter
     (fun (a : Inst.t) ->
       List.iter
         (fun q ->
-          match Hashtbl.find_opt succs (a.Inst.id, q) with
+          match Qgdg.Gdg.succ_on gdg a.Inst.id ~qubit:q with
           | None -> ()
-          | Some bid ->
+          | Some b ->
+            let bid = b.Inst.id in
             if not (Hashtbl.mem seen (a.Inst.id, bid)) then begin
               Hashtbl.replace seen (a.Inst.id, bid) ();
               let b = Qgdg.Gdg.find gdg bid in

@@ -95,6 +95,18 @@ let check_insts ?stage ~n_qubits insts =
                      register"
                     i.Inst.id q n_qubits)))
         i.Inst.qubits;
+      let rec repeated = function
+        | x :: (y :: _ as rest) ->
+          if x = y then
+            add
+              (D.make ?stage ~insts:[ i.Inst.id ] ~qubits:[ x ] ~code:"QL024"
+                 ~severity:D.Error
+                 (Printf.sprintf "instruction %d lists qubit %d twice"
+                    i.Inst.id x))
+          else repeated rest
+        | _ -> ()
+      in
+      repeated (List.sort compare i.Inst.qubits);
       List.iter add (inst_sanity ?stage i))
     insts;
   List.rev !diags

@@ -41,7 +41,7 @@ let all =
     e "QL021" "gdg" Error "chain references an id with no node";
     e "QL022" "gdg" Error "node on a chain outside its qubit support";
     e "QL023" "gdg" Error "node missing from a support qubit's chain";
-    e "QL024" "gdg" Error "node appears twice on one chain";
+    e "QL024" "gdg" Error "node appears twice on one chain, or lists a qubit twice";
     e "QL025" "gdg" Error "duplicate instruction id in a raw stream";
     e "QL026" "gdg" Error "a parent shares no qubit with its child";
     e "QL027" "gdg" Error "instruction with no member gates";

@@ -2,18 +2,16 @@ module Inst = Qgdg.Inst
 module Gdg = Qgdg.Gdg
 
 let alap_starts g =
-  let _, succ = Gdg.neighbor_tables g in
   let _, makespan = Gdg.asap g in
   let latest_start = Hashtbl.create (Gdg.size g) in
   List.iter
     (fun (i : Inst.t) ->
       let latest_finish =
         List.fold_left
-          (fun acc q ->
-            match Hashtbl.find_opt succ (i.Inst.id, q) with
-            | None -> acc
-            | Some c -> Float.min acc (Hashtbl.find latest_start c))
-          makespan i.Inst.qubits
+          (fun acc (c : Inst.t) ->
+            Float.min acc (Hashtbl.find latest_start c.Inst.id))
+          makespan
+          (Gdg.children g i.Inst.id)
       in
       Hashtbl.replace latest_start i.Inst.id (latest_finish -. i.Inst.latency))
     (List.rev (Gdg.insts g));

@@ -36,12 +36,18 @@ let of_gdg ?(highlight_critical = true) g =
         (Printf.sprintf "  n%d [label=\"#%d (%.1f ns)\\n%s\"%s];\n" i.Inst.id
            i.Inst.id i.Inst.latency members color))
     (Gdg.insts g);
-  let _, succ = Gdg.neighbor_tables g in
-  Hashtbl.iter
-    (fun (id, q) s ->
-      Buffer.add_string buf
-        (Printf.sprintf "  n%d -> n%d [label=\"q%d\"];\n" id s q))
-    succ;
+  List.iter
+    (fun (i : Inst.t) ->
+      List.iter
+        (fun q ->
+          match Gdg.succ_on g i.Inst.id ~qubit:q with
+          | None -> ()
+          | Some s ->
+            Buffer.add_string buf
+              (Printf.sprintf "  n%d -> n%d [label=\"q%d\"];\n" i.Inst.id
+                 s.Inst.id q))
+        i.Inst.qubits)
+    (Gdg.insts g);
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 

@@ -103,6 +103,61 @@ let blocks_reference a b =
 
 let insts_reference a b = blocks_reference a.Inst.gates b.Inst.gates
 
+(* ---- chain contraction (paper §3.3) ---- *)
+
+(* [merge_chains chains a b m]: the per-qubit chains after contracting
+   [a] and [b] into [m] — [m] at the first occurrence of either id, the
+   second occurrence dropped *)
+let merge_chains chains a b m =
+  Array.map
+    (fun chain ->
+      let rec go seen = function
+        | [] -> []
+        | x :: rest when x = a || x = b ->
+          if seen then go seen rest else m :: go true rest
+        | x :: rest -> x :: go seen rest
+      in
+      go false chain)
+    chains
+
+(* Kahn's algorithm over the consecutive-pair edges of per-qubit id
+   chains: acyclic iff every id is emitted *)
+let acyclic_chains chains =
+  let indeg = Hashtbl.create 64 and succs = Hashtbl.create 64 in
+  let node x =
+    if not (Hashtbl.mem indeg x) then Hashtbl.replace indeg x 0
+  in
+  Array.iter
+    (fun chain ->
+      List.iter node chain;
+      let rec edges = function
+        | x :: (y :: _ as rest) ->
+          Hashtbl.replace indeg y (Hashtbl.find indeg y + 1);
+          Hashtbl.add succs x y;
+          edges rest
+        | _ -> ()
+      in
+      edges chain)
+    chains;
+  let ready =
+    Queue.of_seq
+      (Seq.filter_map
+         (fun (x, d) -> if d = 0 then Some x else None)
+         (Hashtbl.to_seq indeg))
+  in
+  let emitted = ref 0 in
+  while not (Queue.is_empty ready) do
+    let x = Queue.pop ready in
+    incr emitted;
+    List.iter
+      (fun y ->
+        let d = Hashtbl.find indeg y - 1 in
+        Hashtbl.replace indeg y d;
+        if d = 0 then Queue.add y ready)
+      (Hashtbl.find_all succs x)
+  done;
+  !emitted = Hashtbl.length indeg
+
 (* ---- the pre-oracle detect pass ---- *)
 
 (* grow the longest contiguous run starting at [id] whose support stays

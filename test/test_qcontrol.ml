@@ -233,6 +233,20 @@ let latency_cases =
        coordinates) are pure caches: a block's cost has the same bits
        from cold as after its own segments and a shuffled batch of other
        blocks, some of them on shifted wires, have warmed them *)
+    (* the block key is a value encoding: one float box shared by both
+       rotations and two equal boxes are the same shape *)
+    case "block memo key ignores float sharing" (fun () ->
+        Latency_model.reset_memos ();
+        let block t1 t2 = [ Gate.rz t1 0; Gate.rz t2 1; Gate.cnot 0 1 ] in
+        let shared = Float.of_string "0.7" in
+        let m = Qobs.Metrics.create () in
+        Qobs.Metrics.with_ambient m (fun () ->
+            ignore (Latency_model.block_time device (block shared shared));
+            ignore
+              (Latency_model.block_time device
+                 (block (Float.of_string "0.7") (Float.of_string "0.7"))));
+        check_int "one hit of two" 1
+          (Qobs.Metrics.counter_value m "latency_model.block_memo_hits"));
     qcheck ~count:30 "block time independent of memo warmth"
       QCheck.(int_range 0 10000)
       (fun seed ->

@@ -223,6 +223,30 @@ let commute_cases =
         | Some r -> r = Qref.dense_commute a b
         | None -> true) ]
 
+let memo_key_cases =
+  [ (* summaries and decisions are keyed by value: one float box shared
+       by both rotations and two equal boxes are the same block *)
+    case "summary digest ignores float sharing" (fun () ->
+        Oracle.reset_memos ();
+        let block t1 t2 = [ Gate.rz t1 0; Gate.rz t2 1; Gate.cnot 0 1 ] in
+        let shared = Float.of_string "0.7" in
+        let s1, _ = Oracle.of_gates (block shared shared) in
+        let s2, hit =
+          Oracle.of_gates (block (Float.of_string "0.7") (Float.of_string "0.7"))
+        in
+        Alcotest.(check string) "digest" s1.Oracle.digest s2.Oracle.digest;
+        check_bool "classify hit" true hit);
+    case "pair memo key ignores string sharing" (fun () ->
+        Oracle.reset_memos ();
+        let a = [ Gate.h 0; Gate.cnot 0 1 ] in
+        let s = fst (Oracle.of_gates a) in
+        let m = Qobs.Metrics.create () in
+        Qobs.Metrics.with_ambient m (fun () ->
+            ignore (Oracle.blocks ~sa:s ~sb:s a a);
+            ignore (Oracle.blocks a a));
+        check_int "second query hits" 1
+          (Qobs.Metrics.counter_value m "commute.route.memo")) ]
+
 let gdg_cases =
   [ case "of_circuit sizes" (fun () ->
         let g = qaoa_triangle () in
@@ -293,27 +317,125 @@ let gdg_cases =
         Alcotest.check_raises "raises"
           (Invalid_argument "Gdg.set_latency: negative latency")
           (fun () -> Gdg.set_latency (qaoa_triangle ()) 0 (-1.)));
-    case "neighbor tables match pred_on" (fun () ->
+    case "pred_on and succ_on read the chains" (fun () ->
         let g = qaoa_triangle () in
-        let pred, succ = Gdg.neighbor_tables g in
-        List.iter
-          (fun (i : Inst.t) ->
-            List.iter
-              (fun q ->
-                let via_table = Hashtbl.find_opt pred (i.Inst.id, q) in
-                let direct =
-                  Option.map (fun (p : Inst.t) -> p.Inst.id)
-                    (Gdg.pred_on g i.Inst.id ~qubit:q)
-                in
-                check_bool "pred agrees" true (via_table = direct);
-                let via_table = Hashtbl.find_opt succ (i.Inst.id, q) in
-                let direct =
-                  Option.map (fun (s : Inst.t) -> s.Inst.id)
-                    (Gdg.succ_on g i.Inst.id ~qubit:q)
-                in
-                check_bool "succ agrees" true (via_table = direct))
-              i.Inst.qubits)
-          (Gdg.insts g)) ]
+        let id = Option.map (fun (i : Inst.t) -> i.Inst.id) in
+        for q = 0 to Gdg.n_qubits g - 1 do
+          let chain = Array.of_list (Gdg.chain_ids g q) in
+          let n = Array.length chain in
+          Array.iteri
+            (fun k x ->
+              check_bool "pred" true
+                (id (Gdg.pred_on g x ~qubit:q)
+                 = if k = 0 then None else Some chain.(k - 1));
+              check_bool "succ" true
+                (id (Gdg.succ_on g x ~qubit:q)
+                 = if k = n - 1 then None else Some chain.(k + 1)))
+            chain
+        done);
+    case "of_insts rejects a repeated qubit" (fun () ->
+        let i =
+          { (Inst.of_gate ~id:0 ~latency:1. (Gate.h 0)) with Inst.qubits = [ 0; 0 ] }
+        in
+        Alcotest.check_raises "raises"
+          (Invalid_argument "Gdg.of_insts: repeated qubit")
+          (fun () -> ignore (Gdg.of_insts ~n_qubits:1 [ i ]))) ]
+
+(* the links of [g] against a list model of its chains: each chain read
+   backward ([Gdg.chain_ids]) and forward (head and successors) equals
+   the model, predecessor, successor, head and end agree, and position
+   labels strictly increase along every chain *)
+let links_agree g (model : int list array) =
+  let slots x = g.Gdg.links.(x) in
+  let field x q off =
+    let l = slots x in
+    let w = Array.length l / 4 in
+    let rec go k = if k >= w then None else if l.(k) = q then Some l.((off * w) + k) else go (k + 1) in
+    go 0
+  in
+  (* head to end through the successors; a node off the chain ends the
+     walk with an id no chain holds *)
+  let rec forward q x =
+    if x < 0 then []
+    else match field x q 2 with Some s -> x :: forward q s | None -> [ x; -2 ]
+  in
+  List.for_all
+    (fun q ->
+      let chain = model.(q) in
+      let arr = Array.of_list chain in
+      let n = Array.length arr in
+      Gdg.chain_ids g q = chain
+      && forward q g.Gdg.head.(q) = chain
+      && g.Gdg.head.(q) = (if n = 0 then -1 else arr.(0))
+      && g.Gdg.last.(q) = (if n = 0 then -1 else arr.(n - 1))
+      && List.for_all Fun.id
+           (List.init n (fun k ->
+                let x = arr.(k) in
+                field x q 1 = Some (if k = 0 then -1 else arr.(k - 1))
+                && field x q 2 = Some (if k = n - 1 then -1 else arr.(k + 1))
+                && (k = 0
+                   || Option.get (field arr.(k - 1) q 3) < Option.get (field x q 3)))))
+    (List.init (Gdg.n_qubits g) Fun.id)
+  && List.for_all
+       (fun (i : Inst.t) ->
+         Array.to_list (Array.sub (slots i.Inst.id) 0 (Inst.width i)) = i.Inst.qubits)
+       (Gdg.insts g)
+
+let links_cases =
+  [ (* random merges, accepted or rejected, with or without a rank: the
+       links must track a list model of the chains, a rejected merge must
+       leave links, size and fresh-id counter untouched, and every verdict
+       must equal Kahn's algorithm on the merged model chains *)
+    qcheck ~count:100 "links match chains after every merge"
+      QCheck.(int_range 0 10000)
+      (fun seed ->
+        let rng = Qgraph.Rand.create seed in
+        let n = 3 + Qgraph.Rand.int rng 3 in
+        let g =
+          Gdg.of_circuit ~latency:unit_latency
+            (Circuit.make n
+               (List.init
+                  (15 + Qgraph.Rand.int rng 40)
+                  (fun _ -> random_vocabulary_gate rng n)))
+        in
+        let model = Array.init n (Gdg.chain_ids g) in
+        let pick xs = List.nth xs (Qgraph.Rand.int rng (List.length xs)) in
+        let ids () = List.map (fun (i : Inst.t) -> i.Inst.id) (Gdg.insts g) in
+        let model_ok = ref (links_agree g model) in
+        for _ = 1 to 25 do
+          let a = pick (ids ()) and b = pick (ids ()) in
+          if a <> b then begin
+            let before = Array.map Array.copy g.Gdg.links in
+            let size = Gdg.size g and next = Gdg.next_id g in
+            let merged_model = Qref.merge_chains model a b next in
+            let rank =
+              if Qgraph.Rand.bool rng then None
+              else
+                let t = Timing.create g in
+                Some (Timing.rank t)
+            in
+            let accepted =
+              match Gdg.merge ?rank g ~latency:1. a b with
+              | _ -> true
+              | exception Invalid_argument _ -> false
+            in
+            let verdict_ok = accepted = Qref.acyclic_chains merged_model in
+            let state_ok =
+              if accepted then begin
+                Array.blit merged_model 0 model 0 n;
+                true
+              end
+              else
+                Gdg.size g = size && Gdg.next_id g = next
+                && List.for_all
+                     (fun x -> before.(x) = g.Gdg.links.(x))
+                     (List.init (Array.length before) Fun.id)
+            in
+            model_ok := !model_ok && verdict_ok && state_ok && links_agree g model
+          end
+        done;
+        Gdg.validate g;
+        !model_ok) ]
 
 (* 3–5 qubits, 20–60 gates, mostly mutually commuting (ZZ blocks, Rzz,
    Rz) with CNOT and H to break runs: long commutation groups whose
@@ -532,7 +654,38 @@ let diagonal_cases =
             check_float
               (Printf.sprintf "%s cls makespan" b.Qapps.Suite.name)
               (Qsched.Cls.makespan g_ref) (Qsched.Cls.makespan g_new))
-          Qapps.Suite.all) ]
+          Qapps.Suite.all);
+    (* every contraction detect makes is an exclusive edge, so
+       [Gdg.merge]'s shortcut accepts it without a cycle probe: on the
+       lowered graph (cls, cls+aggregation) and on the routed graph
+       (aggregation; the isa result is that graph, uncontracted) of
+       every suite benchmark *)
+    slow_case "detect merges never run the cycle probe" (fun () ->
+        let total = ref 0 in
+        List.iter
+          (fun (b : Qapps.Suite.benchmark) ->
+            let circuit = Qapps.Suite.lowered b in
+            let routed =
+              (Qcc.Compiler.compile ~strategy:Qcc.Strategy.Isa circuit)
+                .Qcc.Compiler.gdg
+            in
+            List.iter
+              (fun (what, g) ->
+                let m = Qobs.Metrics.create () in
+                let merges =
+                  Qobs.Metrics.with_ambient m (fun () ->
+                      Diagonal.detect_and_contract ~latency:sum_latency
+                        (Gdg.copy g))
+                in
+                total := !total + merges;
+                check_int
+                  (Printf.sprintf "%s %s probes" b.Qapps.Suite.name what)
+                  0
+                  (Qobs.Metrics.counter_value m "gdg.merge.probes"))
+              [ ("lowered", Gdg.of_circuit ~latency:sum_latency circuit);
+                ("routed", routed) ])
+          Qapps.Suite.all;
+        check_bool "some contractions" true (!total > 0)) ]
 
 (* [t]'s tables against a from-scratch [Timing.create] on the same graph,
    float entries compared bit for bit; the fresh tables are themselves
@@ -540,12 +693,10 @@ let diagonal_cases =
    unknown *)
 let timing_agrees (t : Timing.t) g =
   let f = Timing.create g in
-  let nq = Gdg.n_qubits g in
   let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
   let asap, makespan = Gdg.asap g in
   same t.makespan f.makespan
   && same f.makespan makespan
-  && t.ends = f.ends
   && List.for_all
        (fun (x, (s, fin)) -> same f.start.(x) s && same f.finish.(x) fin)
        asap
@@ -554,27 +705,20 @@ let timing_agrees (t : Timing.t) g =
          let x = i.Inst.id in
          List.for_all
            (fun (a, b) -> same a.(x) b.(x))
-           [ (t.start, f.start); (t.finish, f.finish); (t.tail, f.tail) ]
-         && List.for_all
-              (fun q ->
-                let k = (x * nq) + q in
-                t.pred.(k) = f.pred.(k)
-                && t.succ.(k) = f.succ.(k)
-                && t.pos.(k) = f.pos.(k))
-              (List.init nq Fun.id))
+           [ (t.start, f.start); (t.finish, f.finish); (t.tail, f.tail) ])
        (Gdg.insts g)
   && List.for_all
        (fun x -> Gdg.mem g x || Timing.rank t x = neg_infinity)
        (List.init (Gdg.next_id g) Fun.id)
 
 let timing_cases =
-  [ (* random merges, each validated by the rank-bounded cycle probe and
-       followed by a splice: the patched tables must equal a fresh pass
+  [ (* random merges through [Timing.merge], each validated by the
+       rank-bounded cycle probe: the patched tables must equal a fresh pass
        after every step. Pairs are either chain-near (mostly accepted) or
        arbitrary (often cyclic, so rejected merges must leave [t] alone);
        latencies are random, zero included, so ties and re-timed tails
        both occur *)
-    qcheck ~count:100 "splice matches create after every merge"
+    qcheck ~count:100 "Timing.merge matches create after every merge"
       QCheck.(int_range 0 10000)
       (fun seed ->
         let rng = Qgraph.Rand.create seed in
@@ -613,16 +757,18 @@ let timing_cases =
             let b = partner a in
             (a = b
             ||
-            match Gdg.merge g ~rank:(Timing.rank t) ~latency:(latency ()) a b with
+            match Timing.merge t ~latency:(latency ()) a b with
             | exception Invalid_argument _ -> true
-            | merged -> Timing.splice t ~a ~b merged >= 1)
+            | _, pops -> pops >= 1)
             && timing_agrees t g)
           (List.init 25 Fun.id)) ]
 
 let suites =
   [ ("qgdg.inst", inst_cases);
     ("qgdg.commute", commute_cases);
+    ("qgdg.memo_key", memo_key_cases);
     ("qgdg.gdg", gdg_cases);
+    ("qgdg.links", links_cases);
     ("qgdg.comm_group", comm_group_cases);
     ("qgdg.timing", timing_cases);
     ("qgdg.diagonal", diagonal_cases) ]

@@ -91,12 +91,12 @@ let gdg_cases =
             (Circuit.make 2 [ Gate.h 0; Gate.cnot 0 1 ])
         in
         check_int "none" 0 (List.length (Qlint.Check_gdg.run g)));
-    case "duplicate chain entry is QL024" (fun () ->
-        (* a support listing qubit 0 twice threads the node onto chain 0
-           twice *)
+    case "repeated qubit is QL024" (fun () ->
+        (* a support listing qubit 0 twice would thread the node onto
+           chain 0 twice, which [Gdg.of_insts] refuses *)
         let i = raw_inst 0 [ Gate.h 0 ] [ 0; 0 ] 1. in
-        let g = Gdg.of_insts ~n_qubits:1 [ i ] in
-        check_bool "QL024" true (List.mem "QL024" (codes (Qlint.Check_gdg.run g))));
+        let diags = Qlint.Check_gdg.check_insts ~n_qubits:1 [ i ] in
+        check_bool "QL024" true (List.mem "QL024" (codes diags)));
     case "duplicate instruction id is QL025" (fun () ->
         let i = Inst.of_gate ~id:4 ~latency:1. (Gate.h 0) in
         let diags = Qlint.Check_gdg.check_insts ~n_qubits:1 [ i; i ] in

@@ -155,10 +155,8 @@ let jobs_arg =
        & info [ "j"; "jobs" ] ~docv:"N"
            ~doc:"Run up to N benchmark×strategy jobs in parallel on an \
                  OCaml domain pool. Deterministic: results are \
-                 byte-identical to -j 1 (the sequential driver) at any N \
-                 — only wall time changes. On a single compilation \
-                 (compile) the whole pipeline is one job, so the flag is \
-                 validated and has no effect.")
+                 byte-identical to -j 1 (the pool of one on the calling \
+                 domain) at any N — only wall time changes.")
 
 let check_jobs jobs =
   if jobs < 1 then
@@ -182,9 +180,8 @@ let wrote path = Printf.printf "wrote %s\n%!" path
 
 let compile_cmd =
   let run qasm bench strategy topology width arch trace_file metrics_file
-      json_file ledger_file jobs verbosity =
+      json_file ledger_file verbosity =
     or_die @@ fun () ->
-    let _ = check_jobs jobs in
     let verbosity = List.length verbosity in
     setup_logs verbosity;
     let circuit = load_circuit ~qasm_file:qasm ~benchmark:bench in
@@ -231,7 +228,7 @@ let compile_cmd =
   Cmd.v (Cmd.info "compile" ~doc:"Compile a circuit under one strategy.")
     Term.(const run $ qasm_arg $ bench_arg $ strategy_arg $ topology_arg
           $ width_arg $ arch_arg $ trace_arg $ metrics_arg $ json_arg
-          $ ledger_arg $ jobs_arg $ verbosity_arg)
+          $ ledger_arg $ verbosity_arg)
 
 let compare_cmd =
   let run qasm benches topology width arch json_file ledger_file jobs =
@@ -257,7 +254,7 @@ let compare_cmd =
         [ ( "circuit",
             Qcc.Compiler.compile_all ~config:cfg ?ledger
               ?source_label:(source_label ~qasm_file:qasm ~benchmark:None)
-              ?jobs:(if jobs > 1 then Some jobs else None)
+              ~jobs
               (load_circuit ~qasm_file:qasm ~benchmark:None) ) ]
     in
     Qcc.Report.print_speedup_table ~header:"normalized latency (isa = 1.0)"

@@ -109,6 +109,12 @@ let compile ?(config = Backend.default) ?(check = false) ?(certify = false)
           let costed =
             Pipeline.run ~ctx ?cache (Strategy.passes strategy) circuit
           in
+          (* lowering's output size belongs on this span, not the pass's *)
+          let lowered = costed.Ir.l.Ir.base in
+          Qobs.Trace.attr_int obs "qubits" (Qgate.Circuit.n_qubits lowered);
+          Qobs.Trace.attr_int obs "gates" (Qgate.Circuit.n_gates lowered);
+          Qobs.Metrics.incr metrics ~by:(Qgate.Circuit.n_gates lowered)
+            "lower.gates";
           (match cert with
            | Some c ->
              Qcert.Pipeline.end_to_end c
@@ -200,48 +206,13 @@ let make_shards metrics n =
   in
   (shard_for, land_shards)
 
-let compile_all ?config ?check ?certify ?obs ?metrics ?cache ?ledger
-    ?source_label ?jobs circuit =
-  (* one shared stage cache: the strategies fork from common prefixes
-     (all five lower identically; isa and aggregation also share
-     placement and routing), so the prefix is computed once *)
-  let cache =
-    match cache with Some c -> c | None -> Pipeline.Cache.create ()
-  in
-  match jobs with
-  | None ->
-    (* the sequential driver: caller's collectors, caller's warm memos *)
-    List.map
-      (fun strategy ->
-        ( strategy,
-          compile ?config ?check ?certify ?obs ?metrics ~cache ?ledger
-            ?source_label ~strategy circuit ))
-      Strategy.all
-  | Some jobs ->
-    let strategies = Array.of_list Strategy.all in
-    let shard_for, land_shards = make_shards metrics (Array.length strategies) in
-    let results =
-      Parallel.map ~jobs ~init:reset_all_memos
-        (fun i strategy ->
-          (* an enabled caller trace cannot take concurrent spans; give
-             each job a private collector so result.trace still lands *)
-          let obs =
-            match obs with
-            | Some o when Qobs.Trace.enabled o -> Some (Qobs.Trace.create ())
-            | other -> other
-          in
-          compile ?config ?check ?certify ?obs ?metrics:(shard_for i) ~cache
-            ?ledger ?source_label ~strategy circuit)
-        strategies
-    in
-    land_shards ();
-    List.combine (Array.to_list strategies) (Array.to_list results)
-
 let compile_matrix ?config ?check ?certify ?metrics ?cache ?ledger ?(jobs = 1)
     named =
   (* one shared stage cache across the whole benchmark×strategy matrix:
-     within a circuit the strategies fork from common prefixes exactly
-     as in [compile_all]; across circuits the keys differ at the root *)
+     within a circuit the strategies fork from common prefixes (all five
+     lower identically; isa and aggregation also share placement and
+     routing), so each prefix is computed once; across circuits the keys
+     differ at the root *)
   let cache =
     match cache with Some c -> c | None -> Pipeline.Cache.create ()
   in
@@ -270,6 +241,13 @@ let compile_matrix ?config ?check ?certify ?metrics ?cache ?ledger ?(jobs = 1)
           (fun si s -> (s, results.((bi * n_strat) + si)))
           (Array.to_list strategies) ))
     named
+
+let compile_all ?config ?check ?certify ?metrics ?cache ?ledger
+    ?(source_label = "") ?jobs circuit =
+  snd
+    (List.hd
+       (compile_matrix ?config ?check ?certify ?metrics ?cache ?ledger ?jobs
+          [ (source_label, circuit) ]))
 
 let blocks result =
   List.map (fun (i : Inst.t) -> i.Inst.gates) (Gdg.insts result.gdg)

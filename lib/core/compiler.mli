@@ -44,7 +44,8 @@ type result = {
           [[]] unless compiled with [~check:true] *)
   trace : Qobs.Span.t option;
       (** the root ["compile"] span with one child per pipeline pass (see
-          {!passes}); [None] unless compiled with an enabled [~obs]
+          {!passes}), carrying the lowered circuit's [qubits] and [gates]
+          counts; [None] unless compiled with an enabled [~obs]
           collector *)
   certificate : Qcert.Certificate.t option;
       (** per-boundary translation-validation certificate; [None] unless
@@ -114,33 +115,6 @@ val compile :
     [qcc stats] sums over. [~source_label] names the row's [source]
     field (e.g. the benchmark or file name). *)
 
-val compile_all :
-  ?config:Backend.t -> ?check:bool -> ?certify:bool -> ?obs:Qobs.Trace.t ->
-  ?metrics:Qobs.Metrics.t -> ?cache:Pipeline.Cache.t ->
-  ?ledger:Qobs.Ledger.t -> ?source_label:string -> ?jobs:int ->
-  Qgate.Circuit.t ->
-  (Strategy.t * result) list
-(** All five strategies on one circuit (sharing the collectors). By
-    default a fresh stage cache is created for the call, so the shared
-    pipeline prefix (lowering everywhere; placement and routing between
-    ISA and aggregation) is computed once per circuit.
-
-    [?jobs] selects the driver. Omitted: the sequential driver — every
-    strategy compiles on the calling domain with the caller's
-    collectors and warm memos, exactly as before. [~jobs:n] (any
-    [n >= 1]): the pooled driver ({!Parallel.map}) — strategies become
-    jobs on a pool of [n] domains sharing the one compute-once stage
-    cache (and the ledger, when given); every worker runs
-    {!reset_all_memos} before its first job, metrics land as per-job
-    shards merged in job-index order into the caller's registry, and an
-    enabled [~obs] is replaced by a private per-job trace collector
-    (each {!field:result.trace} is that job's root span; the caller's
-    collector itself records nothing). Results — latencies, merges,
-    swaps, diagnostics, certificates — are byte-identical for every
-    [n], including [n = 1], which is the pooled driver's sequential
-    reference. Ledger row {e order} is scheduling-dependent under
-    [n > 1]; row contents are not. *)
-
 val compile_matrix :
   ?config:Backend.t -> ?check:bool -> ?certify:bool ->
   ?metrics:Qobs.Metrics.t -> ?cache:Pipeline.Cache.t ->
@@ -148,14 +122,33 @@ val compile_matrix :
   (string * Qgate.Circuit.t) list ->
   (string * (Strategy.t * result) list) list
 (** The full benchmark×strategy matrix as one job pool: every (circuit,
-    strategy) cell is an independent job ([jobs] defaults to 1 — the
-    sequential reference on the calling domain), flattened
-    benchmark-major so results regroup deterministically. One shared
-    compute-once stage cache spans the whole matrix; each job's
-    [source_label] (and its ledger row's [source]) is the given name.
-    Same determinism contract and shard discipline as
-    [compile_all ~jobs]. Backs [qcc compare -b] at every [-j] and the
-    [matrix-pool] workload of bench/measure. *)
+    strategy) cell is an independent job, flattened benchmark-major so
+    results regroup deterministically. [~jobs:n] (default 1) runs the
+    jobs on {!Parallel.map}'s pool of [n] domains; [n = 1] is the pool
+    of one on the calling domain. One shared compute-once stage cache
+    spans the whole matrix (a fresh one unless [~cache] is given), so
+    the pipeline prefix the strategies share (lowering everywhere;
+    placement and routing between ISA and aggregation) is computed once
+    per circuit. Every worker, the calling domain at [n = 1] included,
+    runs {!reset_all_memos} before its first job; metrics land as
+    per-job shards merged in job-index order into the caller's registry.
+    Each job's [source_label] (and its ledger row's [source]) is the
+    given name.
+
+    Results — latencies, merges, swaps, diagnostics, certificates — are
+    byte-identical for every [n]. Ledger row {e order} is
+    scheduling-dependent under [n > 1]; row contents are not. Backs
+    [qcc compare] at every [-j] and the [matrix-pool] workload of
+    bench/measure. *)
+
+val compile_all :
+  ?config:Backend.t -> ?check:bool -> ?certify:bool ->
+  ?metrics:Qobs.Metrics.t -> ?cache:Pipeline.Cache.t ->
+  ?ledger:Qobs.Ledger.t -> ?source_label:string -> ?jobs:int ->
+  Qgate.Circuit.t ->
+  (Strategy.t * result) list
+(** All five strategies on one circuit: the one-row {!compile_matrix},
+    with [source_label] (default [""]) as the row's name. *)
 
 val blocks : result -> Qgate.Gate.t list list
 (** Final aggregated instructions as member-gate lists (for

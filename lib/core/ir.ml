@@ -6,7 +6,7 @@
     accumulate context as compilation proceeds: the lowered circuit rides
     along from [lowered] to [costed] (the end-to-end certifier needs it),
     merge counts survive scheduling and routing, and the route survives
-    rebuilds.
+    rebuilds and aggregation.
 
     The GADT {!stage} names each artifact type at the value level; it is
     what lets {!Pass.packed} erase pass types for declarative pipelines
@@ -36,7 +36,9 @@ type lowered = { base : Circuit.t; circuit : Circuit.t }
 type program = Gates of Circuit.t | Insts of Inst.t list
 
 (** A dependence graph (plus the contractions performed so far) —
-    [route] is [Some] once the gates in the graph are physical. *)
+    [route] is [Some] once the gates in the graph are physical. Both
+    in-place passes, [detect] and [aggregate], map this artifact to
+    itself; [aggregate] requires the route. *)
 type gdg_built = {
   l : lowered;
   gdg : Gdg.t;
@@ -66,15 +68,9 @@ type scheduled = {
   route : route_info option;
 }
 
-type aggregated = {
-  l : lowered;
-  gdg : Gdg.t;
-  merges : int;
-  route : route_info;
-}
-
 (** The final artifact the driver returns: a routed, scheduled program
-    with its headline cost. *)
+    with its headline cost. It is {!Pipeline.run}'s result, not a stage:
+    no pass consumes or produces it. *)
 type costed = {
   l : lowered;
   gdg : Gdg.t;
@@ -91,8 +87,6 @@ type _ stage =
   | Placed : placed stage
   | Routed : routed stage
   | Scheduled : scheduled stage
-  | Aggregated : aggregated stage
-  | Costed : costed stage
 
 let stage_name : type a. a stage -> string = function
   | Source -> "source"
@@ -101,8 +95,6 @@ let stage_name : type a. a stage -> string = function
   | Placed -> "placed"
   | Routed -> "routed"
   | Scheduled -> "scheduled"
-  | Aggregated -> "aggregated"
-  | Costed -> "costed"
 
 type (_, _) eq = Eq : ('a, 'a) eq
 
@@ -115,8 +107,6 @@ let equal_stage : type a b. a stage -> b stage -> (a, b) eq option =
   | Placed, Placed -> Some Eq
   | Routed, Routed -> Some Eq
   | Scheduled, Scheduled -> Some Eq
-  | Aggregated, Aggregated -> Some Eq
-  | Costed, Costed -> Some Eq
   | _ -> None
 
 (** Deep-copy the mutable parts of an artifact. Circuits, instructions,
@@ -130,13 +120,7 @@ let clone : type a. a stage -> a -> a =
   | Gdg_built ->
     let (r : gdg_built) = v in
     { r with gdg = Gdg.copy r.gdg }
-  | Aggregated ->
-    let (r : aggregated) = v in
-    { r with gdg = Gdg.copy r.gdg }
   | Scheduled ->
     let (r : scheduled) = v in
-    { r with gdg = Gdg.copy r.gdg }
-  | Costed ->
-    let (r : costed) = v in
     { r with gdg = Gdg.copy r.gdg }
   | Source | Lowered | Placed | Routed -> v

@@ -6,9 +6,6 @@
     - [run] does the work, inside a qobs span named after the pass;
     - [note] attaches key figures (node counts, swaps, contractions) to
       that span and the metrics registry, still inside the span;
-    - [note_after] does the same after the span closes, for figures that
-      belong on the enclosing span (lowering's qubit/gate counts land on
-      the ["compile"] span, as they always have);
     - [check] produces qlint diagnostics for the boundary just crossed
       (the driver accumulates them and fails fast on errors);
     - [certify] proves the boundary to {!Qcert.Pipeline}. In-place
@@ -16,8 +13,9 @@
       destroy; the snapshot is taken only when certification is on.
 
     The driver ({!Pipeline.run}) interprets the hooks in the fixed order
-    run → note → note_after → check → certify, which reproduces the
-    hand-written pipelines' instrumentation exactly. *)
+    run → note → check → certify. Figures that belong on the enclosing
+    ["compile"] span (lowering's qubit/gate counts) are attached by
+    {!Compiler.compile}, not by a pass. *)
 
 type ctx = {
   backend : Backend.t;
@@ -100,17 +98,15 @@ type ('a, 'b) t = {
   mutates : bool;  (** updates its input artifact's GDG in place *)
   run : ctx -> 'a -> 'b;
   note : (ctx -> 'a -> 'b -> unit) option;
-  note_after : (ctx -> 'a -> 'b -> unit) option;
   check : (ctx -> 'a -> 'b -> Qlint.Diagnostic.t list) option;
   certify : ('a, 'b) certifier option;
 }
 
 type packed = P : ('a, 'b) t -> packed
 
-let make ~name ~fingerprint ~inp ~out ?(mutates = false) ?note ?note_after
-    ?check ?certify run =
-  { name; fingerprint; inp; out; mutates; run; note; note_after; check;
-    certify }
+let make ~name ~fingerprint ~inp ~out ?(mutates = false) ?note ?check
+    ?certify run =
+  { name; fingerprint; inp; out; mutates; run; note; check; certify }
 
 let name (P p) = p.name
 let fingerprint (P p) = p.fingerprint

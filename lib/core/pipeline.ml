@@ -121,28 +121,10 @@ let root_key backend source =
 
 let chain key fingerprint = Digest.string (key ^ "\x00" ^ fingerprint)
 
-let validate (passes : Pass.packed list) =
-  let rec go : type a. a Ir.stage -> Pass.packed list -> unit =
-   fun prev -> function
-    | [] -> ()
-    | Pass.P p :: rest ->
-      (match Ir.equal_stage prev p.Pass.inp with
-       | Some Ir.Eq -> ()
-       | None ->
-         raise
-           (Stage_mismatch
-              { pass = p.Pass.name;
-                expected = Ir.stage_name p.Pass.inp;
-                got = Ir.stage_name prev }));
-      go p.Pass.out rest
-  in
-  go Ir.Source passes
-
 (* One pass: cache lookup / span / run, then the hooks in seed order
-   (note inside the span, note_after on the parent, lint checkpoint,
-   certification). Hooks always run — a cache hit skips only the work,
-   so diagnostics, certificates and span structure are identical with
-   and without sharing. *)
+   (note inside the span, lint checkpoint, certification). Hooks always
+   run — a cache hit skips only the work, so diagnostics, certificates
+   and span structure are identical with and without sharing. *)
 let exec :
     type a b. Pass.ctx -> Cache.t option -> string option -> (a, b) Pass.t ->
     a -> b =
@@ -196,7 +178,6 @@ let exec :
             Printexc.raise_with_backtrace e bt))
   in
   let hooked b =
-    (match p.Pass.note_after with Some f -> f ctx a b | None -> ());
     (match (p.Pass.check, ctx.Pass.lint) with
      | Some f, Some acc ->
        let diags = f ctx a b in

@@ -51,11 +51,6 @@ module Cache : sig
   val clear : t -> unit
 end
 
-val validate : Pass.packed list -> unit
-(** Check that consecutive stages line up (and that the sequence starts
-    from a source circuit) without running anything. Raises
-    {!Stage_mismatch} on the first bad edge. *)
-
 val run :
   ctx:Pass.ctx -> ?cache:Cache.t -> Pass.packed list -> Qgate.Circuit.t ->
   Ir.costed

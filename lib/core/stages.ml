@@ -90,13 +90,6 @@ let lower =
   Pass.P
     (Pass.make ~name:"lower" ~fingerprint:"lower" ~inp:Ir.Source
        ~out:Ir.Lowered
-       ~note_after:(fun ctx _ (b : Ir.lowered) ->
-         if Pass.observing ctx then begin
-           Qobs.Trace.attr_int ctx.obs "qubits" (Circuit.n_qubits b.circuit);
-           Qobs.Trace.attr_int ctx.obs "gates" (Circuit.n_gates b.circuit);
-           Qobs.Metrics.incr ctx.metrics ~by:(Circuit.n_gates b.circuit)
-             "lower.gates"
-         end)
        ~check:(fun _ _ (b : Ir.lowered) ->
          Qlint.Check_circuit.run ~stage:"lower" b.circuit)
        ~certify:
@@ -265,10 +258,8 @@ let route_insts ctx ~topology ~placement insts =
 let route =
   Pass.P
     (Pass.make ~name:"route" ~fingerprint:"route" ~inp:Ir.Placed ~out:Ir.Routed
-       ~note:(fun ctx (a : Ir.placed) (b : Ir.routed) ->
-         match a.program with
-         | Ir.Insts _ -> Pass.note_int ctx "swaps" b.route.swaps
-         | Ir.Gates _ -> ())
+       ~note:(fun ctx _ (b : Ir.routed) ->
+         Pass.note_int ctx "swaps" b.route.swaps)
        ~check:(fun ctx (a : Ir.placed) (b : Ir.routed) ->
          let topology = topology ctx a.l in
          let initial = b.route.initial and final = b.route.final in
@@ -388,68 +379,52 @@ let rebuild_insts =
 let aggregate =
   Pass.P
     (Pass.make ~name:"aggregate" ~fingerprint:"aggregate" ~inp:Ir.Gdg_built
-       ~out:Ir.Aggregated ~mutates:true
-       ~note:(fun ctx (a : Ir.gdg_built) (b : Ir.aggregated) ->
+       ~out:Ir.Gdg_built ~mutates:true
+       ~note:(fun ctx (a : Ir.gdg_built) (b : Ir.gdg_built) ->
          Pass.note_int ctx "merges" (b.merges - a.merges))
-       ~check:(fun ctx _ (b : Ir.aggregated) ->
+       ~check:(fun ctx _ (b : Ir.gdg_built) ->
          aggregate_diags ~width_limit:ctx.Pass.backend.Backend.width_limit
            b.gdg)
        ~certify:
          (Pass.Cert_pre
             ( (fun (a : Ir.gdg_built) -> Gdg.insts a.gdg),
-              fun ctx c before (b : Ir.aggregated) ->
+              fun ctx c before (b : Ir.gdg_built) ->
                 Qcert.Pipeline.aggregation c
                   ~width_limit:(max ctx.Pass.backend.Backend.width_limit 2)
                   ~before ~gdg:b.gdg ))
        (fun ctx (a : Ir.gdg_built) ->
-         let route =
-           match a.route with
-           | Some r -> r
-           | None -> invalid_arg "Stages.aggregate: unrouted GDG"
-         in
+         if Option.is_none a.route then
+           invalid_arg "Stages.aggregate: unrouted GDG";
          let stats =
            Qagg.Aggregator.run
              ~width_limit:ctx.Pass.backend.Backend.width_limit
              ~cost:(cost_fn Model ctx) a.gdg
          in
-         { Ir.l = a.l;
-           gdg = a.gdg;
-           merges = a.merges + stats.Qagg.Aggregator.merges;
-           route }))
+         { a with merges = a.merges + stats.Qagg.Aggregator.merges }))
 
-(* the four final-schedule variants share name, hooks and shape; only
-   the scheduler and the input stage differ *)
-let final_schedule ~fingerprint ~inp ~sched ~unpack =
+(* the two final-schedule passes share name, hooks and shape; only the
+   scheduler differs *)
+let final_schedule ~fingerprint ~sched =
   Pass.P
-    (Pass.make ~name:"schedule" ~fingerprint ~inp ~out:Ir.Scheduled
+    (Pass.make ~name:"schedule" ~fingerprint ~inp:Ir.Gdg_built
+       ~out:Ir.Scheduled
        ~check:(fun ctx _ (b : Ir.scheduled) -> final_diags ctx b)
        ~certify:
          (Pass.Cert
             (fun _ c _ (b : Ir.scheduled) ->
               Qcert.Pipeline.schedule c ~name:"schedule" ~gdg:b.gdg b.schedule))
-       (fun _ a ->
-         let l, gdg, merges, route = unpack a in
-         { Ir.l; gdg; schedule = sched gdg; merges; route }))
+       (fun _ (a : Ir.gdg_built) ->
+         { Ir.l = a.l;
+           gdg = a.gdg;
+           schedule = sched a.gdg;
+           merges = a.merges;
+           route = a.route }))
 
 let asap_final =
-  final_schedule ~fingerprint:"schedule:asap@gdg" ~inp:Ir.Gdg_built
-    ~sched:Qsched.Asap.schedule
-    ~unpack:(fun (a : Ir.gdg_built) -> (a.l, a.gdg, a.merges, a.route))
-
-let asap_final_agg =
-  final_schedule ~fingerprint:"schedule:asap@agg" ~inp:Ir.Aggregated
-    ~sched:Qsched.Asap.schedule
-    ~unpack:(fun (a : Ir.aggregated) -> (a.l, a.gdg, a.merges, Some a.route))
+  final_schedule ~fingerprint:"schedule:asap@gdg" ~sched:Qsched.Asap.schedule
 
 let cls_final =
-  final_schedule ~fingerprint:"schedule:cls@gdg" ~inp:Ir.Gdg_built
-    ~sched:Qsched.Cls.schedule
-    ~unpack:(fun (a : Ir.gdg_built) -> (a.l, a.gdg, a.merges, a.route))
-
-let cls_final_agg =
-  final_schedule ~fingerprint:"schedule:cls@agg" ~inp:Ir.Aggregated
-    ~sched:Qsched.Cls.schedule
-    ~unpack:(fun (a : Ir.aggregated) -> (a.l, a.gdg, a.merges, Some a.route))
+  final_schedule ~fingerprint:"schedule:cls@gdg" ~sched:Qsched.Cls.schedule
 
 (* ---- the five strategies as declarative pass sequences ---- *)
 
@@ -466,13 +441,13 @@ let cls =
 (* aggregation without commutativity-aware scheduling *)
 let aggregation =
   [ lower; place_of_lowered; route; gdg_of_routed ~cost:Model ~lint:false;
-    detect ~cost:Model; aggregate; asap_final_agg ]
+    detect ~cost:Model; aggregate; asap_final ]
 
 (* the full pipeline *)
 let cls_aggregation =
   [ lower; gdg_of_lowered ~cost:Model ~lint:false; detect ~cost:Model;
     cls_schedule; place_of_scheduled; route; rebuild_insts; aggregate;
-    cls_final_agg ]
+    cls_final ]
 
 (* CLS + mechanical hand optimization *)
 let cls_hand =

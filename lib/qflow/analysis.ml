@@ -85,11 +85,14 @@ let gdg g =
       | None -> true
     in
     Hashtbl.replace out id output;
+    let summary, hit = Qgdg.Oracle.of_gates i.Qgdg.Inst.gates in
+    Qobs.Metrics.tick
+      (if hit then "qflow.summary.hit" else "qflow.summary.miss");
     Hashtbl.replace info id
       { inst_id = id;
         input;
         output;
-        summary = Summary.of_inst i;
+        summary;
         dead_members = List.rev !dead_members };
     if changed then
       List.iter

@@ -12,7 +12,10 @@
     when a predecessor's output changes (on a well-formed DAG the
     seeding pass already converges; the worklist makes the solver total
     on any graph). Every instruction also gets its content-addressed
-    {!Summary}. *)
+    summary ({!Qgdg.Oracle.of_gates}); each lookup ticks
+    [qflow.summary.hit] or [qflow.summary.miss] on the ambient metrics
+    registry (the oracle's classification memo traffic, which
+    [qcc analyze] reports). *)
 
 type circuit_result = {
   n_qubits : int;

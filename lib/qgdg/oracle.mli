@@ -41,8 +41,8 @@ type t = {
 
 val of_gates : Qgate.Gate.t list -> t * bool
 (** The block's summary plus whether the classification was a memo hit
-    (callers that meter cache traffic — {!Qflow.Summary} — tick on the
-    flag; this module itself never ticks classification counters). *)
+    (callers that meter cache traffic — {!Qflow.Analysis.gdg} — tick on
+    the flag; this module itself never ticks classification counters). *)
 
 val max_check_width : int
 (** Support-size cap (8) above which the dense check is not attempted. *)

@@ -11,7 +11,7 @@ let run ?stage ?gate_time ~width_limit gdg =
     match Hashtbl.find_opt summaries i.Inst.id with
     | Some s -> s
     | None ->
-      let s = Qflow.Summary.of_inst i in
+      let s, _ = Qgdg.Oracle.of_gates i.Inst.gates in
       Hashtbl.replace summaries i.Inst.id s;
       s
   in

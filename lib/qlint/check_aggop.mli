@@ -1,9 +1,9 @@
 (** Aggregation-opportunity lints (QL07x) over a gate dependence graph.
 
     - QL070 info: two chain-adjacent instructions whose algebraic
-      summaries ({!Qflow.Summary}) prove they commute as operators, and
-      whose joint support fits the width limit — a merge (or reorder)
-      opportunity the optimizer left on the table
+      summaries ({!Qgdg.Oracle.of_gates}) prove they commute as
+      operators, and whose joint support fits the width limit — a merge
+      (or reorder) opportunity the optimizer left on the table
     - QL071 info: an aggregate all of whose members are diagonal (so
       they mutually commute and admit one optimal-control pulse), yet
       whose recorded latency is the serial sum of its members' gate

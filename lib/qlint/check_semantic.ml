@@ -55,7 +55,7 @@ let run ?stage ?(ancillas = []) circuit =
           when List.for_all (fun (_, nx) -> nx = Some j0) rest
                && (not (Hashtbl.mem dead_idx j0))
                && set_eq (Gate.qubits gi) (Gate.qubits arr.(j0)) ->
-          let s = Qflow.Summary.of_gates [ gi; arr.(j0) ] in
+          let s, _ = Qgdg.Oracle.of_gates [ gi; arr.(j0) ] in
           if s.Qgdg.Oracle.klass = Qgdg.Oracle.Identity then begin
             Hashtbl.replace consumed j0 ();
             add

@@ -9,6 +9,7 @@ module Strategy = Qcc.Strategy
 module Pipeline = Qcc.Pipeline
 module Pass = Qcc.Pass
 module Ir = Qcc.Ir
+module Stages = Qcc.Stages
 module Gdg = Qgdg.Gdg
 module Json = Qobs.Json
 
@@ -158,15 +159,76 @@ let cache_cases =
         check_bool "pipeline.cache.miss" true
           (Qobs.Metrics.counter_value metrics "pipeline.cache.miss" > 0)) ]
 
+(* run a pass list on maxcut-line with no collectors, lint or cache *)
+let run_passes passes =
+  Pipeline.run ~ctx:(Pass.ctx ()) passes (circuit_of "maxcut-line")
+
+let expect_mismatch ~pass ~expected ~got passes =
+  match run_passes passes with
+  | _ -> Alcotest.failf "%s: sequence ran to the end" pass
+  | exception Pipeline.Stage_mismatch m ->
+    Alcotest.(check (triple string string string))
+      "mismatch" (pass, expected, got) (m.pass, m.expected, m.got)
+
+let expect_invalid msg passes =
+  match run_passes passes with
+  | _ -> Alcotest.failf "no Invalid_argument %S" msg
+  | exception Invalid_argument m -> Alcotest.(check string) "message" msg m
+
+let attr_int (span : Qobs.Span.t) key =
+  match List.assoc_opt key span.Qobs.Span.attrs with
+  | Some (Qobs.Span.Int v) -> v
+  | _ -> Alcotest.failf "span %s: no int attribute %S" span.Qobs.Span.name key
+
 let registry_cases =
   [ case "every strategy's pass sequence composes" (fun () ->
-        List.iter (fun s -> Pipeline.validate (Strategy.passes s)) Strategy.all);
+        List.iter
+          (fun s ->
+            let c = run_passes (Strategy.passes s) in
+            check_bool (Strategy.to_string s) true (c.Ir.latency > 0.))
+          Strategy.all);
     case "truncated sequence is rejected" (fun () ->
         List.iter
           (fun s ->
-            match Pipeline.validate (List.tl (Strategy.passes s)) with
-            | () -> Alcotest.failf "%s: tl composed" (Strategy.to_string s)
-            | exception Pipeline.Stage_mismatch _ -> ())
+            match List.tl (Strategy.passes s) with
+            | (Pass.P p :: _) as passes ->
+              expect_mismatch ~pass:p.Pass.name ~expected:"lowered"
+                ~got:"source" passes
+            | [] -> Alcotest.failf "%s: one pass" (Strategy.to_string s))
+          Strategy.all);
+    case "a sequence that stops before schedule is rejected" (fun () ->
+        expect_mismatch ~pass:"<end>" ~expected:"scheduled" ~got:"gdg"
+          Stages.[ lower; gdg_of_lowered ~cost:Serial ~lint:false ]);
+    case "aggregate refuses an unrouted graph" (fun () ->
+        expect_invalid "Stages.aggregate: unrouted GDG"
+          Stages.
+            [ lower; gdg_of_lowered ~cost:Model ~lint:false; aggregate;
+              asap_final ]);
+    case "the final schedule must be routed" (fun () ->
+        expect_invalid "Pipeline.run: final schedule is not routed"
+          Stages.[ lower; gdg_of_lowered ~cost:Serial ~lint:false; cls_final ]);
+    case "compile and route spans carry their counts on every strategy"
+      (fun () ->
+        let circuit = circuit_of "maxcut-reg4" in
+        let lowered = Qgate.Decompose.to_isa circuit in
+        List.iter
+          (fun strategy ->
+            let where = Strategy.to_string strategy in
+            let obs = Qobs.Trace.create () in
+            let r = Compiler.compile ~obs ~strategy circuit in
+            match r.Compiler.trace with
+            | None -> Alcotest.failf "%s: no trace" where
+            | Some root ->
+              check_int (where ^ " qubits")
+                (Qgate.Circuit.n_qubits lowered) (attr_int root "qubits");
+              check_int (where ^ " gates")
+                (Qgate.Circuit.n_gates lowered) (attr_int root "gates");
+              (match Qobs.Span.find_all ~name:"route" root with
+               | [ route ] ->
+                 check_int (where ^ " swaps") r.Compiler.n_swaps_inserted
+                   (attr_int route "swaps")
+               | spans ->
+                 Alcotest.failf "%s: %d route spans" where (List.length spans)))
           Strategy.all);
     case "describe_passes is lint-clean" (fun () ->
         List.iter

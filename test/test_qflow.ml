@@ -177,7 +177,7 @@ let analysis_cases =
 
 let summary_cases =
   [ case "klass classification by cheapest domain" (fun () ->
-        let k gs = (Qflow.Summary.of_gates gs).Oracle.klass in
+        let k gs = (fst (Oracle.of_gates gs)).Oracle.klass in
         check_bool "identity" true (k [ Gate.h 0; Gate.h 0 ] = Oracle.Identity);
         check_bool "diagonal" true (k [ Gate.t 0; Gate.cz 0 1 ] = Oracle.Diagonal);
         check_bool "clifford" true (k [ Gate.h 0; Gate.cnot 0 1 ] = Oracle.Clifford);
@@ -185,24 +185,34 @@ let summary_cases =
           (k [ Gate.cnot 0 1; Gate.t 1 ] = Oracle.Phase_linear);
         check_bool "general" true (k [ Gate.rx 0.3 0 ] = Oracle.General));
     case "summaries are content-addressed across qubit relabelings" (fun () ->
+        (* three congruent blocks on disjoint qubits: the analysis
+           classifies the first and hits the oracle's memo twice *)
         Oracle.reset_memos ();
+        let template q r = [ Gate.h q; Gate.cnot q r; Gate.t r ] in
+        let g =
+          Gdg.of_insts ~n_qubits:8
+            (List.mapi
+               (fun id (q, r) -> Inst.make ~id ~latency:1. (template q r))
+               [ (0, 1); (4, 7); (2, 3) ])
+        in
         let m = Qobs.Metrics.create () in
-        Qobs.Metrics.with_ambient m (fun () ->
-            let template q r = [ Gate.h q; Gate.cnot q r; Gate.t r ] in
-            ignore (Qflow.Summary.of_gates (template 0 1));
-            ignore (Qflow.Summary.of_gates (template 4 7));
-            ignore (Qflow.Summary.of_gates (template 2 3)));
+        let r = Qobs.Metrics.with_ambient m (fun () -> Qflow.Analysis.gdg g) in
         check_int "one miss" 1 (Qobs.Metrics.counter_value m "qflow.summary.miss");
         check_int "two hits" 2 (Qobs.Metrics.counter_value m "qflow.summary.hit");
-        let s1 = Qflow.Summary.of_gates [ Gate.h 0; Gate.cnot 0 1; Gate.t 1 ]
-        and s2 = Qflow.Summary.of_gates [ Gate.h 4; Gate.cnot 4 7; Gate.t 7 ] in
+        let summary id =
+          (List.find
+             (fun (i : Qflow.Analysis.inst_info) -> i.Qflow.Analysis.inst_id = id)
+             r.Qflow.Analysis.insts)
+            .Qflow.Analysis.summary
+        in
+        let s1 = summary 0 and s2 = summary 1 in
         Alcotest.(check string) "same digest" s1.Oracle.digest s2.Oracle.digest;
         check_bool "different support" false
           (s1.Oracle.support = s2.Oracle.support));
     (* QL070's algebraic-only pair query *)
     case "commutes: disjoint, diagonal pairs, and anti-commuting paulis"
       (fun () ->
-        let s gs = Qflow.Summary.of_gates gs in
+        let s gs = fst (Oracle.of_gates gs) in
         let a = [ Gate.h 0 ] and b = [ Gate.h 5 ] in
         check_bool "disjoint" true
           (Oracle.algebraic ~sa:(s a) ~sb:(s b) a b = Some true);

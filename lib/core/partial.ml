@@ -8,8 +8,9 @@ let check_same_shape g g' =
       "Partial.reparameterize: rebinding must preserve gate kind and qubits"
 
 let reparameterize ?(config = Backend.default) result f =
-  let t0 = Sys.time () in
-  let cost gates = Backend.block_cost config gates in
+  let t0 = Qobs.Clock.now_ns () in
+  let cost, schedule = Strategy.final result.Compiler.strategy in
+  let cost = Stages.backend_cost cost config in
   let rebound =
     List.map
       (fun (i : Inst.t) ->
@@ -27,13 +28,16 @@ let reparameterize ?(config = Backend.default) result f =
   let gdg =
     Gdg.of_insts ~n_qubits:(Gdg.n_qubits result.Compiler.gdg) rebound
   in
-  let schedule = Qsched.Cls.schedule gdg in
+  let schedule = schedule gdg in
   { result with
     Compiler.gdg;
     schedule;
     latency = schedule.Qsched.Schedule.makespan;
     n_instructions = Gdg.size gdg;
-    compile_time = Sys.time () -. t0 }
+    compile_time = Qobs.Clock.elapsed_ns t0 /. 1e9;
+    diagnostics = [];
+    trace = None;
+    certificate = None }
 
 let rebind_rotations ?config result ~gamma ~beta =
   reparameterize ?config result (fun g ->

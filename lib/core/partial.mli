@@ -6,9 +6,10 @@
     paper's compile times "as long as several hours". This module reuses
     a finished compilation: the aggregated instruction structure, qubit
     mapping and SWAP choices are kept, only the member-gate angles are
-    rebound, every block is re-costed by the latency model, and the final
-    commutativity-aware schedule is recomputed — orders of magnitude
-    cheaper than compiling from scratch (measured in the tests). *)
+    rebound, and every block is re-costed and the final schedule
+    recomputed the way the compile's strategy did it
+    ({!Strategy.final}) — orders of magnitude cheaper than compiling from
+    scratch (measured in the tests). *)
 
 val reparameterize :
   ?config:Backend.t ->
@@ -19,7 +20,16 @@ val reparameterize :
     instruction through [f]. [f] must preserve the gate's name and
     qubits (only parameters may change); [Invalid_argument] otherwise.
     [config] must match the one used for the original compilation
-    (defaults to {!Backend.default}). *)
+    (defaults to {!Backend.default}).
+
+    Blocks are re-costed with the strategy's cost (serial for [isa],
+    [cls] and [cls+hand], the model for the aggregating strategies) and
+    rescheduled with its final scheduler (ASAP for [isa] and
+    [aggregation], CLS otherwise), so an identity rebinding returns the
+    compile's latency bit for bit. The original's certificate, trace and
+    diagnostics cover gates the result no longer holds, so the result
+    carries [None], [None] and [[]]; [compile_time] is the rebinding's
+    wall time on {!Qobs.Clock}. *)
 
 val rebind_rotations :
   ?config:Backend.t ->

@@ -20,10 +20,11 @@ type cost = Serial | Model
 
 let cost_tag = function Serial -> "serial" | Model -> "model"
 
-let cost_fn cost ctx gates =
-  match cost with
-  | Serial -> Backend.serial_cost ctx.Pass.backend gates
-  | Model -> Backend.block_cost ctx.Pass.backend gates
+let backend_cost = function
+  | Serial -> Backend.serial_cost
+  | Model -> Backend.block_cost
+
+let cost_fn cost ctx = backend_cost cost ctx.Pass.backend
 
 let topology ctx (l : Ir.lowered) = Backend.topology_for ctx.Pass.backend l.base
 

@@ -37,3 +37,9 @@ let passes = function
   | Aggregation -> Stages.aggregation
   | Cls_aggregation -> Stages.cls_aggregation
   | Cls_hand -> Stages.cls_hand
+
+let final = function
+  | Isa -> (Stages.Serial, Qsched.Asap.schedule)
+  | Cls | Cls_hand -> (Stages.Serial, Qsched.Cls.schedule)
+  | Aggregation -> (Stages.Model, Qsched.Asap.schedule)
+  | Cls_aggregation -> (Stages.Model, Qsched.Cls.schedule)

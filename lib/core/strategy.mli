@@ -28,3 +28,9 @@ val pp : Format.formatter -> t -> unit
 
 val passes : t -> Pass.packed list
 (** The strategy as a pass sequence. *)
+
+val final : t -> Stages.cost * (Qgdg.Gdg.t -> Qsched.Schedule.t)
+(** The block cost the strategy's final graph carries and its final
+    scheduler, as {!passes} builds them: serial cost for [isa], [cls] and
+    [cls+hand], the model for the two aggregating strategies; ASAP for
+    [isa] and [aggregation], CLS for the other three. *)

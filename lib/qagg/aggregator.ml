@@ -75,7 +75,6 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
     check_latency "cost" v;
     v
   in
-  let initial_makespan = Gdg.makespan g in
   (* unordered id pairs packed into one int (ids stay far below 2^31):
      unboxed keys hash and compare without allocation in these innermost
      caches *)
@@ -113,6 +112,7 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
      rebuild) and the timing tables *)
   let groups = Comm_group.build ~commute g in
   let slack = ref (Timing.create g) in
+  let initial_makespan = !slack.makespan in
   let slack_visits = ref 0 in
   (* the action-space test of paper §4.1 against the chain links: [a]
      precedes [b] on every shared qubit, where the two are same-group
@@ -254,4 +254,4 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
   { merges = !merges;
     rounds = !rounds;
     initial_makespan;
-    final_makespan = Gdg.makespan g }
+    final_makespan = !slack.makespan }

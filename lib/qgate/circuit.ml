@@ -38,17 +38,6 @@ let depth c =
       max acc d)
     0 c.gates
 
-let critical_path_time latency c =
-  let ready = Array.make (max 1 c.n_qubits) 0. in
-  List.fold_left
-    (fun acc g ->
-      let qs = Gate.qubits g in
-      let start = List.fold_left (fun m q -> Float.max m ready.(q)) 0. qs in
-      let finish = start +. latency g in
-      List.iter (fun q -> ready.(q) <- finish) qs;
-      Float.max acc finish)
-    0. c.gates
-
 let used_qubits c =
   List.sort_uniq compare (List.concat_map Gate.qubits c.gates)
 

@@ -22,10 +22,6 @@ val depth : t -> int
 (** Unit-latency circuit depth: the longest chain of gates sharing qubits
     (the classic gate-count depth, used for program characteristics). *)
 
-val critical_path_time : (Gate.t -> float) -> t -> float
-(** Depth under a per-gate latency function: an ASAP schedule's makespan
-    when every gate occupies exactly its own qubits. *)
-
 val used_qubits : t -> int list
 val interaction_graph : t -> Qgraph.Graph.t
 (** Weighted qubit-interaction graph: an edge per 2-qubit interaction,

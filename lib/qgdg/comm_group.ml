@@ -145,9 +145,6 @@ let lookup t ~qubit id =
   let k = (id * t.nq) + qubit in
   if id >= 0 && k < Array.length t.index then t.index.(k) else -1
 
-let group_index t ~qubit id =
-  match lookup t ~qubit id with -1 -> raise Not_found | pos -> pos
-
 let same_group t ~qubit a b =
   let x = lookup t ~qubit a in
   x >= 0 && x = lookup t ~qubit b

@@ -42,13 +42,10 @@ val refresh :
 val groups_on : t -> int -> int list list
 (** Ordered groups (of instruction ids) on a qubit. *)
 
-val group_index : t -> qubit:int -> int -> int
-(** Position of an instruction's group on a qubit.
-    Raises [Not_found] when the instruction is not on that qubit. *)
-
 val lookup : t -> qubit:int -> int -> int
-(** Total {!group_index}: [-1] when the instruction is not on the
-    qubit — the O(1) membership probe schedulers sit on. *)
+(** Position of an instruction's group on a qubit, [-1] when the
+    instruction is not on that qubit — the O(1) membership probe
+    schedulers sit on. *)
 
 val same_group : t -> qubit:int -> int -> int -> bool
 

@@ -1,25 +1,22 @@
 type t = {
   n_qubits : int;
-  nodes : (int, Inst.t) Hashtbl.t;
+  mutable nodes : Inst.t option array;
   mutable links : int array array;
+  mutable size : int;
   head : int array;
   last : int array;
   mutable next : int;
 }
 
 let n_qubits g = g.n_qubits
-let size g = Hashtbl.length g.nodes
-let find g id = match Hashtbl.find_opt g.nodes id with
+let size g = g.size
+
+let find g id =
+  match if id >= 0 && id < Array.length g.nodes then g.nodes.(id) else None with
   | Some i -> i
   | None -> raise Not_found
 
-let mem g id = Hashtbl.mem g.nodes id
-
-let fresh_id g =
-  let id = g.next in
-  g.next <- id + 1;
-  id
-
+let mem g id = id >= 0 && id < Array.length g.nodes && Option.is_some g.nodes.(id)
 let next_id g = g.next
 
 (* the links of [x], [[||]] for an id with no live node *)
@@ -48,23 +45,26 @@ let set_field g x q f v =
 let ensure_capacity g id =
   let cap = Array.length g.links in
   if id >= cap then begin
-    let links = Array.make (max (id + 1) (2 * cap)) [||] in
-    Array.blit g.links 0 links 0 cap;
-    g.links <- links
+    let grow a fill =
+      let b = Array.make (max (id + 1) (2 * cap)) fill in
+      Array.blit a 0 b 0 cap;
+      b
+    in
+    g.nodes <- grow g.nodes None;
+    g.links <- grow g.links [||]
   end
 
 let of_insts ~n_qubits insts =
-  let nodes = Hashtbl.create 64 in
   let nq = max 1 n_qubits in
   let g =
-    { n_qubits; nodes; links = [||]; head = Array.make nq (-1);
-      last = Array.make nq (-1); next = 0 }
+    { n_qubits; nodes = [||]; links = [||]; size = 0;
+      head = Array.make nq (-1); last = Array.make nq (-1); next = 0 }
   in
   List.iter
     (fun (i : Inst.t) ->
       let id = i.Inst.id in
-      if Hashtbl.mem nodes id then
-        invalid_arg "Gdg.of_insts: duplicate instruction id";
+      if id < 0 then invalid_arg "Gdg.of_insts: negative instruction id";
+      if mem g id then invalid_arg "Gdg.of_insts: duplicate instruction id";
       List.iter
         (fun q ->
           if q < 0 || q >= n_qubits then
@@ -73,9 +73,10 @@ let of_insts ~n_qubits insts =
       let w = List.length i.Inst.qubits in
       if List.length (List.sort_uniq compare i.Inst.qubits) <> w then
         invalid_arg "Gdg.of_insts: repeated qubit";
-      Hashtbl.replace nodes id i;
       if id >= g.next then g.next <- id + 1;
       ensure_capacity g id;
+      g.nodes.(id) <- Some i;
+      g.size <- g.size + 1;
       let l = Array.make (4 * w) (-1) in
       g.links.(id) <- l;
       List.iteri
@@ -98,43 +99,43 @@ let of_circuit ~latency circuit =
   in
   of_insts ~n_qubits:(Qgate.Circuit.n_qubits circuit) insts
 
-(* Kahn topological order over per-qubit chain edges; nodes left with a
-   positive in-degree sit on (or behind) a dependence cycle. Links to an
-   id that is not a live node are skipped so the walk stays total on
-   corrupted graphs. *)
+(* Kahn topological order over per-qubit chain edges, the ready node with
+   the least id first; nodes left with a positive in-degree sit on (or
+   behind) a dependence cycle. Links to an id that is not a live node are
+   skipped so the walk stays total on corrupted graphs. *)
 let kahn g =
-  let indeg = Hashtbl.create (size g) in
-  Hashtbl.iter (fun id _ -> Hashtbl.replace indeg id 0) g.nodes;
-  let bump id d =
-    match Hashtbl.find_opt indeg id with
-    | None -> ()
-    | Some v -> Hashtbl.replace indeg id (v + d)
-  in
+  let n = Array.length g.nodes in
+  let indeg = Array.make n 0 in
   let iter_succs id f =
     let l = links_of g id in
     let w = Array.length l / 4 in
-    for k = 0 to w - 1 do
-      let s = l.((2 * w) + k) in
-      if s >= 0 then f s
+    for k = 2 * w to (3 * w) - 1 do
+      let s = l.(k) in
+      if mem g s then f s
     done
   in
-  Hashtbl.iter (fun id _ -> iter_succs id (fun s -> bump s 1)) g.nodes;
-  let order = ref [] in
+  for id = 0 to n - 1 do
+    if mem g id then iter_succs id (fun s -> indeg.(s) <- indeg.(s) + 1)
+  done;
   let module Iset = Set.Make (Int) in
   let ready = ref Iset.empty in
-  Hashtbl.iter (fun id d -> if d = 0 then ready := Iset.add id !ready) indeg;
+  for id = 0 to n - 1 do
+    if mem g id && indeg.(id) = 0 then ready := Iset.add id !ready
+  done;
+  let order = ref [] in
   while not (Iset.is_empty !ready) do
     let id = Iset.min_elt !ready in
     ready := Iset.remove id !ready;
     order := id :: !order;
     iter_succs id (fun s ->
-        bump s (-1);
-        if Hashtbl.find_opt indeg s = Some 0 then ready := Iset.add s !ready)
+        indeg.(s) <- indeg.(s) - 1;
+        if indeg.(s) = 0 then ready := Iset.add s !ready)
   done;
-  let stuck =
-    Hashtbl.fold (fun id d acc -> if d > 0 then id :: acc else acc) indeg []
-  in
-  (List.rev !order, List.sort compare stuck)
+  let stuck = ref [] in
+  for id = n - 1 downto 0 do
+    if indeg.(id) > 0 then stuck := id :: !stuck
+  done;
+  (List.rev !order, !stuck)
 
 let topo_ids g =
   match kahn g with
@@ -142,7 +143,7 @@ let topo_ids g =
   | _ -> failwith "Gdg: cyclic dependence graph"
 
 let insts g = List.map (find g) (topo_ids g)
-let iter_insts g f = Hashtbl.iter (fun _ i -> f i) g.nodes
+let iter_insts g f = Array.iter (function Some i -> f i | None -> ()) g.nodes
 
 let chain_ids g q =
   if q < 0 || q >= g.n_qubits then
@@ -178,12 +179,13 @@ let set_latency g id latency =
     invalid_arg "Gdg.set_latency: non-finite latency";
   if latency < 0. then invalid_arg "Gdg.set_latency: negative latency";
   let inst = find g id in
-  Hashtbl.replace g.nodes id { inst with Inst.latency }
+  g.nodes.(id) <- Some { inst with Inst.latency }
 
 let copy g =
   { n_qubits = g.n_qubits;
-    nodes = Hashtbl.copy g.nodes;
+    nodes = Array.copy g.nodes;
     links = Array.map Array.copy g.links;
+    size = g.size;
     head = Array.copy g.head;
     last = Array.copy g.last;
     next = g.next }
@@ -241,9 +243,9 @@ let merge ?rank g ~latency a b =
   if a = b then invalid_arg "Gdg.merge: cannot merge a node with itself";
   let ia = find g a and ib = find g b in
   let la = g.links.(a) and lb = g.links.(b) in
-  let saved_next = g.next in
-  let merged = Inst.merge ~id:(fresh_id g) ~latency ia ib in
-  let m = merged.Inst.id in
+  let m = g.next in
+  let merged = Inst.merge ~id:m ~latency ia ib in
+  g.next <- m + 1;
   ensure_capacity g m;
   let wm = List.length merged.Inst.qubits in
   let lm = Array.make (4 * wm) (-1) in
@@ -272,9 +274,10 @@ let merge ?rank g ~latency a b =
   g.links.(m) <- lm;
   g.links.(a) <- [||];
   g.links.(b) <- [||];
-  Hashtbl.remove g.nodes a;
-  Hashtbl.remove g.nodes b;
-  Hashtbl.replace g.nodes m merged;
+  g.nodes.(a) <- None;
+  g.nodes.(b) <- None;
+  g.nodes.(m) <- Some merged;
+  g.size <- g.size - 1;
   let cyclic =
     (not (exclusive_edge la lb a b))
     && cycle_through g ~rank:(Option.value rank ~default:(fun _ -> neg_infinity)) m
@@ -293,34 +296,14 @@ let merge ?rank g ~latency a b =
         done)
       [ (a, la); (b, lb) ];
     g.links.(m) <- [||];
-    Hashtbl.remove g.nodes m;
-    Hashtbl.replace g.nodes a ia;
-    Hashtbl.replace g.nodes b ib;
-    g.next <- saved_next;
+    g.nodes.(m) <- None;
+    g.nodes.(a) <- Some ia;
+    g.nodes.(b) <- Some ib;
+    g.size <- g.size + 1;
+    g.next <- m;
     invalid_arg "Gdg.merge: merge would create a dependence cycle"
   end;
   merged
-
-let asap g =
-  let finish = Array.make (Array.length g.links) 0. in
-  let entries = ref [] in
-  let makespan = ref 0. in
-  List.iter
-    (fun id ->
-      let l = g.links.(id) and w = Array.length g.links.(id) / 4 in
-      let start =
-        Array.fold_left
-          (fun acc p -> if p < 0 then acc else Float.max acc finish.(p))
-          0. (Array.sub l w w)
-      in
-      let f = start +. (find g id).Inst.latency in
-      finish.(id) <- f;
-      entries := (id, (start, f)) :: !entries;
-      if f > !makespan then makespan := f)
-    (topo_ids g);
-  (List.rev !entries, !makespan)
-
-let makespan g = snd (asap g)
 
 let all_gates g = List.concat_map (fun i -> i.Inst.gates) (insts g)
 
@@ -368,15 +351,12 @@ let problems g =
     in
     walk g.head.(q)
   done;
-  let ids = List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) g.nodes []) in
-  List.iter
-    (fun id ->
+  iter_insts g (fun i ->
       List.iter
         (fun q ->
-          if q >= 0 && q < g.n_qubits && not (Hashtbl.mem on_chain.(q) id) then
-            add (Missing_from_chain { qubit = q; id }))
-        (find g id).Inst.qubits)
-    ids;
+          if q >= 0 && q < g.n_qubits && not (Hashtbl.mem on_chain.(q) i.Inst.id)
+          then add (Missing_from_chain { qubit = q; id = i.Inst.id }))
+        i.Inst.qubits);
   (match kahn g with _, [] -> () | _, stuck -> add (Cycle stuck));
   List.rev !probs
 

@@ -4,17 +4,22 @@
     each qubit orders the instructions acting on it, and an instruction's
     parents are its immediate chain predecessors. Commutation rules later
     relax this order (see {!Comm_group} and the CLS scheduler); the chains
-    themselves always record one valid program order.
+    themselves always record one valid program order. Times over the
+    graph (ASAP starts, tails, the makespan) are {!Timing}'s.
 
     The chains are doubly linked through per-instruction slots, and this
     graph is their only owner: every pass that reads a chain neighbour
-    reads these links, and {!merge} splices them in O(width). The record
-    is [private] so hot loops read the links directly; only this module
-    writes them. *)
+    reads these links, and {!merge} splices them in O(width). Instructions
+    and links sit in two arrays indexed by node id; the id space is dense
+    (initial nodes plus one fresh id per merge), so both grow by doubling.
+    The record is [private] so hot loops read the links directly; only
+    this module writes them. *)
 
 type t = private {
   n_qubits : int;
-  nodes : (int, Inst.t) Hashtbl.t;  (** id -> live instruction *)
+  mutable nodes : Inst.t option array;
+      (** id -> live instruction, [None] for an id with no live node; read
+          it through {!find} and {!mem} *)
   mutable links : int array array;
       (** id -> the node's chain slots, [[||]] for an id with no live node.
           A node of width [w] has one slot [k] per support qubit, in
@@ -24,14 +29,16 @@ type t = private {
           [l.(3 * w + k)] the position label, strictly increasing along
           the chain (labels are not renumbered after a merge, so they
           order nodes but do not count them). *)
+  mutable size : int;  (** the number of live nodes, see {!size} *)
   head : int array;  (** qubit -> first node of its chain, [-1] if empty *)
   last : int array;  (** qubit -> last node of its chain, [-1] if empty *)
   mutable next : int;  (** see {!next_id} *)
 }
 
 val of_insts : n_qubits:int -> Inst.t list -> t
-(** Builds chains in list order. Raises [Invalid_argument] on duplicate
-    ids, out-of-range qubits or an instruction listing a qubit twice. *)
+(** Builds chains in list order. Raises [Invalid_argument] on negative or
+    duplicate ids, out-of-range qubits or an instruction listing a qubit
+    twice. *)
 
 val of_circuit :
   latency:(Qgate.Gate.t list -> float) -> Qgate.Circuit.t -> t
@@ -39,25 +46,31 @@ val of_circuit :
 
 val n_qubits : t -> int
 val size : t -> int
+(** The number of live nodes, kept as a count: {!of_insts} and {!merge}
+    maintain it and a rejected merge restores it. *)
+
 val find : t -> int -> Inst.t
-(** Raises [Not_found]. *)
+(** A bounds-checked read of the node table. Raises [Not_found] for an id
+    with no live node. *)
 
 val mem : t -> int -> bool
+
+val topo_ids : t -> int list
+(** All node ids in the topological order of Kahn's algorithm, the ready
+    node with the least id first — the one topological walk of this
+    library. Raises [Failure] on a cyclic graph. *)
+
 val insts : t -> Inst.t list
-(** All instructions in a topological order. *)
+(** All instructions in {!topo_ids} order. *)
 
 val iter_insts : t -> (Inst.t -> unit) -> unit
-(** Iterate over all instructions in unspecified order (no topological
+(** Iterate over all instructions in ascending id order (no topological
     sort — O(n)). *)
 
-val fresh_id : t -> int
-(** A node id never used in this graph (monotonically increasing). *)
-
 val next_id : t -> int
-(** The id {!fresh_id} would return, without allocating it — the
-    capacity probe for flat [id]-indexed side tables. Callers sizing
-    tables must use this (not {!fresh_id}) so probing does not perturb
-    the merged-node id stream. *)
+(** The id the next {!merge} gives its block, one above every id used in
+    this graph so far — the capacity probe for flat [id]-indexed side
+    tables. *)
 
 val chain : t -> int -> Inst.t list
 (** The instruction chain on a qubit, in order. *)
@@ -86,8 +99,8 @@ val merge : ?rank:(int -> float) -> t -> latency:float -> int -> int -> Inst.t
     that the action is schedulable (paper §4.1, as the aggregator does);
     this function only re-checks that the result is acyclic and raises
     [Invalid_argument] otherwise, leaving the graph unchanged: [a] and
-    [b] are re-attached from their own untouched slots and the fresh-id
-    counter is restored.
+    [b] are re-attached from their own untouched slots and {!size} and
+    {!next_id} are restored.
 
     The acyclicity check has one shortcut and one probe. When [b]'s
     chain predecessor is [a] on every qubit of [b], or [a]'s successor is
@@ -103,13 +116,6 @@ val merge : ?rank:(int -> float) -> t -> latency:float -> int -> int -> Inst.t
 val set_latency : t -> int -> float -> unit
 (** Replaces one node's latency. Raises [Invalid_argument] on a nan,
     infinite or negative latency, as {!Inst.make} does. *)
-
-val asap : t -> (int * (float * float)) list * float
-(** Chain-order ASAP schedule: per-node (start, finish) and the makespan.
-    This is the latency-weighted critical path used for monotonic-action
-    checks (§4.3). *)
-
-val makespan : t -> float
 
 val all_gates : t -> Qgate.Gate.t list
 (** Member gates of all instructions, in a topological program order. *)

@@ -71,7 +71,6 @@ type t = {
   mutable start : float array;
   mutable finish : float array;
   mutable tail : float array;
-  mutable node : Inst.t option array;
   mutable makespan : float;
   work : work;
 }
@@ -88,11 +87,8 @@ let ensure_capacity t id =
     t.start <- grow t.start nan;
     t.finish <- grow t.finish nan;
     t.tail <- grow t.tail nan;
-    t.node <- grow t.node None;
     t.work.stamp <- grow t.work.stamp 0
   end
-
-let node_of t x = match t.node.(x) with Some i -> i | None -> assert false
 
 (* the fold every start and tail is computed with, from scratch or
    incrementally: the largest [table] value over one block of [x]'s
@@ -110,7 +106,7 @@ let max_over t (table : float array) x block =
   !acc
 
 let start_of t x = max_over t t.finish x 1
-let tail_of t x (inst : Inst.t) = inst.Inst.latency +. max_over t t.tail x 2
+let tail_of t x = (Gdg.find t.g x).Inst.latency +. max_over t t.tail x 2
 
 (* latencies are non-negative, so [finish] never decreases along a chain
    and its maximum sits at one of the chain ends *)
@@ -120,51 +116,27 @@ let set_makespan t =
       (fun acc x -> if x < 0 then acc else Float.max acc t.finish.(x))
       0. t.g.Gdg.last
 
-(* one Kahn pass over the links computes the topological order, the ASAP
-   times, the makespan and the tails; [merge] maintains the same tables
-   in place, so this full pass only runs when latencies move *)
+(* starts fold over the topological order and tails over its reverse;
+   [merge] maintains the same tables in place, so this full pass only
+   runs when latencies move *)
 let create g =
+  let order = Gdg.topo_ids g in
   let cap = Gdg.next_id g in
   let t =
     { g;
       start = Array.make cap nan;
       finish = Array.make cap nan;
       tail = Array.make cap nan;
-      node = Array.make cap None;
       makespan = 0.;
       work = { heap = Heap.create (); stamp = Array.make cap 0; epoch = 0 } }
   in
-  let indeg = Array.make cap 0 in
-  let queue = Queue.create () in
-  Gdg.iter_insts g (fun i ->
-      let id = i.Inst.id in
-      t.node.(id) <- Some i;
-      let l = g.Gdg.links.(id) in
-      let w = Array.length l / 4 in
-      for k = w to (2 * w) - 1 do
-        if l.(k) >= 0 then indeg.(id) <- indeg.(id) + 1
-      done;
-      if indeg.(id) = 0 then Queue.add id queue);
-  let order = ref [] in
-  while not (Queue.is_empty queue) do
-    let id = Queue.pop queue in
-    order := id :: !order;
-    let s = start_of t id in
-    t.start.(id) <- s;
-    t.finish.(id) <- s +. (node_of t id).Inst.latency;
-    let l = g.Gdg.links.(id) in
-    let w = Array.length l / 4 in
-    for k = 2 * w to (3 * w) - 1 do
-      let c = l.(k) in
-      if c >= 0 then begin
-        indeg.(c) <- indeg.(c) - 1;
-        if indeg.(c) = 0 then Queue.add c queue
-      end
-    done
-  done;
-  if List.length !order <> Gdg.size g then
-    failwith "Timing.create: cyclic dependence graph";
-  List.iter (fun id -> t.tail.(id) <- tail_of t id (node_of t id)) !order;
+  List.iter
+    (fun id ->
+      let s = start_of t id in
+      t.start.(id) <- s;
+      t.finish.(id) <- s +. (Gdg.find g id).Inst.latency)
+    order;
+  List.iter (fun id -> t.tail.(id) <- tail_of t id) (List.rev order);
   set_makespan t;
   t
 
@@ -197,18 +169,12 @@ let merge t ~latency a b =
   let merged = Gdg.merge ~rank:(rank t) g ~latency a b in
   let m = merged.Inst.id in
   ensure_capacity t m;
-  (* the merge removed [a] and [b] and added [merged]; every other node
-     record is untouched (latencies only move through [Gdg.set_latency],
-     after which callers {!create} afresh), so the id->instruction cache
-     is patched in place *)
   List.iter
     (fun x ->
-      t.node.(x) <- None;
       t.start.(x) <- nan;
       t.finish.(x) <- nan;
       t.tail.(x) <- nan)
     [ a; b ];
-  t.node.(m) <- Some merged;
   let w = t.work in
   let pops = ref 0 in
   (* one epoch per direction: seed at the splice, keyed by [key], then
@@ -238,21 +204,21 @@ let merge t ~latency a b =
       incr pops;
       let x = Heap.pop w.heap in
       w.stamp.(x) <- 0;
-      if update x (node_of t x) then push_next x
+      if update x then push_next x
     done
   in
   (* forward ASAP re-propagation (dependents are the successors, slot
      block 2), then the makespan, then the backward tails (block 1) *)
-  propagate t.start ~next:2 (fun x inst ->
+  propagate t.start ~next:2 (fun x ->
       let s = start_of t x in
-      let f = s +. inst.Inst.latency in
+      let f = s +. (Gdg.find g x).Inst.latency in
       let changed = not (t.start.(x) = s && t.finish.(x) = f) in
       t.start.(x) <- s;
       t.finish.(x) <- f;
       changed);
   set_makespan t;
-  propagate t.tail ~next:1 (fun x inst ->
-      let tl = tail_of t x inst in
+  propagate t.tail ~next:1 (fun x ->
+      let tl = tail_of t x in
       let changed = t.tail.(x) <> tl in
       t.tail.(x) <- tl;
       changed);

@@ -4,9 +4,10 @@
     Monotonic aggregation needs, after every merge, each node's ASAP
     schedule and its makespan-free deadline. This module owns those times
     and nothing else: the chain neighbours they are folded over are the
-    {!Gdg} links. {!create} computes the times from scratch, and {!merge}
-    performs one {!Gdg.merge} and re-propagates starts and tails from the
-    splice alone. The fixpoint on a DAG is unique, so the patched tables
+    {!Gdg} links, and each node's latency is read through {!Gdg.find}, so
+    no instruction cache is kept. {!create} computes the times from
+    scratch, and {!merge} performs one {!Gdg.merge} and re-propagates
+    starts and tails from the splice alone. The fixpoint on a DAG is unique, so the patched tables
     are bit-identical to a fresh {!create} on the merged graph (the qgdg
     qcheck suite pins this).
 
@@ -27,16 +28,16 @@ type t = private {
   mutable tail : float array;
       (** longest path to any sink, own latency included: the ALAP start
           is [makespan -. tail], so tails survive a makespan change *)
-  mutable node : Inst.t option array;  (** id -> live instruction *)
   mutable makespan : float;
   work : work;
 }
 
 val create : Gdg.t -> t
-(** One Kahn pass over the links. Latencies must be finite and
-    non-negative. The tables hold the instruction records as they are now,
-    so a caller that changes a latency ({!Gdg.set_latency}) creates afresh.
-    Raises [Failure] on a cyclic graph. *)
+(** Folds starts and finishes over {!Gdg.topo_ids} and tails over its
+    reverse. Latencies must be finite and non-negative. The tables hold
+    the times under the latencies as they are now, so a caller that
+    changes a latency ({!Gdg.set_latency}) creates afresh. Raises
+    [Failure] from {!Gdg.topo_ids} on a cyclic graph. *)
 
 val merge : t -> latency:float -> int -> int -> Inst.t * int
 (** [merge t ~latency a b] reads [a]'s and [b]'s chain neighbours from

@@ -1,39 +1,26 @@
 module Inst = Qgdg.Inst
 module Gdg = Qgdg.Gdg
+module Timing = Qgdg.Timing
 
-let alap_starts g =
-  let _, makespan = Gdg.asap g in
-  let latest_start = Hashtbl.create (Gdg.size g) in
-  List.iter
-    (fun (i : Inst.t) ->
-      let latest_finish =
-        List.fold_left
-          (fun acc (c : Inst.t) ->
-            Float.min acc (Hashtbl.find latest_start c.Inst.id))
-          makespan
-          (Gdg.children g i.Inst.id)
-      in
-      Hashtbl.replace latest_start i.Inst.id (latest_finish -. i.Inst.latency))
-    (List.rev (Gdg.insts g));
-  latest_start
+(* the ALAP start is the makespan minus the node's tail, the deadline
+   monotonic aggregation checks against *)
+let latest_start (t : Timing.t) id = t.makespan -. t.tail.(id)
 
 let schedule g =
-  let latest_start = alap_starts g in
-  let entries =
-    List.map
-      (fun (i : Inst.t) ->
-        let start = Hashtbl.find latest_start i.Inst.id in
-        { Schedule.inst = i; start; finish = start +. i.Inst.latency })
-      (Gdg.insts g)
-  in
-  Schedule.make ~n_qubits:(Gdg.n_qubits g) entries
+  let t = Timing.create g in
+  let entries = ref [] in
+  Gdg.iter_insts g (fun i ->
+      let start = latest_start t i.Inst.id in
+      entries :=
+        { Schedule.inst = i; start; finish = start +. i.Inst.latency }
+        :: !entries);
+  Schedule.make ~n_qubits:(Gdg.n_qubits g) !entries
 
 let slack g =
-  let latest_start = alap_starts g in
-  let asap, _ = Gdg.asap g in
+  let t = Timing.create g in
   List.map
-    (fun (id, (start, _)) -> (id, Hashtbl.find latest_start id -. start))
-    asap
+    (fun (i : Inst.t) -> (i.Inst.id, latest_start t i.Inst.id -. t.start.(i.Inst.id)))
+    (Gdg.insts g)
 
 let critical_path g =
   slack g

@@ -1,9 +1,9 @@
 let schedule g =
-  let timed, _ = Qgdg.Gdg.asap g in
-  let entries =
-    List.map
-      (fun (id, (start, finish)) ->
-        { Schedule.inst = Qgdg.Gdg.find g id; start; finish })
-      timed
-  in
-  Schedule.make ~n_qubits:(Qgdg.Gdg.n_qubits g) entries
+  let t = Qgdg.Timing.create g in
+  let entries = ref [] in
+  Qgdg.Gdg.iter_insts g (fun i ->
+      let id = i.Qgdg.Inst.id in
+      entries :=
+        { Schedule.inst = i; start = t.start.(id); finish = t.finish.(id) }
+        :: !entries);
+  Schedule.make ~n_qubits:(Qgdg.Gdg.n_qubits g) !entries

@@ -305,7 +305,31 @@ let candidates g groups ~width_limit =
       |> List.map (fun b -> (a, b)))
     ids
 
-(* ASAP (start, finish) per node from [Gdg.asap], and ALAP latest starts
+(* the chain-order ASAP schedule as a list fold over the topological
+   order: per node (start, finish), the start being the latest finish of
+   its chain predecessors, and the makespan as the largest finish. The
+   production tables ({!Qgdg.Timing}) are pinned against it bit for bit *)
+let asap g =
+  let finish = Hashtbl.create 64 in
+  let times, makespan =
+    List.fold_left
+      (fun (times, makespan) (i : Inst.t) ->
+        let start =
+          List.fold_left
+            (fun acc q ->
+              match Gdg.pred_on g i.Inst.id ~qubit:q with
+              | Some p -> Float.max acc (Hashtbl.find finish p.Inst.id)
+              | None -> acc)
+            0. i.Inst.qubits
+        in
+        let f = start +. i.Inst.latency in
+        Hashtbl.replace finish i.Inst.id f;
+        ((i.Inst.id, (start, f)) :: times, Float.max makespan f))
+      ([], 0.) (Gdg.insts g)
+  in
+  (List.rev times, makespan)
+
+(* ASAP (start, finish) per node from {!asap}, and ALAP latest starts
    folded in reverse topological order down from the makespan *)
 type slack = {
   start : (int, float) Hashtbl.t;
@@ -315,7 +339,7 @@ type slack = {
 }
 
 let slack g =
-  let times, makespan = Gdg.asap g in
+  let times, makespan = asap g in
   let start = Hashtbl.create 64 and finish = Hashtbl.create 64 in
   List.iter
     (fun (id, (s, f)) ->

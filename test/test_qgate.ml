@@ -158,10 +158,6 @@ let circuit_cases =
     case "depth serial chain" (fun () ->
         let c = Circuit.make 3 [ Gate.cnot 0 1; Gate.cnot 1 2; Gate.cnot 0 1 ] in
         check_int "depth 3" 3 (Circuit.depth c));
-    case "critical path with latencies" (fun () ->
-        let c = Circuit.make 2 [ Gate.h 0; Gate.h 1; Gate.cnot 0 1 ] in
-        let latency g = if Gate.arity g = 2 then 10. else 1. in
-        check_float "1 + 10" 11. (Circuit.critical_path_time latency c));
     case "two_qubit_count" (fun () ->
         let c = Circuit.make 3 [ Gate.h 0; Gate.cnot 0 1; Gate.swap 1 2; Gate.t 2 ] in
         check_int "count" 2 (Circuit.two_qubit_count c));

@@ -268,12 +268,12 @@ let gdg_cases =
     case "asap makespan unit latencies" (fun () ->
         let c = Circuit.make 3 [ Gate.h 0; Gate.h 1; Gate.cnot 0 1; Gate.cnot 1 2 ] in
         let g = Gdg.of_circuit ~latency:unit_latency c in
-        check_float "depth 3" 3. (Gdg.makespan g));
+        check_float "depth 3" 3. (Timing.create g).makespan);
     case "asap respects latencies" (fun () ->
         let c = Circuit.make 2 [ Gate.h 0; Gate.cnot 0 1 ] in
         let g = Gdg.of_circuit ~latency:(fun gs ->
             if List.exists (fun x -> Gate.arity x = 2) gs then 10. else 2.) c in
-        check_float "2 + 10" 12. (Gdg.makespan g));
+        check_float "2 + 10" 12. (Timing.create g).makespan);
     case "merge combines and keeps acyclicity" (fun () ->
         let c = Circuit.make 2 (zz 0 1) in
         let g = Gdg.of_circuit ~latency:unit_latency c in
@@ -381,11 +381,21 @@ let links_agree g (model : int list array) =
          Array.to_list (Array.sub (slots i.Inst.id) 0 (Inst.width i)) = i.Inst.qubits)
        (Gdg.insts g)
 
+(* the node table: [iter_insts] visits exactly the topologically ordered
+   ids, ascending, and [size] counts them *)
+let node_table_agrees g =
+  let visited = ref [] in
+  Gdg.iter_insts g (fun i -> visited := i.Inst.id :: !visited);
+  let visited = List.rev !visited in
+  visited = List.sort compare (List.map (fun (i : Inst.t) -> i.Inst.id) (Gdg.insts g))
+  && List.length visited = Gdg.size g
+
 let links_cases =
   [ (* random merges, accepted or rejected, with or without a rank: the
-       links must track a list model of the chains, a rejected merge must
-       leave links, size and fresh-id counter untouched, and every verdict
-       must equal Kahn's algorithm on the merged model chains *)
+       links must track a list model of the chains, an accepted merge must
+       shrink the size by one and a rejected one leave links, size and
+       next id untouched, the node table must stay in step, and every
+       verdict must equal Kahn's algorithm on the merged model chains *)
     qcheck ~count:100 "links match chains after every merge"
       QCheck.(int_range 0 10000)
       (fun seed ->
@@ -423,7 +433,7 @@ let links_cases =
             let state_ok =
               if accepted then begin
                 Array.blit merged_model 0 model 0 n;
-                true
+                Gdg.size g = size - 1
               end
               else
                 Gdg.size g = size && Gdg.next_id g = next
@@ -431,7 +441,9 @@ let links_cases =
                      (fun x -> before.(x) = g.Gdg.links.(x))
                      (List.init (Array.length before) Fun.id)
             in
-            model_ok := !model_ok && verdict_ok && state_ok && links_agree g model
+            model_ok :=
+              !model_ok && verdict_ok && state_ok && links_agree g model
+              && node_table_agrees g
           end
         done;
         Gdg.validate g;
@@ -687,19 +699,35 @@ let diagonal_cases =
           Qapps.Suite.all;
         check_bool "some contractions" true (!total > 0)) ]
 
+(* bit-for-bit float equality *)
+let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+(* [Asap.schedule] against the list fold of [Qref.asap]: the same
+   (start, finish) for every node and the same makespan, bit for bit *)
+let asap_agrees g =
+  let times, makespan = Qref.asap g in
+  let s = Qsched.Asap.schedule g in
+  same s.Qsched.Schedule.makespan makespan
+  && List.length s.Qsched.Schedule.entries = List.length times
+  && List.for_all
+       (fun (e : Qsched.Schedule.entry) ->
+         let start, finish = List.assoc e.inst.Inst.id times in
+         same e.start start && same e.finish finish)
+       s.Qsched.Schedule.entries
+
 (* [t]'s tables against a from-scratch [Timing.create] on the same graph,
    float entries compared bit for bit; the fresh tables are themselves
-   checked against [Gdg.asap], and every merged-away id must rank as
-   unknown *)
+   checked against the [Qref.asap] fold, as is [Asap.schedule], and every
+   merged-away id must rank as unknown *)
 let timing_agrees (t : Timing.t) g =
   let f = Timing.create g in
-  let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
-  let asap, makespan = Gdg.asap g in
+  let asap, makespan = Qref.asap g in
   same t.makespan f.makespan
   && same f.makespan makespan
   && List.for_all
        (fun (x, (s, fin)) -> same f.start.(x) s && same f.finish.(x) fin)
        asap
+  && asap_agrees g
   && List.for_all
        (fun (i : Inst.t) ->
          let x = i.Inst.id in
@@ -761,7 +789,38 @@ let timing_cases =
             | exception Invalid_argument _ -> true
             | _, pops -> pops >= 1)
             && timing_agrees t g)
-          (List.init 25 Fun.id)) ]
+          (List.init 25 Fun.id));
+    (* the schedulers' timing against the list folds of the test-scope
+       specification on random graphs and random latencies, zero
+       included: ASAP bit for bit, and the ALAP slack (the makespan minus
+       a tail, a different summation order) within rounding *)
+    qcheck ~count:100 "Asap and Alap match the Qref folds"
+      QCheck.(int_range 0 10000)
+      (fun seed ->
+        let rng = Qgraph.Rand.create seed in
+        let n = 3 + Qgraph.Rand.int rng 3 in
+        let g =
+          Gdg.of_circuit
+            ~latency:(fun _ ->
+              if Qgraph.Rand.int rng 5 = 0 then 0.
+              else Qgraph.Rand.float rng 100.)
+            (Circuit.make n
+               (List.init
+                  (1 + Qgraph.Rand.int rng 60)
+                  (fun _ -> random_vocabulary_gate rng n)))
+        in
+        let sl = Qref.slack g in
+        let slack = Qsched.Alap.slack g in
+        asap_agrees g
+        && List.length slack = Gdg.size g
+        && List.for_all
+             (fun (id, s) ->
+               Float.abs
+                 (s
+                 -. (Hashtbl.find sl.Qref.latest_start id
+                    -. Hashtbl.find sl.Qref.start id))
+               <= 1e-9)
+             slack) ]
 
 let suites =
   [ ("qgdg.inst", inst_cases);

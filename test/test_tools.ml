@@ -80,14 +80,33 @@ let partial_cases =
           (Qnum.Cmat.mul p_final (Circuit.unitary reference))
           (Qnum.Cmat.mul (Circuit.unitary compiled) p_init));
     case "identity rebinding is a fixpoint" (fun () ->
-        let circuit = Qapps.Qaoa.circuit (Qapps.Graphs.line 4) in
+        (* every strategy re-costs and reschedules its own way, so the
+           latency must come back bit for bit *)
+        let circuit = Lazy.force (Qapps.Suite.find "maxcut-reg4").Qapps.Suite.circuit in
+        List.iter
+          (fun strategy ->
+            let base = Compiler.compile ~strategy circuit in
+            let same = Qcc.Partial.reparameterize base (fun g -> g) in
+            check_bool
+              (Qcc.Strategy.to_string strategy ^ " latency unchanged")
+              true
+              (Int64.equal
+                 (Int64.bits_of_float base.Compiler.latency)
+                 (Int64.bits_of_float same.Compiler.latency)))
+          Qcc.Strategy.all);
+    case "rebinding drops the certificate" (fun () ->
+        let circuit = Qapps.Qaoa.circuit (Qapps.Graphs.line 3) in
         let base =
-          Compiler.compile ~config:(line 4) ~strategy:Qcc.Strategy.Cls_aggregation
-            circuit
+          Compiler.compile ~config:(line 3) ~certify:true
+            ~strategy:Qcc.Strategy.Cls_aggregation circuit
         in
-        let same = Qcc.Partial.reparameterize ~config:(line 4) base (fun g -> g) in
-        check_float ~eps:1e-9 "latency unchanged" base.Compiler.latency
-          same.Compiler.latency);
+        check_bool "compile certified" true
+          (Option.is_some base.Compiler.certificate);
+        let rebound =
+          Qcc.Partial.rebind_rotations ~config:(line 3) base ~gamma:1.3 ~beta:0.4
+        in
+        check_bool "no certificate" true
+          (Option.is_none rebound.Compiler.certificate));
     case "shape-changing rebinding raises" (fun () ->
         let circuit = Qapps.Qaoa.circuit (Qapps.Graphs.line 3) in
         let base =

@@ -62,17 +62,39 @@ let merged_width g a b =
   List.length (List.sort_uniq compare (ia.Inst.qubits @ ib.Inst.qubits))
 
 (* the slack tables read a nan as "no live node" and the chain-end
-   makespan needs latencies ≥ 0, so any other latency is refused before it
-   reaches them *)
-let check_latency what v =
+   makespan needs latencies ≥ 0, so any other cost is refused before it
+   reaches them; {!Gdg.of_insts} refuses such input latencies *)
+let check_cost v =
   if not (Float.is_finite v && v >= 0.) then
-    invalid_arg (Printf.sprintf "Aggregator.run: %s latency %g" what v)
+    invalid_arg (Printf.sprintf "Aggregator.run: cost latency %g" v)
+
+(* the phases of [run], in the order of [phase_names] *)
+let enumerate = 0
+let score = 1
+let retime = 2
+let regroup = 3
+let recost = 4
+let phase_names = [ "enumerate"; "score"; "retime"; "regroup"; "recost" ]
 
 let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
-  Gdg.iter_insts g (fun i -> check_latency "input" i.Inst.latency);
+  (* phase clock: [close p] charges the time since the previous boundary
+     to phase [p] and [skip ()] leaves it unattributed; with metrics off a
+     boundary is one branch *)
+  let timed = Qobs.Metrics.enabled (Qobs.Metrics.ambient ()) in
+  let t0 = if timed then Qobs.Clock.now_ns () else 0. in
+  let phase_ns = Array.make (List.length phase_names) 0. in
+  let mark = ref t0 in
+  let close p =
+    if timed then begin
+      let now = Qobs.Clock.now_ns () in
+      phase_ns.(p) <- phase_ns.(p) +. (now -. !mark);
+      mark := now
+    end
+  in
+  let skip () = if timed then mark := Qobs.Clock.now_ns () in
   let cost gates =
     let v = cost gates in
-    check_latency "cost" v;
+    check_cost v;
     v
   in
   (* unordered id pairs packed into one int (ids stay far below 2^31):
@@ -110,10 +132,13 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
   (* state kept across merges and sweeps: commutation groups (refreshed
      on the merged support, which the qgdg suite pins as equivalent to a
      rebuild) and the timing tables *)
+  skip ();
   let groups = Comm_group.build ~commute g in
+  close regroup;
   let slack = ref (Timing.create g) in
+  close retime;
   let initial_makespan = !slack.makespan in
-  let slack_visits = ref 0 in
+  let slack_visits = ref 0 and regroup_visits = ref 0 in
   (* the action-space test of paper §4.1 against the chain links: [a]
      precedes [b] on every shared qubit, where the two are same-group
      siblings or chain-adjacent; O(width²) array reads *)
@@ -185,8 +210,11 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
     let sweep_again = ref true in
     while !sweep_again do
       sweep_again := false;
+      skip ();
+      let candidates = candidates () in
+      close enumerate;
       let scored =
-        candidates ()
+        candidates
         |> List.filter_map (fun (a, b) ->
                Qobs.Metrics.tick "agg.attempted";
                let ia = Gdg.find g a and ib = Gdg.find g b in
@@ -207,6 +235,7 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
                | 0 -> compare (a1, b1) (a2, b2)
                | c -> c)
       in
+      close score;
       List.iter
         (fun (_, a, b, _) ->
           if
@@ -221,17 +250,25 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
             monotonic !slack a b ~merged_latency:bound
           then begin
             let predicted = merged_cost a b in
+            (* the links [Gdg.merge] detaches but leaves intact *)
+            let la = g.Gdg.links.(a) and lb = g.Gdg.links.(b) in
+            close score;
             match Timing.merge !slack ~latency:predicted a b with
-            | exception Invalid_argument _ -> ()
+            | exception Invalid_argument _ -> close retime
             | merged, pops ->
+              close retime;
               Qobs.Metrics.tick "agg.accepted";
               incr merges;
               incr merged_this_round;
               sweep_again := true;
-              Comm_group.refresh ~commute groups g ~qubits:merged.Inst.qubits;
-              slack_visits := !slack_visits + pops
+              slack_visits := !slack_visits + pops;
+              regroup_visits :=
+                !regroup_visits
+                + Comm_group.refresh ~commute groups ~a ~la ~b ~lb merged;
+              close regroup
           end)
-        scored
+        scored;
+      close score
     done;
     (* optimal-control query: re-cost every block *)
     let recosted = ref false in
@@ -246,11 +283,26 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
     (* latencies moved globally, so the slack fixpoint is rebuilt once per
        round; groups and chain positions are latency-independent and stay
        valid *)
-    if !recosted then slack := Timing.create g;
+    close recost;
+    if !recosted then begin
+      slack := Timing.create g;
+      close retime
+    end;
     if !merged_this_round = 0 && not !recosted then continue_outer := false
   done;
   Qobs.Metrics.tick ~by:!rounds "agg.rounds";
   Qobs.Metrics.tick ~by:!slack_visits "agg.slack_visits";
+  Qobs.Metrics.tick ~by:!regroup_visits "agg.regroup_visits";
+  if timed then begin
+    let total = Qobs.Clock.elapsed_ns t0 in
+    List.iteri
+      (fun p name ->
+        Qobs.Metrics.record ("agg.phase." ^ name ^ ".ms") (phase_ns.(p) /. 1e6))
+      phase_names;
+    (* clamped: the phases sum to at most [total], up to float rounding *)
+    Qobs.Metrics.record "agg.phase.unattributed.ms"
+      (Float.max 0. (total -. Array.fold_left ( +. ) 0. phase_ns) /. 1e6)
+  end;
   { merges = !merges;
     rounds = !rounds;
     initial_makespan;

@@ -37,9 +37,10 @@ val run :
   stats
 (** Aggregates in place. [width_limit] defaults to 10 (the optimal-control
     scalability bound, §2.5); [max_rounds] to 8. [cost] maps a member-gate
-    block to its optimized pulse time. Raises [Invalid_argument] when a
-    node of the input graph, or [cost] for any block, has a nan, infinite
-    or negative latency.
+    block to its optimized pulse time. Raises [Invalid_argument] when
+    [cost] answers a nan, infinite or negative latency for any block; the
+    input graph's latencies are finite and non-negative by construction
+    ({!Qgdg.Gdg.of_insts}).
 
     The search is incremental. Chain neighbours and positions are read
     from the {!Qgdg.Gdg} links. ASAP starts and makespan-free deadlines
@@ -52,7 +53,9 @@ val run :
     {!Qgdg.Gdg.merge}, which exclusive-edge merges skip. Commutation goes
     through one {!Qgdg.Comm_group.oracle_commute}, one summary per block
     id, under an id-pair decision cache. The commutation groups are
-    regrouped in the window around the splice ({!Qgdg.Comm_group.refresh}).
+    regrouped in the window around the splice ({!Qgdg.Comm_group.refresh},
+    handed [a]'s and [b]'s links as read before the merge); the chain
+    elements it examines are ticked as [agg.regroup_visits] once per run.
 
     Each inner sweep enumerates the action space afresh: per qubit, the
     chain's consecutive pairs and each commutation group's ordered pairs,
@@ -65,4 +68,22 @@ val run :
     enumeration cannot change a decision. The test suite pins the
     accepted-merge sequence, the round count, the attempted count and the
     final graph against a full-recompute specification of the same
-    search. *)
+    search.
+
+    With a metrics registry installed, [run] times its phases and records
+    one [agg.phase.<phase>.ms] sample each per run:
+    - [enumerate]: building each sweep's candidate list;
+    - [score]: pricing, the monotonicity test and the sort, plus each
+      candidate's recheck against the live tables before it is applied;
+    - [retime]: {!Qgdg.Timing}, the initial table, every
+      {!Qgdg.Timing.merge} (the {!Qgdg.Gdg.merge} inside it included) and
+      each rebuild after a re-cost;
+    - [regroup]: {!Qgdg.Comm_group}, the initial build and every
+      {!Qgdg.Comm_group.refresh}, with the commutation probes they make;
+    - [recost]: the per-round re-costing of every block.
+
+    [agg.phase.unattributed.ms] is what is left of the run's wall time:
+    setting up the caches, the sweep loop's own control and the final
+    counter ticks. The six add up to the [aggregate] pass span less the
+    pass wrapper's own microseconds. With metrics off, each phase
+    boundary costs one branch. *)

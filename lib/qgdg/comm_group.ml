@@ -1,11 +1,13 @@
 type t = {
-  per_qubit : int list list array;  (** ordered groups of instruction ids *)
+  g : Gdg.t;
   nq : int;
   mutable index : int array;
-      (** [id * nq + qubit] -> group position, [-1] when the instruction
-          is not on that qubit. A flat array because [same_group] sits on
-          the aggregator's innermost candidate test and every refresh
-          rewrites a whole chain's entries. *)
+      (** [id * nq + qubit] -> group label, [-1] when the instruction is
+          not on that qubit. A flat array because [same_group] sits on
+          the aggregator's innermost candidate test. *)
+  fresh : int array;  (** qubit -> the next unused label *)
+  lists : int list list array;  (** qubit -> groups as {!groups_on} last built them *)
+  stale : bool array;  (** qubit -> regrouped since its list was built *)
 }
 
 let ensure_capacity t id =
@@ -17,97 +19,103 @@ let ensure_capacity t id =
     t.index <- index
   end
 
-(* {!refresh} on one qubit. The greedy partition closes a group at the
-   first element that fails to commute with one of its members, so a
-   group is settled by its members plus that element, and the partition
-   from a group start depends only on the chain from there on. Index
-   entries are rewritten for the window, and for the spliced-in old tail
-   only when the group count moved. *)
-let regroup commute g t q =
-  let old_groups = t.per_qubit.(q) in
-  let old_ids = Array.of_list (List.concat old_groups) in
-  let ids = Array.of_list (Gdg.chain_ids g q) in
-  let n_old = Array.length old_ids and n = Array.length ids in
-  let common = min n_old n in
-  let prefix = ref 0 in
-  while !prefix < common && old_ids.(!prefix) = ids.(!prefix) do
-    incr prefix
-  done;
-  let suffix = ref 0 in
-  while
-    !prefix + !suffix < common
-    && old_ids.(n_old - 1 - !suffix) = ids.(n - 1 - !suffix)
-  do
-    incr suffix
-  done;
-  let rec keep kept start = function
-    | grp :: rest when start + List.length grp < !prefix ->
-      keep (grp :: kept) (start + List.length grp) rest
-    | rest -> (kept, start, rest)
-  in
-  let kept_rev, restart, old_rest = keep [] 0 old_groups in
-  (* old groups from the restart on, with the chain position of the first *)
-  let old_tail = ref old_rest and old_start = ref restart in
-  let shift = n - n_old in
-  let fresh = ref [] and current = ref [] and spliced = ref false in
-  let close () =
-    if !current <> [] then begin
-      fresh :=
-        List.rev_map (fun (i : Inst.t) -> i.Inst.id) !current :: !fresh;
-      current := []
-    end
-  in
-  let j = ref restart in
-  while (not !spliced) && !j < n do
+let lookup t ~qubit id =
+  let k = (id * t.nq) + qubit in
+  if id >= 0 && k < Array.length t.index then t.index.(k) else -1
+
+(* The greedy partition of qubit [q]'s chain from the group start
+   [start] on. A group closes at the first node that fails to commute
+   with one of its members (probed most recent member first), and each
+   group opened takes a fresh label. A group is settled by its members
+   plus the node that closes it, so the partition from a group start
+   depends only on the chain from there on: once a group opens at or
+   after [stop_from] on a node that opened a group before the walk, every
+   label from there on is already right and the walk stops. [last_old] is
+   the old label of [stop_from]'s old predecessor, the node the merge
+   unlinked or replaced. Returns the number of nodes examined. *)
+let walk commute t q ~start ~stop_from ~last_old =
+  let visits = ref 0 and current = ref [] and label = ref (-1) in
+  let past = ref false and prev_old = ref (-1) in
+  let x = ref start in
+  while !x >= 0 do
+    let id = !x in
+    incr visits;
+    if id = stop_from then begin
+      past := true;
+      prev_old := last_old
+    end;
     (* the open group is kept as resolved instructions so each membership
        probe skips the node lookup *)
-    let inst = Gdg.find g ids.(!j) in
-    if
-      !current = []
-      || not (List.for_all (fun prev -> commute prev inst) !current)
-    then begin
-      close ();
-      let old_j = !j - shift in
-      while !old_start < old_j && !old_tail <> [] do
-        old_start := !old_start + List.length (List.hd !old_tail);
-        old_tail := List.tl !old_tail
-      done;
-      spliced := !j >= n - !suffix && !old_start = old_j
-    end;
-    if not !spliced then begin
+    let inst = Gdg.find t.g id in
+    let old = lookup t ~qubit:q id in
+    let opens =
+      !current = [] || not (List.for_all (fun prev -> commute prev inst) !current)
+    in
+    if opens && !past && old <> !prev_old then x := -1
+    else begin
+      if opens then begin
+        current := [];
+        label := t.fresh.(q);
+        t.fresh.(q) <- !label + 1
+      end;
       current := inst :: !current;
-      incr j
+      t.index.((id * t.nq) + q) <- !label;
+      prev_old := old;
+      x := Gdg.field t.g.Gdg.links.(id) q 2
     end
   done;
-  close ();
-  let tail = if !spliced then !old_tail else [] in
-  let set pos grp =
-    List.iter
-      (fun id ->
-        ensure_capacity t id;
-        t.index.((id * t.nq) + q) <- pos)
-      grp
-  in
-  let rec replaced k = function
-    | rest when rest == tail -> k
-    | grp :: rest ->
-      set (-1) grp;
-      replaced (k + 1) rest
-    | [] -> k
-  in
-  let n_kept = List.length kept_rev in
-  let tail_pos = n_kept + replaced 0 old_rest in
-  let fresh = List.rev !fresh in
-  List.iteri (fun k grp -> set (n_kept + k) grp) fresh;
-  let n_fresh = List.length fresh in
-  if tail_pos <> n_kept + n_fresh then
-    List.iteri (fun k grp -> set (n_kept + n_fresh + k) grp) tail;
-  t.per_qubit.(q) <- List.rev_append kept_rev (fresh @ tail)
+  !visits
 
-let refresh
-    ?(commute = fun a b -> Oracle.blocks a.Inst.gates b.Inst.gates) t g
-    ~qubits =
-  List.iter (regroup commute g t) (List.sort_uniq compare qubits)
+let refresh ?(commute = fun a b -> Oracle.blocks a.Inst.gates b.Inst.gates) t
+    ~a ~la ~b ~lb (merged : Inst.t) =
+  let m = merged.Inst.id in
+  ensure_capacity t m;
+  let visits = ref 0 in
+  List.iter
+    (fun q ->
+      (* [le] holds the links of the earlier endpoint on [q], which [m]
+         replaced; [last] is the later endpoint if it was on [q], else
+         the earlier one, and [llast] its links *)
+      let pa = Gdg.field la q 3 and pb = Gdg.field lb q 3 in
+      let le, last, llast =
+        if pb < 0 then (la, a, la)
+        else if pa < 0 then (lb, b, lb)
+        else if pa < pb then (la, b, lb)
+        else (lb, a, la)
+      in
+      (* restart at the start of the old group holding [p], the earlier
+         endpoint's old predecessor: that endpoint closed the group or
+         sat in it, so it can change, while every group before it is
+         settled by unchanged nodes *)
+      let start =
+        match Gdg.field le q 1 with
+        | -1 -> m
+        | p ->
+          (* the nodes from the group start to [p] are counted by the
+             walk below, the one before the start here *)
+          let rec back x =
+            let y = Gdg.field t.g.Gdg.links.(x) q 1 in
+            if y >= 0 && lookup t ~qubit:q y = lookup t ~qubit:q x then back y
+            else begin
+              if y >= 0 then incr visits;
+              x
+            end
+          in
+          back p
+      in
+      visits :=
+        !visits
+        + walk commute t q ~start ~stop_from:(Gdg.field llast q 2)
+            ~last_old:(lookup t ~qubit:q last);
+      t.stale.(q) <- true)
+    merged.Inst.qubits;
+  List.iter
+    (fun (x, l) ->
+      for k = 0 to (Array.length l / 4) - 1 do
+        t.index.((x * t.nq) + l.(k)) <- -1
+      done)
+    [ (a, la); (b, lb) ];
+  !visits
 
 (* every pairwise check through the oracle, with one summary per
    instruction id for the closure's lifetime *)
@@ -129,21 +137,37 @@ let build ?commute g =
   let commute =
     match commute with Some c -> c | None -> oracle_commute ()
   in
-  let n = Gdg.n_qubits g in
-  let nq = max 1 n in
+  let nq = max 1 (Gdg.n_qubits g) in
   let t =
-    { per_qubit = Array.make nq [];
+    { g;
       nq;
-      index = Array.make (max 1 (Gdg.next_id g) * nq) (-1) }
+      index = Array.make (max 1 (Gdg.next_id g) * nq) (-1);
+      fresh = Array.make nq 0;
+      lists = Array.make nq [];
+      stale = Array.make nq true }
   in
-  refresh ~commute t g ~qubits:(List.init n (fun q -> q));
+  for q = 0 to Gdg.n_qubits g - 1 do
+    ignore
+      (walk commute t q ~start:g.Gdg.head.(q) ~stop_from:(-1) ~last_old:(-1))
+  done;
   t
 
-let groups_on t q = t.per_qubit.(q)
-
-let lookup t ~qubit id =
-  let k = (id * t.nq) + qubit in
-  if id >= 0 && k < Array.length t.index then t.index.(k) else -1
+let groups_on t q =
+  if t.stale.(q) then begin
+    (* one walk of the chain, cut where the label changes *)
+    let close group acc = if group = [] then acc else List.rev group :: acc in
+    let rec split x label group acc =
+      if x < 0 then List.rev (close group acc)
+      else
+        let next = Gdg.field t.g.Gdg.links.(x) q 2 in
+        let l = lookup t ~qubit:q x in
+        if l = label then split next label (x :: group) acc
+        else split next l [ x ] (close group acc)
+    in
+    t.lists.(q) <- split t.g.Gdg.head.(q) (-1) [] [];
+    t.stale.(q) <- false
+  end;
+  t.lists.(q)
 
 let same_group t ~qubit a b =
   let x = lookup t ~qubit a in

@@ -73,6 +73,9 @@ let of_insts ~n_qubits insts =
       let w = List.length i.Inst.qubits in
       if List.length (List.sort_uniq compare i.Inst.qubits) <> w then
         invalid_arg "Gdg.of_insts: repeated qubit";
+      if i.Inst.gates = [] then invalid_arg "Gdg.of_insts: empty gate list";
+      if not (Float.is_finite i.Inst.latency && i.Inst.latency >= 0.) then
+        invalid_arg "Gdg.of_insts: latency not finite and non-negative";
       if id >= g.next then g.next <- id + 1;
       ensure_capacity g id;
       g.nodes.(id) <- Some i;

@@ -37,8 +37,15 @@ type t = private {
 
 val of_insts : n_qubits:int -> Inst.t list -> t
 (** Builds chains in list order. Raises [Invalid_argument] on negative or
-    duplicate ids, out-of-range qubits or an instruction listing a qubit
-    twice. *)
+    duplicate ids, out-of-range qubits, an instruction listing a qubit
+    twice, and the records {!Inst.make} refuses but a raw [Inst.t] can
+    carry: an empty gate list or a nan, infinite or negative latency. So
+    every node of a graph has a finite, non-negative latency. *)
+
+val field : int array -> int -> int -> int
+(** [field l q f] reads field [f] (1 predecessor, 2 successor, 3 position
+    label) of qubit [q]'s slot in the link array [l] (see {!t}), [-1]
+    off the node's support. *)
 
 val of_circuit :
   latency:(Qgate.Gate.t list -> float) -> Qgate.Circuit.t -> t

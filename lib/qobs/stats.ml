@@ -20,6 +20,8 @@ type t = {
   commute_checks : int;
   detect_checks : int;
   domains : (int * int) list;  (* domain id -> rows, sorted by id *)
+  agg_phases : (string * float) list;  (* sorted by metric name *)
+  agg_span_ms : float;
 }
 
 (* ---- row field access ---- *)
@@ -36,11 +38,13 @@ let num_mem k j =
 let int_mem k j =
   match Json.member k j with Some (Json.Int n) -> Some n | _ -> None
 
+let has_prefix p name =
+  String.length name > String.length p && String.sub name 0 (String.length p) = p
+
 let is_route name =
-  let pre p =
-    String.length name > String.length p && String.sub name 0 (String.length p) = p
-  in
-  pre "commute.route." || pre "detect.route."
+  has_prefix "commute.route." name || has_prefix "detect.route." name
+
+let is_agg_phase = has_prefix "agg.phase."
 
 let of_rows rows =
   let passes = Hashtbl.create 32 in
@@ -51,6 +55,7 @@ let of_rows rows =
   let hits = ref 0 and misses = ref 0 in
   let checks = ref 0 in
   let detect_checks = ref 0 in
+  let phases = Hashtbl.create 8 and phase_span_ms = ref 0. in
   List.iter
     (fun row ->
       if str_mem "schema" row <> Some "qcc.ledger/1" then incr skipped
@@ -102,9 +107,25 @@ let of_rows rows =
          | _ -> ());
         match Json.member "metrics" row with
         | Some (Json.Obj fields) ->
+          (* the phases partition this row's aggregate pass span *)
+          if List.exists (fun (name, _) -> is_agg_phase name) fields then
+            (match Json.member "passes" row with
+             | Some (Json.List prs) ->
+               List.iter
+                 (fun pr ->
+                   if str_mem "pass" pr = Some "aggregate" then
+                     phase_span_ms :=
+                       !phase_span_ms
+                       +. (Option.value ~default:0. (num_mem "wall_ns" pr) /. 1e6))
+                 prs
+             | _ -> ());
           List.iter
             (fun (name, v) ->
               match v with
+              | Json.Obj _ when is_agg_phase name ->
+                Hashtbl.replace phases name
+                  (Option.value ~default:0. (num_mem "sum" v)
+                   +. Option.value ~default:0. (Hashtbl.find_opt phases name))
               | Json.Int count when is_route name ->
                 Hashtbl.replace routes name
                   (count
@@ -136,7 +157,10 @@ let of_rows rows =
     detect_checks = !detect_checks;
     domains =
       List.sort compare
-        (Hashtbl.fold (fun d c acc -> (d, c) :: acc) domains []) }
+        (Hashtbl.fold (fun d c acc -> (d, c) :: acc) domains []);
+    agg_phases =
+      List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) phases []);
+    agg_span_ms = !phase_span_ms }
 
 let detect_route_sum t =
   List.fold_left
@@ -146,6 +170,13 @@ let detect_route_sum t =
       then acc + count
       else acc)
     0 t.routes
+
+let agg_phase_sum t = List.fold_left (fun acc (_, ms) -> acc +. ms) 0. t.agg_phases
+
+(* the phases are timed inside the pass, so the span exceeds their sum
+   by the pass wrapper's own work: a few microseconds a compile *)
+let agg_phases_partition t =
+  Float.abs (agg_phase_sum t -. t.agg_span_ms) <= 0.5 +. (0.01 *. t.agg_span_ms)
 
 let hit_rate t =
   let total = t.cache_hits + t.cache_misses in
@@ -175,7 +206,10 @@ let body_json t =
     ("detect_checks", Json.Int t.detect_checks);
     ("domains",
      Json.Obj
-       (List.map (fun (d, c) -> (string_of_int d, Json.Int c)) t.domains)) ]
+       (List.map (fun (d, c) -> (string_of_int d, Json.Int c)) t.domains));
+    ("agg_phases",
+     Json.Obj (List.map (fun (k, ms) -> (k, Json.Float ms)) t.agg_phases));
+    ("agg_span_ms", Json.Float t.agg_span_ms) ]
 
 let to_json t =
   Json.Obj (("schema", Json.Str schema) :: ("mode", Json.Str "aggregate")
@@ -218,6 +252,19 @@ let pp_text ?(top = 10) ppf t =
            route partition violated@."
           routed t.detect_checks
     end
+  end;
+  if t.agg_phases <> [] then begin
+    Format.fprintf ppf "@.%-26s %12s@." "aggregate phase" "ms";
+    List.iter
+      (fun (name, ms) -> Format.fprintf ppf "%-26s %12.3f@." name ms)
+      t.agg_phases;
+    Format.fprintf ppf "%-26s %12.3f  (aggregate pass %.3f)@." "agg.phase sum"
+      (agg_phase_sum t) t.agg_span_ms;
+    if not (agg_phases_partition t) then
+      Format.fprintf ppf
+        "WARNING     agg.phase.* sums to %.3f ms, not the aggregate pass \
+         span %.3f ms — phase partition violated@."
+        (agg_phase_sum t) t.agg_span_ms
   end
 
 (* ---- diff ---- *)

@@ -3,9 +3,10 @@
 
     Pure over parsed JSON rows: rows whose [schema] is not
     [qcc.ledger/1] are counted as skipped, everything else folds into
-    per-pass wall/allocation totals, cache hit rates and the
+    per-pass wall/allocation totals, cache hit rates, the
     commutation-route mix ([commute.route.*] / [detect.route.*] counters
-    summed across rows). JSON output carries
+    summed across rows) and the aggregator's phase times
+    ([agg.phase.*.ms]). JSON output carries
     schema [qcc.stats/1]. *)
 
 val schema : string
@@ -34,6 +35,13 @@ type t = {
       (** rows per worker-domain id (rows without a [domain] field
           contribute nothing), sorted by id — shows how a parallel
           driver spread the jobs *)
+  agg_phases : (string * float) list;
+      (** the [agg.phase.*.ms] histogram sums across rows, sorted by
+          metric name: the aggregator's phases plus its unattributed
+          remainder *)
+  agg_span_ms : float;
+      (** the [aggregate] pass wall time, in ms, over the rows that carry
+          the phases *)
 }
 
 val of_rows : Json.t list -> t
@@ -43,6 +51,14 @@ val hit_rate : t -> float
 val detect_route_sum : t -> int
 (** Sum of the [detect.route.*] counters. Every detection query takes
     exactly one route, so this must equal [detect_checks]; [pp_text]
+    flags a violation. *)
+
+val agg_phase_sum : t -> float
+(** Sum of {!field-agg_phases}, in ms. *)
+
+val agg_phases_partition : t -> bool
+(** The phases sum to the aggregate pass span within 0.5 ms plus 1%
+    (the pass wrapper's own work sits outside the phases); [pp_text]
     flags a violation. *)
 
 val to_json : t -> Json.t

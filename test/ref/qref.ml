@@ -477,27 +477,39 @@ let cls_reference g =
   let groups = Qgdg.Comm_group.build g in
   (* Per-qubit cursor over the ordered groups: [head.(q)] is the current
      group's position and [remaining.(q).(pos)] counts its unscheduled
-     members. Membership probes are O(1) flat-index lookups against the
-     group index instead of [List.mem] scans of a shrinking head list,
-     and emptying the current group advances the cursor exactly where
-     the list version dropped an emptied head — an unscheduled
+     members. Membership probes read each instruction's group position
+     from a per-qubit table filled from [groups_on] (a group label is
+     not a position), instead of [List.mem] scans of a shrinking head
+     list, and emptying the current group advances the cursor exactly
+     where the list version dropped an emptied head — an unscheduled
      instruction is in the current group iff its group position equals
      the cursor. *)
   let total = Qgdg.Gdg.size g in
   let scheduled : (int, Qsched.Schedule.entry) Hashtbl.t = Hashtbl.create total in
   let qubit_free = Array.make (max 1 n_qubits) 0. in
   let head = Array.make (max 1 n_qubits) 0 in
+  let per_qubit =
+    Array.init (max 1 n_qubits) (fun q -> Qgdg.Comm_group.groups_on groups q)
+  in
   let remaining =
-    Array.init (max 1 n_qubits) (fun q ->
-        Array.of_list
-          (List.map List.length (Qgdg.Comm_group.groups_on groups q)))
+    Array.map (fun gs -> Array.of_list (List.map List.length gs)) per_qubit
+  in
+  let position =
+    Array.map
+      (fun gs ->
+        let tbl = Hashtbl.create 64 in
+        List.iteri (fun k grp -> List.iter (fun id -> Hashtbl.replace tbl id k) grp) gs;
+        tbl)
+      per_qubit
+  in
+  let group_pos id q =
+    Option.value ~default:(-1) (Hashtbl.find_opt position.(q) id)
   in
   let in_current_group id q =
-    head.(q) < Array.length remaining.(q)
-    && Qgdg.Comm_group.lookup groups ~qubit:q id = head.(q)
+    head.(q) < Array.length remaining.(q) && group_pos id q = head.(q)
   in
   let drop_from_group id q =
-    let pos = Qgdg.Comm_group.lookup groups ~qubit:q id in
+    let pos = group_pos id q in
     if pos >= 0 then begin
       remaining.(q).(pos) <- remaining.(q).(pos) - 1;
       while

@@ -143,7 +143,7 @@ let deterministic_counters m =
     (fun name -> (name, Metrics.counter_value m name))
     [ "pipeline.cache.hit"; "pipeline.cache.miss"; "commute.checks";
       "agg.attempted"; "agg.accepted"; "agg.vetoed_monotonic";
-      "agg.slack_visits"; "cls.ready_visits";
+      "agg.slack_visits"; "agg.regroup_visits"; "cls.ready_visits";
       "qcert.proved"; "qcert.refuted"; "qcert.skipped"; "qcert.facts" ]
 
 let small_circuits =

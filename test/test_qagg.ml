@@ -147,13 +147,13 @@ let aggregator_cases =
         List.iter
           (fun bad ->
             (* [Inst.make] and [Gdg.set_latency] refuse a bad latency, so
-               the bad value enters as a raw record *)
+               the bad value can only come as a raw record, which
+               [Gdg.of_insts] refuses before any graph reaches [run] *)
             let i =
               { Inst.id = 0; gates = [ Gate.cnot 0 1 ]; qubits = [ 0; 1 ];
                 latency = bad }
             in
-            let g = Gdg.of_insts ~n_qubits:2 [ i ] in
-            match Aggregator.run ~cost g with
+            match Gdg.of_insts ~n_qubits:2 [ i ] with
             | _ -> Alcotest.failf "input latency %g accepted" bad
             | exception Invalid_argument _ -> ())
           [ nan; infinity; -1. ]);
@@ -244,5 +244,59 @@ let aggregator_cases =
         Gdg.validate g;
         matches_reference inc spec g r && semantics_preserved circuit g) ]
 
+(* the regroup walks a window around each merge, never a whole chain:
+   its visits per accepted merge stay bounded as the sqrt family grows
+   (15.1–15.6 on these cells, every node read counted) *)
+let work_cases =
+  [ slow_case "regroup visits stay within 16 per accepted merge" (fun () ->
+        List.iter
+          (fun name ->
+            let circuit = Qapps.Suite.lowered (Qapps.Suite.find name) in
+            List.iter
+              (fun strategy ->
+                let m = Qobs.Metrics.create () in
+                ignore (Qcc.Compiler.compile ~metrics:m ~strategy circuit);
+                let visits = Qobs.Metrics.counter_value m "agg.regroup_visits"
+                and accepted = Qobs.Metrics.counter_value m "agg.accepted" in
+                if accepted = 0 || visits > 16 * accepted then
+                  Alcotest.failf "%s %s: %d regroup visits for %d merges" name
+                    (Qcc.Strategy.to_string strategy) visits accepted)
+              [ Qcc.Strategy.Aggregation; Qcc.Strategy.Cls_aggregation ])
+          [ "sqrt-n3"; "sqrt-n4"; "sqrt-n5" ]);
+    (* the phases and their unattributed remainder add up to the
+       aggregate pass span, as [qcc stats] reads them off a ledger row *)
+    case "aggregate phases sum to the pass span" (fun () ->
+        let path = Filename.temp_file "qagg_phases" ".jsonl" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            let ledger = Qobs.Ledger.open_file path in
+            ignore
+              (Qcc.Compiler.compile ~ledger ~strategy:Qcc.Strategy.Aggregation
+                 (Qapps.Suite.lowered (Qapps.Suite.find "maxcut-reg4")));
+            Qobs.Ledger.close ledger;
+            let rows =
+              match Qobs.Ledger.read_file path with
+              | Ok rows -> rows
+              | Error e -> Alcotest.failf "read_file: %s" e
+            in
+            let t = Qobs.Stats.of_rows rows in
+            Alcotest.(check (list string)) "phases"
+              (List.map
+                 (fun p -> "agg.phase." ^ p ^ ".ms")
+                 [ "enumerate"; "recost"; "regroup"; "retime"; "score";
+                   "unattributed" ])
+              (List.map fst t.Qobs.Stats.agg_phases);
+            List.iter
+              (fun (name, ms) -> check_bool (name ^ " >= 0") true (ms >= 0.))
+              t.Qobs.Stats.agg_phases;
+            check_bool
+              (Printf.sprintf "phases %.3f ms vs span %.3f ms"
+                 (Qobs.Stats.agg_phase_sum t) t.Qobs.Stats.agg_span_ms)
+              true
+              (t.Qobs.Stats.agg_span_ms > 0. && Qobs.Stats.agg_phases_partition t))) ]
+
 let suites =
-  [ ("qagg.action", action_cases); ("qagg.aggregator", aggregator_cases) ]
+  [ ("qagg.action", action_cases);
+    ("qagg.aggregator", aggregator_cases);
+    ("qagg.work", work_cases) ]

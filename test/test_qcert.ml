@@ -323,13 +323,8 @@ let compiler_cases =
         | None -> Alcotest.fail "no certificate"
         | Some cert ->
           let j = Qobs.Json.to_string (Cert.to_json cert) in
-          let contains needle hay =
-            let nl = String.length needle and hl = String.length hay in
-            let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-            go 0
-          in
-          check_bool "schema" true (contains "qcc.certificate/1" j);
-          check_bool "boundaries" true (contains "\"boundaries\"" j));
+          check_bool "schema" true (contains ~needle:"qcc.certificate/1" j);
+          check_bool "boundaries" true (contains ~needle:"\"boundaries\"" j));
     case "certify emits spans and counters" (fun () ->
         let obs = Qobs.Trace.create () in
         let metrics = Qobs.Metrics.create () in

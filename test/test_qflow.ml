@@ -398,11 +398,6 @@ let mli_of_family = function
   | "domain-safety" -> "registry.mli"
   | f -> Alcotest.failf "unknown family %s" f
 
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
 let registry_cases =
   [ case "codes are unique and sorted" (fun () ->
         let cs =

@@ -339,6 +339,11 @@ let gdg_cases =
         in
         Alcotest.check_raises "raises"
           (Invalid_argument "Gdg.of_insts: repeated qubit")
+          (fun () -> ignore (Gdg.of_insts ~n_qubits:1 [ i ])));
+    case "of_insts rejects an empty gate list" (fun () ->
+        let i = { (Inst.of_gate ~id:0 ~latency:1. (Gate.h 0)) with Inst.gates = [] } in
+        Alcotest.check_raises "raises"
+          (Invalid_argument "Gdg.of_insts: empty gate list")
           (fun () -> ignore (Gdg.of_insts ~n_qubits:1 [ i ]))) ]
 
 (* the links of [g] against a list model of its chains: each chain read
@@ -471,11 +476,44 @@ let random_commuting_gdg rng =
   in
   Gdg.of_circuit ~latency:unit_latency (Circuit.make n gates)
 
-(* merge a random node with one of the next three on one of its chains;
-   [None] when the graph has one node or the merge would close a cycle *)
-let random_splice rng g =
+(* [Gdg.merge] of [a] and [b], then the regroup of that merge; returns
+   the chain elements the regroup examined *)
+let merge_and_refresh g groups a b =
+  let la = g.Gdg.links.(a) and lb = g.Gdg.links.(b) in
+  let merged = Gdg.merge g ~latency:1.0 a b in
+  Comm_group.refresh groups ~a ~la ~b ~lb merged
+
+(* the partition of [groups] equals a fresh build's on every qubit: the
+   same group lists, the same ids on each chain ([-1] for merged-away
+   ids) and the same [same_group] answer for every pair on a chain.
+   Labels themselves may differ after a refresh. *)
+let same_partition g groups =
+  let fresh = Comm_group.build g in
+  List.for_all
+    (fun q ->
+      let chain = Gdg.chain_ids g q in
+      Comm_group.groups_on groups q = Comm_group.groups_on fresh q
+      && List.for_all
+           (fun id ->
+             Comm_group.lookup groups ~qubit:q id >= 0
+             = (Comm_group.lookup fresh ~qubit:q id >= 0))
+           (List.init (Gdg.next_id g) Fun.id)
+      && List.for_all
+           (fun x ->
+             List.for_all
+               (fun y ->
+                 Comm_group.same_group groups ~qubit:q x y
+                 = Comm_group.same_group fresh ~qubit:q x y)
+               chain)
+           chain)
+    (List.init (Gdg.n_qubits g) Fun.id)
+
+(* merge a random node with one of the next three on one of its chains
+   and regroup; [false] when the graph has one node or the merge would
+   close a cycle *)
+let random_splice rng g groups =
   let ids = List.map (fun (i : Inst.t) -> i.Inst.id) (Gdg.insts g) in
-  if List.length ids < 2 then None
+  if List.length ids < 2 then false
   else
     let a = List.nth ids (Qgraph.Rand.int rng (List.length ids)) in
     let ia = Gdg.find g a in
@@ -486,12 +524,12 @@ let random_splice rng g =
       | [] -> []
     in
     match after (Gdg.chain_ids g q) with
-    | [] -> None
+    | [] -> false
     | later ->
       let k = Qgraph.Rand.int rng (min 3 (List.length later)) in
-      (match Gdg.merge g ~latency:1.0 a (List.nth later k) with
-       | merged -> Some merged
-       | exception Invalid_argument _ -> None)
+      (match merge_and_refresh g groups a (List.nth later k) with
+       | _ -> true
+       | exception Invalid_argument _ -> false)
 
 let comm_group_cases =
   [ case "cnot-rz-cnot groups on control vs target" (fun () ->
@@ -518,35 +556,73 @@ let comm_group_cases =
         let groups = Comm_group.build g in
         check_bool "cnots not reorderable" false
           (Comm_group.reorderable groups (Gdg.find g 0) (Gdg.find g 2)));
-    (* a chain of random splices, each followed by a refresh of the merged
-       support only: the window-local regroup must reproduce a fresh
-       build's groups and index on every qubit, including the [-1]
-       entries of merged-away ids *)
+    (* a chain of random splices, each followed by the merge-aware
+       refresh: the window walk must reproduce a fresh build's partition
+       on every qubit, including the [-1] entries of merged-away ids *)
     qcheck ~count:100 "refresh matches rebuild" QCheck.(int_range 0 10000)
       (fun seed ->
         let rng = Qgraph.Rand.create seed in
         let g = random_commuting_gdg rng in
         let groups = Comm_group.build g in
-        let agrees () =
-          let fresh = Comm_group.build g in
-          List.for_all
-            (fun q ->
-              Comm_group.groups_on groups q = Comm_group.groups_on fresh q
-              && List.for_all
-                   (fun id ->
-                     Comm_group.lookup groups ~qubit:q id
-                     = Comm_group.lookup fresh ~qubit:q id)
-                   (List.init (Gdg.next_id g) Fun.id))
-            (List.init (Gdg.n_qubits g) Fun.id)
-        in
         List.for_all
-          (fun _ ->
-            match random_splice rng g with
-            | None -> true
-            | Some merged ->
-              Comm_group.refresh groups g ~qubits:merged.Inst.qubits;
-              agrees ())
+          (fun _ -> (not (random_splice rng g groups)) || same_partition g groups)
           (List.init 25 Fun.id));
+    (* the window's edges, one merge each on a small graph; ids are gate
+       indices. Each must leave a fresh build's partition. *)
+    case "refresh: earlier endpoint at its chain head" (fun () ->
+        let g =
+          Gdg.of_circuit ~latency:unit_latency
+            (Circuit.make 2
+               [ Gate.rz 0.1 0; Gate.rzz 0.2 0 1; Gate.h 0; Gate.rz 0.3 0;
+                 Gate.h 1 ])
+        in
+        let groups = Comm_group.build g in
+        ignore (merge_and_refresh g groups 0 1);
+        check_bool "partition" true (same_partition g groups));
+    case "refresh: later endpoint at its chain end" (fun () ->
+        let g =
+          Gdg.of_circuit ~latency:unit_latency
+            (Circuit.make 2
+               [ Gate.h 0; Gate.rz 0.1 0; Gate.rzz 0.2 0 1; Gate.x 0;
+                 Gate.cnot 0 1 ])
+        in
+        let groups = Comm_group.build g in
+        ignore (merge_and_refresh g groups 3 4);
+        check_bool "partition" true (same_partition g groups));
+    case "refresh: endpoints not adjacent on a shared qubit" (fun () ->
+        (* the rzz between the two rz stays between them on qubit 0 *)
+        let g =
+          Gdg.of_circuit ~latency:unit_latency
+            (Circuit.make 2
+               [ Gate.h 0; Gate.rz 0.1 0; Gate.rzz 0.2 0 1; Gate.rz 0.3 0;
+                 Gate.h 0; Gate.x 1 ])
+        in
+        let groups = Comm_group.build g in
+        ignore (merge_and_refresh g groups 1 3);
+        check_bool "partition" true (same_partition g groups));
+    case "refresh: a qubit carries only one endpoint" (fun () ->
+        (* qubit 0 carries only the first cnot, qubit 2 only the second *)
+        let g =
+          Gdg.of_circuit ~latency:unit_latency
+            (Circuit.make 3
+               [ Gate.rz 0.1 0; Gate.cnot 0 1; Gate.cnot 1 2; Gate.rz 0.2 0;
+                 Gate.rz 0.3 2; Gate.h 2 ])
+        in
+        let groups = Comm_group.build g in
+        ignore (merge_and_refresh g groups 1 2);
+        check_bool "partition" true (same_partition g groups));
+    case "refresh walks the window, not the chain" (fun () ->
+        (* 200 singleton groups on one qubit; a merge in the middle
+           regroups a few nodes around it *)
+        let g =
+          Gdg.of_circuit ~latency:unit_latency
+            (Circuit.make 1
+               (List.init 200 (fun k -> if k mod 2 = 0 then Gate.h 0 else Gate.x 0)))
+        in
+        let groups = Comm_group.build g in
+        let visits = merge_and_refresh g groups 100 101 in
+        check_bool "partition" true (same_partition g groups);
+        check_bool (Printf.sprintf "%d visits" visits) true (visits <= 4));
     case "oracle build matches reference on every suite circuit" (fun () ->
         List.iter
           (fun (b : Qapps.Suite.benchmark) ->

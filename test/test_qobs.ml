@@ -489,6 +489,34 @@ let test_ledger_stats_roundtrip () =
             (Qobs.Stats.ratio e))
         d.Qobs.Stats.delta)
 
+(* agg.phase.* that overshoot the aggregate span fail the partition
+   check [qcc stats] warns on *)
+let test_agg_phase_partition () =
+  let tr = Trace.create () in
+  ignore
+    (Trace.with_span tr "compile" (fun () ->
+         Trace.with_span tr "aggregate" (fun () -> ())));
+  let root =
+    match Trace.last_span tr with
+    | Some s -> s
+    | None -> Alcotest.fail "no root span"
+  in
+  let m = Metrics.create () in
+  Metrics.observe m "agg.phase.score.ms" 40.;
+  Metrics.observe m "agg.phase.unattributed.ms" 10.;
+  let row =
+    Qobs.Ledger.row ~strategy:"aggregation" ~backend_digest:"b"
+      ~source_digest:"s" ~chain_digest:"c" ~latency_ns:1. ~compile_time_s:0.1
+      ~cache_hits:0 ~cache_misses:0 ~trace:root ~metrics:m ()
+  in
+  let t = Qobs.Stats.of_rows [ row ] in
+  check Alcotest.(float 1e-9) "phase sum" 50. (Qobs.Stats.agg_phase_sum t);
+  checkb "span far below the phases" true (t.Qobs.Stats.agg_span_ms < 1.);
+  checkb "partition violated" false (Qobs.Stats.agg_phases_partition t);
+  let text = Format.asprintf "%a" (Qobs.Stats.pp_text ~top:10) t in
+  checkb "warning printed" true
+    (Util.contains ~needle:"phase partition violated" text)
+
 (* every ledger row's schema field is the pinned constant *)
 let test_ledger_schema_pinned () =
   check Alcotest.string "ledger schema" "qcc.ledger/1" Qobs.Ledger.schema;
@@ -608,7 +636,8 @@ let suites =
     ("qobs.ledger",
      [ Alcotest.test_case "stats-roundtrip" `Quick test_ledger_stats_roundtrip;
        Alcotest.test_case "schema-pinned" `Quick test_ledger_schema_pinned;
-       Alcotest.test_case "route-sum" `Quick test_route_sum_invariant ]);
+       Alcotest.test_case "route-sum" `Quick test_route_sum_invariant;
+       Alcotest.test_case "agg-phase-partition" `Quick test_agg_phase_partition ]);
     ("qobs.compile",
      [ Alcotest.test_case "passes-once-each" `Quick test_trace_passes_once_each;
        Alcotest.test_case "metrics-populated" `Quick

@@ -18,6 +18,11 @@ let check_mat_phase ?(eps = 1e-9) name expected actual =
   if not (Cmat.equal_up_to_phase ~eps expected actual) then
     Alcotest.failf "%s: matrices differ up to phase" name
 
+let contains ~needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 let case name f = Alcotest.test_case name `Quick f
 let slow_case name f = Alcotest.test_case name `Slow f
 

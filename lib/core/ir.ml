@@ -35,6 +35,16 @@ type lowered = { base : Circuit.t; circuit : Circuit.t }
     must survive routing. *)
 type program = Gates of Circuit.t | Insts of Inst.t list
 
+(** The program as a block stream — a gate stream is a stream of
+    singleton blocks — each block paired with its instruction id, which
+    only instruction streams have. The routing boundary's lint and
+    certifier, and every pass that flattens a program, read this one
+    shape. *)
+let blocks = function
+  | Gates c -> List.map (fun g -> ([ g ], None)) (Circuit.gates c)
+  | Insts insts ->
+    List.map (fun (i : Inst.t) -> (i.Inst.gates, Some i.Inst.id)) insts
+
 (** A dependence graph (plus the contractions performed so far) —
     [route] is [Some] once the gates in the graph are physical. Both
     in-place passes, [detect] and [aggregate], map this artifact to

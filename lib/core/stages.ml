@@ -28,14 +28,14 @@ let cost_fn cost ctx = backend_cost cost ctx.Pass.backend
 
 let topology ctx (l : Ir.lowered) = Backend.topology_for ctx.Pass.backend l.base
 
-let flatten_insts insts =
-  List.concat_map (fun (i : Inst.t) -> i.Inst.gates) insts
+let program_gates p = List.concat_map fst (Ir.blocks p)
 
-let flat_circuit ~n_sites = function
+(* the routed program as one gate stream over the device *)
+let flat_circuit ctx (a : Ir.routed) =
+  match a.rprogram with
   | Ir.Gates c -> c
-  | Ir.Insts insts -> Circuit.make n_sites (flatten_insts insts)
-
-let count_swaps c = Circuit.count (fun g -> g.Gate.kind = Gate.Swap) c
+  | Ir.Insts _ as p ->
+    Circuit.make (Qmap.Topology.n_sites (topology ctx a.l)) (program_gates p)
 
 (* ---- lint boundaries (pure producers; Pipeline checkpoints them) ---- *)
 
@@ -44,25 +44,6 @@ let logical_schedule_diags gdg schedule =
   Qlint.Check_schedule.run ~stage:"cls" ~original:gdg
     ~reorderable:(Qgdg.Comm_group.reorderable groups)
     schedule
-
-(* the routing boundary for instruction streams: placement consistency,
-   site adjacency, and a full replay of the router's contract *)
-let routed_insts_diags ~topology ~initial ~final ~logical ~routed =
-  let gates insts = List.concat_map (fun (i : Inst.t) -> i.Inst.gates) insts in
-  Qlint.Check_mapping.run ~stage:"route" ~topology ~initial ~final routed
-  @ Qlint.Check_mapping.check_routing ~stage:"route" ~topology ~initial ~final
-      ~logical:(gates logical) ~physical:(gates routed) ()
-
-(* same boundary when the router ran over a plain gate stream *)
-let routed_circuit_diags ~topology ~initial ~final ~logical ~physical =
-  Qlint.Check_mapping.check_placement ~stage:"route" ~label:"initial placement"
-    ~topology initial
-  @ Qlint.Check_mapping.check_placement ~stage:"route"
-      ~label:"final placement" ~topology final
-  @ Qlint.Check_mapping.check_adjacency_circuit ~stage:"route" ~topology
-      physical
-  @ Qlint.Check_mapping.check_routing ~stage:"route" ~topology ~initial ~final
-      ~logical:(Circuit.gates logical) ~physical:(Circuit.gates physical) ()
 
 let aggregate_diags ~width_limit gdg =
   (* diagonal detection may build 2-qubit blocks below any limit *)
@@ -80,7 +61,7 @@ let final_diags ctx (b : Ir.scheduled) =
       ~width_limit:(max ctx.Pass.backend.Backend.width_limit 2)
       b.gdg
   @ Qlint.Check_mapping.check_adjacency ~stage:"schedule" ~topology
-      (Gdg.insts b.gdg)
+      (Ir.blocks (Ir.Insts (Gdg.insts b.gdg)))
   @ Qlint.Check_schedule.run ~stage:"schedule" ~original:b.gdg
       ~reorderable:(Qgdg.Comm_group.reorderable groups)
       b.schedule
@@ -155,12 +136,9 @@ let gdg_of_routed ~cost ~lint =
           else None)
        ~certify:
          (Pass.Cert
-            (fun _ c (a : Ir.routed) (b : Ir.gdg_built) ->
-              match a.rprogram with
-              | Ir.Gates physical ->
-                Qcert.Pipeline.gdg_build c ~name:"gdg" ~circuit:physical
-                  ~gdg:b.gdg
-              | Ir.Insts _ -> assert false))
+            (fun ctx c (a : Ir.routed) (b : Ir.gdg_built) ->
+              Qcert.Pipeline.gdg_build c ~name:"gdg"
+                ~circuit:(flat_circuit ctx a) ~gdg:b.gdg))
        (fun ctx (a : Ir.routed) ->
          match a.rprogram with
          | Ir.Gates physical ->
@@ -240,67 +218,64 @@ let renumber insts =
     (fun id (i : Inst.t) -> Inst.make ~id ~latency:i.Inst.latency i.Inst.gates)
     insts
 
-let route_insts ctx ~topology ~placement insts =
-  let swap_latency = Backend.gate_cost ctx.Pass.backend (Gate.swap 0 1) in
-  let swap_counter = ref 0 in
-  let routed, final =
-    Qmap.Router.route ~topology ~placement
-      ~support:(fun (i : Inst.t) -> i.Inst.qubits)
-      ~remap:(fun f (i : Inst.t) ->
-        Inst.make ~id:i.Inst.id ~latency:i.Inst.latency
-          (List.map (Gate.map_qubits f) i.Inst.gates))
-      ~make_swap:(fun a b ->
-        incr swap_counter;
-        Inst.make ~id:(-1) ~latency:swap_latency [ Gate.swap a b ])
-      insts
-  in
-  (renumber routed, !swap_counter, final)
-
+(* the routing boundary: both the lint and the certifier replay the
+   routed block stream against the placed one *)
 let route =
+  let logical (a : Ir.placed) = List.map fst (Ir.blocks a.program) in
   Pass.P
     (Pass.make ~name:"route" ~fingerprint:"route" ~inp:Ir.Placed ~out:Ir.Routed
        ~note:(fun ctx _ (b : Ir.routed) ->
          Pass.note_int ctx "swaps" b.route.swaps)
        ~check:(fun ctx (a : Ir.placed) (b : Ir.routed) ->
-         let topology = topology ctx a.l in
-         let initial = b.route.initial and final = b.route.final in
-         match (a.program, b.rprogram) with
-         | Ir.Gates logical, Ir.Gates physical ->
-           routed_circuit_diags ~topology ~initial ~final ~logical ~physical
-         | Ir.Insts logical, Ir.Insts routed ->
-           routed_insts_diags ~topology ~initial ~final ~logical ~routed
-         | _ -> assert false)
+         Qlint.Check_mapping.run ~stage:"route" ~topology:(topology ctx a.l)
+           ~initial:b.route.initial ~final:b.route.final ~logical:(logical a)
+           (Ir.blocks b.rprogram))
        ~certify:
          (Pass.Cert
             (fun _ c (a : Ir.placed) (b : Ir.routed) ->
-              match (a.program, b.rprogram) with
-              | Ir.Gates logical, Ir.Gates physical ->
-                Qcert.Pipeline.route_circuit c ~initial:b.route.initial
-                  ~final:b.route.final ~logical ~physical
-              | Ir.Insts logical, Ir.Insts routed ->
-                Qcert.Pipeline.route_insts c ~initial:b.route.initial
-                  ~final:b.route.final ~logical ~routed
-              | _ -> assert false))
+              Qcert.Pipeline.route c ~initial:b.route.initial
+                ~final:b.route.final ~logical:(logical a)
+                ~routed:(Ir.blocks b.rprogram)))
        (fun ctx (a : Ir.placed) ->
          let topology = topology ctx a.l in
-         match a.program with
-         | Ir.Gates c ->
-           let physical, final =
-             Qmap.Router.route_circuit ~placement:a.placement ~topology c
-           in
-           let swaps = count_swaps physical - count_swaps a.l.circuit in
-           { Ir.l = a.l;
-             route = { Ir.initial = a.placement; final; swaps };
-             rprogram = Ir.Gates physical;
-             merges = a.merges }
-         | Ir.Insts insts ->
-           let routed, swaps, final =
-             route_insts ctx ~topology ~placement:a.placement insts
-           in
-           { Ir.l = a.l;
-             route = { Ir.initial = a.placement; final; swaps };
-             rprogram = Ir.Insts routed;
-             merges = a.merges }))
+         (* both program shapes count the SWAPs the router builds *)
+         let swaps = ref 0 in
+         let route_items ~support ~remap ~swap items =
+           Qmap.Router.route ~topology ~placement:a.placement ~support ~remap
+             ~make_swap:(fun p q ->
+               incr swaps;
+               swap p q)
+             items
+         in
+         let rprogram, final =
+           match a.program with
+           | Ir.Gates c ->
+             let gates, final =
+               route_items ~support:Gate.qubits ~remap:Gate.map_qubits
+                 ~swap:Gate.swap (Circuit.gates c)
+             in
+             (Ir.Gates (Circuit.make (Qmap.Topology.n_sites topology) gates),
+              final)
+           | Ir.Insts insts ->
+             let swap_latency =
+               Backend.gate_cost ctx.Pass.backend (Gate.swap 0 1)
+             in
+             let routed, final =
+               route_items
+                 ~support:(fun (i : Inst.t) -> i.Inst.qubits)
+                 ~remap:(fun f (i : Inst.t) ->
+                   Inst.make ~id:i.Inst.id ~latency:i.Inst.latency
+                     (List.map (Gate.map_qubits f) i.Inst.gates))
+                 ~swap:(fun p q ->
+                   Inst.make ~id:(-1) ~latency:swap_latency [ Gate.swap p q ])
+                 insts
+             in
+             (Ir.Insts (renumber routed), final)
+         in
+         { Ir.l = a.l;
+           route = { Ir.initial = a.placement; final; swaps = !swaps };
+           rprogram;
+           merges = a.merges }))
 
 (* a second peephole pass over the routed stream (swaps enable new
    cancellations) *)
@@ -308,25 +283,23 @@ let handopt_post =
   Pass.P
     (Pass.make ~name:"handopt-post" ~fingerprint:"handopt-post" ~inp:Ir.Routed
        ~out:Ir.Routed
-       ~check:(fun _ _ (b : Ir.routed) ->
-         match b.rprogram with
-         | Ir.Gates c -> Qlint.Check_circuit.run ~stage:"handopt" c
-         | Ir.Insts _ -> assert false)
+       ~check:(fun ctx _ (b : Ir.routed) ->
+         Qlint.Check_circuit.run ~stage:"handopt" (flat_circuit ctx b))
        ~certify:
          (Pass.Cert
             (fun ctx c (a : Ir.routed) (b : Ir.routed) ->
-              let n_sites =
-                Qmap.Topology.n_sites (topology ctx a.l)
-              in
-              let src = flat_circuit ~n_sites a.rprogram in
-              match b.rprogram with
-              | Ir.Gates dst ->
-                Qcert.Pipeline.handopt c ~name:"handopt-post" ~src ~dst
-              | Ir.Insts _ -> assert false))
+              Qcert.Pipeline.handopt c ~name:"handopt-post"
+                ~src:(flat_circuit ctx a) ~dst:(flat_circuit ctx b)))
        (fun ctx (a : Ir.routed) ->
-         let n_sites = Qmap.Topology.n_sites (topology ctx a.l) in
-         let flat = flat_circuit ~n_sites a.rprogram in
-         { a with rprogram = Ir.Gates (Handopt.optimize flat) }))
+         let optimized = Handopt.optimize (flat_circuit ctx a) in
+         { a with rprogram = Ir.Gates optimized }))
+
+(* both rebuilds: the new graph's linearization is the routed stream's
+   word under the dependence relation *)
+let rebuild_cert =
+  Pass.Cert
+    (fun _ c (a : Ir.routed) (b : Ir.gdg_built) ->
+      Qcert.Pipeline.rebuild c ~src:(program_gates a.rprogram) ~gdg:b.gdg)
 
 (* expand blocks back to gates so the final schedule recovers gate-level
    overlap; the commutativity gain is already baked into the routed
@@ -335,20 +308,11 @@ let rebuild_serial =
   Pass.P
     (Pass.make ~name:"rebuild" ~fingerprint:"rebuild:serial" ~inp:Ir.Routed
        ~out:Ir.Gdg_built
-       ~certify:
-         (Pass.Cert
-            (fun _ c (a : Ir.routed) (b : Ir.gdg_built) ->
-              let src =
-                match a.rprogram with
-                | Ir.Gates cct -> Circuit.gates cct
-                | Ir.Insts insts -> flatten_insts insts
-              in
-              Qcert.Pipeline.rebuild c ~src ~gdg:b.gdg))
+       ~certify:rebuild_cert
        (fun ctx (a : Ir.routed) ->
-         let n_sites = Qmap.Topology.n_sites (topology ctx a.l) in
-         let flat = flat_circuit ~n_sites a.rprogram in
          { Ir.l = a.l;
-           gdg = Gdg.of_circuit ~latency:(cost_fn Serial ctx) flat;
+           gdg =
+             Gdg.of_circuit ~latency:(cost_fn Serial ctx) (flat_circuit ctx a);
            merges = a.merges;
            route = Some a.route }))
 
@@ -358,15 +322,7 @@ let rebuild_insts =
   Pass.P
     (Pass.make ~name:"rebuild" ~fingerprint:"rebuild:insts" ~inp:Ir.Routed
        ~out:Ir.Gdg_built
-       ~certify:
-         (Pass.Cert
-            (fun _ c (a : Ir.routed) (b : Ir.gdg_built) ->
-              let src =
-                match a.rprogram with
-                | Ir.Gates cct -> Circuit.gates cct
-                | Ir.Insts insts -> flatten_insts insts
-              in
-              Qcert.Pipeline.rebuild c ~src ~gdg:b.gdg))
+       ~certify:rebuild_cert
        (fun ctx (a : Ir.routed) ->
          match a.rprogram with
          | Ir.Insts insts ->

@@ -38,9 +38,6 @@ let boundary ctx ~name ~claim f =
   if b.Certificate.status = Certificate.Refuted then
     raise (Certificate.Certification_failed (finish ctx))
 
-let gates_of_insts insts =
-  List.concat_map (fun (i : Inst.t) -> i.Inst.gates) insts
-
 (* ---- boundary entry points, one per pass seam ---- *)
 
 let lower ctx ~src ~dst =
@@ -63,7 +60,7 @@ let gdg_build ctx ~name ~circuit ~gdg =
             relation"
     (fun () ->
       Reorder.dependence ~stage:name ~src:(Circuit.gates circuit)
-        ~dst:(gates_of_insts (Gdg.insts gdg)))
+        ~dst:(Gdg.all_gates gdg))
 
 (* a contracted block (Gdg.of_circuit starts from singletons, so any
    multi-gate instruction after [detect] is one) must be diagonal: that is
@@ -111,19 +108,12 @@ let schedule ctx ~name ~gdg sched =
             commutations"
     (fun () -> Reorder.schedule ~stage:name ~original:gdg sched)
 
-let route_insts ctx ~initial ~final ~logical ~routed =
+let route ctx ~initial ~final ~logical ~routed =
   boundary ctx ~name:"route"
     ~claim:"routed stream \xe2\x89\xa1 placed logical stream with absorbed \
             SWAPs"
     (fun () ->
-      Route_check.insts ~stage:"route" ~initial ~final ~logical ~routed)
-
-let route_circuit ctx ~initial ~final ~logical ~physical =
-  boundary ctx ~name:"route"
-    ~claim:"routed stream \xe2\x89\xa1 placed logical stream with absorbed \
-            SWAPs"
-    (fun () ->
-      Route_check.circuit ~stage:"route" ~initial ~final ~logical ~physical)
+      Route_check.replay ~stage:"route" ~initial ~final ~logical ~routed)
 
 let rebuild ctx ~src ~gdg =
   boundary ctx ~name:"rebuild"
@@ -131,7 +121,7 @@ let rebuild ctx ~src ~gdg =
             dependence relation"
     (fun () ->
       Reorder.dependence ~stage:"rebuild" ~src
-        ~dst:(gates_of_insts (Gdg.insts gdg)))
+        ~dst:(Gdg.all_gates gdg))
 
 (* cross-domain consistency: when an aggregate sits in the CNOT+diagonal
    fragment on a small support, its phase-polynomial matrix must agree

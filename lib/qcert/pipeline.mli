@@ -42,14 +42,12 @@ val schedule : ctx -> name:string -> gdg:Qgdg.Gdg.t -> Qsched.Schedule.t ->
     inversions against the GDG's qubit chains all carry commutation
     certificates ({!Reorder.schedule}). *)
 
-val route_insts : ctx -> initial:Qmap.Placement.t -> final:Qmap.Placement.t ->
-  logical:Qgdg.Inst.t list -> routed:Qgdg.Inst.t list -> unit
-(** Routing replay over an instruction stream ({!Route_check.insts}). *)
-
-val route_circuit : ctx -> initial:Qmap.Placement.t ->
-  final:Qmap.Placement.t -> logical:Qgate.Circuit.t ->
-  physical:Qgate.Circuit.t -> unit
-(** Routing replay over a plain gate stream ({!Route_check.circuit}). *)
+val route : ctx -> initial:Qmap.Placement.t -> final:Qmap.Placement.t ->
+  logical:Qgate.Gate.t list list ->
+  routed:(Qgate.Gate.t list * int option) list -> unit
+(** Routing replay over the routed block stream, each block paired with
+    its instruction id when it has one ({!Route_check.replay}); a gate
+    stream is a stream of singleton blocks. *)
 
 val rebuild : ctx -> src:Qgate.Gate.t list -> gdg:Qgdg.Gdg.t -> unit
 (** Rebuilding a GDG from the routed stream preserves the word under the

@@ -1,118 +1,35 @@
-module Gate = Qgate.Gate
-module Inst = Qgdg.Inst
-module Placement = Qmap.Placement
 module D = Qlint.Diagnostic
 
-let gates_equal = List.equal Gate.equal
-
-(* one routed item is either the placed image of the next logical item
-   or an inserted swap of two sites; [replay] walks the routed stream
-   maintaining the placement, backtracking on ambiguity (bounded by
-   [fuel]). Returns the number of matched items, or the position of the
-   deepest mismatch for diagnostics. *)
-let replay ~initial ~final ~logical ~routed =
-  let logical = Array.of_list logical and routed = Array.of_list routed in
-  let nl = Array.length logical and nr = Array.length routed in
-  let fuel = ref 500_000 in
-  let deepest = ref 0 in
-  let saw_final_mismatch = ref false in
-  let as_swap block =
-    match block with
-    | [ ({ Gate.kind = Gate.Swap; _ } as g) ] ->
-      (match Gate.qubits g with [ a; b ] -> Some (a, b) | _ -> None)
-    | _ -> None
+let replay ~stage ~initial ~final ~logical ~routed =
+  let error ?(skipped = 0) ?(severity = D.Error) ~code ?insts ?gate_index m =
+    Certificate.outcome ~method_:"replay" 0 ~skipped
+      ~diags:[ D.make ~stage ?insts ?gate_index ~code ~severity m ]
   in
-  let rec go p li ri =
-    if !fuel <= 0 then `Out_of_fuel
-    else begin
-      decr fuel;
-      if ri > !deepest then deepest := ri;
-      if ri = nr then begin
-        if li < nl then `Leftover_logical li
-        else if not (Placement.equal p final) then begin
-          saw_final_mismatch := true;
-          `Final_mismatch
-        end
-        else `Ok
-      end
-      else begin
-        let r = routed.(ri) in
-        let via_logical =
-          if li < nl then begin
-            let image =
-              List.map (Gate.map_qubits (Placement.site_of p)) logical.(li)
-            in
-            if gates_equal image r then Some (go p (li + 1) (ri + 1))
-            else None
-          end
-          else None
-        in
-        match via_logical with
-        | Some `Ok -> `Ok
-        | Some `Out_of_fuel -> `Out_of_fuel
-        | Some _ | None ->
-          (* either not the next logical instruction's image, or that
-             reading dead-ends later: try it as an inserted swap *)
-          (match as_swap r with
-           | Some (a, b) -> go (Placement.apply_swap p a b) li (ri + 1)
-           | None -> `Mismatch ri)
-      end
-    end
-  in
-  match go initial 0 0 with
-  | `Ok -> Ok nr
-  | `Mismatch _ when !saw_final_mismatch ->
-    (* some branch consumed every routed item and still missed the
-       reported final placement — the sharper diagnosis *)
-    Error `Final
-  | `Mismatch ri -> Error (`Mismatch (max ri !deepest))
-  | `Leftover_logical li -> Error (`Leftover li)
-  | `Final_mismatch -> Error `Final
-  | `Out_of_fuel -> Error `Fuel
-
-let certify ~stage ~initial ~final ~logical ~routed ~ids =
-  match replay ~initial ~final ~logical ~routed with
+  match
+    Qmap.Router.replay ~initial ~final ~logical ~routed:(List.map fst routed)
+  with
   | Ok n ->
-    (* every routed item syntactically accounted for, plus the final
+    (* every routed block syntactically accounted for, plus the final
        placement identity *)
     Certificate.outcome ~method_:"replay" (n + 1)
-  | Error (`Mismatch ri) ->
-    Certificate.outcome ~method_:"replay" 0
-      ~diags:
-        [ D.make ~stage ?insts:(ids ri) ~code:"QC040" ~severity:D.Error
-            (Printf.sprintf
-               "routed stream diverges from the placed logical stream at \
-                position %d" ri) ]
-  | Error (`Leftover li) ->
-    Certificate.outcome ~method_:"replay" 0
-      ~diags:
-        [ D.make ~stage ~code:"QC040" ~severity:D.Error
-            (Printf.sprintf
-               "routed stream ends with %d logical instructions unexecuted"
-               (List.length logical - li)) ]
-  | Error `Final ->
-    Certificate.outcome ~method_:"replay" 0
-      ~diags:
-        [ D.make ~stage ~code:"QC041" ~severity:D.Error
-            "replayed placement does not reach the reported final placement" ]
-  | Error `Fuel ->
-    Certificate.outcome ~method_:"replay" 0 ~skipped:1
-      ~diags:
-        [ D.make ~stage ~code:"QC001" ~severity:D.Warning
-            "routing replay exceeded its backtracking budget" ]
-
-let insts ~stage ~initial ~final ~logical ~routed =
-  let routed_arr = Array.of_list routed in
-  certify ~stage ~initial ~final
-    ~logical:(List.map (fun (i : Inst.t) -> i.Inst.gates) logical)
-    ~routed:(List.map (fun (i : Inst.t) -> i.Inst.gates) routed)
-    ~ids:(fun ri ->
-      if ri < Array.length routed_arr then
-        Some [ routed_arr.(ri).Inst.id ]
-      else None)
-
-let circuit ~stage ~initial ~final ~logical ~physical =
-  certify ~stage ~initial ~final
-    ~logical:(List.map (fun g -> [ g ]) (Qgate.Circuit.gates logical))
-    ~routed:(List.map (fun g -> [ g ]) (Qgate.Circuit.gates physical))
-    ~ids:(fun _ -> None)
+  | Error (Qmap.Router.Mismatch ri) ->
+    let insts, gate_index =
+      match List.nth_opt routed ri with
+      | Some (_, Some id) -> (Some [ id ], None)
+      | Some (_, None) -> (None, Some ri)
+      | None -> (None, None)
+    in
+    error ~code:"QC040" ?insts ?gate_index
+      (Printf.sprintf
+         "routed stream diverges from the placed logical stream at position \
+          %d" ri)
+  | Error (Qmap.Router.Leftover n) ->
+    error ~code:"QC040"
+      (Printf.sprintf
+         "routed stream ends with %d logical instructions unexecuted" n)
+  | Error Qmap.Router.Final_mismatch ->
+    error ~code:"QC041"
+      "replayed placement does not reach the reported final placement"
+  | Error Qmap.Router.Out_of_fuel ->
+    error ~skipped:1 ~severity:D.Warning ~code:"QC001"
+      "routing replay exceeded its backtracking budget"

@@ -1,5 +1,4 @@
 module Gate = Qgate.Gate
-module Inst = Qgdg.Inst
 module Topology = Qmap.Topology
 module Placement = Qmap.Placement
 module D = Diagnostic
@@ -32,129 +31,90 @@ let check_placement ?stage ?(label = "placement") ~topology p =
                 label logical site
                 p.Placement.site_to_logical.(site))))
     p.Placement.logical_to_site;
+  (* the reverse direction: a recorded occupant must be placed there *)
+  let placed l site =
+    l >= 0
+    && l < Array.length p.Placement.logical_to_site
+    && p.Placement.logical_to_site.(l) = site
+  in
+  Array.iteri
+    (fun site l ->
+      if l <> -1 && not (placed l site) then
+        add
+          (D.make ?stage ~qubits:[ site ] ~code:"QL041" ~severity:D.Error
+             (Printf.sprintf "%s is not a bijection: site %d records \
+                              occupant %d, which is not placed there"
+                label site l)))
+    p.Placement.site_to_logical;
   List.rev !diags
 
-let check_adjacency ?stage ~topology insts =
-  let n_sites = Topology.n_sites topology in
-  let diags = ref [] in
-  let add d = diags := d :: !diags in
-  List.iter
-    (fun (i : Inst.t) ->
-      List.iter
-        (fun g ->
-          let qubits = Gate.qubits g in
-          let out_of_range = List.filter (fun q -> q < 0 || q >= n_sites) qubits in
-          if out_of_range <> [] then
-            add
-              (D.make ?stage ~insts:[ i.Inst.id ] ~qubits:out_of_range
-                 ~code:"QL043" ~severity:D.Error
-                 (Printf.sprintf
-                    "instruction %d's gate %s touches a site outside the \
-                     %d-site device"
-                    i.Inst.id (Gate.to_string g) n_sites))
-          else if not (Qmap.Router.gate_respects_topology ~topology g) then
-            add
-              (D.make ?stage ~insts:[ i.Inst.id ] ~qubits ~code:"QL040"
-                 ~severity:D.Error
-                 (Printf.sprintf
-                    "instruction %d's gate %s acts on non-adjacent sites"
-                    i.Inst.id (Gate.to_string g))))
-        i.Inst.gates)
-    insts;
-  List.rev !diags
+(* a finding on routed block [index], located by its instruction id when
+   it has one and by its gate-stream index otherwise *)
+let block_error ?stage ?(qubits = []) ~code index id fmt =
+  Printf.ksprintf
+    (fun m ->
+      match id with
+      | Some id ->
+        D.make ?stage ~insts:[ id ] ~qubits ~code ~severity:D.Error
+          (Printf.sprintf "instruction %d: %s" id m)
+      | None ->
+        D.make ?stage ~gate_index:index ~qubits ~code ~severity:D.Error
+          (Printf.sprintf "gate %d: %s" index m))
+    fmt
 
-let check_adjacency_circuit ?stage ~topology circuit =
+let check_adjacency ?stage ~topology blocks =
   let n_sites = Topology.n_sites topology in
-  let out_of_range g =
-    List.filter (fun q -> q < 0 || q >= n_sites) (Gate.qubits g)
-  in
-  List.concat_map
-    (fun (index, g) ->
-      match out_of_range g with
-      | [] ->
-        [ D.make ?stage ~gate_index:index ~qubits:(Gate.qubits g)
-            ~code:"QL040" ~severity:D.Error
-            (Printf.sprintf "gate %s acts on non-adjacent sites"
-               (Gate.to_string g)) ]
-      | bad ->
-        [ D.make ?stage ~gate_index:index ~qubits:bad ~code:"QL043"
-            ~severity:D.Error
-            (Printf.sprintf "gate %s touches a site outside the %d-site \
-                             device"
-               (Gate.to_string g) n_sites) ])
-    (Qmap.Router.topology_violations ~topology circuit)
+  List.concat
+    (List.mapi
+       (fun index (gates, id) ->
+         List.filter_map
+           (fun g ->
+             let qubits = Gate.qubits g in
+             match List.filter (fun q -> q < 0 || q >= n_sites) qubits with
+             | _ :: _ as bad ->
+               Some
+                 (block_error ?stage ~qubits:bad ~code:"QL043" index id
+                    "%s touches a site outside the %d-site device"
+                    (Gate.to_string g) n_sites)
+             | [] when Qmap.Router.gate_respects_topology ~topology g -> None
+             | [] ->
+               Some
+                 (block_error ?stage ~qubits ~code:"QL040" index id
+                    "%s acts on non-adjacent sites" (Gate.to_string g)))
+           gates)
+       blocks)
 
-(* Replay the routing contract. The physical stream interleaves
-   current-placement images of the logical gates with inserted SWAPs;
-   a SWAP identical to the expected routed gate is the program's own
-   (the router never inserts a SWAP between already-adjacent operands,
-   which is exactly when the expected image is that SWAP). *)
-let check_routing ?stage ~topology ~initial ~final ~logical ~physical () =
-  let err fmt =
-    Printf.ksprintf
-      (fun m -> [ D.make ?stage ~code:"QL042" ~severity:D.Error m ])
-      fmt
-  in
-  let n_sites = Topology.n_sites topology in
-  let rec walk placement index logical physical =
-    match (logical, physical) with
-    | [], [] ->
-      if Placement.equal placement final then []
-      else begin
-        let drift =
-          Array.to_list placement.Placement.logical_to_site
-          |> List.mapi (fun l s -> (l, s))
-          |> List.find_opt (fun (l, s) ->
-                 final.Placement.logical_to_site.(l) <> s)
-        in
-        match drift with
-        | Some (l, s) ->
-          err
-            "final placement disagrees with initial ∘ routing SWAPs: \
-             logical qubit %d ends on site %d, but the result records %d"
-            l s final.Placement.logical_to_site.(l)
-        | None -> err "final placement disagrees with initial ∘ routing SWAPs"
-      end
-    | l :: ls, p :: ps ->
-      let expected =
-        Gate.map_qubits (fun q -> Placement.site_of placement q) l
-      in
-      if Gate.equal p expected then walk placement (index + 1) ls ps
-      else begin
-        match (p.Gate.kind, Gate.qubits p) with
-        | Gate.Swap, [ a; b ]
-          when a >= 0 && a < n_sites && b >= 0 && b < n_sites ->
-          walk (Placement.apply_swap placement a b) (index + 1) logical ps
-        | _ ->
-          err
-            "physical gate %d is %s, but the placement image of the next \
-             logical gate is %s and it is not a routing SWAP"
-            index (Gate.to_string p) (Gate.to_string expected)
-      end
-    | [], p :: ps ->
-      (match (p.Gate.kind, Gate.qubits p) with
-       | Gate.Swap, [ a; b ]
-         when a >= 0 && a < n_sites && b >= 0 && b < n_sites ->
-         walk (Placement.apply_swap placement a b) (index + 1) [] ps
-       | _ ->
-         err
-           "physical gate %d (%s) has no corresponding logical gate left"
-           index (Gate.to_string p))
-    | _ :: _, [] ->
-      err
-        "the physical stream ends with %d logical gate%s unrouted"
-        (List.length logical)
-        (if List.length logical = 1 then "" else "s")
-  in
-  match walk initial 0 logical physical with
-  | diags -> diags
-  | exception Invalid_argument msg -> err "routing replay failed: %s" msg
+let check_routing ?stage ~initial ~final ~logical routed =
+  let err m = [ D.make ?stage ~code:"QL042" ~severity:D.Error m ] in
+  match
+    Qmap.Router.replay ~initial ~final ~logical ~routed:(List.map fst routed)
+  with
+  | Ok _ | Error Qmap.Router.Out_of_fuel ->
+    (* an exhausted budget proves nothing either way; the certifier
+       records it as QC001 *)
+    []
+  | Error (Qmap.Router.Mismatch index) ->
+    (match List.nth_opt routed index with
+     | Some (_, id) ->
+       [ block_error ?stage ~code:"QL042" index id
+           "neither the placed image of the next logical block nor a \
+            routing SWAP" ]
+     | None -> err "the routed stream diverges at its end")
+  | Error (Qmap.Router.Leftover n) ->
+    err
+      (Printf.sprintf "the routed stream ends with %d logical block%s unrouted"
+         n (if n = 1 then "" else "s"))
+  | Error Qmap.Router.Final_mismatch ->
+    err "final placement disagrees with initial ∘ routing SWAPs"
 
-let run ?stage ~topology ?initial ?final insts =
-  let placement_diags label = function
-    | None -> []
-    | Some p -> check_placement ?stage ~label ~topology p
+let run ?stage ~topology ~initial ~final ~logical routed =
+  let placements =
+    check_placement ?stage ~label:"initial placement" ~topology initial
+    @ check_placement ?stage ~label:"final placement" ~topology final
   in
-  placement_diags "initial placement" initial
-  @ placement_diags "final placement" final
-  @ check_adjacency ?stage ~topology insts
+  placements
+  @ check_adjacency ?stage ~topology routed
+  @
+  (* the replay walks bijective placements only *)
+  if placements = [] then check_routing ?stage ~initial ~final ~logical routed
+  else []

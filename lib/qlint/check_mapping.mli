@@ -3,8 +3,11 @@
     - QL040 error: a 2-qubit physical gate joins non-adjacent sites (a
       wider gate is not site-local)
     - QL041 error: a placement is not a consistent logical↔site bijection
-    - QL042 error: the final placement does not equal the initial
-      placement composed with the net effect of the routing SWAPs
+    - QL042 error: the routed stream does not replay the placed logical
+      stream ({!Qmap.Router.replay}): a block that is neither a placed
+      logical block nor a routing SWAP, logical blocks left over, or a
+      final placement other than the initial one composed with the
+      routing SWAPs
     - QL043 error: a site index outside the device *)
 
 val check_placement :
@@ -13,38 +16,41 @@ val check_placement :
 (** QL041/QL043 on one placement; [label] names it in messages
     ("initial", "final"). *)
 
-val check_adjacency :
-  ?stage:string -> topology:Qmap.Topology.t -> Qgdg.Inst.t list ->
-  Diagnostic.t list
-(** QL040/QL043 on every member gate of a physical instruction stream. *)
+(** The routed streams below are block streams: each block is the
+    member gates of one instruction, paired with that instruction's id,
+    or a single gate with no id when the router ran over a gate stream.
+    A finding locates its block by instruction id when there is one,
+    and by stream index otherwise. *)
 
-val check_adjacency_circuit :
-  ?stage:string -> topology:Qmap.Topology.t -> Qgate.Circuit.t ->
-  Diagnostic.t list
-(** Same, over a plain physical circuit; locations carry the gate index
-    instead of an instruction id. *)
+val check_adjacency :
+  ?stage:string -> topology:Qmap.Topology.t ->
+  (Qgate.Gate.t list * int option) list -> Diagnostic.t list
+(** QL040/QL043 on every member gate of a physical block stream. *)
 
 val check_routing :
   ?stage:string ->
-  topology:Qmap.Topology.t ->
   initial:Qmap.Placement.t ->
   final:Qmap.Placement.t ->
-  logical:Qgate.Gate.t list ->
-  physical:Qgate.Gate.t list ->
-  unit ->
+  logical:Qgate.Gate.t list list ->
+  (Qgate.Gate.t list * int option) list ->
   Diagnostic.t list
-(** Replays the router's contract: walking the physical stream, every
-    gate must be the current-placement image of the next logical gate,
-    or a routing SWAP that updates the placement; the walk must consume
-    the whole logical stream and land exactly on [final]. Catches wrong
-    relabelling, dropped/duplicated gates and placement drift (QL042). *)
+(** QL042 from {!Qmap.Router.replay}, the walk the certifier's QC040/
+    QC041 also read: every routed block must be the current-placement
+    image of the next logical block or a routing SWAP that updates the
+    placement, and the walk must consume the whole logical stream and
+    land exactly on [final]. Catches wrong relabelling, dropped or
+    duplicated blocks, out-of-range sites and placement drift. An
+    exhausted replay budget is not a finding here (the certifier
+    records it as QC001). *)
 
 val run :
   ?stage:string ->
   topology:Qmap.Topology.t ->
-  ?initial:Qmap.Placement.t ->
-  ?final:Qmap.Placement.t ->
-  Qgdg.Inst.t list ->
+  initial:Qmap.Placement.t ->
+  final:Qmap.Placement.t ->
+  logical:Qgate.Gate.t list list ->
+  (Qgate.Gate.t list * int option) list ->
   Diagnostic.t list
-(** Adjacency over the stream plus placement consistency for whichever
-    placements are supplied. *)
+(** The routing boundary: both placements' consistency, adjacency over
+    the routed stream, and the routing replay — which runs only when
+    both placements are consistent, since it walks bijections. *)

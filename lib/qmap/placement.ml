@@ -68,18 +68,6 @@ let equal a b =
   a.logical_to_site = b.logical_to_site
   && a.site_to_logical = b.site_to_logical
 
-let is_consistent p =
-  Array.for_all
-    (fun site -> site >= 0 && site < Array.length p.site_to_logical)
-    p.logical_to_site
-  &&
-  let ok = ref true in
-  Array.iteri
-    (fun logical site ->
-      if p.site_to_logical.(site) <> logical then ok := false)
-    p.logical_to_site;
-  !ok
-
 let permutation_unitary ~n_qubits p =
   let dim = 1 lsl n_qubits in
   let remap idx =

@@ -27,7 +27,6 @@ val apply_swap : t -> int -> int -> t
 val site_of : t -> int -> int
 val logical_at : t -> int -> int option
 val equal : t -> t -> bool
-val is_consistent : t -> bool
 
 val permutation_unitary : n_qubits:int -> t -> Qnum.Cmat.t
 (** The 2ⁿ permutation matrix sending logical qubit q's amplitude bit to

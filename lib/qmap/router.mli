@@ -4,7 +4,9 @@
     a sequence of SWAPs that walks one operand along a shortest path until
     the operands are adjacent. The router is generic over the item type so
     both plain gate streams and aggregated-instruction streams route
-    through the same code. *)
+    through the same code. {!replay} checks a routed stream against this
+    contract; it is the one routing check, read by the lint (QL042) and
+    the certifier (QC040/QC041) alike. *)
 
 val route :
   topology:Topology.t ->
@@ -32,10 +34,27 @@ val gate_respects_topology : topology:Topology.t -> Qgate.Gate.t -> bool
 (** 2-qubit gates must join adjacent sites; wider gates must be
     site-local (pairwise adjacent); 1-qubit gates always pass. *)
 
-val topology_violations :
-  topology:Topology.t -> Qgate.Circuit.t -> (int * Qgate.Gate.t) list
-(** Gates breaking {!gate_respects_topology}, with their stream index —
-    the diagnostic-producing form of {!respects_topology}. *)
+type replay_error =
+  | Mismatch of int
+      (** the deepest routed block position no reading accounts for *)
+  | Leftover of int  (** logical blocks left unexecuted at the end *)
+  | Final_mismatch
+      (** every routed block replayed, but the placement missed the
+          reported final one *)
+  | Out_of_fuel  (** the backtracking budget ran out *)
 
-val respects_topology : topology:Topology.t -> Qgate.Circuit.t -> bool
-(** [topology_violations] is empty. *)
+val replay :
+  initial:Placement.t -> final:Placement.t ->
+  logical:Qgate.Gate.t list list -> routed:Qgate.Gate.t list list ->
+  (int, replay_error) result
+(** The router's contract, checked: the routed block stream is the
+    placed image of the logical block stream with inserted SWAPs
+    interleaved, each SWAP updating the tracked placement from
+    [initial], and the walk ends on [final]. A gate stream is a stream
+    of singleton blocks. A program SWAP whose placed image coincides
+    with an inserted SWAP is ambiguous; the replay backtracks over such
+    choice points within a fixed budget. [Ok n] counts the routed
+    blocks. A SWAP on a site outside the placement, or a logical qubit
+    it does not hold, is a {!Mismatch}, never an exception; the
+    placements themselves must be bijections. The lint (QL042) and the
+    certifier (QC040/QC041) both read this result. *)

@@ -162,13 +162,11 @@ let of_rows rows =
       List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) phases []);
     agg_span_ms = !phase_span_ms }
 
-let detect_route_sum t =
+let route_sum t family =
+  let prefix = family ^ ".route." in
   List.fold_left
     (fun acc (name, count) ->
-      if
-        String.length name > 13 && String.sub name 0 13 = "detect.route."
-      then acc + count
-      else acc)
+      if has_prefix prefix name then acc + count else acc)
     0 t.routes
 
 let agg_phase_sum t = List.fold_left (fun acc (_, ms) -> acc +. ms) 0. t.agg_phases
@@ -242,16 +240,17 @@ let pp_text ?(top = 10) ppf t =
     List.iter
       (fun (name, count) -> Format.fprintf ppf "%-26s %9d@." name count)
       t.routes;
-    Format.fprintf ppf "%-26s %9d@." "commute.checks" t.commute_checks;
-    if t.detect_checks > 0 then begin
-      Format.fprintf ppf "%-26s %9d@." "detect.checks" t.detect_checks;
-      let routed = detect_route_sum t in
-      if routed <> t.detect_checks then
+    let checks family n =
+      Format.fprintf ppf "%-26s %9d@." (family ^ ".checks") n;
+      let routed = route_sum t family in
+      if routed <> n then
         Format.fprintf ppf
-          "WARNING     detect.route.* sums to %d, not detect.checks %d — \
-           route partition violated@."
-          routed t.detect_checks
-    end
+          "WARNING     %s.route.* sums to %d, not %s.checks %d — route \
+           partition violated@."
+          family routed family n
+    in
+    checks "commute" t.commute_checks;
+    if t.detect_checks > 0 then checks "detect" t.detect_checks
   end;
   if t.agg_phases <> [] then begin
     Format.fprintf ppf "@.%-26s %12s@." "aggregate phase" "ms";

@@ -48,10 +48,11 @@ val of_rows : Json.t list -> t
 val hit_rate : t -> float
 (** Cache hit fraction in [0,1]; 0 when no cache traffic. *)
 
-val detect_route_sum : t -> int
-(** Sum of the [detect.route.*] counters. Every detection query takes
-    exactly one route, so this must equal [detect_checks]; [pp_text]
-    flags a violation. *)
+val route_sum : t -> string -> int
+(** [route_sum t family] sums the [<family>.route.*] counters, for
+    [family] ["commute"] or ["detect"]. Every query takes exactly one
+    route, so this must equal the family's checks ({!field-commute_checks},
+    {!field-detect_checks}); [pp_text] flags a violation of either. *)
 
 val agg_phase_sum : t -> float
 (** Sum of {!field-agg_phases}, in ms. *)

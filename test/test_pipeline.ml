@@ -1,7 +1,9 @@
 (* pipeline fuzzing: compile random circuits under every strategy and
    check the global invariants that no unit test pins down individually:
    schedules are overlap-free, respect the device topology and the width
-   limit, and implement the original unitary up to the qubit placement *)
+   limit, and implement the original unitary up to the qubit placement;
+   every compile runs with the lint and the certifier on, and must report
+   no error diagnostic and a certificate that holds *)
 
 open Util
 module Gate = Qgate.Gate
@@ -91,8 +93,14 @@ let fuzz_strategy strategy =
               Backend.topology = Some topology;
               width_limit = width }
           in
-          let r = Compiler.compile ~config ~strategy circuit in
-          check_result ~topology ~width circuit r)
+          let r =
+            Compiler.compile ~config ~check:true ~certify:true ~strategy
+              circuit
+          in
+          (not (List.exists Qlint.Diagnostic.is_error r.Compiler.diagnostics))
+          && Option.fold ~none:false ~some:Qcert.Certificate.ok
+               r.Compiler.certificate
+          && check_result ~topology ~width circuit r)
         (topologies n))
 
 let failure_injection_cases =

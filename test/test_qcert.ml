@@ -230,23 +230,23 @@ let regroup_cases =
 let route_cases =
   let topo = Qmap.Topology.line 3 in
   let ident = Qmap.Placement.identity ~n_logical:3 topo in
+  let replay ~final ~logical ~routed =
+    let blocks insts = Qcc.Ir.blocks (Qcc.Ir.Insts insts) in
+    Qcert.Route_check.replay ~stage:"t" ~initial:ident ~final
+      ~logical:(List.map fst (blocks logical)) ~routed:(blocks routed)
+  in
   [ case "replay absorbs an inserted swap" (fun () ->
         let logical = [ inst 0 [ Gate.cnot 0 2 ] ] in
         let routed =
           [ inst 100 [ Gate.swap 1 2 ]; inst 0 [ Gate.cnot 0 1 ] ]
         in
         let final = Qmap.Placement.apply_swap ident 1 2 in
-        check_proved "swap absorbed"
-          (Qcert.Route_check.insts ~stage:"t" ~initial:ident ~final ~logical
-             ~routed));
+        check_proved "swap absorbed" (replay ~final ~logical ~routed));
     case "mutation: dropped swap is caught (QC040/QC041)" (fun () ->
         let logical = [ inst 0 [ Gate.cnot 0 2 ] ] in
         let routed = [ inst 0 [ Gate.cnot 0 1 ] ] in
         let final = Qmap.Placement.apply_swap ident 1 2 in
-        let o =
-          Qcert.Route_check.insts ~stage:"t" ~initial:ident ~final ~logical
-            ~routed
-        in
+        let o = replay ~final ~logical ~routed in
         check_bool "caught" true
           (List.exists
              (fun c -> c = "QC040" || c = "QC041")
@@ -255,11 +255,24 @@ let route_cases =
         let logical = [ inst 0 [ Gate.cnot 0 1 ] ] in
         let routed = [ inst 0 [ Gate.cnot 0 1 ] ] in
         let final = Qmap.Placement.apply_swap ident 0 1 in
-        let o =
-          Qcert.Route_check.insts ~stage:"t" ~initial:ident ~final ~logical
-            ~routed
+        let o = replay ~final ~logical ~routed in
+        check_bool "QC041" true (List.mem "QC041" (error_codes o)));
+    case "out-of-range routed swap site is QC040, not an exception"
+      (fun () ->
+        let logical = [ inst 0 [ Gate.cnot 0 1 ] ] in
+        let routed =
+          [ inst 100 [ Gate.swap 1 7 ]; inst 0 [ Gate.cnot 0 1 ] ]
         in
-        check_bool "QC041" true (List.mem "QC041" (error_codes o))) ]
+        let o = replay ~final:ident ~logical ~routed in
+        Alcotest.(check (list string)) "codes" [ "QC040" ] (error_codes o);
+        Alcotest.(check (list (list int))) "located by instruction id"
+          [ [ 100 ] ]
+          (List.map (fun (d : D.t) -> d.D.loc.D.insts) o.Cert.diags));
+    case "out-of-range logical qubit is QC040, not an exception" (fun () ->
+        let logical = [ inst 0 [ Gate.cnot 0 5 ] ] in
+        let routed = [ inst 0 [ Gate.cnot 0 1 ] ] in
+        let o = replay ~final:ident ~logical ~routed in
+        Alcotest.(check (list string)) "codes" [ "QC040" ] (error_codes o)) ]
 
 (* ---- rewrite equivalence (peephole boundaries) ---- *)
 

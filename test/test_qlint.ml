@@ -192,11 +192,25 @@ let schedule_cases =
           (List.length (List.filter (fun c -> c = "QL034") qcodes))) ]
 
 let mapping_cases =
+  let inst_blocks insts = Qcc.Ir.blocks (Qcc.Ir.Insts insts) in
+  let gate_blocks gates = List.map (fun g -> ([ g ], None)) gates in
+  let logical gates = List.map (fun g -> [ g ]) gates in
   [ case "non-adjacent gate is QL040" (fun () ->
         let topology = Qmap.Topology.line 3 in
         let i = Inst.of_gate ~id:0 ~latency:1. (Gate.cnot 0 2) in
-        let diags = Qlint.Check_mapping.check_adjacency ~topology [ i ] in
+        let diags =
+          Qlint.Check_mapping.check_adjacency ~topology (inst_blocks [ i ])
+        in
         Alcotest.(check (list string)) "codes" [ "QL040" ] (codes diags));
+    case "non-adjacent gate in a gate stream is located by index" (fun () ->
+        let topology = Qmap.Topology.line 3 in
+        let diags =
+          Qlint.Check_mapping.check_adjacency ~topology
+            (gate_blocks [ Gate.cnot 0 1; Gate.cnot 0 2 ])
+        in
+        Alcotest.(check (list string)) "codes" [ "QL040" ] (codes diags);
+        Alcotest.(check (list (option int))) "gate index" [ Some 1 ]
+          (List.map (fun (d : D.t) -> d.D.loc.D.gate_index) diags));
     case "corrupted placement is QL041" (fun () ->
         let topology = Qmap.Topology.line 2 in
         let p = Qmap.Placement.identity ~n_logical:2 topology in
@@ -204,12 +218,27 @@ let mapping_cases =
         check_bool "QL041" true
           (List.mem "QL041"
              (codes (Qlint.Check_mapping.check_placement ~topology p))));
+    case "stray occupant is QL041, and the replay is skipped" (fun () ->
+        (* both directions of the bijection are checked: site 2 records a
+           logical qubit the placement does not have, which a SWAP on
+           site 2 would dereference *)
+        let topology = Qmap.Topology.line 3 in
+        let p = Qmap.Placement.identity ~n_logical:2 topology in
+        p.Qmap.Placement.site_to_logical.(2) <- 5;
+        let diags =
+          Qlint.Check_mapping.run ~topology ~initial:p ~final:p ~logical:[]
+            (gate_blocks [ Gate.swap 1 2 ])
+        in
+        Alcotest.(check (list string)) "codes" [ "QL041"; "QL041" ]
+          (codes diags));
     case "site outside the device is QL043" (fun () ->
         let topology = Qmap.Topology.line 2 in
         let i = raw_inst 0 [ raw_gate Gate.Cnot [ 0; 5 ] ] [ 0; 5 ] 1. in
         check_bool "QL043" true
           (List.mem "QL043"
-             (codes (Qlint.Check_mapping.check_adjacency ~topology [ i ]))));
+             (codes
+                (Qlint.Check_mapping.check_adjacency ~topology
+                   (inst_blocks [ i ])))));
     case "routing replay accepts the real router" (fun () ->
         let topology = Qmap.Topology.line 4 in
         let circuit =
@@ -221,9 +250,9 @@ let mapping_cases =
         in
         check_int "clean replay" 0
           (List.length
-             (Qlint.Check_mapping.check_routing ~topology ~initial ~final
-                ~logical:(Circuit.gates circuit)
-                ~physical:(Circuit.gates physical) ())));
+             (Qlint.Check_mapping.check_routing ~initial ~final
+                ~logical:(logical (Circuit.gates circuit))
+                (gate_blocks (Circuit.gates physical)))));
     case "dropped swap fails the replay with QL042" (fun () ->
         let topology = Qmap.Topology.line 4 in
         let circuit = Circuit.make 4 [ Gate.cnot 0 3; Gate.cnot 0 1 ] in
@@ -245,8 +274,34 @@ let mapping_cases =
         check_bool "QL042" true
           (List.mem "QL042"
              (codes
-                (Qlint.Check_mapping.check_routing ~topology ~initial ~final
-                   ~logical:(Circuit.gates circuit) ~physical:doctored ())))) ]
+                (Qlint.Check_mapping.check_routing ~initial ~final
+                   ~logical:(logical (Circuit.gates circuit))
+                   (gate_blocks doctored)))));
+    case "out-of-range routed swap site is QL042, not an exception"
+      (fun () ->
+        let ident =
+          Qmap.Placement.identity ~n_logical:3 (Qmap.Topology.line 3)
+        in
+        let diags =
+          Qlint.Check_mapping.check_routing ~initial:ident ~final:ident
+            ~logical:(logical [ Gate.cnot 0 1 ])
+            (gate_blocks [ Gate.swap 1 7; Gate.cnot 0 1 ])
+        in
+        Alcotest.(check (list string)) "codes" [ "QL042" ] (codes diags);
+        Alcotest.(check (list (option int))) "gate index" [ Some 0 ]
+          (List.map (fun (d : D.t) -> d.D.loc.D.gate_index) diags));
+    case "out-of-range logical qubit is QL042, not an exception" (fun () ->
+        let ident =
+          Qmap.Placement.identity ~n_logical:3 (Qmap.Topology.line 3)
+        in
+        let diags =
+          Qlint.Check_mapping.check_routing ~initial:ident ~final:ident
+            ~logical:(logical [ raw_gate Gate.Cnot [ 0; 5 ] ])
+            (inst_blocks [ Inst.of_gate ~id:4 ~latency:1. (Gate.cnot 0 1) ])
+        in
+        Alcotest.(check (list string)) "codes" [ "QL042" ] (codes diags);
+        Alcotest.(check (list (list int))) "instruction id" [ [ 4 ] ]
+          (List.map (fun (d : D.t) -> d.D.loc.D.insts) diags)) ]
 
 let agg_cases =
   [ case "width over the limit is QL050" (fun () ->

@@ -5,6 +5,12 @@ open Util
 module Gate = Qgate.Gate
 module Circuit = Qgate.Circuit
 
+(* the placement lint finds nothing *)
+let consistent topology p = Qlint.Check_mapping.check_placement ~topology p = []
+
+let respects_topology topology c =
+  List.for_all (Router.gate_respects_topology ~topology) (Circuit.gates c)
+
 let topology_cases =
   [ case "line connectivity" (fun () ->
         let t = Topology.line 5 in
@@ -36,7 +42,7 @@ let placement_cases =
   [ case "identity placement" (fun () ->
         let p = Placement.identity ~n_logical:3 (Topology.line 5) in
         check_int "q1 on site 1" 1 (Placement.site_of p 1);
-        check_bool "consistent" true (Placement.is_consistent p);
+        check_bool "consistent" true (consistent (Topology.line 5) p);
         check_bool "site 4 empty" true (Placement.logical_at p 4 = None));
     case "too small device raises" (fun () ->
         Alcotest.check_raises "raises"
@@ -44,8 +50,9 @@ let placement_cases =
             ignore (Placement.identity ~n_logical:5 (Topology.line 3))));
     case "initial placement is a valid assignment" (fun () ->
         let circuit = Qapps.Suite.lowered (Qapps.Suite.find "maxcut-line") in
-        let p = Placement.initial (Topology.grid_for 20) circuit in
-        check_bool "consistent" true (Placement.is_consistent p));
+        let topology = Topology.grid_for 20 in
+        let p = Placement.initial topology circuit in
+        check_bool "consistent" true (consistent topology p));
     case "initial placement puts interacting qubits close" (fun () ->
         (* a line interaction graph placed on a grid: average distance of
            interacting pairs must be far below random placement (~3.0) *)
@@ -66,7 +73,7 @@ let placement_cases =
         let p = Placement.identity ~n_logical:2 (Topology.line 3) in
         let p = Placement.apply_swap p 0 2 in
         check_int "q0 moved" 2 (Placement.site_of p 0);
-        check_bool "consistent" true (Placement.is_consistent p);
+        check_bool "consistent" true (consistent (Topology.line 3) p);
         check_bool "site 0 now empty" true (Placement.logical_at p 0 = None));
     case "snake order visits adjacent cells" (fun () ->
         let topo = Topology.grid_for 9 in
@@ -89,8 +96,9 @@ let router_cases =
         let routed, final = Router.route_circuit ~placement ~topology:(Topology.line 4) c in
         check_bool "swaps added" true (Circuit.n_gates routed > 1);
         check_bool "topology respected" true
-          (Router.respects_topology ~topology:(Topology.line 4) routed);
-        check_bool "final placement consistent" true (Placement.is_consistent final));
+          (respects_topology (Topology.line 4) routed);
+        check_bool "final placement consistent" true
+          (consistent (Topology.line 4) final));
     case "routing preserves semantics up to final placement" (fun () ->
         (* undo the final permutation with swaps and compare unitaries *)
         let c =
@@ -126,7 +134,8 @@ let router_cases =
         let c = Qapps.Suite.lowered (Qapps.Suite.find "maxcut-cluster") in
         let topology = Topology.grid_for 30 in
         let routed, _ = Router.route_circuit ~topology c in
-        check_bool "respects topology" true (Router.respects_topology ~topology routed));
+        check_bool "respects topology" true
+          (respects_topology topology routed));
     qcheck ~count:20 "random circuits route validly onto lines"
       QCheck.(int_range 0 10000)
       (fun seed ->
@@ -135,7 +144,7 @@ let router_cases =
         let c = Circuit.make 5 gates in
         let topology = Topology.line 5 in
         let routed, final = Router.route_circuit ~topology c in
-        Router.respects_topology ~topology routed && Placement.is_consistent final) ]
+        respects_topology topology routed && consistent topology final) ]
 
 let suites =
   [ ("qmap.topology", topology_cases);

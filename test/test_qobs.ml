@@ -459,9 +459,11 @@ let test_ledger_stats_roundtrip () =
       checki "dense route" 6 (route "commute.route.dense");
       checki "route sum = checks" t.Qobs.Stats.commute_checks
         (route "commute.route.memo" + route "commute.route.dense");
+      checki "commute route sum = commute checks" t.Qobs.Stats.commute_checks
+        (Qobs.Stats.route_sum t "commute");
       checki "detect checks" 5 t.Qobs.Stats.detect_checks;
       checki "detect route sum = detect checks" t.Qobs.Stats.detect_checks
-        (Qobs.Stats.detect_route_sum t);
+        (Qobs.Stats.route_sum t "detect");
       (* per-pass aggregation: both passes of row1, once each *)
       List.iter
         (fun pass ->
@@ -516,6 +518,28 @@ let test_agg_phase_partition () =
   let text = Format.asprintf "%a" (Qobs.Stats.pp_text ~top:10) t in
   checkb "warning printed" true
     (Util.contains ~needle:"phase partition violated" text)
+
+(* commute.route.* that miss commute.checks fail the partition check
+   [qcc stats] warns on, while a detect family that adds up stays quiet *)
+let test_commute_route_partition () =
+  let m = Metrics.create () in
+  Metrics.incr m ~by:10 "commute.checks";
+  Metrics.incr m ~by:4 "commute.route.memo";
+  Metrics.incr m ~by:3 "detect.checks";
+  Metrics.incr m ~by:3 "detect.route.structural";
+  let row =
+    Qobs.Ledger.row ~strategy:"cls" ~backend_digest:"b" ~source_digest:"s"
+      ~chain_digest:"c" ~latency_ns:1. ~compile_time_s:0.1 ~cache_hits:0
+      ~cache_misses:0 ~metrics:m ()
+  in
+  let t = Qobs.Stats.of_rows [ row ] in
+  checki "commute route sum" 4 (Qobs.Stats.route_sum t "commute");
+  let text = Format.asprintf "%a" (Qobs.Stats.pp_text ~top:10) t in
+  checkb "commute warning printed" true
+    (Util.contains
+       ~needle:"commute.route.* sums to 4, not commute.checks 10" text);
+  checkb "no detect warning" false
+    (Util.contains ~needle:"detect.route.* sums" text)
 
 (* every ledger row's schema field is the pinned constant *)
 let test_ledger_schema_pinned () =
@@ -637,7 +661,9 @@ let suites =
      [ Alcotest.test_case "stats-roundtrip" `Quick test_ledger_stats_roundtrip;
        Alcotest.test_case "schema-pinned" `Quick test_ledger_schema_pinned;
        Alcotest.test_case "route-sum" `Quick test_route_sum_invariant;
-       Alcotest.test_case "agg-phase-partition" `Quick test_agg_phase_partition ]);
+       Alcotest.test_case "agg-phase-partition" `Quick test_agg_phase_partition;
+       Alcotest.test_case "commute-route-partition" `Quick
+         test_commute_route_partition ]);
     ("qobs.compile",
      [ Alcotest.test_case "passes-once-each" `Quick test_trace_passes_once_each;
        Alcotest.test_case "metrics-populated" `Quick

@@ -807,10 +807,14 @@ let certify_cmd =
   in
   Cmd.v
     (Cmd.info "certify"
-       ~doc:"Translation-validate a compilation: prove every pass boundary \
-             (lowering, GDG, contraction, scheduling, routing, aggregation, \
-             end-to-end) and print the per-boundary certificate; exit 1 on \
-             any refuted boundary.")
+       ~doc:(Printf.sprintf
+               "Translation-validate a compilation: prove every pass boundary \
+                (lowering, GDG, contraction, scheduling, routing, \
+                aggregation, end-to-end) and print the per-boundary \
+                certificate; exit 1 on any refuted boundary. The dense \
+                end-to-end check runs only on registers of at most %d sites; \
+                a wider register records a QC001 skip."
+               Qcert.Pipeline.end_to_end_limit))
     Term.(const run $ qasm_arg $ bench_arg $ strategies $ topology_arg
           $ width_arg $ arch_arg $ format $ jobs_arg)
 

@@ -62,44 +62,6 @@ let commute_memo (cache : commute_cache) (a : Inst.t) (b : Inst.t) =
     Hashtbl.add cache key v;
     v
 
-(* certify every inversion between a reference instruction order (per
-   qubit) and a realized order; shared by the schedule and regroup
-   certifiers. [rank] positions an instruction in the realized word. *)
-let certify_inversions ~stage ~code ~cache ~rank ~chain_of ~inst_of ~n_qubits
-    ~checks ~skipped ~diags () =
-  for q = 0 to n_qubits - 1 do
-    let chain = chain_of q in
-    let m = Array.length chain in
-    if m * m > 4_000_000 then begin
-      skipped := !skipped + 1;
-      diags :=
-        warn ~stage ~qubits:[ q ] "QC001"
-          (Printf.sprintf
-             "qubit %d: chain too long (%d) to enumerate inversions" q m)
-        :: !diags
-    end
-    else
-      for j = 1 to m - 1 do
-        for i = 0 to j - 1 do
-          if rank chain.(i) > rank chain.(j) then begin
-            let a = inst_of chain.(i) and b = inst_of chain.(j) in
-            match commute_memo cache a b with
-            | Domain.Proved, _ -> incr checks
-            | verdict, meth ->
-              diags :=
-                err ~stage ~insts:[ a.Inst.id; b.Inst.id ] ~qubits:[ q ] code
-                  (Printf.sprintf
-                     "instructions %d and %d reordered on qubit %d but their \
-                      commutation is %s (%s)"
-                     a.Inst.id b.Inst.id q
-                     (Domain.verdict_to_string verdict)
-                     meth)
-                :: !diags
-          end
-        done
-      done
-  done
-
 (* ---- realized-order justification by block exchanges ----
 
    The realized word need not be reachable from the input order by
@@ -251,47 +213,60 @@ let certify_block_exchanges ~stage ~code ~cache ~rank ~inst_of ~n ~checks
 (* ---- schedule replay ≡ a GDG topological order ---- *)
 
 let schedule ~stage ~original sched =
-  let insts = Gdg.insts original in
-  let entries = sched.Qsched.Schedule.entries in
-  let gdg_ids = List.sort compare (List.map (fun i -> i.Inst.id) insts) in
-  let sched_ids =
-    List.sort compare
-      (List.map (fun e -> e.Qsched.Schedule.inst.Inst.id) entries)
-  in
-  if gdg_ids <> sched_ids then
+  let module S = Qsched.Schedule in
+  let r = S.replay ~original sched in
+  let n_entries = List.length sched.S.entries in
+  if r.S.missing <> [] || r.S.foreign <> [] || r.S.repeated <> [] then
     Certificate.outcome ~method_:"replay" 0
       ~diags:
         [ err ~stage "QC031"
             (Printf.sprintf
                "schedule and GDG carry different instruction sets (%d vs %d \
                 instructions)"
-               (List.length sched_ids) (List.length gdg_ids)) ]
+               n_entries (Gdg.size original)) ]
   else begin
-    let checks = ref 1 and skipped = ref 0 and diags = ref [] in
     (* the schedule must execute the GDG's own blocks, not altered ones *)
-    List.iter
-      (fun (e : Qsched.Schedule.entry) ->
-        let g = Gdg.find original e.Qsched.Schedule.inst.Inst.id in
-        if gates_equal g.Inst.gates e.Qsched.Schedule.inst.Inst.gates then
-          incr checks
-        else
-          diags :=
-            err ~stage ~insts:[ g.Inst.id ] "QC031"
-              (Printf.sprintf "instruction %d's members differ between \
-                               schedule and GDG" g.Inst.id)
-            :: !diags)
-      entries;
-    let rank = Hashtbl.create 64 in
-    List.iteri
-      (fun k (i : Inst.t) -> Hashtbl.replace rank i.Inst.id k)
-      (Qsched.Schedule.linearize sched);
+    let checks = ref (1 + n_entries - List.length r.S.altered)
+    and skipped = ref 0 in
+    let diags =
+      ref
+        (List.rev_map
+           (fun id ->
+             err ~stage ~insts:[ id ] "QC031"
+               (Printf.sprintf "instruction %d's members differ between \
+                                schedule and GDG" id))
+           r.S.altered)
+    in
+    (* every pair a qubit sees in inverted order must commute *)
     let cache : commute_cache = Hashtbl.create 64 in
-    certify_inversions ~stage ~code:"QC030" ~cache
-      ~rank:(fun id -> Hashtbl.find rank id)
-      ~chain_of:(fun q ->
-        Array.of_list (List.map (fun i -> i.Inst.id) (Gdg.chain original q)))
-      ~inst_of:(fun id -> Gdg.find original id)
-      ~n_qubits:(Gdg.n_qubits original) ~checks ~skipped ~diags ();
+    for q = 0 to Gdg.n_qubits original - 1 do
+      let m = List.length (Gdg.chain_ids original q) in
+      if m * m > 4_000_000 then begin
+        incr skipped;
+        diags :=
+          warn ~stage ~qubits:[ q ] "QC001"
+            (Printf.sprintf
+               "qubit %d: chain too long (%d) to enumerate inversions" q m)
+          :: !diags
+      end
+      else
+        List.iter
+          (fun ((a : Inst.t), (b : Inst.t)) ->
+            match commute_memo cache a b with
+            | Domain.Proved, _ -> incr checks
+            | verdict, meth ->
+              diags :=
+                err ~stage ~insts:[ a.Inst.id; b.Inst.id ] ~qubits:[ q ]
+                  "QC030"
+                  (Printf.sprintf
+                     "instructions %d and %d reordered on qubit %d but their \
+                      commutation is %s (%s)"
+                     a.Inst.id b.Inst.id q
+                     (Domain.verdict_to_string verdict)
+                     meth)
+                :: !diags)
+          (r.S.inversions q)
+    done;
     Certificate.outcome ~method_:"replay" !checks ~skipped:!skipped
       ~diags:(List.rev !diags)
   end

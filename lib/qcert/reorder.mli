@@ -21,9 +21,12 @@ val schedule :
   stage:string -> original:Qgdg.Gdg.t -> Qsched.Schedule.t ->
   Certificate.outcome
 (** Certify that executing the schedule's linearization is equivalent to
-    the GDG's program order: instruction sets must match (QC031), and
-    every pair of instructions a qubit sees in inverted order must be
-    proven to commute (QC030; proofs are memoized per pair). *)
+    the GDG's program order, mapping {!Qsched.Schedule.replay} (the
+    replay the lint's QL031/QL034 also read): instruction sets and
+    members must match (QC031), and every pair of instructions a qubit
+    sees in inverted order must be proven to commute (QC030; proofs are
+    memoized per pair). A qubit whose chain of m instructions has m² >
+    4,000,000 is skipped as QC001 without walking it. *)
 
 val regroup :
   stage:string -> code_parse:string -> code_reorder:string ->

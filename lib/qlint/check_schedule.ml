@@ -62,62 +62,35 @@ let intra ?stage (s : Schedule.t) =
   List.rev !diags
 
 let against_gdg ?stage ~reorderable g (s : Schedule.t) =
-  let diags = ref [] in
-  let add d = diags := d :: !diags in
-  let start = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Schedule.entry) ->
-      let id = e.Schedule.inst.Inst.id in
-      if not (Hashtbl.mem start id) then
-        Hashtbl.replace start id e.Schedule.start)
-    s.Schedule.entries;
-  (* the schedule must cover exactly the graph's instruction set *)
-  Gdg.iter_insts g (fun i ->
-      if not (Hashtbl.mem start i.Inst.id) then
-        add
-          (D.make ?stage ~insts:[ i.Inst.id ] ~code:"QL034" ~severity:D.Error
-             (Printf.sprintf "instruction %d is in the GDG but never \
-                              scheduled"
-                i.Inst.id)));
-  List.iter
-    (fun (e : Schedule.entry) ->
-      if not (Gdg.mem g e.Schedule.inst.Inst.id) then
-        add
-          (D.make ?stage ~insts:[ e.Schedule.inst.Inst.id ] ~code:"QL034"
-             ~severity:D.Error
-             (Printf.sprintf
-                "scheduled instruction %d does not exist in the GDG"
-                e.Schedule.inst.Inst.id)))
-    s.Schedule.entries;
-  (* chain order modulo declared commutations: a chain predecessor must
-     not start strictly later (overlaps are QL030's business) *)
-  for q = 0 to Gdg.n_qubits g - 1 do
-    let rec pairs = function
-      | [] -> ()
-      | (a : Inst.t) :: rest ->
-        List.iter
-          (fun (b : Inst.t) ->
-            match
-              (Hashtbl.find_opt start a.Inst.id, Hashtbl.find_opt start b.Inst.id)
-            with
-            | Some sa, Some sb ->
-              if sb < sa -. 1e-9 && not (reorderable a b) then
-                add
-                  (D.make ?stage ~insts:[ a.Inst.id; b.Inst.id ]
-                     ~qubits:[ q ] ~interval:(sb, sa) ~code:"QL031"
-                     ~severity:D.Error
-                     (Printf.sprintf
-                        "instruction %d starts at %.2f, before \
-                         non-commuting chain predecessor %d on qubit %d \
-                         (starts %.2f)"
-                        b.Inst.id sb a.Inst.id q sa))
-            | _ -> () (* coverage gaps already reported as QL034 *))
-          rest;
-        pairs rest
-    in
-    pairs (Gdg.chain g q)
-  done;
-  List.rev !diags
+  let r = Schedule.replay ~original:g s in
+  (* coverage and members; repeats are QL036, reported by [intra] *)
+  let coverage fmt =
+    List.map (fun id ->
+        D.make ?stage ~insts:[ id ] ~code:"QL034" ~severity:D.Error
+          (Printf.sprintf fmt id))
+  in
+  let start id = (Option.get (r.Schedule.first id)).Schedule.start in
+  (* chain order modulo declared commutations *)
+  let order q ((a : Inst.t), (b : Inst.t)) =
+    if reorderable a b then None
+    else
+      let sa = start a.Inst.id and sb = start b.Inst.id in
+      Some
+        (D.make ?stage ~insts:[ a.Inst.id; b.Inst.id ] ~qubits:[ q ]
+           ~interval:(sb, sa) ~code:"QL031" ~severity:D.Error
+           (Printf.sprintf
+              "instruction %d (starts %.2f) runs before non-commuting chain \
+               predecessor %d on qubit %d (starts %.2f)"
+              b.Inst.id sb a.Inst.id q sa))
+  in
+  coverage "instruction %d is in the GDG but never scheduled" r.Schedule.missing
+  @ coverage "scheduled instruction %d does not exist in the GDG"
+      r.Schedule.foreign
+  @ coverage "instruction %d's members differ between schedule and GDG"
+      r.Schedule.altered
+  @ List.concat_map
+      (fun q -> List.filter_map (order q) (r.Schedule.inversions q))
+      (List.init (Gdg.n_qubits g) Fun.id)
 
 let run ?stage ?original ?(reorderable = fun _ _ -> false) s =
   let diags = intra ?stage s in

@@ -51,7 +51,8 @@ let all =
       "dependence-order violation against a non-commuting predecessor";
     e "QL032" "schedule" Warning "entry duration differs from the instruction latency";
     e "QL033" "schedule" Error "entry with negative duration";
-    e "QL034" "schedule" Error "schedule and GDG disagree on the instruction set";
+    e "QL034" "schedule" Error
+      "schedule and GDG disagree on the instruction set or its members";
     e "QL035" "schedule" Warning "recorded makespan differs from the last finish time";
     e "QL036" "schedule" Error "one instruction scheduled twice";
     e "QL040" "mapping" Error "a 2-qubit physical gate joins non-adjacent sites";

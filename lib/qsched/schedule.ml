@@ -54,34 +54,64 @@ let conflicts t =
       walk sorted)
     qubits
 
-let no_qubit_overlap t = conflicts t = []
+type replay = {
+  missing : int list;
+  foreign : int list;
+  repeated : int list;
+  altered : int list;
+  first : int -> entry option;
+  inversions : int -> (Qgdg.Inst.t * Qgdg.Inst.t) list;
+}
 
-let respects_order ?(reorderable = fun _ _ -> false) ~original t =
+let replay ~original t =
+  (* an id's position is its first entry's rank in [entries], the order
+     [linearize] executes *)
   let position = Hashtbl.create 64 in
+  let foreign = ref [] and repeated = ref [] and altered = ref [] in
   List.iteri
-    (fun k e -> Hashtbl.replace position e.inst.Qgdg.Inst.id k)
+    (fun k e ->
+      let id = e.inst.Qgdg.Inst.id in
+      if Hashtbl.mem position id then repeated := id :: !repeated
+      else begin
+        Hashtbl.add position id (k, e);
+        match Qgdg.Gdg.find original id with
+        | i ->
+          if not (List.equal Qgate.Gate.equal e.inst.gates i.Qgdg.Inst.gates)
+          then altered := id :: !altered
+        | exception Not_found -> foreign := id :: !foreign
+      end)
     t.entries;
-  let ok = ref true in
-  for q = 0 to Qgdg.Gdg.n_qubits original - 1 do
-    let chain = Qgdg.Gdg.chain original q in
-    let rec pairs = function
-      | [] -> ()
-      | (a : Qgdg.Inst.t) :: rest ->
-        List.iter
-          (fun (b : Qgdg.Inst.t) ->
-            match
-              (Hashtbl.find_opt position a.Qgdg.Inst.id,
-               Hashtbl.find_opt position b.Qgdg.Inst.id)
-            with
-            | Some pa, Some pb ->
-              if pa > pb && not (reorderable a b) then ok := false
-            | _ -> ok := false)
-          rest;
-        pairs rest
+  let missing = ref [] in
+  Qgdg.Gdg.iter_insts original (fun i ->
+      if not (Hashtbl.mem position i.Qgdg.Inst.id) then
+        missing := i.Qgdg.Inst.id :: !missing);
+  let inversions q =
+    let chain = Array.of_list (Qgdg.Gdg.chain original q) in
+    (* an unscheduled element sits at -1, so it inverts with nothing *)
+    let pos =
+      Array.map
+        (fun (i : Qgdg.Inst.t) ->
+          Option.fold ~none:(-1) ~some:fst
+            (Hashtbl.find_opt position i.Qgdg.Inst.id))
+        chain
     in
-    pairs chain
-  done;
-  !ok
+    (* consed from the back, so the list runs later element outer *)
+    let pairs = ref [] in
+    for j = Array.length chain - 1 downto 1 do
+      let pj = pos.(j) in
+      for i = j - 1 downto 0 do
+        if pos.(i) > pj && pj >= 0 then
+          pairs := (chain.(i), chain.(j)) :: !pairs
+      done
+    done;
+    !pairs
+  in
+  { missing = List.rev !missing;
+    foreign = List.rev !foreign;
+    repeated = List.rev !repeated;
+    altered = List.rev !altered;
+    first = (fun id -> Option.map snd (Hashtbl.find_opt position id));
+    inversions }
 
 let qubit_busy_time t q =
   List.fold_left

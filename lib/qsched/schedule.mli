@@ -26,15 +26,28 @@ val conflicts : t -> (entry * entry * int) list
     entry never conflicts, even at an instant a neighbor occupies.
     Ordered by qubit, then start time. *)
 
-val no_qubit_overlap : t -> bool
-(** No two entries occupy a shared qubit at overlapping times
-    ([conflicts] is empty). *)
+type replay = {
+  missing : int list;  (** GDG ids never scheduled, ascending *)
+  foreign : int list;  (** scheduled ids absent from the GDG *)
+  repeated : int list;  (** one id per entry after an id's first *)
+  altered : int list;
+      (** ids whose first entry's member gates differ from the GDG's *)
+  first : int -> entry option;  (** the entry that fixes an id's position *)
+  inversions : int -> (Qgdg.Inst.t * Qgdg.Inst.t) list;
+      (** [inversions q]: the GDG pairs [(a, b)], [a] before [b] on qubit
+          [q]'s chain, that run as [b] before [a] — later chain element
+          outer, earlier inner, in m² / 2 pair visits per call *)
+}
 
-val respects_order : ?reorderable:(Qgdg.Inst.t -> Qgdg.Inst.t -> bool) ->
-  original:Qgdg.Gdg.t -> t -> bool
-(** Every pair of instructions sharing a qubit either runs in its original
-    chain order or is [reorderable] (default: never) — the legality
-    condition for commutativity-aware schedules. *)
+val replay : original:Qgdg.Gdg.t -> t -> replay
+(** The one check of a schedule against its GDG (paper §3.5): every GDG
+    instruction runs exactly once, with its own members, and only
+    commuting chain pairs may be inverted. An id's position is its first
+    entry's rank in [entries] — by start, ties by id, the order
+    {!linearize} runs — so a zero-duration instruction tied with a
+    lower-id chain successor is inverted. [foreign], [repeated] and
+    [altered] follow [entries]. The lint (QL031/QL034) and the certifier
+    (QC030/QC031) map this one result and decide what commutes. *)
 
 val utilization : t -> float
 (** Busy fraction: Σ (instruction duration × width) / (n_qubits ×

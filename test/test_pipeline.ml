@@ -62,7 +62,7 @@ let random_mixed_circuit rng n =
 
 let check_result ~topology ~width circuit (r : Compiler.result) =
   let schedule = r.Compiler.schedule in
-  Qsched.Schedule.no_qubit_overlap schedule
+  Qsched.Schedule.conflicts schedule = []
   && List.for_all
        (fun block ->
          let support =

@@ -113,7 +113,7 @@ let compiler_cases =
             check_bool
               (Strategy.to_string strategy)
               true
-              (Qsched.Schedule.no_qubit_overlap r.Compiler.schedule))
+              (Qsched.Schedule.conflicts r.Compiler.schedule = []))
           Strategy.all);
     case "width limit respected end to end" (fun () ->
         let circuit = Qapps.Qaoa.circuit (Qapps.Graphs.line 6) in

@@ -165,7 +165,18 @@ let reorder_cases =
           Qcert.Reorder.schedule ~stage:"t" ~original:g
             (Schedule.make ~n_qubits:1 entries)
         in
-        check_bool "QC030" true (List.mem "QC030" (error_codes o))) ]
+        check_bool "QC030" true (List.mem "QC030" (error_codes o)));
+    case "zero-duration tie with a non-commuting successor is QC030"
+      (fun () ->
+        (* the pair and qubit the lint reports as QL031 *)
+        let g, s = zero_latency_tie () in
+        let o = Qcert.Reorder.schedule ~stage:"t" ~original:g s in
+        match List.filter D.is_error o.Cert.diags with
+        | [ d ] ->
+          Alcotest.(check string) "code" "QC030" d.D.code;
+          Alcotest.(check (list int)) "pair" [ 1; 0 ] d.D.loc.D.insts;
+          Alcotest.(check (list int)) "qubit" [ 0 ] d.D.loc.D.qubits
+        | l -> Alcotest.failf "expected one error, got %d" (List.length l)) ]
 
 (* ---- regrouping: contraction and aggregation certificates ---- *)
 

@@ -189,7 +189,42 @@ let schedule_cases =
         in
         let qcodes = codes (Qlint.Check_schedule.run ~original:g s) in
         check_int "one missing + one foreign" 2
-          (List.length (List.filter (fun c -> c = "QL034") qcodes))) ]
+          (List.length (List.filter (fun c -> c = "QL034") qcodes)));
+    case "altered members are QL034" (fun () ->
+        let g =
+          Gdg.of_circuit
+            ~latency:(fun _ -> 1.)
+            (Circuit.make 1 [ Gate.h 0; Gate.x 0 ])
+        in
+        (* id 1 keeps its slot and latency but runs other gates *)
+        let s =
+          Schedule.make ~n_qubits:1
+            [ { Schedule.inst = Gdg.find g 0; start = 0.; finish = 1. };
+              { Schedule.inst = Inst.of_gate ~id:1 ~latency:1. (Gate.z 0);
+                start = 1.;
+                finish = 2. } ]
+        in
+        match errors (Qlint.Check_schedule.run ~original:g s) with
+        | [ d ] ->
+          Alcotest.(check string) "code" "QL034" d.D.code;
+          Alcotest.(check (list int)) "instruction" [ 1 ] d.D.loc.D.insts
+        | l -> Alcotest.failf "expected one error, got %d" (List.length l));
+    case "zero-duration tie with a non-commuting successor is QL031"
+      (fun () ->
+        (* the pair and qubit the certifier refutes as QC030 *)
+        let g, s = zero_latency_tie () in
+        let groups = Qgdg.Comm_group.build g in
+        match
+          errors
+            (Qlint.Check_schedule.run ~original:g
+               ~reorderable:(Qgdg.Comm_group.reorderable groups)
+               s)
+        with
+        | [ d ] ->
+          Alcotest.(check string) "code" "QL031" d.D.code;
+          Alcotest.(check (list int)) "pair" [ 1; 0 ] d.D.loc.D.insts;
+          Alcotest.(check (list int)) "qubit" [ 0 ] d.D.loc.D.qubits
+        | l -> Alcotest.failf "expected one error, got %d" (List.length l)) ]
 
 let mapping_cases =
   let inst_blocks insts = Qcc.Ir.blocks (Qcc.Ir.Insts insts) in
@@ -345,7 +380,7 @@ let perturbation_prop seed =
   let gates = random_unitary_gates rng n 12 in
   let g = Gdg.of_circuit ~latency:(fun _ -> 1.) (Circuit.make n gates) in
   let s = Qsched.Asap.schedule g in
-  if not (Schedule.no_qubit_overlap s) then false
+  if Schedule.conflicts s <> [] then false
   else begin
     (* pick a qubit with at least two entries and slide the second onto
        the first's interval *)

@@ -51,12 +51,12 @@ let schedule_cases =
             finish = st +. 2. }
         in
         let bad = Schedule.make ~n_qubits:1 [ mk 0 0.; mk 1 1. ] in
-        check_bool "overlap caught" false (Schedule.no_qubit_overlap bad);
+        check_bool "overlap caught" false (Schedule.conflicts bad = []);
         let good = Schedule.make ~n_qubits:1 [ mk 0 0.; mk 1 2. ] in
-        check_bool "ok" true (Schedule.no_qubit_overlap good));
+        check_bool "ok" true (Schedule.conflicts good = []));
     case "empty schedule is overlap-free" (fun () ->
         let s = Schedule.make ~n_qubits:4 [] in
-        check_bool "no overlap" true (Schedule.no_qubit_overlap s);
+        check_bool "no overlap" true (Schedule.conflicts s = []);
         check_float "makespan" 0. s.Schedule.makespan;
         check_int "no conflicts" 0 (List.length (Schedule.conflicts s)));
     case "zero-duration entries may share an instant" (fun () ->
@@ -68,7 +68,7 @@ let schedule_cases =
             finish = 1. }
         in
         let s = Schedule.make ~n_qubits:1 [ mk 0; mk 1 ] in
-        check_bool "no overlap" true (Schedule.no_qubit_overlap s));
+        check_bool "no overlap" true (Schedule.conflicts s = []));
     case "zero-duration entry at a busy instant does not conflict" (fun () ->
         (* a virtual (zero-latency) instruction fired at the very moment
            a long one starts on the same qubit — legal, its busy interval
@@ -84,7 +84,7 @@ let schedule_cases =
             finish = 10. }
         in
         let s = Schedule.make ~n_qubits:1 [ long; virt ] in
-        check_bool "no overlap" true (Schedule.no_qubit_overlap s));
+        check_bool "no overlap" true (Schedule.conflicts s = []));
     case "back-to-back finish = start does not conflict" (fun () ->
         let mk id st =
           { Schedule.inst = Inst.of_gate ~id ~latency:2. (Gate.h 0);
@@ -93,7 +93,7 @@ let schedule_cases =
         in
         let s = Schedule.make ~n_qubits:1 [ mk 0 0.; mk 1 2.; mk 2 4. ] in
         check_bool "meeting endpoints legal" true
-          (Schedule.no_qubit_overlap s));
+          (Schedule.conflicts s = []));
     case "conflicts names the pair, qubit and window" (fun () ->
         let mk id q st fin =
           { Schedule.inst = Inst.of_gate ~id ~latency:(fin -. st) (Gate.h q);
@@ -113,20 +113,99 @@ let schedule_cases =
            check_float "overlap start" 3. b.Schedule.start;
            check_float "overlap end" 5.
              (Float.min a.Schedule.finish b.Schedule.finish)
-         | l -> Alcotest.failf "expected one conflict, got %d" (List.length l)));
-    case "respects_order on empty schedule of empty gdg" (fun () ->
+         | l -> Alcotest.failf "expected one conflict, got %d" (List.length l))) ]
+
+(* ---- the schedule replay against its GDG ---- *)
+
+(* the schedule covers the GDG exactly and inverts only [reorderable]
+   chain pairs *)
+let in_order ?(reorderable = fun _ _ -> false) ~original s =
+  let r = Schedule.replay ~original s in
+  r.Schedule.missing = [] && r.Schedule.foreign = []
+  && r.Schedule.repeated = [] && r.Schedule.altered = []
+  && List.for_all
+       (fun q ->
+         List.for_all (fun (a, b) -> reorderable a b) (r.Schedule.inversions q))
+       (List.init (Gdg.n_qubits original) Fun.id)
+
+let ids_of pairs =
+  List.map (fun ((a : Inst.t), (b : Inst.t)) -> (a.Inst.id, b.Inst.id)) pairs
+
+let at start (i : Inst.t) =
+  { Schedule.inst = i; start; finish = start +. i.Inst.latency }
+
+let replay_cases =
+  let g () = gdg_of [ Gate.h 0; Gate.x 0; Gate.h 1 ] 2 in
+  let replay g entries =
+    Schedule.replay ~original:g (Schedule.make ~n_qubits:2 entries)
+  in
+  let ints = Alcotest.(list int) in
+  [ case "replay on an empty gdg is vacuously in order" (fun () ->
         let g = Gdg.of_insts ~n_qubits:2 [] in
         check_bool "vacuously ordered" true
-          (Schedule.respects_order ~original:g
-             (Schedule.make ~n_qubits:2 []))) ]
+          (in_order ~original:g (Schedule.make ~n_qubits:2 [])));
+    case "replay names a missing id" (fun () ->
+        let g = g () in
+        let r = replay g [ at 0. (Gdg.find g 0); at 0. (Gdg.find g 2) ] in
+        Alcotest.check ints "missing" [ 1 ] r.Schedule.missing;
+        Alcotest.check ints "foreign" [] r.Schedule.foreign;
+        check_int "no inversion" 0 (List.length (r.Schedule.inversions 0)));
+    case "replay names a foreign id" (fun () ->
+        let g = g () in
+        let stray = Inst.of_gate ~id:9 ~latency:1. (Gate.x 1) in
+        let r =
+          replay g (List.map (at 0.) (Gdg.insts g) @ [ at 5. stray ])
+        in
+        Alcotest.check ints "foreign" [ 9 ] r.Schedule.foreign;
+        Alcotest.check ints "missing" [] r.Schedule.missing);
+    case "replay names a repeated id once per extra entry" (fun () ->
+        let g = g () in
+        let h = Gdg.find g 0 in
+        let r =
+          replay g
+            (at 6. h :: at 9. h :: List.map (at 0.) (Gdg.insts g))
+        in
+        Alcotest.check ints "repeated" [ 0; 0 ] r.Schedule.repeated;
+        (match r.Schedule.first 0 with
+         | Some e -> check_float "first entry fixes the position" 0.
+                       e.Schedule.start
+         | None -> Alcotest.fail "id 0 has no entry");
+        Alcotest.check ints "foreign" [] r.Schedule.foreign);
+    case "replay names an altered id" (fun () ->
+        let g = g () in
+        let swapped = Inst.of_gate ~id:1 ~latency:1. (Gate.z 0) in
+        let r =
+          replay g [ at 0. (Gdg.find g 0); at 1. swapped; at 0. (Gdg.find g 2) ]
+        in
+        Alcotest.check ints "altered" [ 1 ] r.Schedule.altered;
+        Alcotest.check ints "missing" [] r.Schedule.missing);
+    case "replay lists inversions later chain element outer" (fun () ->
+        let g = gdg_of [ Gate.h 0; Gate.x 0; Gate.t 0 ] 1 in
+        let r =
+          Schedule.replay ~original:g
+            (Schedule.make ~n_qubits:1
+               [ at 2. (Gdg.find g 0); at 1. (Gdg.find g 1);
+                 at 0. (Gdg.find g 2) ])
+        in
+        Alcotest.(check (list (pair int int)))
+          "pairs" [ (0, 1); (0, 2); (1, 2) ]
+          (ids_of (r.Schedule.inversions 0)));
+    case "replay inverts a zero-duration tie with a lower-id successor"
+      (fun () ->
+        let g, s = zero_latency_tie () in
+        let r = Schedule.replay ~original:g s in
+        Alcotest.(check (list (pair int int)))
+          "tie runs the successor first" [ (1, 0) ]
+          (ids_of (r.Schedule.inversions 0));
+        check_bool "not in order" false (in_order ~original:g s)) ]
 
 let asap_cases =
   [ case "respects dependencies" (fun () ->
         let g = gdg_of [ Gate.h 0; Gate.cnot 0 1; Gate.h 1 ] 2 in
         let s = Asap.schedule g in
         check_float "makespan 3" 3. s.Schedule.makespan;
-        check_bool "no overlap" true (Schedule.no_qubit_overlap s);
-        check_bool "order kept" true (Schedule.respects_order ~original:g s));
+        check_bool "no overlap" true (Schedule.conflicts s = []);
+        check_bool "order kept" true (in_order ~original:g s));
     case "parallelizes independent gates" (fun () ->
         let g = gdg_of [ Gate.h 0; Gate.h 1; Gate.h 2 ] 3 in
         check_float "all at once" 1. (Asap.schedule g).Schedule.makespan) ]
@@ -153,13 +232,13 @@ let cls_cases =
         let g = contract (gdg_of (zz 1. 0 1 @ zz 2. 1 2 @ [ Gate.h 0; Gate.rx 0.4 2 ]) 3) in
         let s = Cls.schedule g in
         check_int "count" (Gdg.size g) (List.length s.Schedule.entries);
-        check_bool "no overlap" true (Schedule.no_qubit_overlap s));
+        check_bool "no overlap" true (Schedule.conflicts s = []));
     case "cls legality via commutation" (fun () ->
         let g = contract (gdg_of (zz 1. 0 1 @ zz 2. 1 2) 3) in
         let groups = Qgdg.Comm_group.build g in
         let s = Cls.schedule g in
         check_bool "order or commuting" true
-          (Schedule.respects_order
+          (in_order
              ~reorderable:(Qgdg.Comm_group.reorderable groups)
              ~original:g s));
     case "cls preserves semantics on qaoa ring" (fun () ->
@@ -201,7 +280,7 @@ let cls_cases =
         let gates = random_unitary_gates rng 4 15 in
         let g = contract (gdg_of gates 4) in
         let s = Cls.schedule g in
-        Schedule.no_qubit_overlap s
+        Schedule.conflicts s = []
         && List.length s.Schedule.entries = Gdg.size g) ]
 
 (* ---- event-driven CLS against the scan-based specification ---- *)
@@ -361,6 +440,7 @@ let cls_reference_cases =
 
 let suites =
   [ ("qsched.schedule", schedule_cases);
+    ("qsched.replay", replay_cases);
     ("qsched.asap", asap_cases);
     ("qsched.cls", cls_cases);
     ("qsched.cls_reference", cls_reference_cases) ]

@@ -54,7 +54,7 @@ let partial_cases =
         check_int "same instruction count" base.Compiler.n_instructions
           rebound.Compiler.n_instructions;
         check_bool "schedule valid" true
-          (Qsched.Schedule.no_qubit_overlap rebound.Compiler.schedule));
+          (Qsched.Schedule.conflicts rebound.Compiler.schedule = []));
     case "rebinding changes semantics as requested" (fun () ->
         let circuit = Qapps.Qaoa.circuit ~gamma:0.7 ~beta:0.2 (Qapps.Graphs.line 3) in
         let base =

@@ -57,3 +57,17 @@ let random_unitary_gates rng n depth =
 
 let random_unitary rng n depth =
   Qgate.Unitary.of_gates ~n_qubits:n (random_unitary_gates rng n depth)
+
+(* a zero-duration instruction tied at the same start with its
+   non-commuting chain successor, which has the lower id: schedules order
+   ties by id, so the successor runs first and the chain pair (1, 0) on
+   qubit 0 is inverted (CLS ties zero-latency identity blocks this way on
+   uccsd-n6) *)
+let zero_latency_tie () =
+  let pred = Qgdg.Inst.make ~id:1 ~latency:0. [ Qgate.Gate.h 0 ] in
+  let succ = Qgdg.Inst.make ~id:0 ~latency:1. [ Qgate.Gate.t 0 ] in
+  let g = Qgdg.Gdg.of_insts ~n_qubits:1 [ pred; succ ] in
+  ( g,
+    Qsched.Schedule.make ~n_qubits:1
+      [ { Qsched.Schedule.inst = pred; start = 0.; finish = 0. };
+        { Qsched.Schedule.inst = succ; start = 0.; finish = 1. } ] )

@@ -154,9 +154,11 @@ let jobs_arg =
   Arg.(value & opt int 1
        & info [ "j"; "jobs" ] ~docv:"N"
            ~doc:"Run up to N benchmark×strategy jobs in parallel on an \
-                 OCaml domain pool. Deterministic: results are \
-                 byte-identical to -j 1 (the pool of one on the calling \
-                 domain) at any N — only wall time changes.")
+                 OCaml domain pool: min(N, job count) - 1 spawned domains \
+                 plus the calling domain, which runs its share. \
+                 Deterministic: results are byte-identical to -j 1 (no \
+                 spawns, the calling domain alone) at any N — only wall \
+                 time changes.")
 
 let check_jobs jobs =
   if jobs < 1 then

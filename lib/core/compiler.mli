@@ -124,13 +124,14 @@ val compile_matrix :
 (** The full benchmark×strategy matrix as one job pool: every (circuit,
     strategy) cell is an independent job, flattened benchmark-major so
     results regroup deterministically. [~jobs:n] (default 1) runs the
-    jobs on {!Parallel.map}'s pool of [n] domains; [n = 1] is the pool
-    of one on the calling domain. One shared compute-once stage cache
+    jobs on {!Parallel.map}'s pool: [min n cells - 1] spawned domains
+    plus the caller, which runs its share of the cells; [n = 1] is zero
+    spawns, the caller alone. One shared compute-once stage cache
     spans the whole matrix (a fresh one unless [~cache] is given), so
     the pipeline prefix the strategies share (lowering everywhere;
     placement and routing between ISA and aggregation) is computed once
-    per circuit. Every worker, the calling domain at [n = 1] included,
-    runs {!reset_all_memos} before its first job; metrics land as
+    per circuit. Every worker, the calling domain included, runs
+    {!reset_all_memos} before its first job; metrics land as
     per-job shards merged in job-index order into the caller's registry.
     Each job's [source_label] (and its ledger row's [source]) is the
     given name.

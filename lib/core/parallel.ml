@@ -1,8 +1,10 @@
 (* A fixed-size Domain-pool executor: [map ~jobs f arr] runs [f] over
-   the array on [min jobs (Array.length arr)] fresh domains pulling job
-   indices from one atomic counter, and slots each result by its job
-   index — so the output (and anything else merged in index order, like
-   per-job metrics shards) is byte-identical at any [~jobs].
+   the array on [min jobs (Array.length arr) - 1] spawned domains plus the
+   caller, all pulling job indices from one atomic counter, and slots
+   each result by its job index — so the output (and anything else
+   merged in index order, like per-job metrics shards) is byte-identical
+   at any [~jobs]. The pool of one is zero spawns and the same worker
+   loop on the caller.
 
    No Domainslib: the pool lives and dies inside one [map] call, so
    there is no module-toplevel state here for domlint to classify, and
@@ -26,48 +28,40 @@ let note_failure failure i e bt =
 
 let map ?(jobs = 1) ?(init = fun () -> ()) f arr =
   let n = Array.length arr in
-  if n = 0 then [||]
-  else if jobs <= 1 then begin
-    (* the sequential driver is the pool of one, caller's domain: [init]
-       still runs (once) so a [~jobs:1] run sees the same cold start as
-       every pooled worker *)
-    init ();
-    Array.mapi f arr
-  end
-  else begin
-    let workers = min jobs n in
-    let results = Array.make n None in
-    let next = Atomic.make 0 in
-    let failure = Atomic.make None in
-    let worker () =
-      match init () with
-      | exception e -> note_failure failure (-1) e (Printexc.get_raw_backtrace ())
-      | () ->
-        let rec loop () =
-          (* stop pulling new jobs once any worker has failed: the run's
-             result is already decided, finish draining cheaply *)
-          if Atomic.get failure = None then begin
-            let i = Atomic.fetch_and_add next 1 in
-            if i < n then begin
-              (match f i arr.(i) with
-               | b -> results.(i) <- Some b
-               | exception e ->
-                 note_failure failure i e (Printexc.get_raw_backtrace ()));
-              loop ()
-            end
+  let workers = max 1 (min jobs n) in
+  let results = Array.make n None in
+  let next = Atomic.make 0 in
+  let failure = Atomic.make None in
+  let worker () =
+    match init () with
+    | exception e -> note_failure failure (-1) e (Printexc.get_raw_backtrace ())
+    | () ->
+      let rec loop () =
+        (* stop pulling new jobs once any worker has failed: the run's
+           result is already decided, finish draining cheaply *)
+        if Atomic.get failure = None then begin
+          let i = Atomic.fetch_and_add next 1 in
+          if i < n then begin
+            (match f i arr.(i) with
+             | b -> results.(i) <- Some b
+             | exception e ->
+               note_failure failure i e (Printexc.get_raw_backtrace ()));
+            loop ()
           end
-        in
-        loop ()
-    in
-    let domains = Array.init workers (fun _ -> Domain.spawn worker) in
-    (* join everything before deciding the outcome: on failure no worker
-       is left orphaned, and on success the joins are the happens-before
-       edges that make every result slot visible to the caller *)
-    Array.iter Domain.join domains;
-    match Atomic.get failure with
-    | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
-    | None ->
-      Array.map
-        (function Some b -> b | None -> assert false (* all slots filled *))
-        results
-  end
+        end
+      in
+      loop ()
+  in
+  let domains = Array.init (workers - 1) (fun _ -> Domain.spawn worker) in
+  worker ();
+  (* join everything before deciding the outcome: on failure no worker
+     is left orphaned, and on success the joins are the happens-before
+     edges that make every spawned worker's result slots visible to the
+     caller *)
+  Array.iter Domain.join domains;
+  match Atomic.get failure with
+  | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
+  | None ->
+    Array.map
+      (function Some b -> b | None -> assert false (* all slots filled *))
+      results

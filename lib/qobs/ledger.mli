@@ -47,9 +47,11 @@ val row :
     its direct children become the [passes] array (wall time plus GC
     delta each). [cache_hits]/[cache_misses] are the {e deltas} for this
     run, not cache lifetime totals. Digests are hex strings. [domain]
-    is the integer id of the domain that ran the compile (the worker,
-    under a parallel driver) — omitted, the row carries no [domain]
-    field; [qcc stats] aggregates rows per domain when present. *)
+    is the integer id of the domain that ran the compile — under a
+    parallel driver the caller's domain runs a share of the jobs, so its
+    id shows up in pooled rows beside the spawned workers' — omitted,
+    the row carries no [domain] field; [qcc stats] aggregates rows per
+    domain when present. *)
 
 val read_file : string -> (Json.t list, string) result
 (** Parse a JSONL ledger (blank lines skipped); [Error] carries

@@ -29,30 +29,104 @@ let map_matches_mapi () =
 let map_empty_and_init () =
   check_int "empty input, no work" 0
     (Array.length (Parallel.map ~jobs:4 (fun _ x -> x) [||]));
-  (* init runs once per worker, before any job on that worker *)
-  let inits = Atomic.make 0 in
-  let out =
-    Parallel.map ~jobs:3 ~init:(fun () -> Atomic.incr inits)
-      (fun i x -> i + x)
-      (Array.make 12 0)
+  (* init runs once per worker, before any job on that worker: the
+     caller plus min jobs n - 1 spawned domains *)
+  List.iter
+    (fun jobs ->
+      let inits = Atomic.make 0 in
+      let out =
+        Parallel.map ~jobs ~init:(fun () -> Atomic.incr inits)
+          (fun i x -> i + x)
+          (Array.make 12 0)
+      in
+      check_int "12 jobs ran" 12 (Array.length out);
+      check_int
+        (Printf.sprintf "init ran once per worker at ~jobs:%d" jobs)
+        jobs (Atomic.get inits))
+    [ 1; 3 ]
+
+(* spin until [ready ()] holds; fail after about 10 s rather than hang *)
+let wait_for what ready =
+  let deadline = Qobs.Clock.now_ns () +. 10e9 in
+  while not (ready ()) do
+    if Qobs.Clock.now_ns () > deadline then
+      failwith (Printf.sprintf "timed out waiting for %s" what);
+    Domain.cpu_relax ()
+  done
+
+let caller_runs_a_share () =
+  (* each job waits for the other to start, so no one worker can run
+     both: a pool of two is the caller plus one spawned domain *)
+  let caller = Domain.self () in
+  let started = Atomic.make 0 in
+  let ran_on =
+    Parallel.map ~jobs:2
+      (fun _ () ->
+        let self = Domain.self () in
+        Atomic.incr started;
+        wait_for "the other job" (fun () -> Atomic.get started = 2);
+        self)
+      [| (); () |]
   in
-  check_int "12 jobs ran" 12 (Array.length out);
-  let n = Atomic.get inits in
-  check_bool
-    (Printf.sprintf "init ran once per worker (got %d, want 1..3)" n)
-    true
-    (n >= 1 && n <= 3)
+  let on_caller = List.filter (( = ) caller) (Array.to_list ran_on) in
+  check_int "exactly one job ran on the caller's domain" 1
+    (List.length on_caller);
+  check_bool "the other job ran on a spawned domain" true
+    (Array.exists (( <> ) caller) ran_on)
+
+let caller_init_failure_joins () =
+  (* the caller's init raises only once a spawned worker is inside a
+     job, and that job outlasts the raise by ~20 ms: re-raising before
+     the joins would leave it unfinished *)
+  let caller = Domain.self () in
+  let started = Atomic.make 0 and finished = Atomic.make 0 in
+  let raised = Atomic.make false in
+  let init () =
+    if Domain.self () = caller then begin
+      wait_for "a spawned worker's job" (fun () -> Atomic.get started > 0);
+      Atomic.set raised true;
+      failwith "caller init down"
+    end
+  in
+  let job i () =
+    Atomic.incr started;
+    wait_for "the caller's init failure" (fun () -> Atomic.get raised);
+    let t0 = Qobs.Clock.now_ns () in
+    wait_for "20 ms" (fun () -> Qobs.Clock.elapsed_ns t0 > 20e6);
+    Atomic.incr finished;
+    i
+  in
+  (match Parallel.map ~jobs:4 ~init job (Array.make 8 ()) with
+  | _ -> Alcotest.fail "expected the caller's init exception"
+  | exception Failure msg ->
+    Alcotest.(check string) "caller init failure" "caller init down" msg);
+  check_bool "a spawned worker ran a job" true (Atomic.get started > 0);
+  check_int "every started job finished before the re-raise"
+    (Atomic.get started) (Atomic.get finished);
+  Alcotest.(check (array int))
+    "pool reusable after the caller's failure" [| 0; 1; 2; 3 |]
+    (Parallel.map ~jobs:4 (fun i _ -> i) (Array.make 4 ()))
 
 let map_reraises_lowest_failure () =
-  (* several workers can fail; the caller must see the lowest job index's
-     exception, deterministically, with all domains joined *)
-  (match
-     Parallel.map ~jobs:4
-       (fun i _ -> if i mod 3 = 2 then failwith (Printf.sprintf "job %d" i))
-       (Array.make 16 ())
-   with
-  | _ -> Alcotest.fail "expected a re-raised worker exception"
-  | exception Failure msg -> Alcotest.(check string) "lowest failing job" "job 2" msg);
+  (* several workers can fail, the caller among them; the caller must
+     see the lowest job index's exception, deterministically, with all
+     domains joined *)
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun (fails, want) ->
+          match
+            Parallel.map ~jobs
+              (fun i _ -> if fails i then failwith (Printf.sprintf "job %d" i))
+              (Array.make 16 ())
+          with
+          | _ -> Alcotest.fail "expected a re-raised worker exception"
+          | exception Failure msg ->
+            Alcotest.(check string)
+              (Printf.sprintf "lowest failing job at ~jobs:%d" jobs)
+              want msg)
+        [ ((fun i -> i mod 3 = 2), "job 2"); ((fun _ -> true), "job 0") ])
+    [ 1; 2; 4 ];
   (* init failures outrank any job failure *)
   (match
      Parallel.map ~jobs:2 ~init:(fun () -> failwith "init down")
@@ -61,7 +135,7 @@ let map_reraises_lowest_failure () =
    with
   | _ -> Alcotest.fail "expected the init exception"
   | exception Failure msg -> Alcotest.(check string) "init failure wins" "init down" msg);
-  (* the pool was joined cleanly both times: a fresh map still works *)
+  (* the pool was joined cleanly every time: a fresh map still works *)
   Alcotest.(check (array int))
     "pool reusable after failure" [| 0; 2; 4; 6 |]
     (Parallel.map ~jobs:4 (fun i _ -> 2 * i) (Array.make 4 ()))
@@ -228,10 +302,40 @@ let compile_matrix_regroups () =
         rs rs')
     seq par
 
+(* the caller keeps the memos its share of a pooled run warmed; a later
+   sequential compile on it must decide exactly as a cold one *)
+let warm_caller_changes_nothing () =
+  let named =
+    List.map
+      (fun b -> (b, Qapps.Suite.lowered (Qapps.Suite.find b)))
+      [ "maxcut-line"; "uccsd-n4" ]
+  in
+  let cold = Compiler.compile_matrix ~certify:true named in
+  ignore (Compiler.compile_matrix ~certify:true ~jobs:2 named);
+  List.iter
+    (fun (name, rs) ->
+      let circuit = List.assoc name named in
+      List.iter
+        (fun (strategy, r) ->
+          let warm =
+            Compiler.compile ~certify:true ~source_label:name ~strategy
+              circuit
+          in
+          Alcotest.(check (pair (triple string int string) int))
+            (Printf.sprintf "%s/%s warm = cold" name
+               (Strategy.to_string strategy))
+            (fingerprint r, r.Compiler.n_swaps_inserted)
+            (fingerprint warm, warm.Compiler.n_swaps_inserted))
+        rs)
+    cold
+
 let suites =
   [ ( "parallel",
       [ case "map matches Array.mapi at every pool size" map_matches_mapi;
         case "map on empty input; init once per worker" map_empty_and_init;
+        case "caller runs a share of the jobs" caller_runs_a_share;
+        case "caller init failure re-raises after the joins"
+          caller_init_failure_joins;
         case "lowest-index worker failure re-raises; pool joins"
           map_reraises_lowest_failure;
         case "metrics shards absorb under the merge law" absorb_folds_shards;
@@ -240,4 +344,6 @@ let suites =
         slow_case "compile_all ?jobs matches the sequential driver"
           compile_all_jobs_matches_sequential;
         slow_case "compile_matrix regroups benchmark-major"
-          compile_matrix_regroups ] ) ]
+          compile_matrix_regroups;
+        slow_case "a warm caller compiles the same bytes"
+          warm_caller_changes_nothing ] ) ]

@@ -68,15 +68,22 @@ let reset_memos () =
   Hashtbl.reset m.diagonal
 
 (* The dense comparison on already-relabelled gates, support 0..n-1,
-   without building either operator: column j of B·A is eⱼ pushed through
-   a then b (the [ab] buffers), column j of A·B is eⱼ pushed through b
-   then a (the [ba] buffers). Entries are compared with the same absolute
-   1e-9 tolerance as a full-matrix comparison, and the scan stops at the
-   first column that differs — most dense queries answer "no" within a
-   few columns. *)
+   without building either operator: each operand is fused into kernels
+   of at most two qubits ({!Qgate.Unitary.program}), column j of B·A is
+   eⱼ pushed through a then b (the [ab] buffers), column j of A·B is eⱼ
+   pushed through b then a (the [ba] buffers). Entries are compared with
+   the same absolute 1e-9 tolerance as a full-matrix comparison, and the
+   scan stops at the first column that differs — most dense queries
+   answer "no" within a few columns. The operands' gate and fused-kernel
+   counts are ticked: the work counters that show whether fusion
+   happened. *)
 let dense_on ~n_qubits a_gates b_gates =
   let pa = Qgate.Unitary.program ~n_qubits a_gates in
   let pb = Qgate.Unitary.program ~n_qubits b_gates in
+  Qobs.Metrics.tick "commute.dense.gates"
+    ~by:(List.length a_gates + List.length b_gates);
+  Qobs.Metrics.tick "commute.dense.kernels"
+    ~by:(Qgate.Unitary.kernels pa + Qgate.Unitary.kernels pb);
   let dim = 1 lsl n_qubits in
   let ab_re = Array.make dim 0. and ab_im = Array.make dim 0. in
   let ba_re = Array.make dim 0. and ba_im = Array.make dim 0. in

@@ -59,7 +59,9 @@ val blocks : ?sa:t -> ?sb:t -> Qgate.Gate.t list -> Qgate.Gate.t list -> bool
     Ticks [commute.checks] and exactly one [commute.route.<r>] counter
     (structural / memo / phase_poly / tableau / dense / oversize) with a
     matching [.ms] histogram when a metrics registry is ambient; a dense
-    query also records its joint width in [commute.dense.width]. *)
+    query also records its joint width in [commute.dense.width] and
+    ticks [commute.dense.gates] and [commute.dense.kernels] by its
+    operands' gate and fused-kernel counts. *)
 
 val gates : Qgate.Gate.t -> Qgate.Gate.t -> bool
 (** Do two gates commute as operators? *)
@@ -78,8 +80,11 @@ val algebraic :
 val dense_on : n_qubits:int -> Qgate.Gate.t list -> Qgate.Gate.t list -> bool
 (** The dense comparison on already-relabelled gates (support 0..n-1):
     do A·B and B·A agree entrywise within 1e-9? Matrix-free — each
-    basis column is pushed through both gate orders in 2ⁿ buffers
-    ({!Qgate.Unitary.run}), stopping at the first column that differs. *)
+    operand is fused into kernels of at most two qubits
+    ({!Qgate.Unitary.program}), and each basis column is pushed through
+    both orders in 2ⁿ buffers ({!Qgate.Unitary.run}), stopping at the
+    first column that differs. Raises [Invalid_argument] when a gate
+    acts on a qubit outside [\[0, n_qubits)]. *)
 
 (** {2 Incremental diagonal-prefix scanning}
 

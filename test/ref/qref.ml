@@ -42,6 +42,14 @@ let is_diagonal_block gs =
       let _, u = Qgate.Unitary.on_support gs in
       Qnum.Cmat.is_diagonal ~eps:1e-9 u)
 
+(* Do the full matrices of two relabelled blocks commute (entrywise
+   within 1e-9)? Independent of the oracle's matrix-free fused kernels,
+   which the qcheck suite pins against it. *)
+let full_commute ~n_qubits a b =
+  Qnum.Cmat.commute ~eps:1e-9
+    (Qgate.Unitary.of_gates ~n_qubits a)
+    (Qgate.Unitary.of_gates ~n_qubits b)
+
 (* The dense comparison on the joint support (false beyond
    [max_check_width]), with no algebraic shortcut. *)
 let dense_commute a_gates b_gates =
@@ -50,7 +58,7 @@ let dense_commute a_gates b_gates =
       (List.concat_map Gate.qubits a_gates @ List.concat_map Gate.qubits b_gates)
   in
   List.length support <= max_check_width
-  && Qgdg.Oracle.dense_on ~n_qubits:(List.length support)
+  && full_commute ~n_qubits:(List.length support)
        (relabel_onto support a_gates)
        (relabel_onto support b_gates)
 
@@ -80,7 +88,7 @@ let blocks_reference a b =
         | Some p_ab, Some p_ba -> (
           match Qdomain.Phase_poly.strict_equal ~eps:1e-9 p_ab p_ba with
           | Some r -> r
-          | None -> Qgdg.Oracle.dense_on ~n_qubits a b)
+          | None -> full_commute ~n_qubits a b)
         | _ -> (
           match
             ( Qdomain.Tableau.of_gates ~n_qubits (a @ b),
@@ -89,15 +97,16 @@ let blocks_reference a b =
           | Some t_ab, Some t_ba ->
             Qdomain.Tableau.equal t_ab t_ba
             &&
-            let s_ab = Qgate.Unitary.state_of_gates ~n_qubits (a @ b) in
-            let s_ba = Qgate.Unitary.state_of_gates ~n_qubits (b @ a) in
-            let ok = ref true in
-            Array.iteri
-              (fun i z ->
-                if Qnum.Cx.abs (Qnum.Cx.sub z s_ba.(i)) > 1e-6 then ok := false)
-              s_ab;
-            !ok
-          | _ -> Qgdg.Oracle.dense_on ~n_qubits a b)
+            (* the global-phase tie-break on column 0 of the full products *)
+            let u_ab = Qgate.Unitary.of_gates ~n_qubits (a @ b) in
+            let u_ba = Qgate.Unitary.of_gates ~n_qubits (b @ a) in
+            List.for_all
+              (fun i ->
+                Qnum.Cx.abs
+                  (Qnum.Cx.sub (Qnum.Cmat.get u_ab i 0) (Qnum.Cmat.get u_ba i 0))
+                <= 1e-6)
+              (List.init (1 lsl n_qubits) Fun.id)
+          | _ -> full_commute ~n_qubits a b)
       end
     end
 

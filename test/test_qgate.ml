@@ -142,7 +142,64 @@ let unitary_cases =
     case "on_support empty raises" (fun () ->
         Alcotest.check_raises "raises"
           (Invalid_argument "Unitary.on_support: empty gate list") (fun () ->
-            ignore (Unitary.on_support []))) ]
+            ignore (Unitary.on_support [])));
+    case "program rejects out-of-range qubits" (fun () ->
+        (* qubit 2 of 2 once shifted by a negative count (the X acted as
+           the identity), qubit 5 indexed past the buffer *)
+        List.iter
+          (fun q ->
+            Alcotest.check_raises
+              (Printf.sprintf "x %d" q)
+              (Invalid_argument
+                 (Printf.sprintf "Unitary.program: qubit %d outside [0, 2)" q))
+              (fun () -> ignore (Unitary.state_of_gates ~n_qubits:2 [ Gate.x q ])))
+          [ 2; 5 ];
+        Alcotest.check_raises "dense_on"
+          (Invalid_argument "Unitary.program: qubit 3 outside [0, 1)")
+          (fun () ->
+            ignore
+              (Qgdg.Oracle.dense_on ~n_qubits:1 [ Gate.x 0 ] [ Gate.z 3 ])));
+    case "program fuses runs into kernels of at most two qubits" (fun () ->
+        let kernels gates =
+          Unitary.kernels (Unitary.program ~n_qubits:3 gates)
+        in
+        (* h before, rz between and x after the pair's 2-qubit gates all
+           fold into one 4×4; a Toffoli starts a three-qubit kernel, which
+           later gates on its qubits fold into *)
+        check_int "one pair run" 1
+          (kernels
+             [ Gate.h 0; Gate.cnot 0 1; Gate.rz 0.3 1; Gate.cnot 0 1; Gate.x 0 ]);
+        check_int "two pairs" 2
+          (kernels [ Gate.h 2; Gate.cnot 0 1; Gate.cz 1 2; Gate.t 1 ]);
+        check_int "toffoli" 2
+          (kernels [ Gate.cnot 0 1; Gate.ccx 0 1 2; Gate.h 2; Gate.cnot 1 0 ]);
+        check_int "empty" 0 (kernels []));
+    (* the fused program against the full product, column by column: gate
+       lists long enough on few enough qubits that most gates fuse *)
+    qcheck ~count:200 "run matches of_gates column by column"
+      QCheck.(int_range 0 10000)
+      (fun seed ->
+        let rng = Qgraph.Rand.create seed in
+        let n = 2 + Qgraph.Rand.int rng 5 in
+        let gates =
+          List.init (Qgraph.Rand.int rng 41) (fun _ ->
+              random_vocabulary_gate rng n)
+        in
+        let u = Unitary.of_gates ~n_qubits:n gates in
+        let p = Unitary.program ~n_qubits:n gates in
+        let dim = 1 lsl n in
+        List.for_all
+          (fun j ->
+            let re = Array.make dim 0. and im = Array.make dim 0. in
+            re.(j) <- 1.;
+            Unitary.run p re im;
+            List.for_all
+              (fun i ->
+                let z = Qnum.Cmat.get u i j in
+                Float.abs (re.(i) -. Qnum.Cx.re z) <= 1e-12
+                && Float.abs (im.(i) -. Qnum.Cx.im z) <= 1e-12)
+              (List.init dim Fun.id))
+          (List.init dim Fun.id)) ]
 
 let circuit_cases =
   [ case "make validates range" (fun () ->

@@ -32,38 +32,6 @@ let random_cnot_rz_gates rng n depth =
       if Qgraph.Rand.bool rng then Gate.rz (Qgraph.Rand.float rng 6.28) q
       else Gate.cnot q ((q + 1 + Qgraph.Rand.int rng (n - 1)) mod n))
 
-(* one gate from the whole vocabulary on n ≥ 3 qubits, angles included *)
-let random_vocabulary_gate rng n =
-  let q = Qgraph.Rand.int rng n in
-  let r = (q + 1 + Qgraph.Rand.int rng (n - 1)) mod n in
-  let angle () = Qgraph.Rand.float rng (2. *. Float.pi) in
-  match Qgraph.Rand.int rng 23 with
-  | 0 -> Gate.id q
-  | 1 -> Gate.x q
-  | 2 -> Gate.y q
-  | 3 -> Gate.z q
-  | 4 -> Gate.h q
-  | 5 -> Gate.s q
-  | 6 -> Gate.sdg q
-  | 7 -> Gate.t q
-  | 8 -> Gate.tdg q
-  | 9 -> Gate.rx (angle ()) q
-  | 10 -> Gate.ry (angle ()) q
-  | 11 -> Gate.rz (angle ()) q
-  | 12 -> Gate.phase (angle ()) q
-  | 13 -> Gate.cnot q r
-  | 14 -> Gate.cz q r
-  | 15 -> Gate.cphase (angle ()) q r
-  | 16 -> Gate.swap q r
-  | 17 -> Gate.iswap q r
-  | 18 -> Gate.sqrt_iswap q r
-  | 19 -> Gate.rxx (angle ()) q r
-  | 20 -> Gate.ryy (angle ()) q r
-  | 21 -> Gate.rzz (angle ()) q r
-  | _ ->
-    let s = List.find (fun s -> s <> q && s <> r) (List.init n Fun.id) in
-    Gate.ccx q r s
-
 (* a block that commutes with [a]: its inverse, or a² when [a] holds an
    iswap-family gate (which has no in-vocabulary adjoint) *)
 let commuting_partner a =
@@ -137,17 +105,21 @@ let commute_cases =
           (Qref.is_diagonal_block (zz 0 1 @ [ Gate.h 0 ]));
         check_bool "empty" true (Qref.is_diagonal_block []));
     (* the matrix-free dense check and the whole oracle against full
-       unitaries, on blocks of up to four gates over the whole vocabulary
-       on 3–6 qubits (so General-class blocks reach the dense route); half
-       the pairs are built to commute, so every column gets compared and
-       not only up to the first mismatch *)
-    qcheck ~count:200 "commute agrees with dense check" QCheck.(int_range 0 10000)
+       unitaries, on blocks over the whole vocabulary on 3–6 qubits (so
+       General-class blocks reach the dense route): half are 1–4 gates,
+       each on its own random pair (single gates and scattered short
+       blocks), half up to 24 gates built as runs on one pair so that the
+       dense check's kernels fuse; half the pairs are built to commute, so
+       every column gets compared and not only up to the first mismatch *)
+    qcheck ~count:400 "commute agrees with dense check" QCheck.(int_range 0 10000)
       (fun seed ->
         let rng = Qgraph.Rand.create seed in
         let n = 3 + Qgraph.Rand.int rng 4 in
         let block () =
-          List.init (1 + Qgraph.Rand.int rng 4) (fun _ ->
-              random_vocabulary_gate rng n)
+          if Qgraph.Rand.bool rng then
+            List.init (1 + Qgraph.Rand.int rng 4) (fun _ ->
+                random_vocabulary_gate rng n)
+          else random_fusing_block rng n
         in
         let a = block () in
         let b = if Qgraph.Rand.bool rng then commuting_partner a else block () in

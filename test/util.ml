@@ -55,6 +55,59 @@ let random_unitary_gates rng n depth =
   done;
   List.rev !gates
 
+(* one gate from the whole vocabulary on n ≥ 2 qubits, angles included:
+   a 1-qubit kind acts on [q], a 2-qubit kind on (q, r), a Toffoli (only
+   when n ≥ 3) on q, r and the lowest other qubit *)
+let random_vocabulary_gate_on rng n q r =
+  let module Gate = Qgate.Gate in
+  let angle () = Qgraph.Rand.float rng (2. *. Float.pi) in
+  match Qgraph.Rand.int rng (if n >= 3 then 23 else 22) with
+  | 0 -> Gate.id q
+  | 1 -> Gate.x q
+  | 2 -> Gate.y q
+  | 3 -> Gate.z q
+  | 4 -> Gate.h q
+  | 5 -> Gate.s q
+  | 6 -> Gate.sdg q
+  | 7 -> Gate.t q
+  | 8 -> Gate.tdg q
+  | 9 -> Gate.rx (angle ()) q
+  | 10 -> Gate.ry (angle ()) q
+  | 11 -> Gate.rz (angle ()) q
+  | 12 -> Gate.phase (angle ()) q
+  | 13 -> Gate.cnot q r
+  | 14 -> Gate.cz q r
+  | 15 -> Gate.cphase (angle ()) q r
+  | 16 -> Gate.swap q r
+  | 17 -> Gate.iswap q r
+  | 18 -> Gate.sqrt_iswap q r
+  | 19 -> Gate.rxx (angle ()) q r
+  | 20 -> Gate.ryy (angle ()) q r
+  | 21 -> Gate.rzz (angle ()) q r
+  | _ ->
+    let s = List.find (fun s -> s <> q && s <> r) (List.init n Fun.id) in
+    Gate.ccx q r s
+
+let random_pair rng n =
+  let q = Qgraph.Rand.int rng n in
+  (q, (q + 1 + Qgraph.Rand.int rng (n - 1)) mod n)
+
+let random_vocabulary_gate rng n =
+  let q, r = random_pair rng n in
+  random_vocabulary_gate_on rng n q r
+
+(* a block that fuses: 1–4 runs of 1–6 vocabulary gates, each run on one
+   random pair, so 1-qubit gates land before, between and after the
+   pair's 2-qubit gates (one after folds into the pair's 2-qubit kernel),
+   and runs on overlapping pairs interleave *)
+let random_fusing_block rng n =
+  List.concat
+    (List.init (1 + Qgraph.Rand.int rng 4) (fun _ ->
+         let q, r = random_pair rng n in
+         List.init (1 + Qgraph.Rand.int rng 6) (fun _ ->
+             if Qgraph.Rand.bool rng then random_vocabulary_gate_on rng n q r
+             else random_vocabulary_gate_on rng n r q)))
+
 let random_unitary rng n depth =
   Qgate.Unitary.of_gates ~n_qubits:n (random_unitary_gates rng n depth)
 

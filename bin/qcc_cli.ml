@@ -579,12 +579,6 @@ let lint_cmd =
         let circuit = load_circuit ~qasm_file:qasm ~benchmark:bench in
         let strategy = Qcc.Strategy.of_string strategy in
         let cfg = config topology width arch in
-        (* static composition check of the pass sequence itself, before
-           running it *)
-        let pipeline_diags =
-          Qlint.Check_pipeline.run ~stage:"pipeline"
-            (Qcc.Compiler.describe_passes strategy)
-        in
         (* semantic lints interpret the input circuit abstractly; the
            aggregation-opportunity lints need the compiled GDG *)
         let semantic_diags =
@@ -611,8 +605,7 @@ let lint_cmd =
         in
         render
           (Qlint.Report.of_list
-             (input_diags @ pipeline_diags @ semantic_diags @ compiled
-              @ aggop_diags))
+             (input_diags @ semantic_diags @ compiled @ aggop_diags))
       end
   in
   let format =

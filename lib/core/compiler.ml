@@ -21,9 +21,7 @@ type result = {
   certificate : Qcert.Certificate.t option;
 }
 
-let passes strategy = List.map Pass.name (Strategy.passes strategy)
-
-let describe_passes strategy = List.map Pass.describe (Strategy.passes strategy)
+let passes strategy = Pass.names (Strategy.passes strategy)
 
 (* Canonical pass order across all strategies, derived from the
    registry: merge each strategy's list into the accumulated order,
@@ -62,7 +60,7 @@ let chain_digest strategy =
   Digest.to_hex
     (Digest.string
        (String.concat "\x00"
-          (List.map Pass.fingerprint (Strategy.passes strategy))))
+          (Pass.fingerprints (Strategy.passes strategy))))
 
 (* canonical QASM bytes, not Marshal: structurally equal circuits get
    equal digests, stable across runs (same fix as Pipeline.root_key) *)

@@ -55,10 +55,9 @@ type result = {
 val passes : Strategy.t -> string list
 (** The span names a traced compile emits for the strategy, in pipeline
     order — each appears exactly once under the root ["compile"] span.
-    Derived from the pass registry ({!Strategy.passes}). *)
-
-val describe_passes : Strategy.t -> (string * string * string) list
-(** [(name, input stage, output stage)] per pass, in pipeline order. *)
+    Read off the strategy's typed pass sequence ({!Strategy.passes}),
+    whose composition the type checker has already proved; uniqueness
+    of the names is the one fact the types leave to a test. *)
 
 val canonical_passes : unit -> string list
 (** The union of all strategies' passes in canonical pipeline order,

@@ -8,9 +8,12 @@
     merge counts survive scheduling and routing, and the route survives
     rebuilds and aggregation.
 
-    The GADT {!stage} names each artifact type at the value level; it is
-    what lets {!Pass.packed} erase pass types for declarative pipelines
-    while {!Pipeline.run} recovers them safely via {!equal_stage}. *)
+    Composition is a type fact: a pass is an [('a, 'b) Pass.t] and a
+    strategy a {!Pass.seq} from [Circuit.t] to {!scheduled}, so a
+    sequence whose stages do not line up does not compile. The GADT
+    {!stage} names a pass's output type at the value level for the one
+    place types are erased at run time — the stage cache, which types a
+    hit via {!equal_stage} and copies a mutable input via {!clone}. *)
 
 module Circuit = Qgate.Circuit
 module Inst = Qgdg.Inst
@@ -91,27 +94,17 @@ type costed = {
 }
 
 type _ stage =
-  | Source : Circuit.t stage
   | Lowered : lowered stage
   | Gdg_built : gdg_built stage
   | Placed : placed stage
   | Routed : routed stage
   | Scheduled : scheduled stage
 
-let stage_name : type a. a stage -> string = function
-  | Source -> "source"
-  | Lowered -> "lowered"
-  | Gdg_built -> "gdg"
-  | Placed -> "placed"
-  | Routed -> "routed"
-  | Scheduled -> "scheduled"
-
 type (_, _) eq = Eq : ('a, 'a) eq
 
 let equal_stage : type a b. a stage -> b stage -> (a, b) eq option =
  fun x y ->
   match (x, y) with
-  | Source, Source -> Some Eq
   | Lowered, Lowered -> Some Eq
   | Gdg_built, Gdg_built -> Some Eq
   | Placed, Placed -> Some Eq
@@ -133,4 +126,4 @@ let clone : type a. a stage -> a -> a =
   | Scheduled ->
     let (r : scheduled) = v in
     { r with gdg = Gdg.copy r.gdg }
-  | Source | Lowered | Placed | Routed -> v
+  | Lowered | Placed | Routed -> v

@@ -12,10 +12,13 @@
       passes use {!Cert_pre} to capture the pre-state they are about to
       destroy; the snapshot is taken only when certification is on.
 
-    The driver ({!Pipeline.run}) interprets the hooks in the fixed order
-    run → note → check → certify. Figures that belong on the enclosing
-    ["compile"] span (lowering's qubit/gate counts) are attached by
-    {!Compiler.compile}, not by a pass. *)
+    A strategy is a {!seq} of passes whose types chain from the source
+    circuit to a scheduled artifact, so composition is checked when the
+    strategy is compiled, not when it runs. The driver ({!Pipeline.run})
+    interprets the hooks in the fixed order run → note → check →
+    certify. Figures that belong on the enclosing ["compile"] span
+    (lowering's qubit/gate counts) are attached by {!Compiler.compile},
+    not by a pass. *)
 
 type ctx = {
   backend : Backend.t;
@@ -88,26 +91,41 @@ type ('a, 'b) certifier =
       -> ('a, 'b) certifier
       (** snapshot the input first — for passes that mutate it in place *)
 
+(** Whether a pass updates its input artifact's GDG in place. Only a
+    stage-preserving pass can: the driver copies a shared input through
+    the output's stage witness ({!Ir.clone}) before running it. *)
+type (_, _) mutation =
+  | Pure : ('a, 'b) mutation
+  | In_place : ('a, 'a) mutation
+
 type ('a, 'b) t = {
   name : string;  (** span name; also the row label in [qcc profile] *)
   fingerprint : string;
       (** distinguishes behavioral variants that share a name (cost
           model, input shape); part of the stage-cache key chain *)
-  inp : 'a Ir.stage;
-  out : 'b Ir.stage;
-  mutates : bool;  (** updates its input artifact's GDG in place *)
+  out : 'b Ir.stage;  (** types a stage-cache hit *)
+  mutates : ('a, 'b) mutation;
   run : ctx -> 'a -> 'b;
   note : (ctx -> 'a -> 'b -> unit) option;
   check : (ctx -> 'a -> 'b -> Qlint.Diagnostic.t list) option;
   certify : ('a, 'b) certifier option;
 }
 
-type packed = P : ('a, 'b) t -> packed
+let make ~name ~fingerprint ~out ?(mutates = Pure) ?note ?check ?certify
+    run =
+  { name; fingerprint; out; mutates; run; note; check; certify }
 
-let make ~name ~fingerprint ~inp ~out ?(mutates = false) ?note ?check
-    ?certify run =
-  { name; fingerprint; inp; out; mutates; run; note; check; certify }
+(** A pass sequence from an ['a] artifact to a ['b] one, in list syntax
+    ([[ lower; route; … ]]): each pass must consume what its predecessor
+    produced, so a mis-ordered or truncated strategy does not compile. *)
+type (_, _) seq =
+  | [] : ('a, 'a) seq
+  | ( :: ) : ('a, 'b) t * ('b, 'c) seq -> ('a, 'c) seq
 
-let name (P p) = p.name
-let fingerprint (P p) = p.fingerprint
-let describe (P p) = (p.name, Ir.stage_name p.inp, Ir.stage_name p.out)
+let rec names : type a b. (a, b) seq -> string list = function
+  | [] -> []
+  | p :: rest -> p.name :: names rest
+
+let rec fingerprints : type a b. (a, b) seq -> string list = function
+  | [] -> []
+  | p :: rest -> p.fingerprint :: fingerprints rest

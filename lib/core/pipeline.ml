@@ -1,18 +1,3 @@
-exception
-  Stage_mismatch of { pass : string; expected : string; got : string }
-
-(* module-init registration, never re-run: Printexc's printer list is
-   only extended here before any domain can spawn *)
-let () =
-  Printexc.register_printer (function
-    | Stage_mismatch { pass; expected; got } ->
-      Some
-        (Printf.sprintf
-           "Pipeline.Stage_mismatch: pass %S expects a %s artifact, got %s"
-           pass expected got)
-    | _ -> None)
-  [@@domain_safety frozen_after_init]
-
 module Cache = struct
   module Monitor = Qobs.Domain_safe.Monitor
 
@@ -132,8 +117,10 @@ let exec :
   let compute () : b =
     (* never mutate a cache-resident artifact: in-place passes get a
        private copy of the graph when sharing is on *)
-    let a = if p.Pass.mutates && cache <> None then Ir.clone p.Pass.inp a
-      else a
+    let a : a =
+      match p.Pass.mutates with
+      | Pass.In_place when cache <> None -> Ir.clone p.Pass.out a
+      | Pass.In_place | Pass.Pure -> a
     in
     Pass.with_span ctx p.Pass.name (fun () ->
         let b = p.Pass.run ctx a in
@@ -200,7 +187,17 @@ let exec :
     b
   | _ -> hooked (produce ())
 
-type boxed = B : 'a Ir.stage * 'a -> boxed
+(* the sequence's type proves each pass consumes its predecessor's
+   artifact; the key chain follows the passes one by one *)
+let rec exec_seq :
+    type a b. Pass.ctx -> Cache.t option -> string option -> (a, b) Pass.seq ->
+    a -> b =
+ fun ctx cache key passes a ->
+  match passes with
+  | [] -> a
+  | p :: rest ->
+    let key = Option.map (fun k -> chain k p.Pass.fingerprint) key in
+    exec_seq ctx cache key rest (exec ctx cache key p a)
 
 let run ~ctx ?cache passes source =
   let key0 =
@@ -208,36 +205,15 @@ let run ~ctx ?cache passes source =
     | Some _ -> Some (root_key ctx.Pass.backend source)
     | None -> None
   in
-  let step acc packed =
-    match (acc, packed) with
-    | (B (st, v), key), Pass.P p ->
-      (match Ir.equal_stage st p.Pass.inp with
-       | None ->
-         raise
-           (Stage_mismatch
-              { pass = p.Pass.name;
-                expected = Ir.stage_name p.Pass.inp;
-                got = Ir.stage_name st })
-       | Some Ir.Eq ->
-         let key = Option.map (fun k -> chain k p.Pass.fingerprint) key in
-         let b = exec ctx cache key p v in
-         (B (p.Pass.out, b), key))
+  let (s : Ir.scheduled) = exec_seq ctx cache key0 passes source in
+  let route =
+    match s.route with
+    | Some r -> r
+    | None -> invalid_arg "Pipeline.run: final schedule is not routed"
   in
-  let final, _ = List.fold_left step (B (Ir.Source, source), key0) passes in
-  match final with
-  | B (Ir.Scheduled, (s : Ir.scheduled)) ->
-    let route =
-      match s.route with
-      | Some r -> r
-      | None -> invalid_arg "Pipeline.run: final schedule is not routed"
-    in
-    { Ir.l = s.l;
-      gdg = s.gdg;
-      schedule = s.schedule;
-      latency = s.schedule.Qsched.Schedule.makespan;
-      merges = s.merges;
-      route }
-  | B (st, _) ->
-    raise
-      (Stage_mismatch
-         { pass = "<end>"; expected = "scheduled"; got = Ir.stage_name st })
+  { Ir.l = s.l;
+    gdg = s.gdg;
+    schedule = s.schedule;
+    latency = s.schedule.Qsched.Schedule.makespan;
+    merges = s.merges;
+    route }

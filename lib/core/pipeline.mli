@@ -3,9 +3,10 @@
     Interprets a declarative pass sequence ({!Strategy.passes}) over the
     typed {!Ir} artifacts, executing each pass's hooks — span, notes,
     lint checkpoint, certification boundary — in the fixed order the
-    hand-written pipelines used. Composition is checked dynamically via
-    the stage witnesses; a sequence whose stages do not line up raises
-    {!Stage_mismatch} on the first bad edge.
+    hand-written pipelines used. Composition needs no run-time check:
+    the sequence is a {!Pass.seq} from the source circuit to a
+    {!Ir.scheduled} artifact, so one whose stages do not line up does not
+    compile.
 
     {2 Stage cache}
 
@@ -35,9 +36,6 @@
     QASM serialization of the source (not its [Marshal] bytes, which are
     sharing-sensitive), so structurally equal circuits share keys. *)
 
-exception
-  Stage_mismatch of { pass : string; expected : string; got : string }
-
 module Cache : sig
   type t
 
@@ -52,8 +50,7 @@ module Cache : sig
 end
 
 val run :
-  ctx:Pass.ctx -> ?cache:Cache.t -> Pass.packed list -> Qgate.Circuit.t ->
-  Ir.costed
-(** Run the sequence on a source circuit. The last pass must produce a
-    routed {!Ir.scheduled} artifact (raises {!Stage_mismatch} otherwise,
-    [Invalid_argument] if it was never routed). *)
+  ctx:Pass.ctx -> ?cache:Cache.t -> (Qgate.Circuit.t, Ir.scheduled) Pass.seq ->
+  Qgate.Circuit.t -> Ir.costed
+(** Run the sequence on a source circuit. Raises [Invalid_argument] if
+    the final schedule was never routed. *)

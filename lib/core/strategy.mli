@@ -1,6 +1,6 @@
 (** Compilation strategies compared in the paper's evaluation (Fig. 9).
 
-    A strategy is a declarative pass sequence over the {!Stages} catalog
+    A strategy is a typed pass sequence over the {!Stages} catalog
     ({!passes}); {!Pipeline.run} interprets it. *)
 
 type t =
@@ -26,8 +26,9 @@ val of_string : string -> t
 
 val pp : Format.formatter -> t -> unit
 
-val passes : t -> Pass.packed list
-(** The strategy as a pass sequence. *)
+val passes : t -> (Qgate.Circuit.t, Ir.scheduled) Pass.seq
+(** The strategy as a pass sequence; its type proves that each pass
+    consumes its predecessor's artifact. *)
 
 val final : t -> Stages.cost * (Qgdg.Gdg.t -> Qsched.Schedule.t)
 (** The block cost the strategy's final graph carries and its final

@@ -73,50 +73,19 @@ let pp ppf d =
 
 let to_string d = Format.asprintf "%a" pp d
 
-(* minimal JSON encoding — no external dependency *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string s = Printf.sprintf "\"%s\"" (json_escape s)
-
-let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.9g" f
-
-let json_int_list is =
-  Printf.sprintf "[%s]" (String.concat "," (List.map string_of_int is))
-
-let to_json d =
-  let fields =
-    [ ("code", json_string d.code);
-      ("severity", json_string (severity_to_string d.severity));
-      ("message", json_string d.message);
-      ("stage",
-       match d.loc.stage with Some s -> json_string s | None -> "null");
-      ("insts", json_int_list d.loc.insts);
-      ("qubits", json_int_list d.loc.qubits);
-      ("gate_index",
-       match d.loc.gate_index with Some k -> string_of_int k | None -> "null");
+let json d =
+  let module J = Qobs.Json in
+  let ints is = J.List (List.map (fun i -> J.Int i) is) in
+  let opt f = function Some x -> f x | None -> J.Null in
+  J.Obj
+    [ ("code", J.Str d.code);
+      ("severity", J.Str (severity_to_string d.severity));
+      ("message", J.Str d.message);
+      ("stage", opt (fun s -> J.Str s) d.loc.stage);
+      ("insts", ints d.loc.insts);
+      ("qubits", ints d.loc.qubits);
+      ("gate_index", opt (fun k -> J.Int k) d.loc.gate_index);
       ("interval",
-       match d.loc.interval with
-       | Some (a, b) ->
-         Printf.sprintf "[%s,%s]" (json_float a) (json_float b)
-       | None -> "null") ]
-  in
-  Printf.sprintf "{%s}"
-    (String.concat ","
-       (List.map (fun (k, v) -> Printf.sprintf "%s:%s" (json_string k) v)
-          fields))
+       opt (fun (a, b) -> J.List [ J.Float a; J.Float b ]) d.loc.interval) ]
+
+let to_json d = Qobs.Json.to_string (json d)

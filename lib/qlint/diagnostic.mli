@@ -13,7 +13,9 @@
     - QL05x aggregation policy
     - QL06x semantic circuit lints (abstract interpretation)
     - QL07x aggregation-opportunity lints
-    - QL08x pass-sequence composition
+
+    Pass-sequence composition needs no code: a strategy is a typed pass
+    sequence, so one whose stages do not line up does not compile.
 
     {!Registry} is the single source of truth mapping each code to its
     family, severity and one-line summary. *)
@@ -29,7 +31,7 @@ type location = {
 }
 
 type t = {
-  code : string;  (** "QL010" … "QL084" (see {!Registry.all}) *)
+  code : string;  (** "QL010" … "QL071" (see {!Registry.all}) *)
   severity : severity;
   message : string;
   loc : location;
@@ -67,6 +69,9 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
-val to_json : t -> string
+val json : t -> Qobs.Json.t
 (** One JSON object; all location fields present ([null]/[[]] when
     absent). *)
+
+val to_json : t -> string
+(** {!json}, rendered compactly. *)

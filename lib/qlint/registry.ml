@@ -13,7 +13,6 @@ let families =
     ("aggregation", "aggregation policy");
     ("semantic", "semantic circuit lints (abstract interpretation)");
     ("aggop", "aggregation-opportunity lints");
-    ("pipeline", "pass-sequence composition");
     ("domain-safety", "ambient mutable state / multi-domain safety (domlint)") ]
 
 let family_title key = List.assoc key families
@@ -75,11 +74,6 @@ let all =
       "adjacent instructions commute algebraically but were never merged";
     e "QL071" "aggop" Info
       "aggregate of commuting diagonal members costed serially";
-    e "QL080" "pipeline" Error "empty pipeline";
-    e "QL081" "pipeline" Error "first pass does not consume the source stage";
-    e "QL082" "pipeline" Error "consecutive passes whose stages do not line up";
-    e "QL083" "pipeline" Error "last pass does not produce the sink stage";
-    e "QL084" "pipeline" Error "duplicate pass name";
   ]
 
 let find code = List.find_opt (fun (entry : entry) -> entry.code = code) all

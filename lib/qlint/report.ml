@@ -68,11 +68,14 @@ let pp_text ppf r =
   Format.fprintf ppf "%s@." (summary r)
 
 let to_json r =
+  let module J = Qobs.Json in
   let e, w, i = counts r in
-  Printf.sprintf
-    "{\"diagnostics\":[%s],\"errors\":%d,\"warnings\":%d,\"infos\":%d}"
-    (String.concat "," (List.map Diagnostic.to_json r.diagnostics))
-    e w i
+  J.to_string
+    (J.Obj
+       [ ("diagnostics", J.List (List.map Diagnostic.json r.diagnostics));
+         ("errors", J.Int e);
+         ("warnings", J.Int w);
+         ("infos", J.Int i) ])
 
 let pp_json ppf r = Format.fprintf ppf "%s@." (to_json r)
 

@@ -63,14 +63,10 @@ let diagonal m =
   if m.r <> m.c then invalid_arg "Cmat.diagonal: not square";
   Array.init m.r (fun i -> get m i i)
 
-let map2 name f a b =
-  if a.r <> b.r || a.c <> b.c then
-    invalid_arg (Printf.sprintf "Cmat.%s: dimension mismatch" name);
-  init a.r a.c (fun i j -> f (get a i j) (get b i j))
+let add a b =
+  if a.r <> b.r || a.c <> b.c then invalid_arg "Cmat.add: dimension mismatch";
+  init a.r a.c (fun i j -> Cx.add (get a i j) (get b i j))
 
-let add a b = map2 "add" Cx.add a b
-let sub a b = map2 "sub" Cx.sub a b
-let neg a = init a.r a.c (fun i j -> Cx.neg (get a i j))
 let scale z a = init a.r a.c (fun i j -> Cx.mul z (get a i j))
 let scale_real s a = init a.r a.c (fun i j -> Cx.scale s (get a i j))
 
@@ -104,7 +100,6 @@ let rec pow m k =
   else mul m (pow m (k - 1))
 
 let transpose m = init m.c m.r (fun i j -> get m j i)
-let conj m = init m.r m.c (fun i j -> Cx.conj (get m i j))
 let dagger m = init m.c m.r (fun i j -> Cx.conj (get m j i))
 
 let trace m =
@@ -151,9 +146,6 @@ let apply m v =
     oim.(i) <- !si
   done;
   out
-
-let column m j = Vec.init m.r (fun i -> get m i j)
-let row m i = Vec.init m.c (fun j -> get m i j)
 
 let max_abs m =
   let worst = ref 0. in
@@ -335,9 +327,10 @@ let embed_frame ~name ~n_qubits ~targets u =
   List.iter
     (fun q ->
       if q < 0 || q >= n_qubits then
-        invalid_arg (Printf.sprintf "Cmat.%s: qubit out of range" name);
+        invalid_arg
+          (Printf.sprintf "Cmat.%s: qubit %d outside [0, %d)" name q n_qubits);
       if Hashtbl.mem seen q then
-        invalid_arg (Printf.sprintf "Cmat.%s: duplicate target" name);
+        invalid_arg (Printf.sprintf "Cmat.%s: duplicate target qubit %d" name q);
       Hashtbl.add seen q ())
     targets;
   let target_bits = Array.of_list (List.map (bit_of_qubit n_qubits) targets) in
@@ -439,18 +432,3 @@ let permute_qubits perm u =
     done
   done;
   m
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to m.r - 1 do
-    Format.fprintf ppf "[@[<hov>";
-    for j = 0 to m.c - 1 do
-      if j > 0 then Format.fprintf ppf ",@ ";
-      Cx.pp ppf (get m i j)
-    done;
-    Format.fprintf ppf "@]]";
-    if i < m.r - 1 then Format.fprintf ppf "@,"
-  done;
-  Format.fprintf ppf "@]"
-
-let to_string m = Format.asprintf "%a" pp m

@@ -32,8 +32,6 @@ val diagonal : t -> Cx.t array
 (** Diagonal entries of a square matrix. *)
 
 val add : t -> t -> t
-val sub : t -> t -> t
-val neg : t -> t
 val scale : Cx.t -> t -> t
 val scale_real : float -> t -> t
 val mul : t -> t -> t
@@ -43,7 +41,6 @@ val pow : t -> int -> t
 (** [pow m k] for square [m], [k >= 0]. *)
 
 val transpose : t -> t
-val conj : t -> t
 val dagger : t -> t
 (** Conjugate transpose. *)
 
@@ -56,9 +53,6 @@ val kron_list : t list -> t
 
 val apply : t -> Vec.t -> Vec.t
 (** Matrix–vector product. *)
-
-val column : t -> int -> Vec.t
-val row : t -> int -> Vec.t
 
 val max_abs_diff : t -> t -> float
 val frobenius_norm : t -> float
@@ -109,6 +103,3 @@ val mul_embedded : n_qubits:int -> targets:int list -> t -> t -> t
 val permute_qubits : int array -> t -> t
 (** [permute_qubits perm u] relabels the qubits of a 2ⁿ×2ⁿ matrix:
     qubit [q] of the input becomes qubit [perm.(q)] of the output. *)
-
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string

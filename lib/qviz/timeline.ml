@@ -1,38 +1,23 @@
 module Inst = Qgdg.Inst
 module Schedule = Qsched.Schedule
 
-let json_escape s =
-  String.concat ""
-    (List.map
-       (fun c ->
-         match c with
-         | '"' -> "\\\""
-         | '\\' -> "\\\\"
-         | '\n' -> "\\n"
-         | c -> String.make 1 c)
-       (List.init (String.length s) (String.get s)))
-
 let to_json (s : Schedule.t) =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"n_qubits\": %d, \"makespan\": %.6f, \"entries\": ["
-       s.Schedule.n_qubits s.Schedule.makespan);
-  List.iteri
-    (fun k (e : Schedule.entry) ->
-      if k > 0 then Buffer.add_string buf ", ";
-      let i = e.Schedule.inst in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"id\": %d, \"start\": %.6f, \"finish\": %.6f, \"qubits\": [%s], \"gates\": [%s]}"
-           i.Inst.id e.Schedule.start e.Schedule.finish
-           (String.concat ", " (List.map string_of_int i.Inst.qubits))
-           (String.concat ", "
-              (List.map
-                 (fun g -> Printf.sprintf "\"%s\"" (json_escape (Qgate.Gate.to_string g)))
-                 i.Inst.gates))))
-    s.Schedule.entries;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let module J = Qobs.Json in
+  let gate g = J.Str (Qgate.Gate.to_string g) in
+  let entry (e : Schedule.entry) =
+    let i = e.Schedule.inst in
+    J.Obj
+      [ ("id", J.Int i.Inst.id);
+        ("start", J.Float e.Schedule.start);
+        ("finish", J.Float e.Schedule.finish);
+        ("qubits", J.List (List.map (fun q -> J.Int q) i.Inst.qubits));
+        ("gates", J.List (List.map gate i.Inst.gates)) ]
+  in
+  J.to_string
+    (J.Obj
+       [ ("n_qubits", J.Int s.Schedule.n_qubits);
+         ("makespan", J.Float s.Schedule.makespan);
+         ("entries", J.List (List.map entry s.Schedule.entries)) ])
 
 (* read-only colour table *)
 let palette =

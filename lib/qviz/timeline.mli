@@ -6,7 +6,8 @@
 
 val to_json : Qsched.Schedule.t -> string
 (** `{"n_qubits": …, "makespan": …, "entries": [{"id", "start",
-    "finish", "qubits", "gates"}…]}` — minimal, dependency-free JSON. *)
+    "finish", "qubits", "gates"}…]}`, rendered compactly by
+    {!Qobs.Json}. *)
 
 val to_svg :
   ?width:int -> ?lane_height:int -> Qsched.Schedule.t -> string

@@ -163,17 +163,22 @@ let cache_cases =
 let run_passes passes =
   Pipeline.run ~ctx:(Pass.ctx ()) passes (circuit_of "maxcut-line")
 
-let expect_mismatch ~pass ~expected ~got passes =
-  match run_passes passes with
-  | _ -> Alcotest.failf "%s: sequence ran to the end" pass
-  | exception Pipeline.Stage_mismatch m ->
-    Alcotest.(check (triple string string string))
-      "mismatch" (pass, expected, got) (m.pass, m.expected, m.got)
-
 let expect_invalid msg passes =
   match run_passes passes with
   | _ -> Alcotest.failf "no Invalid_argument %S" msg
   | exception Invalid_argument m -> Alcotest.(check string) "message" msg m
+
+(* the compiler's complaint about a sequence under test/ill_typed/: the
+   dune rule fails unless compilation does, and a type error (not, say,
+   an unbound module) must name the stage that does not line up *)
+let expect_type_error name stage =
+  let ic = open_in_bin (Printf.sprintf "ill_typed/%s.err" name) in
+  let err = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  check_bool (name ^ ": type error") true
+    (contains ~needle:"This expression has type" err);
+  check_bool (Printf.sprintf "%s: names %s" name stage) true
+    (contains ~needle:stage err)
 
 let attr_int (span : Qobs.Span.t) key =
   match List.assoc_opt key span.Qobs.Span.attrs with
@@ -187,18 +192,13 @@ let registry_cases =
             let c = run_passes (Strategy.passes s) in
             check_bool (Strategy.to_string s) true (c.Ir.latency > 0.))
           Strategy.all);
+    (* composition is a type fact: test/ill_typed/dune compiles sequences
+       that must not type-check and captures the compiler's complaint *)
     case "truncated sequence is rejected" (fun () ->
-        List.iter
-          (fun s ->
-            match List.tl (Strategy.passes s) with
-            | (Pass.P p :: _) as passes ->
-              expect_mismatch ~pass:p.Pass.name ~expected:"lowered"
-                ~got:"source" passes
-            | [] -> Alcotest.failf "%s: one pass" (Strategy.to_string s))
-          Strategy.all);
+        expect_type_error "truncated" "Ir.lowered";
+        expect_type_error "misordered" "Ir.placed");
     case "a sequence that stops before schedule is rejected" (fun () ->
-        expect_mismatch ~pass:"<end>" ~expected:"scheduled" ~got:"gdg"
-          Stages.[ lower; gdg_of_lowered ~cost:Serial ~lint:false ]);
+        expect_type_error "unfinished" "Ir.scheduled");
     case "aggregate refuses an unrouted graph" (fun () ->
         expect_invalid "Stages.aggregate: unrouted GDG"
           Stages.
@@ -230,27 +230,29 @@ let registry_cases =
                | spans ->
                  Alcotest.failf "%s: %d route spans" where (List.length spans)))
           Strategy.all);
-    case "describe_passes is lint-clean" (fun () ->
+    case "pass names are unique and name the compile span's children"
+      (fun () ->
+        (* the one composition fact types cannot state: span names must
+           be unique within a strategy, and they are exactly the spans a
+           traced compile opens under its root *)
+        let circuit = circuit_of "maxcut-line" in
         List.iter
-          (fun s ->
-            check_int
-              (Strategy.to_string s)
-              0
-              (List.length
-                 (Qlint.Check_pipeline.run (Compiler.describe_passes s))))
+          (fun strategy ->
+            let where = Strategy.to_string strategy in
+            let names = Compiler.passes strategy in
+            check_int (where ^ " unique") (List.length names)
+              (List.length (List.sort_uniq compare names));
+            let obs = Qobs.Trace.create () in
+            let r = Compiler.compile ~obs ~strategy circuit in
+            match r.Compiler.trace with
+            | None -> Alcotest.failf "%s: no trace" where
+            | Some root ->
+              Alcotest.(check (list string))
+                (where ^ " spans") names
+                (List.map
+                   (fun (s : Qobs.Span.t) -> s.Qobs.Span.name)
+                   (Qobs.Span.children root)))
           Strategy.all);
-    case "check_pipeline flags bad compositions" (fun () ->
-        let bad = [ ("route", "placed", "routed"); ("lower", "source", "lowered") ] in
-        let codes =
-          List.map
-            (fun (d : Qlint.Diagnostic.t) -> d.Qlint.Diagnostic.code)
-            (Qlint.Check_pipeline.run bad)
-        in
-        check_bool "QL081" true (List.mem "QL081" codes);
-        check_bool "QL082" true (List.mem "QL082" codes);
-        check_bool "QL083" true (List.mem "QL083" codes);
-        check_int "empty" 1
-          (List.length (Qlint.Check_pipeline.run [])));
     case "raising pass leaves the trace balanced" (fun () ->
         (* a pass that raises mid-run (as a failing lint checkpoint under
            ~check:true would) must still close its span, leave the open
@@ -260,15 +262,10 @@ let registry_cases =
         let lint = ref [] in
         let ctx = Qcc.Pass.ctx ~obs ~metrics ~lint () in
         let boom =
-          Pass.P
-            (Pass.make ~name:"boom" ~fingerprint:"boom/test" ~inp:Ir.Lowered
-               ~out:Ir.Lowered (fun _ _ -> failwith "boom"))
+          Pass.make ~name:"boom" ~fingerprint:"boom/test" ~out:Ir.Scheduled
+            (fun _ (_ : Ir.lowered) -> failwith "boom")
         in
-        let passes =
-          match Strategy.passes Strategy.Isa with
-          | lower :: _ -> [ lower; boom ]
-          | [] -> Alcotest.fail "isa strategy has no passes"
-        in
+        let passes = Pass.[ Stages.lower; boom ] in
         let circuit = circuit_of "maxcut-line" in
         (try
            ignore

@@ -392,7 +392,6 @@ let mli_of_family = function
   | "aggregation" -> "check_agg.mli"
   | "semantic" -> "check_semantic.mli"
   | "aggop" -> "check_aggop.mli"
-  | "pipeline" -> "check_pipeline.mli"
   (* DS0xx is emitted by tools/domlint, not a qlint checker; the codes
      are documented where they are registered *)
   | "domain-safety" -> "registry.mli"

@@ -159,6 +159,18 @@ let unitary_cases =
           (fun () ->
             ignore
               (Qgdg.Oracle.dense_on ~n_qubits:1 [ Gate.x 0 ] [ Gate.z 3 ])));
+    case "of_gates names the bad qubit" (fun () ->
+        Alcotest.check_raises "out of range"
+          (Invalid_argument "Cmat.mul_embedded: qubit 3 outside [0, 2)")
+          (fun () ->
+            ignore (Unitary.of_gates ~n_qubits:2 [ Gate.h 0; Gate.cnot 0 3 ]));
+        (* a hand-built record skips Gate.make's repeated-qubit check *)
+        Alcotest.check_raises "duplicate"
+          (Invalid_argument "Cmat.mul_embedded: duplicate target qubit 1")
+          (fun () ->
+            ignore
+              (Unitary.of_gates ~n_qubits:2
+                 [ { Gate.kind = Gate.Cnot; qubits = [ 1; 1 ] } ])));
     case "program fuses runs into kernels of at most two qubits" (fun () ->
         let kernels gates =
           Unitary.kernels (Unitary.program ~n_qubits:3 gates)

@@ -214,7 +214,8 @@ let cmat_cases =
         check_mat "forward is cnot" cnot fwd;
         check_bool "reversed differs" false (Cmat.equal fwd rev));
     case "embed duplicate raises" (fun () ->
-        Alcotest.check_raises "raises" (Invalid_argument "Cmat.embed: duplicate target")
+        Alcotest.check_raises "raises"
+          (Invalid_argument "Cmat.embed: duplicate target qubit 0")
           (fun () ->
             ignore
               (Cmat.embed ~n_qubits:2 ~targets:[ 0; 0 ]

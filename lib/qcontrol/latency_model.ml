@@ -1,15 +1,17 @@
 open Qnum
 module Gate = Qgate.Gate
 
-(* All four memos (per-gate-kind, per-segment-shape and per-block-shape
-   costs, per-2-qubit-shape Weyl coordinates) live in one per-domain
-   slot: every entry is a pure function of its key, so per-domain
-   re-warming keeps costs deterministic while no write can race. *)
+(* All five memos (per-gate-kind, per-segment-shape and per-block-shape
+   costs, per-2-qubit-shape Weyl coordinates, canonical gates per
+   coordinates) live in one per-domain slot: every entry is a pure
+   function of its key, so per-domain re-warming keeps costs
+   deterministic while no write can race. *)
 type memo_state = {
   gate : (Device.t * Gate.kind, float) Hashtbl.t;
   segment : (Device.t * string, float) Hashtbl.t;
   block : (Device.t * int * string, float) Hashtbl.t;
   coords : (string, Weyl.coords) Hashtbl.t;
+  canonical : (Weyl.coords, Cmat.t) Hashtbl.t;
 }
 
 let memos =
@@ -17,7 +19,8 @@ let memos =
       { gate = Hashtbl.create 64;
         segment = Hashtbl.create 1024;
         block = Hashtbl.create 256;
-        coords = Hashtbl.create 256 })
+        coords = Hashtbl.create 256;
+        canonical = Hashtbl.create 64 })
   [@@domain_safety domain_local]
 
 (* idempotent; clears the calling domain's tables only *)
@@ -26,7 +29,8 @@ let reset_memos () =
   Hashtbl.reset m.gate;
   Hashtbl.reset m.segment;
   Hashtbl.reset m.block;
-  Hashtbl.reset m.coords
+  Hashtbl.reset m.coords;
+  Hashtbl.reset m.canonical
 
 let one_qubit_unitary_time device u =
   if Cmat.rows u <> 2 || Cmat.cols u <> 2 then
@@ -62,6 +66,17 @@ let local_factors u =
   in
   (a, b)
 
+(* CAN(c), memoized by the coordinates ([memos].canonical): many 2-qubit
+   shapes share a class, and each miss is a matrix exponential *)
+let canonical_gate c =
+  let canonical_memo = (Qobs.Domain_safe.Local.get memos).canonical in
+  match Hashtbl.find_opt canonical_memo c with
+  | Some g -> g
+  | None ->
+    let g = Weyl.canonical_gate c in
+    Hashtbl.replace canonical_memo c g;
+    g
+
 (* [c] is [u]'s Weyl coordinates *)
 let two_qubit_time device u c =
   let t_int = Weyl.interaction_time device c in
@@ -81,7 +96,7 @@ let two_qubit_time device u c =
     let layers =
       if Cmat.is_diagonal ~eps:1e-9 u then
         match device.Device.interaction with Device.Zz -> 0. | _ -> 2.
-      else if Cmat.equal_up_to_phase ~eps:1e-7 u (Weyl.canonical_gate c) then
+      else if Cmat.equal_up_to_phase ~eps:1e-7 u (canonical_gate c) then
         match device.Device.interaction with
         | Device.Xy -> 0.
         | Device.Zz -> 2.
@@ -157,82 +172,93 @@ and isa_critical_path device gates =
       Float.max acc finish)
     0. gates
 
+(* the qubits a block touches, ascending and without repeats *)
+let support_of gates =
+  Array.of_list (List.sort_uniq Int.compare (List.concat_map Gate.qubits gates))
+
+(* a block qubit's label: its index in the block's [support] *)
+let label support q =
+  let lo = ref 0 and hi = ref (Array.length support - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if support.(mid) < q then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
 (* split a block into maximal runs confined to one qubit (pair); a run is
-   closed as soon as one of its qubits is coupled elsewhere *)
-let segments gates =
-  let owner : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let segs : (int, Gate.t list * int list) Hashtbl.t = Hashtbl.create 16 in
-  let order = ref [] in
-  let next_id = ref 0 in
-  let close_segment id =
-    let _, support = Hashtbl.find segs id in
-    List.iter
-      (fun q ->
-        match Hashtbl.find_opt owner q with
-        | Some o when o = id -> Hashtbl.remove owner q
-        | Some _ | None -> ())
-      support
+   closed as soon as one of its qubits is coupled elsewhere. Runs are
+   numbered in creation order and tracked by the labels of their qubits;
+   each comes back with those labels, ascending. *)
+let segments_on support gates =
+  let n = List.length gates in
+  let owner = Array.make (Array.length support) (-1) in
+  let members = Array.make n [] and labels = Array.make n [] in
+  let alive = Array.make n false in
+  let next = ref 0 in
+  let close id =
+    List.iter (fun l -> if owner.(l) = id then owner.(l) <- -1) labels.(id)
   in
-  let new_segment g qs =
-    let id = !next_id in
-    incr next_id;
-    Hashtbl.replace segs id ([ g ], qs);
-    order := id :: !order;
-    List.iter (fun q -> Hashtbl.replace owner q id) qs;
+  let open_run gs ls =
+    let id = !next in
+    incr next;
+    members.(id) <- gs;
+    labels.(id) <- ls;
+    alive.(id) <- true;
+    List.iter (fun l -> owner.(l) <- id) ls;
     id
   in
   List.iter
     (fun g ->
-      let qs = Gate.qubits g in
-      let owners = List.sort_uniq compare (List.filter_map (Hashtbl.find_opt owner) qs) in
+      let ls = List.map (label support) (Gate.qubits g) in
+      let wide = List.length ls > 2 in
+      (* a wider-than-pair gate is its own run, closed immediately *)
+      let fresh () =
+        let id = open_run [ g ] ls in
+        if wide then close id
+      in
+      let owners =
+        List.sort_uniq Int.compare
+          (List.filter_map
+             (fun l -> if owner.(l) < 0 then None else Some owner.(l))
+             ls)
+      in
       match owners with
-      | [] ->
-        if List.length qs <= 2 then ignore (new_segment g qs)
-        else begin
-          (* wider-than-pair gate: its own segment, closed immediately *)
-          let id = new_segment g qs in
-          close_segment id
-        end
+      | [] -> fresh ()
       | [ id ] ->
-        let seg_gates, support = Hashtbl.find segs id in
-        let union = List.sort_uniq compare (qs @ support) in
-        if List.length union <= 2 && List.length qs <= 2 then begin
-          Hashtbl.replace segs id (g :: seg_gates, union);
-          List.iter (fun q -> Hashtbl.replace owner q id) qs
+        let union = List.sort_uniq Int.compare (ls @ labels.(id)) in
+        if List.length union <= 2 && not wide then begin
+          members.(id) <- g :: members.(id);
+          labels.(id) <- union;
+          List.iter (fun l -> owner.(l) <- id) ls
         end
         else begin
-          close_segment id;
-          let nid = new_segment g qs in
-          if List.length qs > 2 then close_segment nid
+          close id;
+          fresh ()
         end
       | _ :: _ :: _ ->
-        let union_support =
-          List.concat_map (fun id -> snd (Hashtbl.find segs id)) owners
+        let union =
+          List.sort_uniq Int.compare
+            (ls @ List.concat_map (fun id -> labels.(id)) owners)
         in
-        let union = List.sort_uniq compare (qs @ union_support) in
-        let all_gates =
-          List.concat_map (fun id -> List.rev (fst (Hashtbl.find segs id))) owners
-        in
+        List.iter close owners;
         if List.length union <= 2 then begin
           (* merge (only possible when joining two 1-qubit runs) *)
-          List.iter close_segment owners;
-          List.iter (fun id -> Hashtbl.remove segs id) owners;
-          order := List.filter (fun id -> not (List.mem id owners)) !order;
-          let id = !next_id in
-          incr next_id;
-          Hashtbl.replace segs id (g :: List.rev all_gates, union);
-          order := id :: !order;
-          List.iter (fun q -> Hashtbl.replace owner q id) union
+          let all = List.concat_map (fun id -> List.rev members.(id)) owners in
+          List.iter (fun id -> alive.(id) <- false) owners;
+          ignore (open_run (g :: List.rev all) union)
         end
-        else begin
-          List.iter close_segment owners;
-          let nid = new_segment g qs in
-          if List.length qs > 2 then close_segment nid
-        end)
+        else fresh ())
     gates;
-  List.rev_map
-    (fun id -> List.rev (fst (Hashtbl.find segs id)))
-    !order
+  List.filter_map
+    (fun id ->
+      if alive.(id) then
+        Some
+          ( List.rev members.(id),
+            Array.of_list (List.sort_uniq Int.compare labels.(id)) )
+      else None)
+    (List.init !next Fun.id)
+
+let segments gates = List.map fst (segments_on (support_of gates) gates)
 
 (* calibrated against the paper's Fig. 10: serialized applications keep
    gaining until the 10-qubit control limit, with critical-path
@@ -243,12 +269,10 @@ let width_discount k = Float.max 0.25 (1.4 /. float_of_int k)
    content-addressed key ({!Gate.add_key}): every cost below depends only
    on the relative qubit pattern, so congruent blocks on different wires
    share entries. Float parameters are keyed by their exact bit
-   patterns. *)
+   patterns. The local index is the qubit's {!label}. *)
 let block_shape support gates =
-  let local = Hashtbl.create 8 in
-  List.iteri (fun k q -> Hashtbl.replace local q k) support;
   let key = Buffer.create 64 in
-  List.iter (Gate.add_key key ~qubit:(Hashtbl.find local)) gates;
+  List.iter (Gate.add_key key ~qubit:(label support)) gates;
   Buffer.contents key
 
 (* Weyl coordinates of a 2-qubit shape's composed unitary [u ()],
@@ -269,21 +293,20 @@ let shape_coords shape u =
    its composed unitary (2q) or the geodesic rotation time (1q) — what no
    pulse optimizer can undercut on that segment's qubits. Memoized by
    relabelled shape ([memos].segment), since segment shapes recur
-   constantly. *)
-let segment_irreducible device seg =
+   constantly. [support] and [shape] are the segment's {!support_of} and
+   {!block_shape}. *)
+let segment_irreducible device seg support shape =
   let segment_memo = (Qobs.Domain_safe.Local.get memos).segment in
-  let support = List.sort_uniq compare (List.concat_map Gate.qubits seg) in
-  let shape = block_shape support seg in
   let key = (device, shape) in
   match Hashtbl.find_opt segment_memo key with
   | Some t -> t
   | None ->
     let t =
-      match support with
-      | [ _ ] ->
+      match Array.length support with
+      | 1 ->
         let _, u = Qgate.Unitary.on_support seg in
         one_qubit_unitary_time device u
-      | [ _; _ ] ->
+      | 2 ->
         Weyl.interaction_time device
           (shape_coords shape (fun () -> snd (Qgate.Unitary.on_support seg)))
       | _ -> isa_critical_path device seg
@@ -294,11 +317,16 @@ let segment_irreducible device seg =
 (* whole-block costs, the analogue of the gate memo for aggregates,
    under the same relabelled {!block_shape} key ([memos].block) *)
 let rec block_time ?(width_limit = 10) device gates =
-  Qobs.Metrics.tick "latency_model.block_queries";
   if gates = [] then invalid_arg "Latency_model.block_time: empty block";
+  let support = support_of gates in
+  shaped_block_time ~width_limit device gates support
+    (block_shape support gates)
+
+(* [block_time] of a block whose {!support_of} and {!block_shape} are
+   already known: a wider block computes both once per segment *)
+and shaped_block_time ~width_limit device gates support shape =
+  Qobs.Metrics.tick "latency_model.block_queries";
   let block_memo = (Qobs.Domain_safe.Local.get memos).block in
-  let support = List.sort_uniq compare (List.concat_map Gate.qubits gates) in
-  let shape = block_shape support gates in
   let key = (device, width_limit, shape) in
   match Hashtbl.find_opt block_memo key with
   | Some t ->
@@ -310,7 +338,7 @@ let rec block_time ?(width_limit = 10) device gates =
     t
 
 and block_time_uncached ~width_limit device gates support shape =
-  let k = List.length support in
+  let k = Array.length support in
   let isa = isa_critical_path device gates in
   if k > width_limit then isa
   else if k = 1 then begin
@@ -322,51 +350,50 @@ and block_time_uncached ~width_limit device gates support shape =
     Float.min isa (two_qubit_time device u (shape_coords shape (fun () -> u)))
   end
   else begin
-    let segs = segments gates in
     let costed =
-      List.map (fun seg -> (seg, block_time ~width_limit device seg)) segs
+      List.map
+        (fun (seg, labels) ->
+          let seg_support = Array.map (Array.get support) labels in
+          let shape = block_shape seg_support seg in
+          ( seg, seg_support, labels, shape,
+            shaped_block_time ~width_limit device seg seg_support shape ))
+        (segments_on support gates)
     in
     (* makespan over segments with per-qubit availability *)
-    let ready : (int, float) Hashtbl.t = Hashtbl.create 16 in
+    let ready = Array.make k 0. in
     let makespan =
       List.fold_left
-        (fun acc (seg, cost) ->
-          let qs =
-            List.sort_uniq compare (List.concat_map Gate.qubits seg)
-          in
+        (fun acc (_, _, labels, _, cost) ->
           let start =
-            List.fold_left
-              (fun m q ->
-                Float.max m (Option.value ~default:0. (Hashtbl.find_opt ready q)))
-              0. qs
+            Array.fold_left (fun m l -> Float.max m ready.(l)) 0. labels
           in
           let finish = start +. cost in
-          List.iter (fun q -> Hashtbl.replace ready q finish) qs;
+          Array.iter (fun l -> ready.(l) <- finish) labels;
           Float.max acc finish)
         0. costed
     in
-    let hardest = List.fold_left (fun m (_, c) -> Float.max m c) 0. costed in
+    let hardest =
+      List.fold_left (fun m (_, _, _, _, c) -> Float.max m c) 0. costed
+    in
     (* per-qubit busy bound: a qubit cannot spend less than the sum of the
        irreducible interaction times of its segments — this keeps the
        width discount from crediting already-parallel content (the
        paper's Fig. 10 saturation for parallel applications) *)
-    let busy : (int, float) Hashtbl.t = Hashtbl.create 16 in
+    let busy = Array.make k 0. in
     List.iter
-      (fun (seg, cost) ->
+      (fun (seg, seg_support, labels, shape, cost) ->
         (* a segment's share of its qubits' time cannot drop below its
            interaction content, nor below 3/4 of its own optimized pulse
            (cross-segment co-optimization recovers at most the local-layer
            slack, calibrated against the paper's Fig. 10 saturation) *)
         let share =
-          Float.max (segment_irreducible device seg) (0.75 *. cost)
+          Float.max
+            (segment_irreducible device seg seg_support shape)
+            (0.75 *. cost)
         in
-        List.iter
-          (fun q ->
-            let prev = Option.value ~default:0. (Hashtbl.find_opt busy q) in
-            Hashtbl.replace busy q (prev +. share))
-          (List.sort_uniq compare (List.concat_map Gate.qubits seg)))
+        Array.iter (fun l -> busy.(l) <- busy.(l) +. share) labels)
       costed;
-    let busiest = Hashtbl.fold (fun _ v acc -> Float.max v acc) busy 0. in
+    let busiest = Array.fold_left Float.max 0. busy in
     Float.min isa
       (Float.max busiest (Float.max hardest (width_discount k *. makespan)))
   end

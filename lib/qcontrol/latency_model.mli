@@ -47,12 +47,14 @@ val block_time : ?width_limit:int -> Device.t -> Qgate.Gate.t list -> float
 val segments : Qgate.Gate.t list -> Qgate.Gate.t list list
 (** The locally-optimizable segmentation used by {!block_time}: maximal
     runs of gates confined to one qubit pair (or one qubit), split when an
-    interleaved gate couples a run's qubit elsewhere. Exposed for tests
-    and for the aggregation heuristic. *)
+    interleaved gate couples a run's qubit elsewhere. Exposed for tests. *)
 
 val reset_memos : unit -> unit
-(** Clear the calling domain's gate/segment/block cost memos and its
-    memo of Weyl coordinates per 2-qubit shape, which {!block_time}
-    shares between 2-qubit blocks and the 2-qubit segments of wider ones
-    (they are per-domain, see [Qobs.Domain_safe.Local]). Idempotent;
-    subsequent queries re-warm from cold with identical results. *)
+(** Clear the calling domain's five latency memos (they are per-domain,
+    see [Qobs.Domain_safe.Local]): gate costs per device and gate kind;
+    segment bounds per device and relabelled segment shape; block costs
+    per device, width limit and relabelled block shape; Weyl coordinates
+    per 2-qubit shape, which {!block_time} shares between 2-qubit blocks
+    and the 2-qubit segments of wider ones; and canonical gates
+    CAN(c₁,c₂,c₃) per coordinates. Idempotent; subsequent queries re-warm
+    from cold with identical results. *)

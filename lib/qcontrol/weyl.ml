@@ -38,7 +38,7 @@ let canonicalize (a, b, cc) =
   | [ c1; c2; c3 ] -> { c1; c2; c3 }
   | _ -> assert false
 
-let coordinates u =
+let gram u =
   if Cmat.rows u <> 4 || Cmat.cols u <> 4 then
     invalid_arg "Weyl.coordinates: expected a 4x4 matrix";
   if not (Cmat.is_unitary ~eps:1e-7 u) then
@@ -48,16 +48,23 @@ let coordinates u =
   let root = Cx.pow d (Cx.of_float (-0.25)) in
   let su = Cmat.scale root u in
   let m = Cmat.mul (Cmat.dagger magic) (Cmat.mul su magic) in
-  let t = Cmat.mul m (Cmat.transpose m) in
-  let eigs = Eig.eigenvalues t in
-  (* eigenphases of M·Mᵀ are 2φ_k; any consistent assignment of
-     (φ_a+φ_c)/2-style combinations lands in the symmetry orbit of the true
-     coordinates, which canonicalization quotients out *)
+  Cmat.mul m (Cmat.transpose m)
+
+(* eigenphases of M·Mᵀ are 2φ_k; any consistent assignment of
+   (φ_a+φ_c)/2-style combinations lands in the symmetry orbit of the true
+   coordinates, which canonicalization quotients out *)
+let of_eigenvalues eigs =
   let phi = Array.map (fun lam -> Cx.arg lam /. 2.) eigs in
   canonicalize
     ( (phi.(0) +. phi.(2)) /. 2.,
       (phi.(1) +. phi.(2)) /. 2.,
       (phi.(0) +. phi.(1)) /. 2. )
+
+let coordinates u =
+  let { Poly.roots; capped } = Eig.eigenvalues (gram u) in
+  Qobs.Metrics.tick "weyl.calls";
+  if capped then Qobs.Metrics.tick "weyl.capped";
+  of_eigenvalues roots
 
 let canonical_gate { c1; c2; c3 } =
   let xx = Cmat.kron Qgate.Unitary.pauli_x Qgate.Unitary.pauli_x in

@@ -17,7 +17,19 @@ type coords = { c1 : float; c2 : float; c3 : float }
 (** Canonical, with π/4 ≥ c1 ≥ c2 ≥ c3 ≥ 0. *)
 
 val coordinates : Qnum.Cmat.t -> coords
-(** Raises [Invalid_argument] unless the input is a 4×4 unitary. *)
+(** [of_eigenvalues] of the eigenvalues of [gram u]. Raises
+    [Invalid_argument] unless the input is a 4×4 unitary. Ticks
+    [weyl.calls], and [weyl.capped] when the eigenvalue iteration stopped
+    at its sweep cap ({!Qnum.Poly.solution}). *)
+
+val gram : Qnum.Cmat.t -> Qnum.Cmat.t
+(** M·Mᵀ, where M is the input normalized into SU(4) and written in the
+    magic basis: the matrix whose eigenphases {!coordinates} reads. Raises
+    like {!coordinates}. *)
+
+val of_eigenvalues : Qnum.Cx.t array -> coords
+(** Canonical coordinates from the four eigenvalues of {!gram}, in the
+    order the root finder returns them. *)
 
 val canonical_gate : coords -> Qnum.Cmat.t
 (** CAN(c) = exp(i(c₁·XX + c₂·YY + c₃·ZZ)). *)

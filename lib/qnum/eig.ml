@@ -17,4 +17,5 @@ let char_poly m =
   coeffs
 
 let eigenvalues ?(tol = 1e-13) m =
-  if Cmat.rows m = 0 then [||] else Poly.roots ~tol (char_poly m)
+  if Cmat.rows m = 0 then { Poly.roots = [||]; capped = false }
+  else Poly.roots ~tol (char_poly m)

@@ -9,5 +9,6 @@ val char_poly : Cmat.t -> Poly.t
 (** Characteristic polynomial det(zI − M), monic, lowest degree first.
     Raises [Invalid_argument] on non-square input. *)
 
-val eigenvalues : ?tol:float -> Cmat.t -> Cx.t array
-(** All eigenvalues with multiplicity. *)
+val eigenvalues : ?tol:float -> Cmat.t -> Poly.solution
+(** All eigenvalues with multiplicity, as the roots of {!char_poly}
+    (with {!Poly.roots}' report of whether the iteration hit its cap). *)

@@ -17,10 +17,17 @@ val monic : t -> t
 (** Divide by the leading coefficient. Raises [Invalid_argument] when all
     coefficients are zero. *)
 
-val roots : ?iterations:int -> ?tol:float -> t -> Cx.t array
+type solution = { roots : Cx.t array; capped : bool }
+(** [capped] is true when the iteration stopped at its sweep cap with an
+    update still above the tolerance: [roots] are then the last iterates,
+    not converged ones. *)
+
+val roots : ?iterations:int -> ?tol:float -> t -> solution
 (** All complex roots (with multiplicity) of a degree-n polynomial, n ≥ 1.
     [iterations] caps the Durand–Kerner sweeps (default 500); [tol] is the
-    convergence threshold on the max root update (default 1e-13). *)
+    convergence threshold on the max root update (default 1e-13). The
+    sweeps run on unboxed floats; the boxed formulation they reproduce
+    bit for bit is [Qref.poly_roots] in test scope. *)
 
 val of_roots : Cx.t array -> t
 (** Monic polynomial with the given roots. *)

@@ -19,8 +19,8 @@ module Strategy = Qcc.Strategy
 module Json = Qobs.Json
 
 let benchmarks =
-  [ "maxcut-line"; "maxcut-reg4"; "ising-n30"; "sqrt-n3"; "uccsd-n4";
-    "uccsd-n6" ]
+  [ "maxcut-line"; "maxcut-reg4"; "maxcut-cluster"; "ising-n30"; "ising-n60";
+    "sqrt-n3"; "sqrt-n4"; "sqrt-n5"; "uccsd-n4"; "uccsd-n6" ]
 
 let certified = [ "maxcut-line"; "uccsd-n4" ]
 

@@ -1,6 +1,7 @@
-(* Memo-free executable specifications for the commutation oracle, the
-   detect pass, the aggregation search and the CLS scheduler. The qcheck
-   suite pins the production paths in Qgdg, Qagg and Qsched against
+(* Memo-free executable specifications for the root finder, the latency
+   model's segmentation, the commutation oracle, the detect pass, the
+   aggregation search and the CLS scheduler. The qcheck suite pins the
+   production paths in Qnum, Qcontrol, Qgdg, Qagg and Qsched against
    these; nothing here is linked into the compiler. *)
 
 (* the bit-vector simulator the reversible-arithmetic tests check
@@ -10,6 +11,133 @@ module Rev_sim = Rev_sim
 module Gate = Qgate.Gate
 module Gdg = Qgdg.Gdg
 module Inst = Qgdg.Inst
+
+(* Durand–Kerner on boxed Cx values, the formulation Qnum.Poly.roots
+   reproduces on unboxed floats bit for bit: the same start points, the
+   same in-place (Gauss–Seidel) update order and the same Cx.mul/Cx.div
+   float expressions. Returns the roots and whether the sweep cap was
+   reached with the last update still above [tol]. *)
+let poly_roots ?(iterations = 500) ?(tol = 1e-13) p =
+  let open Qnum in
+  let p = Poly.monic p in
+  let n = Array.length p - 1 in
+  if n < 1 then invalid_arg "Poly.roots: degree must be at least 1";
+  (* start from non-real points spread on a circle sized by a root bound *)
+  let bound =
+    Array.fold_left (fun acc c -> Float.max acc (Cx.abs c)) 0. p +. 1.
+  in
+  let z =
+    Array.init n (fun k ->
+        Cx.polar (0.5 *. bound)
+          ((2. *. Float.pi *. float_of_int k /. float_of_int n) +. 0.4))
+  in
+  let step () =
+    let worst = ref 0. in
+    for k = 0 to n - 1 do
+      let denom = ref Cx.one in
+      for j = 0 to n - 1 do
+        if j <> k then denom := Cx.mul !denom (Cx.sub z.(k) z.(j))
+      done;
+      if Cx.abs !denom > 1e-300 then begin
+        let delta = Cx.div (Poly.eval p z.(k)) !denom in
+        z.(k) <- Cx.sub z.(k) delta;
+        let d = Cx.abs delta in
+        if d > !worst then worst := d
+      end
+      else
+        (* perturb coincident iterates so the iteration can separate them *)
+        z.(k) <- Cx.add z.(k) (Cx.make 1e-6 1e-6)
+    done;
+    !worst
+  in
+  let rec loop remaining =
+    remaining <= 0
+    ||
+    let change = step () in
+    change > tol && loop (remaining - 1)
+  in
+  let capped = loop iterations in
+  (z, capped)
+
+(* The latency model's segmentation on hash tables keyed by qubit, the
+   formulation Qcontrol.Latency_model.segments reproduces on arrays
+   indexed by the qubit's position in the block's support: maximal runs
+   confined to one qubit (pair); a run is closed as soon as one of its
+   qubits is coupled elsewhere. *)
+let segments gates =
+  let owner : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  let segs : (int, Gate.t list * int list) Hashtbl.t = Hashtbl.create 16 in
+  let order = ref [] in
+  let next_id = ref 0 in
+  let close_segment id =
+    let _, support = Hashtbl.find segs id in
+    List.iter
+      (fun q ->
+        match Hashtbl.find_opt owner q with
+        | Some o when o = id -> Hashtbl.remove owner q
+        | Some _ | None -> ())
+      support
+  in
+  let new_segment g qs =
+    let id = !next_id in
+    incr next_id;
+    Hashtbl.replace segs id ([ g ], qs);
+    order := id :: !order;
+    List.iter (fun q -> Hashtbl.replace owner q id) qs;
+    id
+  in
+  List.iter
+    (fun g ->
+      let qs = Gate.qubits g in
+      let owners = List.sort_uniq compare (List.filter_map (Hashtbl.find_opt owner) qs) in
+      match owners with
+      | [] ->
+        if List.length qs <= 2 then ignore (new_segment g qs)
+        else begin
+          (* wider-than-pair gate: its own segment, closed immediately *)
+          let id = new_segment g qs in
+          close_segment id
+        end
+      | [ id ] ->
+        let seg_gates, support = Hashtbl.find segs id in
+        let union = List.sort_uniq compare (qs @ support) in
+        if List.length union <= 2 && List.length qs <= 2 then begin
+          Hashtbl.replace segs id (g :: seg_gates, union);
+          List.iter (fun q -> Hashtbl.replace owner q id) qs
+        end
+        else begin
+          close_segment id;
+          let nid = new_segment g qs in
+          if List.length qs > 2 then close_segment nid
+        end
+      | _ :: _ :: _ ->
+        let union_support =
+          List.concat_map (fun id -> snd (Hashtbl.find segs id)) owners
+        in
+        let union = List.sort_uniq compare (qs @ union_support) in
+        let all_gates =
+          List.concat_map (fun id -> List.rev (fst (Hashtbl.find segs id))) owners
+        in
+        if List.length union <= 2 then begin
+          (* merge (only possible when joining two 1-qubit runs) *)
+          List.iter close_segment owners;
+          List.iter (fun id -> Hashtbl.remove segs id) owners;
+          order := List.filter (fun id -> not (List.mem id owners)) !order;
+          let id = !next_id in
+          incr next_id;
+          Hashtbl.replace segs id (g :: List.rev all_gates, union);
+          order := id :: !order;
+          List.iter (fun q -> Hashtbl.replace owner q id) union
+        end
+        else begin
+          List.iter close_segment owners;
+          let nid = new_segment g qs in
+          if List.length qs > 2 then close_segment nid
+        end)
+    gates;
+  List.rev_map
+    (fun id -> List.rev (fst (Hashtbl.find segs id)))
+    !order
 
 let max_check_width = Qgdg.Oracle.max_check_width
 

@@ -208,8 +208,8 @@ let fingerprint (r : Compiler.result) =
 
 (* the deterministic slice of the merged snapshot: totals that depend
    only on the job set, not on scheduling. Wall-time gauges/hists and
-   the memo-warmth-sensitive route counters — commute.route.* and
-   qflow.summary.* — legitimately vary with the pool size; the
+   the memo-warmth-sensitive counters — commute.route.*,
+   qflow.summary.* and weyl.* — legitimately vary with the pool size; the
    compute-once cache and the per-query commute/agg/qcert totals must
    not. *)
 let deterministic_counters m =

@@ -79,18 +79,22 @@ let check_against_golden ~id bench (results : (Strategy.t * Compiler.result) lis
     results
 
 let golden_cases =
-  (* same matrix as test/golden/gen.ml: every benchmark through all five
-     strategies with the shared per-circuit cache; the certified subset
-     also pins certificate digests *)
+  (* same matrix as test/golden/gen.ml: every Table 3 benchmark through
+     all five strategies with the shared per-circuit cache; the certified
+     subset also pins certificate digests. The two largest sqrt cells
+     take seconds, so they run only in the full (non-quick) suite. *)
   List.map
     (fun bench ->
       let certify = List.mem bench [ "maxcut-line"; "uccsd-n4" ] in
-      case (Printf.sprintf "golden: %s" bench) (fun () ->
+      let mk =
+        if List.mem bench [ "sqrt-n4"; "sqrt-n5" ] then slow_case else case
+      in
+      mk (Printf.sprintf "golden: %s" bench) (fun () ->
           let circuit = circuit_of bench in
           check_against_golden ~id:"cached" bench
             (Compiler.compile_all ~certify circuit)))
-    [ "maxcut-line"; "maxcut-reg4"; "ising-n30"; "sqrt-n3"; "uccsd-n4";
-      "uccsd-n6" ]
+    [ "maxcut-line"; "maxcut-reg4"; "maxcut-cluster"; "ising-n30"; "ising-n60";
+      "sqrt-n3"; "sqrt-n4"; "sqrt-n5"; "uccsd-n4"; "uccsd-n6" ]
 
 let cache_cases =
   [ case "cache on/off produces identical results" (fun () ->

@@ -127,6 +127,14 @@ let weyl_cases =
           Alcotest.check_raises "raises"
             (Invalid_argument "Weyl.coordinates: expected a 4x4 matrix")
             (fun () -> ignore (Weyl.coordinates (Qnum.Cmat.identity 2))));
+      case "decompositions and capped solves are counted" (fun () ->
+          (* SWAP's M·Mᵀ has a repeated eigenvalue, CNOT's does not *)
+          let m = Qobs.Metrics.create () in
+          Qobs.Metrics.with_ambient m (fun () ->
+              ignore (Weyl.coordinates (Qgate.Unitary.of_kind Gate.Swap));
+              ignore (Weyl.coordinates (Qgate.Unitary.of_kind Gate.Cnot)));
+          check_int "calls" 2 (Qobs.Metrics.counter_value m "weyl.calls");
+          check_int "capped" 1 (Qobs.Metrics.counter_value m "weyl.capped"));
       case "interaction times at anchors" (fun () ->
           check_float ~eps:0.1 "iswap" 39.27 (Weyl.interaction_time device Weyl.iswap_coords);
           check_float ~eps:0.1 "cnot" 39.27 (Weyl.interaction_time device Weyl.cnot_coords);
@@ -154,6 +162,24 @@ let weyl_cases =
           Float.abs (a.Weyl.c1 -. b.Weyl.c1) < 2e-3
           && Float.abs (a.Weyl.c2 -. b.Weyl.c2) < 2e-3
           && Float.abs (a.Weyl.c3 -. b.Weyl.c3) < 2e-3);
+      qcheck ~count:1000 "Weyl coordinates match the reference"
+        QCheck.(int_range 0 100000)
+        (fun seed ->
+          let rng = Qgraph.Rand.create seed in
+          let u =
+            Qgate.Unitary.of_gates ~n_qubits:2
+              (List.init
+                 (1 + Qgraph.Rand.int rng 8)
+                 (fun _ -> random_vocabulary_gate rng 2))
+          in
+          let reference =
+            Weyl.of_eigenvalues
+              (fst (Qref.poly_roots (Qnum.Eig.char_poly (Weyl.gram u))))
+          in
+          let bits c =
+            Printf.sprintf "%h %h %h" c.Weyl.c1 c.Weyl.c2 c.Weyl.c3
+          in
+          bits (Weyl.coordinates u) = bits reference);
       qcheck ~count:40 "coordinates live in the chamber"
         QCheck.(int_range 0 100000)
         (fun seed ->
@@ -229,6 +255,19 @@ let latency_cases =
         let gates = random_unitary_gates rng 3 8 in
         let t = Latency_model.block_time device gates in
         t >= 0. && t <= Latency_model.isa_critical_path device gates +. 1e-9);
+    qcheck ~count:300 "segments match the reference"
+      QCheck.(int_range 0 100000)
+      (fun seed ->
+        let rng = Qgraph.Rand.create seed in
+        let n = 2 + Qgraph.Rand.int rng 5 in
+        (* spread the block over sparse wires, as a routed block sits *)
+        let wire q = (3 * q) + 1 in
+        let gates =
+          List.init
+            (1 + Qgraph.Rand.int rng 24)
+            (fun _ -> Gate.map_qubits wire (random_vocabulary_gate rng n))
+        in
+        Latency_model.segments gates = Qref.segments gates);
     (* the shape-keyed memos (block costs, segment bounds, Weyl
        coordinates) are pure caches: a block's cost has the same bits
        from cold as after its own segments and a shuffled batch of other

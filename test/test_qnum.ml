@@ -271,8 +271,52 @@ let expm_cases =
 
 (* --- Poly / Eig --- *)
 
+(* every root's bits, and the cap flag *)
+let solution_bits roots capped =
+  ( Array.to_list
+      (Array.map (fun z -> Printf.sprintf "%h %h" (Cx.re z) (Cx.im z)) roots),
+    capped )
+
+(* a quartic whose later roots repeat an earlier one exactly, sit 1e-2 to
+   1e-9 away from one (a cluster), or are drawn fresh *)
+let random_quartic rng =
+  let fresh () =
+    c (Qgraph.Rand.float rng 4. -. 2.) (Qgraph.Rand.float rng 4. -. 2.)
+  in
+  let rs = Array.make 4 Cx.zero in
+  rs.(0) <- fresh ();
+  for k = 1 to 3 do
+    let prev = rs.(Qgraph.Rand.int rng k) in
+    rs.(k) <-
+      (match Qgraph.Rand.int rng 3 with
+       | 0 -> prev
+       | 1 ->
+         let eps = 10. ** -.float_of_int (2 + Qgraph.Rand.int rng 8) in
+         Cx.add prev (Cx.scale eps (fresh ()))
+       | _ -> fresh ())
+  done;
+  Poly.of_roots rs
+
+(* the characteristic polynomial Weyl.coordinates solves, for a product
+   of 1-8 random gates on two qubits (Clifford products give the
+   degenerate spectra that hit the sweep cap) *)
+let random_gram_poly rng =
+  let gates =
+    List.init (1 + Qgraph.Rand.int rng 8) (fun _ -> random_vocabulary_gate rng 2)
+  in
+  Eig.char_poly (Qcontrol.Weyl.gram (Qgate.Unitary.of_gates ~n_qubits:2 gates))
+
 let poly_cases =
-  [ case "eval horner" (fun () ->
+  [ qcheck ~count:400 "roots match the reference bit for bit"
+      QCheck.(int_range 0 100000)
+      (fun seed ->
+        let rng = Qgraph.Rand.create seed in
+        let p =
+          if seed mod 2 = 0 then random_quartic rng else random_gram_poly rng
+        in
+        let s = Poly.roots p and z, capped = Qref.poly_roots p in
+        solution_bits s.Poly.roots s.Poly.capped = solution_bits z capped);
+    case "eval horner" (fun () ->
         (* p(z) = 1 + 2z + z², p(3) = 16 *)
         let p = [| Cx.one; Cx.of_float 2.; Cx.one |] in
         check_bool "p(3)" true (Cx.equal (Cx.of_float 16.) (Poly.eval p (Cx.of_float 3.))));
@@ -283,14 +327,14 @@ let poly_cases =
           (Cx.equal (Cx.of_float 2.) d.(0) && Cx.equal (Cx.of_float 6.) d.(1)));
     case "roots of quadratic" (fun () ->
         (* z² + 1: roots ±i *)
-        let roots = Poly.roots [| Cx.one; Cx.zero; Cx.one |] in
+        let roots = (Poly.roots [| Cx.one; Cx.zero; Cx.one |]).Poly.roots in
         let has z = Array.exists (fun r -> Cx.equal ~eps:1e-8 r z) roots in
         check_bool "i" true (has Cx.i);
         check_bool "-i" true (has (Cx.neg Cx.i)));
     case "roots of quartic with known roots" (fun () ->
         let expected = [| c 1. 0.; c (-2.) 0.; c 0. 3.; c 1. 1. |] in
         let p = Poly.of_roots expected in
-        let roots = Poly.roots p in
+        let roots = (Poly.roots p).Poly.roots in
         Array.iter
           (fun e ->
             check_bool "found" true
@@ -300,15 +344,20 @@ let poly_cases =
         let p = [| c 2. 1.; c 0. (-1.); c 1. 1.; Cx.one |] in
         Array.iter
           (fun r -> check_bool "p(r) ~ 0" true (Cx.abs (Poly.eval p r) < 1e-7))
-          (Poly.roots p));
+          (Poly.roots p).Poly.roots);
     case "roots of linear polynomial" (fun () ->
-        let roots = Poly.roots [| Cx.of_float (-3.); Cx.of_float 1.5 |] in
+        let s = Poly.roots [| Cx.of_float (-3.); Cx.of_float 1.5 |] in
+        let roots = s.Poly.roots in
+        check_bool "converged" false s.Poly.capped;
         check_int "one root" 1 (Array.length roots);
         check_bool "z = 2" true (Cx.equal ~eps:1e-9 (Cx.of_float 2.) roots.(0)));
     case "repeated roots found with multiplicity" (fun () ->
         (* (z-1)^3: accuracy degrades to ~tol^(1/3) for triple roots *)
         let p = Poly.of_roots [| Cx.one; Cx.one; Cx.one |] in
-        let roots = Poly.roots p in
+        let s = Poly.roots p in
+        let roots = s.Poly.roots in
+        (* a triple root converges only linearly: the cap is reported *)
+        check_bool "capped" true s.Poly.capped;
         check_int "three roots" 3 (Array.length roots);
         Array.iter
           (fun r -> check_bool "near 1" true (Cx.abs (Cx.sub r Cx.one) < 1e-3))
@@ -318,14 +367,14 @@ let poly_cases =
           (fun () -> ignore (Poly.monic [| Cx.zero; Cx.zero |])));
     case "eigenvalues of diagonal" (fun () ->
         let m = Cmat.diag [| c 2. 0.; c 0. 1.; c (-1.) 1. |] in
-        let eigs = Eig.eigenvalues m in
+        let eigs = (Eig.eigenvalues m).Poly.roots in
         Array.iter
           (fun e ->
             check_bool "eig present" true
               (Array.exists (fun d -> Cx.equal ~eps:1e-7 d e) eigs))
           [| c 2. 0.; c 0. 1.; c (-1.) 1. |]);
     case "eigenvalues of pauli x" (fun () ->
-        let eigs = Eig.eigenvalues Qgate.Unitary.pauli_x in
+        let eigs = (Eig.eigenvalues Qgate.Unitary.pauli_x).Poly.roots in
         let has v = Array.exists (fun e -> Cx.equal ~eps:1e-8 e (Cx.of_float v)) eigs in
         check_bool "+1" true (has 1.);
         check_bool "-1" true (has (-1.)));
@@ -342,7 +391,7 @@ let poly_cases =
         let u = random_unitary (Qgraph.Rand.create seed) 2 8 in
         Array.for_all
           (fun e -> Float.abs (Cx.abs e -. 1.) < 1e-5)
-          (Eig.eigenvalues u)) ]
+          (Eig.eigenvalues u).Poly.roots) ]
 
 let suites =
   [ ("qnum.cx", cx_cases);

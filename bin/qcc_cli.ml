@@ -14,15 +14,17 @@
 
 open Cmdliner
 
-(* user errors (bad flags, malformed inputs) exit 2 with a one-line
-   message instead of an uncaught-exception backtrace *)
+(* user errors (bad flags, malformed inputs, unreadable or unwritable
+   files) exit 2 with a one-line message instead of an uncaught-exception
+   backtrace *)
 let or_die f =
   let die msg =
     Printf.eprintf "qcc: %s\n" msg;
     exit 2
   in
-  try f ()
-  with Failure msg | Invalid_argument msg | Qgate.Qasm.Parse_error msg ->
+  try f () with
+  | Failure msg | Invalid_argument msg | Qgate.Qasm.Parse_error msg
+  | Sys_error msg ->
     die msg
 
 let load_circuit ~qasm_file ~benchmark =
@@ -137,7 +139,7 @@ let trace_arg =
 let metrics_arg =
   Arg.(value & opt (some string) None
        & info [ "metrics" ] ~docv:"FILE"
-           ~doc:"Write pipeline metrics (counters/gauges/histograms) as JSON.")
+           ~doc:"Write pipeline metrics (counters/histograms) as JSON.")
 
 let json_arg =
   Arg.(value & opt (some string) None

@@ -125,8 +125,6 @@ let compile ?(config = Backend.default) ?(check = false) ?(certify = false)
     in
     let compile_time = Qobs.Clock.elapsed_ns t0 /. 1e9 in
     let latency = costed.Ir.latency in
-    Qobs.Metrics.gauge metrics "compile.latency_ns" latency;
-    Qobs.Metrics.gauge metrics "compile.time_s" compile_time;
     Log.info (fun m ->
         m "%s: %d instructions, latency %.1f ns, compiled in %.2f ms"
           (Strategy.to_string strategy)

@@ -94,7 +94,7 @@ val compile :
     never pollutes pass times, and certifiers get their own
     ["certify-<boundary>"] spans — and fills {!field:result.trace}.
     [~metrics] (default {!Qobs.Metrics.disabled}) receives the compiler's
-    own counters/gauges and is installed as the ambient registry
+    own counters and is installed as the ambient registry
     ({!Qobs.Metrics.with_ambient}) so the deep passes (commutation
     checks, routing, CLS, aggregation, latency model) record into it too,
     as do the certifiers ([qcert.proved] / [qcert.refuted] /

@@ -35,35 +35,6 @@ let ctx ?(backend = Backend.default) ?(obs = Qobs.Trace.disabled)
 let observing ctx =
   Qobs.Trace.enabled ctx.obs || Qobs.Metrics.enabled ctx.metrics
 
-(* one span per pass; the disabled path short-circuits before allocating *)
-let with_span ctx name f =
-  if not (observing ctx) then f ()
-  else begin
-    let t0 = Qobs.Clock.now_ns () in
-    let g0 = Qobs.Span.gc_now () in
-    let finish () =
-      Qobs.Metrics.observe ctx.metrics "pass.duration_ms"
-        (Qobs.Clock.elapsed_ns t0 /. 1e6);
-      if Qobs.Metrics.enabled ctx.metrics then begin
-        let g1 = Qobs.Span.gc_now () in
-        Qobs.Metrics.observe ctx.metrics "alloc.minor_words"
-          (g1.Qobs.Span.minor_words -. g0.Qobs.Span.minor_words);
-        Qobs.Metrics.observe ctx.metrics "alloc.major_words"
-          (g1.Qobs.Span.major_words -. g0.Qobs.Span.major_words);
-        Qobs.Metrics.incr ctx.metrics
-          ~by:(g1.Qobs.Span.major_collections - g0.Qobs.Span.major_collections)
-          "alloc.major_collections"
-      end
-    in
-    match Qobs.Trace.with_span ctx.obs name f with
-    | v ->
-      finish ();
-      v
-    | exception e ->
-      finish ();
-      raise e
-  end
-
 let note_gdg ctx gdg =
   if observing ctx then begin
     let nodes = Qgdg.Gdg.size gdg in
@@ -75,8 +46,8 @@ let note_gdg ctx gdg =
     in
     Qobs.Trace.attr_int ctx.obs "nodes" nodes;
     Qobs.Trace.attr_int ctx.obs "edges" edges;
-    Qobs.Metrics.gauge ctx.metrics "gdg.nodes" (float_of_int nodes);
-    Qobs.Metrics.gauge ctx.metrics "gdg.edges" (float_of_int edges)
+    Qobs.Metrics.incr ctx.metrics ~by:nodes "gdg.nodes";
+    Qobs.Metrics.incr ctx.metrics ~by:edges "gdg.edges"
   end
 
 let note_int ctx key v =

@@ -122,14 +122,14 @@ let exec :
       | Pass.In_place when cache <> None -> Ir.clone p.Pass.out a
       | Pass.In_place | Pass.Pure -> a
     in
-    Pass.with_span ctx p.Pass.name (fun () ->
+    Qobs.Trace.with_span ctx.Pass.obs p.Pass.name (fun () ->
         let b = p.Pass.run ctx a in
         (match p.Pass.note with Some f -> f ctx a b | None -> ());
         b)
   in
   let hit (b : b) : b =
     Qobs.Metrics.incr ctx.Pass.metrics "pipeline.cache.hit";
-    Pass.with_span ctx p.Pass.name (fun () ->
+    Qobs.Trace.with_span ctx.Pass.obs p.Pass.name (fun () ->
         Qobs.Trace.attr_str ctx.Pass.obs "cache" "hit";
         (match p.Pass.note with Some f -> f ctx a b | None -> ());
         b)

@@ -76,7 +76,10 @@ let regroup = 3
 let recost = 4
 let phase_names = [ "enumerate"; "score"; "retime"; "regroup"; "recost" ]
 
-let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
+(* outer re-costing rounds per run *)
+let max_rounds = 8
+
+let run ?(width_limit = 10) ?(pessimism = `Model) ~cost g =
   (* phase clock: [close p] charges the time since the previous boundary
      to phase [p] and [skip ()] leaves it unattributed; with metrics off a
      boundary is one branch *)

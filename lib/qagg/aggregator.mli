@@ -30,17 +30,16 @@ type stats = {
 
 val run :
   ?width_limit:int ->
-  ?max_rounds:int ->
   ?pessimism:[ `Serial | `Model ] ->
   cost:(Qgate.Gate.t list -> float) ->
   Qgdg.Gdg.t ->
   stats
-(** Aggregates in place. [width_limit] defaults to 10 (the optimal-control
-    scalability bound, §2.5); [max_rounds] to 8. [cost] maps a member-gate
-    block to its optimized pulse time. Raises [Invalid_argument] when
-    [cost] answers a nan, infinite or negative latency for any block; the
-    input graph's latencies are finite and non-negative by construction
-    ({!Qgdg.Gdg.of_insts}).
+(** Aggregates in place, in at most 8 outer rounds. [width_limit]
+    defaults to 10 (the optimal-control scalability bound, §2.5). [cost]
+    maps a member-gate block to its optimized pulse time. Raises
+    [Invalid_argument] when [cost] answers a nan, infinite or negative
+    latency for any block; the input graph's latencies are finite and
+    non-negative by construction ({!Qgdg.Gdg.of_insts}).
 
     The search is incremental. Chain neighbours and positions are read
     from the {!Qgdg.Gdg} links. ASAP starts and makespan-free deadlines

@@ -8,7 +8,6 @@ let verdict_to_string = function
   | Unknown -> "unknown"
 
 let dense_limit = 10
-let default_dense = dense_limit
 
 let support gates =
   List.sort_uniq compare (List.concat_map Gate.qubits gates)
@@ -23,7 +22,7 @@ let gates_equal = List.equal Gate.equal
 
 (* decide a ≡ b (up to global phase) for words already relabelled to a
    common register of [n] qubits *)
-let equal_on ~dense_limit:dl n a b =
+let equal_on n a b =
   if gates_equal a b then (Proved, "identical")
   else
     match
@@ -38,7 +37,7 @@ let equal_on ~dense_limit:dl n a b =
       (* dense work is ~(|a|+|b|)·4ⁿ·2^arity flops; refuse pathological
          combinations of width and length rather than stall *)
       let affordable =
-        n <= dl
+        n <= dense_limit
         && (List.length a + List.length b) * (1 lsl (2 * n)) <= 100_000_000
       in
       if affordable then begin
@@ -59,13 +58,13 @@ let equal_on ~dense_limit:dl n a b =
           else (Refuted, "phase-poly")
         | _ -> (Unknown, "too-wide")
 
-let equal_gates ?(dense_limit = default_dense) a b =
+let equal_gates a b =
   let joint = support (a @ b) in
   let n = List.length joint in
   if n = 0 then (Proved, "trivial")
-  else equal_on ~dense_limit n (relabel joint a) (relabel joint b)
+  else equal_on n (relabel joint a) (relabel joint b)
 
-let is_diagonal_gates ?(dense_limit = default_dense) gates =
+let is_diagonal_gates gates =
   if List.for_all (fun (g : Gate.t) -> Gate.is_diagonal_kind g.Gate.kind) gates
   then (Proved, "kinds")
   else
@@ -87,13 +86,13 @@ let is_diagonal_gates ?(dense_limit = default_dense) gates =
           else (Refuted, "dense")
         else (Unknown, "too-wide")
 
-let blocks_commute ?(dense_limit = default_dense) a b =
+let blocks_commute a b =
   let sa = support a and sb = support b in
   if not (List.exists (fun q -> List.mem q sb) sa) then (Proved, "disjoint")
   else if gates_equal a b then (Proved, "identical")
   else
     let diag gates =
-      match is_diagonal_gates ~dense_limit gates with
+      match is_diagonal_gates gates with
       | Proved, _ -> true
       | _ -> false
     in
@@ -102,4 +101,4 @@ let blocks_commute ?(dense_limit = default_dense) a b =
       let joint = List.sort_uniq compare (sa @ sb) in
       let n = List.length joint in
       let a = relabel joint a and b = relabel joint b in
-      equal_on ~dense_limit n (a @ b) (b @ a)
+      equal_on n (a @ b) (b @ a)

@@ -26,8 +26,7 @@ val support : Qgate.Gate.t list -> int list
 (** Sorted union of the gates' qubits. *)
 
 val equal_gates :
-  ?dense_limit:int -> Qgate.Gate.t list -> Qgate.Gate.t list ->
-  verdict * string
+  Qgate.Gate.t list -> Qgate.Gate.t list -> verdict * string
 (** [equal_gates a b] decides whether the two words implement the same
     unitary up to global phase on their joint support. The string names
     the deciding method ("identical", "tableau", "dense", "phase-poly",
@@ -35,13 +34,11 @@ val equal_gates :
     register); the joint support is relabelled internally. *)
 
 val blocks_commute :
-  ?dense_limit:int -> Qgate.Gate.t list -> Qgate.Gate.t list ->
-  verdict * string
+  Qgate.Gate.t list -> Qgate.Gate.t list -> verdict * string
 (** Whether the two blocks commute as operators up to global phase —
     i.e. the words [a·b] and [b·a] are equivalent. Disjoint supports,
     identical words and jointly-diagonal blocks are fast paths. *)
 
-val is_diagonal_gates :
-  ?dense_limit:int -> Qgate.Gate.t list -> verdict * string
+val is_diagonal_gates : Qgate.Gate.t list -> verdict * string
 (** Whether the word's unitary is diagonal in the computational basis
     (the semantic property {!Qgdg.Diagonal} relies on). *)

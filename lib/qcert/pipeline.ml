@@ -15,10 +15,10 @@ let create ?(obs = Qobs.Trace.disabled) ~strategy () =
 
 let finish ctx = Certificate.make ~strategy:ctx.strategy (List.rev ctx.rev_boundaries)
 
-(* run one boundary certifier under a "certify-<name>" span (deliberately
-   not the compiler's [pass] helper: certification time must not pollute
-   pass.duration_ms), tick the ambient qcert counters, and fail fast on
-   refutation with the certificate built so far *)
+(* run one boundary certifier under its own "certify-<name>" span,
+   beside the pass span so certification time is never charged to the
+   pass, tick the ambient qcert counters, and fail fast on refutation
+   with the certificate built so far *)
 let boundary ctx ~name ~claim f =
   let outcome =
     Qobs.Trace.with_span ctx.obs ("certify-" ^ name) (fun () ->

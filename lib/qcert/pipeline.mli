@@ -3,12 +3,12 @@
     A {!ctx} accumulates one {!Certificate.boundary} per certified pass
     seam; each entry point below corresponds to a pass name in
     [Qcc.Compiler.passes]. Certifiers run inside a ["certify-<name>"]
-    trace span (kept out of the compiler's [pass.duration_ms] histogram)
-    and tick the ambient metrics counters [qcert.proved] /
-    [qcert.refuted] / [qcert.skipped] / [qcert.facts]. The first refuted
-    boundary raises {!Certificate.Certification_failed} carrying the
-    certificate built so far, mirroring the fail-fast behavior of
-    [Qlint.Report.Check_failed] under [~check:true]. *)
+    trace span beside the pass's own span, so certification time is
+    never charged to the pass, and tick the ambient metrics counters
+    [qcert.proved] / [qcert.refuted] / [qcert.skipped] / [qcert.facts].
+    The first refuted boundary raises {!Certificate.Certification_failed}
+    carrying the certificate built so far, mirroring the fail-fast
+    behavior of [Qlint.Report.Check_failed] under [~check:true]. *)
 
 type ctx
 

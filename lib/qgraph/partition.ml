@@ -93,7 +93,10 @@ let kl_pass g side =
     !best_sum > 1e-12
   end
 
-let bisect ?(passes = 8) g =
+(* Kernighan–Lin refinement sweeps per bisection *)
+let passes = 8
+
+let bisect g =
   let side = seed_split g in
   let rec refine remaining =
     if remaining > 0 && kl_pass g side then refine (remaining - 1)
@@ -101,15 +104,15 @@ let bisect ?(passes = 8) g =
   refine passes;
   side
 
-let bisect_list ?passes g =
-  let side = bisect ?passes g in
+let bisect_list g =
+  let side = bisect g in
   let a = ref [] and b = ref [] in
   for v = Graph.n_vertices g - 1 downto 0 do
     if side.(v) then a := v :: !a else b := v :: !b
   done;
   (!a, !b)
 
-let recursive_order ?passes g =
+let recursive_order g =
   let rec go vertices =
     match vertices with
     | [] -> []
@@ -117,7 +120,7 @@ let recursive_order ?passes g =
     | [ u; v ] -> [ u; v ]
     | _ ->
       let sub, back = Graph.induced g vertices in
-      let a, b = bisect_list ?passes sub in
+      let a, b = bisect_list sub in
       let lift side = List.map (fun v -> back.(v)) side in
       go (lift a) @ go (lift b)
   in

@@ -64,8 +64,6 @@ let to_string j =
   to_buffer buf j;
   Buffer.contents buf
 
-let pp ppf j = Format.fprintf ppf "%s@." (to_string j)
-
 let member name = function
   | Obj fields -> List.assoc_opt name fields
   | _ -> None

@@ -20,9 +20,6 @@ type t =
 val to_string : t -> string
 (** Compact (single-line) rendering. *)
 
-val pp : Format.formatter -> t -> unit
-(** [to_string] followed by a newline. *)
-
 val of_string : string -> (t, string) result
 (** Parse a complete JSON document ([Error] carries a position-annotated
     message). Numbers without [.]/[e] parse as [Int], others as [Float]. *)

@@ -1,17 +1,14 @@
 let schema = "qcc.ledger/1"
 
 type t = {
-  path : string;
   oc : out_channel;
   lock : Mutex.t;
 }
 
 let open_file path =
-  { path;
-    oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path;
+  { oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path;
     lock = Mutex.create () }
 
-let path t = t.path
 let close t = Mutex.protect t.lock (fun () -> close_out t.oc)
 
 (* Channel primitives are atomic per call in OCaml 5, but a row is one

@@ -17,7 +17,6 @@ type t
 val open_file : string -> t
 (** Open for append, creating the file if needed. *)
 
-val path : t -> string
 val close : t -> unit
 
 val append : t -> Json.t -> unit

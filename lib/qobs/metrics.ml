@@ -26,7 +26,6 @@ let bucket_rep k = Float.exp2 ((float_of_int (k - 64) +. 0.5) /. 2.)
 
 type metric =
   | Counter of { mutable count : int }
-  | Gauge of { mutable value : float }
   | Hist of {
       mutable n : int;
       mutable sum : float;
@@ -47,7 +46,6 @@ let create () = { enabled = true; table = Hashtbl.create 64 }
 let disabled = { enabled = false; table = Hashtbl.create 0 }
   [@@domain_safety frozen_after_init]
 let enabled t = t.enabled
-let reset t = Hashtbl.reset t.table
 
 let incr t ?(by = 1) name =
   if t.enabled then
@@ -55,13 +53,6 @@ let incr t ?(by = 1) name =
     | Some (Counter c) -> c.count <- c.count + by
     | Some _ -> ()
     | None -> Hashtbl.replace t.table name (Counter { count = by })
-
-let gauge t name v =
-  if t.enabled then
-    match Hashtbl.find_opt t.table name with
-    | Some (Gauge g) -> g.value <- v
-    | Some _ -> ()
-    | None -> Hashtbl.replace t.table name (Gauge { value = v })
 
 let observe t name v =
   if t.enabled then
@@ -84,11 +75,6 @@ let counter_value t name =
   match Hashtbl.find_opt t.table name with
   | Some (Counter c) -> c.count
   | Some _ | None -> 0
-
-let gauge_value t name =
-  match Hashtbl.find_opt t.table name with
-  | Some (Gauge g) -> Some g.value
-  | Some _ | None -> None
 
 let hist_value t name =
   match Hashtbl.find_opt t.table name with
@@ -132,7 +118,6 @@ let names t =
    given the same samples *)
 let metric_json = function
   | Counter c -> Json.Int c.count
-  | Gauge g -> Json.Float g.value
   | Hist h ->
     Json.Obj
       [ ("count", Json.Int h.n);
@@ -154,41 +139,22 @@ let to_json t =
        (fun name -> (name, metric_json (Hashtbl.find t.table name)))
        (names t))
 
-let pp_text ppf t =
-  List.iter
-    (fun name ->
-      let value =
-        match Hashtbl.find t.table name with
-        | Counter c -> string_of_int c.count
-        | Gauge g -> Printf.sprintf "%g" g.value
-        | Hist h ->
-          let q p = quantile ~n:h.n ~lo:h.min ~hi:h.max ~buckets:h.buckets p in
-          Printf.sprintf "count=%d sum=%g min=%g max=%g p50=%g p90=%g p99=%g"
-            h.n h.sum h.min h.max (q 0.5) (q 0.9) (q 0.99)
-      in
-      Format.fprintf ppf "%-36s %s@." name value)
-    (names t)
-
 let write_file path t = Json.write_file path (to_json t)
 
 (* ---- merge (per-domain shard join) ---- *)
 
 (* Pointwise, commutative and associative (qcheck-pinned): counters
-   add; histograms add counts/sums/buckets and widen min/max; gauges
-   keep the max (last-write order across shards is meaningless). On a
-   name bound to different metric kinds in the two shards, the winner
-   is picked by fixed kind priority (Hist > Gauge > Counter) so the
-   result does not depend on argument order. *)
+   add; histograms add counts/sums/buckets and widen min/max. On a name
+   bound to a counter in one shard and a histogram in the other, the
+   histogram wins, so the result does not depend on argument order. *)
 
 let copy_metric = function
   | Counter c -> Counter { count = c.count }
-  | Gauge g -> Gauge { value = g.value }
   | Hist h -> Hist { h with buckets = Array.copy h.buckets }
 
 let merge_metric a b =
   match (a, b) with
   | Counter x, Counter y -> Counter { count = x.count + y.count }
-  | Gauge x, Gauge y -> Gauge { value = Float.max x.value y.value }
   | Hist x, Hist y ->
     Hist
       { n = x.n + y.n;
@@ -197,8 +163,7 @@ let merge_metric a b =
         max = Float.max x.max y.max;
         buckets = Array.init n_buckets (fun k -> x.buckets.(k) + y.buckets.(k))
       }
-  | (Hist _ as h), _ | _, (Hist _ as h) -> copy_metric h
-  | (Gauge _ as g), _ | _, (Gauge _ as g) -> copy_metric g
+  | (Hist _ as h), Counter _ | Counter _, (Hist _ as h) -> copy_metric h
 
 let absorb ~into src =
   if into.enabled then
@@ -239,7 +204,3 @@ let tick ?by name =
 let record name v =
   let t = ambient () in
   if t.enabled then observe t name v
-
-let set name v =
-  let t = ambient () in
-  if t.enabled then gauge t name v

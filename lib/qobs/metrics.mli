@@ -1,4 +1,10 @@
-(** Named counters, gauges and histograms for the compilation pipeline.
+(** Named counters and histograms for the compilation pipeline.
+
+    A metric records what the pipeline {e did} (checks, merges, swaps,
+    cache probes, phase times). Facts that already have a home are not
+    copied here: per-pass wall time and GC deltas live on the pass spans
+    ({!Trace}), and a compile's latency and wall time on its result and
+    its ledger row.
 
     A registry is either enabled or the shared {!disabled} null registry;
     every recording operation checks the flag before touching (or
@@ -25,13 +31,9 @@ type hist_stats = {
 val create : unit -> t
 val disabled : t
 val enabled : t -> bool
-val reset : t -> unit
 
 val incr : t -> ?by:int -> string -> unit
 (** Counter increment ([by] defaults to 1). *)
-
-val gauge : t -> string -> float -> unit
-(** Gauge: last write wins. *)
 
 val observe : t -> string -> float -> unit
 (** Histogram sample: summary stats (count/sum/min/max) plus a fixed
@@ -41,7 +43,6 @@ val observe : t -> string -> float -> unit
 val counter_value : t -> string -> int
 (** 0 when absent or not a counter. *)
 
-val gauge_value : t -> string -> float option
 val hist_value : t -> string -> hist_stats option
 
 val hist_quantile : t -> string -> float -> float option
@@ -54,11 +55,10 @@ val names : t -> string list
 (** Sorted. *)
 
 val to_json : t -> Json.t
-(** One field per metric, sorted by name: counters as ints, gauges as
-    floats, histograms as [{count,max,mean,min,p50,p90,p99,sum}] objects
-    (keys sorted). Byte-deterministic given the same recorded samples. *)
+(** One field per metric, sorted by name: counters as ints, histograms
+    as [{count,max,mean,min,p50,p90,p99,sum}] objects (keys sorted).
+    Byte-deterministic given the same recorded samples. *)
 
-val pp_text : Format.formatter -> t -> unit
 val write_file : string -> t -> unit
 
 val absorb : into:t -> t -> unit
@@ -71,12 +71,11 @@ val absorb : into:t -> t -> unit
 val merge : t -> t -> t
 (** Pointwise shard join (fresh registry; the arguments are not
     mutated): counters add, histograms add counts/sums/buckets and
-    widen min/max, gauges keep the max. Commutative and associative —
-    a domain pool can join per-domain shards in any order and get the
-    same snapshot ({!to_json} byte-identical), which the qcheck laws in
-    the test suite pin. On a name bound to different metric kinds the
-    winner is chosen by fixed kind priority (histogram > gauge >
-    counter), independent of argument order. *)
+    widen min/max. Commutative and associative — a domain pool can join
+    per-domain shards in any order and get the same snapshot ({!to_json}
+    byte-identical), which the qcheck laws in the test suite pin. On a
+    name bound to a counter in one shard and a histogram in the other,
+    the histogram wins, independent of argument order. *)
 
 (** {2 Ambient registry}
 
@@ -97,6 +96,3 @@ val tick : ?by:int -> string -> unit
 
 val record : string -> float -> unit
 (** [observe] on the ambient registry. *)
-
-val set : string -> float -> unit
-(** [gauge] on the ambient registry. *)

@@ -67,18 +67,12 @@ let attr_str t name v = if t.enabled then attr t name (Span.Str v)
 let roots t = List.rev t.rev_roots
 let last_span t = t.last
 
-let reset t =
-  t.rev_roots <- [];
-  t.last <- None
-
 let to_text t =
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
   List.iter (fun s -> Span.pp_text ppf s) (roots t);
   Format.pp_print_flush ppf ();
   Buffer.contents buf
-
-let to_json t = Json.Obj [ ("spans", Json.List (List.map Span.to_json (roots t))) ]
 
 let to_chrome t =
   (* stable span ids: pre-order position across the root forest *)

@@ -37,14 +37,8 @@ val last_span : t -> Span.t option
 (** The most recently {e closed} span (after a top-level [with_span]
     returns, that call's span). *)
 
-val reset : t -> unit
-(** Drop all completed spans (open spans are unaffected). *)
-
 val to_text : t -> string
 (** Indented per-pass summary of every root span. *)
-
-val to_json : t -> Json.t
-(** [{"spans": [...]}] of nested {!Span.to_json} objects. *)
 
 val to_chrome : t -> Json.t
 (** Chrome [trace_event] document:

@@ -198,9 +198,8 @@ let apply_ops m rng n =
   let names = [| "a"; "b"; "c.count"; "d.ms" |] in
   for _ = 1 to n do
     let name = names.(Random.State.int rng (Array.length names)) in
-    match Random.State.int rng 3 with
+    match Random.State.int rng 2 with
     | 0 -> Metrics.incr m ~by:(1 + Random.State.int rng 5) name
-    | 1 -> Metrics.gauge m name (Random.State.float rng 100.)
     | _ -> Metrics.observe m name (Random.State.float rng 10.)
   done
 

@@ -146,18 +146,13 @@ let map_reraises_lowest_failure () =
 let absorb_folds_shards () =
   let a = Metrics.create () and b = Metrics.create () in
   Metrics.incr a "jobs" ~by:2;
-  Metrics.gauge a "peak" 1.5;
   Metrics.incr b "jobs" ~by:3;
-  Metrics.gauge b "peak" 0.5;
   Metrics.observe b "t" 4.0;
   let into = Metrics.create () in
   Metrics.incr into "jobs";
   Metrics.absorb ~into a;
   Metrics.absorb ~into b;
   check_int "counters add" 6 (Metrics.counter_value into "jobs");
-  (match Metrics.gauge_value into "peak" with
-  | Some v -> check_float "gauges keep the max" 1.5 v
-  | None -> Alcotest.fail "gauge lost in absorb");
   (match Metrics.hist_value into "t" with
   | Some h -> check_int "hist count crossed over" 1 h.Metrics.n
   | None -> Alcotest.fail "hist lost in absorb");

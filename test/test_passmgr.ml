@@ -287,18 +287,16 @@ let registry_cases =
            List.iter
              (fun (s : Qobs.Span.t) ->
                check_bool (s.Qobs.Span.name ^ " closed") true
-                 (s.Qobs.Span.stop_ns >= s.Qobs.Span.start_ns))
+                 (s.Qobs.Span.stop_ns >= s.Qobs.Span.start_ns);
+               (* the raising pass's span still carries its GC delta *)
+               check_bool (s.Qobs.Span.name ^ " GC delta") true
+                 (s.Qobs.Span.gc <> None))
              (root :: Qobs.Span.children root)
          | rs -> Alcotest.failf "expected 1 root, got %d" (List.length rs));
         (* the collector survives: a fresh span lands as a new root, not
            inside a leaked open span *)
         ignore (Qobs.Trace.with_span obs "after" (fun () -> ()));
-        check_int "collector reusable" 2 (List.length (Qobs.Trace.roots obs));
-        (* the raising pass still recorded its duration metric *)
-        check_bool "pass durations observed" true
-          (match Qobs.Metrics.hist_value metrics "pass.duration_ms" with
-           | Some h -> h.Qobs.Metrics.n >= 2
-           | None -> false)) ]
+        check_int "collector reusable" 2 (List.length (Qobs.Trace.roots obs))) ]
 
 let canonical_cases =
   [ case "canonical order covers every strategy's passes" (fun () ->

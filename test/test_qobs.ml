@@ -97,10 +97,6 @@ let test_metrics_arithmetic () =
   Metrics.incr m "c";
   Metrics.incr m ~by:4 "c";
   checki "counter" 5 (Metrics.counter_value m "c");
-  Metrics.gauge m "g" 1.5;
-  Metrics.gauge m "g" 2.5;
-  check Alcotest.(option (float 1e-9)) "gauge last-write-wins" (Some 2.5)
-    (Metrics.gauge_value m "g");
   Metrics.observe m "h" 1.;
   Metrics.observe m "h" 3.;
   Metrics.observe m "h" 2.;
@@ -112,9 +108,12 @@ let test_metrics_arithmetic () =
      check Alcotest.(float 1e-9) "hist max" 3. max
    | None -> Alcotest.fail "histogram missing");
   (* kind fixed by first use: wrong-kind ops are ignored *)
-  Metrics.gauge m "c" 9.;
-  checki "counter survives gauge write" 5 (Metrics.counter_value m "c");
-  check Alcotest.(list string) "names sorted" [ "c"; "g"; "h" ]
+  Metrics.observe m "c" 9.;
+  checki "counter survives histogram write" 5 (Metrics.counter_value m "c");
+  Metrics.incr m "h";
+  checki "histogram survives counter write" 3
+    (match Metrics.hist_value m "h" with Some h -> h.Metrics.n | None -> 0);
+  check Alcotest.(list string) "names sorted" [ "c"; "h" ]
     (Metrics.names m)
 
 let test_disabled_noop () =
@@ -123,7 +122,6 @@ let test_disabled_noop () =
     (List.length (Trace.roots Trace.disabled));
   checkb "disabled trace flag" false (Trace.enabled Trace.disabled);
   Metrics.incr Metrics.disabled "c";
-  Metrics.gauge Metrics.disabled "g" 1.;
   Metrics.observe Metrics.disabled "h" 1.;
   check Alcotest.(list string) "disabled metrics stay empty" []
     (Metrics.names Metrics.disabled);
@@ -294,10 +292,9 @@ let test_chrome_export () =
 let test_metrics_json_golden () =
   let m = Metrics.create () in
   Metrics.incr m ~by:3 "a.count";
-  Metrics.gauge m "b.gauge" 1.5;
   Metrics.observe m "c.hist" 2.;
   let expected =
-    "{\"a.count\":3,\"b.gauge\":1.5,\"c.hist\":{\"count\":1,\"max\":2.0,"
+    "{\"a.count\":3,\"c.hist\":{\"count\":1,\"max\":2.0,"
     ^ "\"mean\":2.0,\"min\":2.0,\"p50\":2.0,\"p90\":2.0,\"p99\":2.0,"
     ^ "\"sum\":2.0}}"
   in
@@ -553,6 +550,85 @@ let test_ledger_schema_pinned () =
   | Some (Json.Str s) -> check Alcotest.string "row schema" "qcc.ledger/1" s
   | _ -> Alcotest.fail "row schema missing"
 
+(* every fact a ledger row carries lives in one field: per-pass time and
+   allocation in [passes], latency and compile time at the top level, GDG
+   size in counters that match the [gdg] span *)
+let test_ledger_one_record_per_fact () =
+  let circuit = Qapps.Suite.lowered (Qapps.Suite.find "maxcut-line") in
+  let strategy = Qcc.Strategy.Cls_aggregation in
+  let path = Filename.temp_file "qobs_ledger" ".jsonl" in
+  let r, row =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let ledger = Qobs.Ledger.open_file path in
+        let r = Qcc.Compiler.compile ~ledger ~strategy circuit in
+        Qobs.Ledger.close ledger;
+        match Qobs.Ledger.read_file path with
+        | Ok [ row ] -> (r, row)
+        | Ok rows -> Alcotest.failf "expected 1 row, got %d" (List.length rows)
+        | Error e -> Alcotest.failf "read_file: %s" e)
+  in
+  let field name j =
+    match Json.member name j with
+    | Some v -> v
+    | None -> Alcotest.failf "row has no %s" name
+  in
+  let metrics =
+    match field "metrics" row with
+    | Json.Obj fields -> fields
+    | _ -> Alcotest.fail "metrics is not an object"
+  in
+  List.iter
+    (fun (name, v) ->
+      (match v with
+       | Json.Int _ -> ()
+       | Json.Obj _ ->
+         checkb (name ^ " is a histogram") true (Json.member "p50" v <> None)
+       | _ -> Alcotest.failf "metric %s is neither counter nor histogram" name);
+      checkb (name ^ " copies no span or result field") false
+        (String.starts_with ~prefix:"pass." name
+         || String.starts_with ~prefix:"alloc." name
+         || name = "compile.latency_ns" || name = "compile.time_s"))
+    metrics;
+  let passes =
+    match field "passes" row with
+    | Json.List ps ->
+      List.map
+        (fun p ->
+          List.iter (fun k -> ignore (field k p)) [ "wall_ns"; "minor_words" ];
+          match field "pass" p with
+          | Json.Str s -> s
+          | _ -> Alcotest.fail "pass name is not a string")
+        ps
+    | _ -> Alcotest.fail "passes is not a list"
+  in
+  check Alcotest.(list string) "passes[] covers the strategy"
+    (Qcc.Compiler.passes strategy) passes;
+  let same_float what expected =
+    check Alcotest.string what
+      (Json.to_string (Json.Float expected))
+      (Json.to_string (field what row))
+  in
+  same_float "latency_ns" r.Qcc.Compiler.latency;
+  same_float "compile_time_s" r.Qcc.Compiler.compile_time;
+  let gdg_span =
+    match r.Qcc.Compiler.trace with
+    | Some root -> (
+      match Span.find_all ~name:"gdg" root with
+      | [ s ] -> s
+      | ss -> Alcotest.failf "expected 1 gdg span, got %d" (List.length ss))
+    | None -> Alcotest.fail "ledger compile kept no trace"
+  in
+  List.iter
+    (fun key ->
+      match (List.assoc_opt key gdg_span.Span.attrs,
+             List.assoc_opt ("gdg." ^ key) metrics) with
+      | Some (Span.Int n), Some (Json.Int m) ->
+        checki ("gdg." ^ key ^ " counter matches the span") n m
+      | _ -> Alcotest.failf "gdg %s missing from span or metrics" key)
+    [ "nodes"; "edges" ]
+
 (* ---- route attribution invariant ---- *)
 
 let test_route_sum_invariant () =
@@ -630,7 +706,7 @@ let test_compile_metrics_populated () =
       checkb (Printf.sprintf "metric %s present" expected) true
         (List.mem expected names))
     [ "lower.gates"; "commute.checks"; "cls.matched"; "agg.attempted";
-      "latency_model.gate_queries"; "compile.latency_ns" ]
+      "latency_model.gate_queries"; "gdg.nodes" ]
 
 let test_untraced_compile_has_no_trace () =
   let circuit =
@@ -660,6 +736,8 @@ let suites =
     ("qobs.ledger",
      [ Alcotest.test_case "stats-roundtrip" `Quick test_ledger_stats_roundtrip;
        Alcotest.test_case "schema-pinned" `Quick test_ledger_schema_pinned;
+       Alcotest.test_case "one-record-per-fact" `Quick
+         test_ledger_one_record_per_fact;
        Alcotest.test_case "route-sum" `Quick test_route_sum_invariant;
        Alcotest.test_case "agg-phase-partition" `Quick test_agg_phase_partition;
        Alcotest.test_case "commute-route-partition" `Quick

@@ -182,10 +182,21 @@ let source_label ~qasm_file ~benchmark =
 
 let wrote path = Printf.printf "wrote %s\n%!" path
 
+(* an output file whose directory is missing fails before any work, with
+   the message opening it would give *)
+let check_output_dir path =
+  let dir = Filename.dirname path in
+  if not (Sys.file_exists dir) then
+    raise (Sys_error (path ^ ": No such file or directory"))
+  else if not (Sys.is_directory dir) then
+    raise (Sys_error (path ^ ": Not a directory"))
+
 let compile_cmd =
   let run qasm bench strategy topology width arch trace_file metrics_file
       json_file ledger_file verbosity =
     or_die @@ fun () ->
+    List.iter (Option.iter check_output_dir)
+      [ trace_file; metrics_file; json_file ];
     let verbosity = List.length verbosity in
     setup_logs verbosity;
     let circuit = load_circuit ~qasm_file:qasm ~benchmark:bench in

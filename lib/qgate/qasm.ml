@@ -395,11 +395,17 @@ let to_string c =
     (Circuit.gates c);
   Buffer.contents buf
 
+(* a read error names the file, as an open error does, and the channel
+   is closed either way *)
 let read_file path =
   let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
+  let text =
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        try really_input_string ic (in_channel_length ic)
+        with Sys_error reason -> raise (Sys_error (path ^ ": " ^ reason)))
+  in
   of_string text
 
 let write_file path c =

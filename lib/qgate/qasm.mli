@@ -19,4 +19,7 @@ val of_string : string -> Circuit.t
 val to_string : Circuit.t -> string
 
 val read_file : string -> Circuit.t
+(** Parse a QASM file. A file that cannot be opened or read raises
+    [Sys_error "<path>: <reason>"]; the channel is closed either way. *)
+
 val write_file : string -> Circuit.t -> unit

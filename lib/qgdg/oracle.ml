@@ -22,17 +22,20 @@ type t = {
 
 let all_diagonal gs = List.for_all (fun g -> Gate.is_diagonal_kind g.Gate.kind) gs
 
-(* each support qubit's position: the order-preserving relabelling onto
+(* a support qubit's label: its index in the sorted support array, by
+   binary search — the order-preserving relabelling onto
    0..|support|-1 *)
-let local_index support =
-  let local = Hashtbl.create 8 in
-  List.iteri (fun k q -> Hashtbl.replace local q k) support;
-  local
+let label support q =
+  let lo = ref 0 and hi = ref (Array.length support - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if support.(mid) < q then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
-let relabel_onto support gs =
-  List.map (Gate.map_qubits (Hashtbl.find (local_index support))) gs
+let relabel_onto support gs = List.map (Gate.map_qubits (label support)) gs
 
-let support_of gs = List.sort_uniq compare (List.concat_map Gate.qubits gs)
+let support_of gs = List.sort_uniq Int.compare (List.concat_map Gate.qubits gs)
 
 (* Every memo table of the detection layer lives in one per-domain slot
    (Domain.DLS): each entry is a pure function of its content-addressed
@@ -40,16 +43,17 @@ let support_of gs = List.sort_uniq compare (List.concat_map Gate.qubits gs)
    write can ever race across domains.
 
    - [classify]: digest of a relabelled block -> its summary payload.
-   - [pair]: (digest_a, embedding_a, digest_b, embedding_b) -> pairwise
-     commutation decision (the joint overlap pattern matters, so the two
-     block digests alone are not a sufficient key; the embeddings — each
-     support's positions inside the sorted joint support — restore
-     exactly the information of the relabelled pair).
+   - [pair]: (digest_a, digest_b, joint mask) -> pairwise commutation
+     decision (the joint overlap pattern matters, so the two block
+     digests alone are not a sufficient key; the mask ({!joint_mask}) —
+     which joint positions each support occupies — restores exactly the
+     information of the relabelled pair, and is hashed and compared
+     without building anything).
    - [diagonal]: digest of a relabelled prefix -> is the composed
      unitary diagonal (the detect pass's per-prefix question). *)
 type memo_state = {
   classify : (string, klass * bool * bool * bool) Hashtbl.t;
-  pair : (string, bool) Hashtbl.t;
+  pair : (string * string * int, bool) Hashtbl.t;
   diagonal : (string, bool) Hashtbl.t;
 }
 
@@ -140,22 +144,26 @@ let classify ~n_qubits local =
   in
   (klass, in_clifford, in_phase_poly, all_diag)
 
-(* the digest encodes the relabelled gates without building them; the
-   relabelled list is made only for a classify miss *)
+(* A summary's digest: the relabelled gates' {!Gate.add_key} encoding,
+   MD5-digested to 16 raw bytes — or the encoding itself when it is
+   shorter than that (a single gate, mostly), which can never equal a
+   16-byte digest. The encoding is built without relabelling the gates;
+   the relabelled list is made only for a classify miss. *)
+let digest_of_key key = if String.length key < 16 then key else Digest.string key
+
 let of_gates gs =
   let support = support_of gs in
-  let local = local_index support in
+  let labels = Array.of_list support in
   let key = Buffer.create 64 in
-  List.iter (Gate.add_key key ~qubit:(Hashtbl.find local)) gs;
-  let digest = Digest.to_hex (Digest.string (Buffer.contents key)) in
+  List.iter (Gate.add_key key ~qubit:(label labels)) gs;
+  let digest = digest_of_key (Buffer.contents key) in
   let m = Qobs.Domain_safe.Local.get memos in
   let payload, hit =
     match Hashtbl.find_opt m.classify digest with
     | Some payload -> (payload, true)
     | None ->
       let payload =
-        classify ~n_qubits:(List.length support)
-          (List.map (Gate.map_qubits (Hashtbl.find local)) gs)
+        classify ~n_qubits:(Array.length labels) (relabel_onto labels gs)
       in
       Hashtbl.replace m.classify digest payload;
       (payload, false)
@@ -250,42 +258,55 @@ let algebraic_pair ~in_phase_poly ~in_clifford ~n_qubits a b =
         Some (r, route_tableau)
       | _ -> None)
 
-let disjoint sa sb = not (List.exists (fun q -> List.mem q sb.support) sa.support)
+(* The joint membership mask of two summaries' sorted supports, in one
+   merge walk. Joint position k owns bit 2k ("on a") and bit 2k+1 ("on
+   b"), so every position's two-bit digit is nonzero, and the mask alone
+   gives the joint width ({!mask_width}), whether the supports meet
+   ({!mask_meets}) and where each support sits in the joint support.
+   Positions from [mask_positions] on fold into one last digit that
+   reads "on both" iff some folded position is: such a joint is wider
+   than any width this module checks, and meeting supports still show. *)
+let mask_positions = 30
+
+let joint_mask sa sb =
+  let put k d =
+    if k < mask_positions then d lsl (2 * k)
+    else (if d = 3 then 3 else 1) lsl (2 * mask_positions)
+  in
+  let rec walk k m a b =
+    match (a, b) with
+    | [], [] -> m
+    | _ :: a', [] -> walk (k + 1) (m lor put k 1) a' []
+    | [], _ :: b' -> walk (k + 1) (m lor put k 2) [] b'
+    | p :: a', q :: b' ->
+      if p < q then walk (k + 1) (m lor put k 1) a' b
+      else if q < p then walk (k + 1) (m lor put k 2) a b'
+      else walk (k + 1) (m lor put k 3) a' b'
+  in
+  walk 0 0 sa.support sb.support
+
+let rec mask_width m = if m = 0 then 0 else 1 + mask_width (m lsr 2)
+
+(* some position's digit has both bits *)
+let mask_meets m = m land (m lsr 1) land 0x1555_5555_5555_5555 <> 0
+
+(* the sorted joint support, built only where gates get relabelled *)
+let joint_support sa sb =
+  Array.of_list (List.sort_uniq Int.compare (sa.support @ sb.support))
 
 (* Identity or Diagonal: the operator is exactly diagonal (the affine
    test behind the Diagonal klass is exact boolean algebra) or scalar, so
    two such operators commute *)
 let diagonal_klass s = s.klass = Identity || s.klass = Diagonal
 
-(* positions of a summary's support inside the sorted joint support —
-   together with the two digests this determines the relabelled pair
-   exactly, so the digest-pair memo key is as precise as an encoding of
-   the relabelled gate lists themselves, without rebuilding them *)
-let embedding joint support = List.map (Hashtbl.find (local_index joint)) support
-
-(* the digest-pair memo key: two fixed-length hex digests, each followed
-   by its length-prefixed embedding (positions below [max_check_width],
-   one byte each) *)
-let pair_key joint sa sb =
-  let buf = Buffer.create 80 in
-  let add s =
-    let e = embedding joint s.support in
-    Buffer.add_string buf s.digest;
-    Buffer.add_char buf (Char.chr (List.length e));
-    List.iter (fun k -> Buffer.add_char buf (Char.chr k)) e
-  in
-  add sa;
-  add sb;
-  Buffer.contents buf
-
 (* Shared slow path: support width gate, then the klass-pair shortcut
-   (two provably diagonal operators commute exactly), then the
-   digest-pair memo, then the flag-dispatched algebraic domains, then the
-   dense comparison. Callers have already dispatched the structural
-   shortcuts. *)
-let decide ~t0 sa sb a_gates b_gates =
-  let support = List.sort_uniq compare (sa.support @ sb.support) in
-  let n_qubits = List.length support in
+   (two provably diagonal operators commute exactly), then the pair memo
+   keyed by both digests and the joint [mask], then the flag-dispatched
+   algebraic domains, then the dense comparison. Callers have already
+   dispatched the structural shortcuts. A memo hit builds no key string,
+   joint support or relabelled gate. *)
+let decide ~t0 ~mask sa sb a_gates b_gates =
+  let n_qubits = mask_width mask in
   if n_qubits > max_check_width then begin
     route route_oversize t0;
     false
@@ -295,15 +316,16 @@ let decide ~t0 sa sb a_gates b_gates =
     true
   end
   else begin
-    let key = pair_key support sa sb in
+    let key = (sa.digest, sb.digest, mask) in
     let m = Qobs.Domain_safe.Local.get memos in
     match Hashtbl.find_opt m.pair key with
     | Some r ->
       route route_memo t0;
       r
     | None ->
-      let a = relabel_onto support a_gates in
-      let b = relabel_onto support b_gates in
+      let joint = joint_support sa sb in
+      let a = relabel_onto joint a_gates in
+      let b = relabel_onto joint b_gates in
       let r =
         match
           algebraic_pair
@@ -334,11 +356,12 @@ let blocks ?sa ?sb a b =
   | _ ->
     let sa = match sa with Some s -> s | None -> fst (of_gates a) in
     let sb = match sb with Some s -> s | None -> fst (of_gates b) in
-    if disjoint sa sb || (sa.all_diagonal && sb.all_diagonal) then begin
+    let mask = joint_mask sa sb in
+    if (not (mask_meets mask)) || (sa.all_diagonal && sb.all_diagonal) then begin
       route route_structural t0;
       true
     end
-    else decide ~t0 sa sb a b
+    else decide ~t0 ~mask sa sb a b
 
 let gates a b =
   Qobs.Metrics.tick "commute.checks";
@@ -353,7 +376,7 @@ let gates a b =
   end
   else
     let sa = fst (of_gates [ a ]) and sb = fst (of_gates [ b ]) in
-    decide ~t0 sa sb [ a ] [ b ]
+    decide ~t0 ~mask:(joint_mask sa sb) sa sb [ a ] [ b ]
 
 (* The lint-side query (QL070): disjoint supports, then the klass-pair
    shortcut, then the flag-dispatched algebraic domains on joint supports
@@ -362,12 +385,14 @@ let gates a b =
 let algebraic_width = 12
 
 let algebraic ~sa ~sb a b =
-  if disjoint sa sb || (diagonal_klass sa && diagonal_klass sb) then Some true
+  let mask = joint_mask sa sb in
+  if (not (mask_meets mask)) || (diagonal_klass sa && diagonal_klass sb) then
+    Some true
   else
-    let joint = List.sort_uniq compare (sa.support @ sb.support) in
-    let n_qubits = List.length joint in
+    let n_qubits = mask_width mask in
     if n_qubits > algebraic_width then None
     else
+      let joint = joint_support sa sb in
       Option.map fst
         (algebraic_pair
            ~in_phase_poly:(sa.in_phase_poly && sb.in_phase_poly)

@@ -15,6 +15,16 @@
     excitation or adder template stamped onto different qubit sets) are
     classified once per domain.
 
+    Pairwise decisions are memoized under the key [(digest_a, digest_b,
+    mask)], where the joint mask comes from one merge walk of the two
+    sorted supports: two bits per joint-support position, "on a" and "on
+    b". The mask fixes both supports' places in the joint support, so the
+    key pins the relabelled pair exactly; the same walk gives the joint
+    width and whether the supports meet. A memo hit builds no string,
+    table or list: the joint support and the relabelled gates are made
+    only on a miss. Keys are content-based, never per-domain ids, so the
+    route counters do not depend on which domain computed a summary.
+
     Four consumers sit on top of the oracle: pairwise commutation
     ({!blocks} / {!gates}, called by the aggregator), diagonal-prefix
     recognition for the detect pass ({!scan_push} / {!scan_is_diagonal},
@@ -31,7 +41,11 @@ val klass_to_string : klass -> string
 (** Lower-case name: ["identity"] … ["general"]. *)
 
 type t = {
-  digest : string;  (** hex digest of the relabelled member list *)
+  digest : string;
+      (** content key of the member list relabelled onto its own support:
+          the raw 16-byte MD5 digest of its gate encoding, or the
+          encoding itself when shorter than 16 bytes (which can never
+          equal a digest). Equal digests mean congruent blocks. *)
   support : int list;  (** sorted qubit support *)
   klass : klass;
   in_clifford : bool;  (** tableau domain applies (independent of klass) *)
@@ -50,8 +64,8 @@ val max_check_width : int
 val blocks : ?sa:t -> ?sb:t -> Qgate.Gate.t list -> Qgate.Gate.t list -> bool
 (** Do two member-gate blocks commute as whole operators? Structural
     shortcuts (empty, disjoint supports, both sides syntactically
-    diagonal), then the width gate, the klass-pair shortcut, the
-    digest-pair memo, the flag-dispatched algebraic domains, and the
+    diagonal), then the width gate, the klass-pair shortcut, the pair
+    memo, the flag-dispatched algebraic domains, and the
     dense comparison last. [sa]/[sb] supply precomputed summaries
     (callers holding per-instruction caches); otherwise summaries are
     computed (and digest-memoized) per call.

@@ -80,4 +80,6 @@ let read_file path =
           | Error msg ->
             Error (Printf.sprintf "%s:%d: %s" path lineno msg))
       in
-      go 1 [])
+      (* a read error names the file, as an open error does *)
+      try go 1 []
+      with Sys_error reason -> raise (Sys_error (path ^ ": " ^ reason)))

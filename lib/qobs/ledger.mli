@@ -54,4 +54,5 @@ val row :
 
 val read_file : string -> (Json.t list, string) result
 (** Parse a JSONL ledger (blank lines skipped); [Error] carries
-    [file:line: message] for the first malformed row. *)
+    [file:line: message] for the first malformed row. A file that cannot
+    be opened or read raises [Sys_error "<path>: <reason>"]. *)

@@ -240,6 +240,54 @@ let blocks_reference a b =
 
 let insts_reference a b = blocks_reference a.Inst.gates b.Inst.gates
 
+(* ---- the oracle's string memo keys ---- *)
+
+(* The summary digest and pair memo key as string encodings: a block's
+   hex digest of its member list relabelled onto its own support, and a
+   pair's two digests each followed by its support's positions inside
+   the sorted joint support. The qcheck suite pins the oracle's
+   allocation-free keys to partition blocks and pairs exactly as these
+   do. *)
+type summary = { digest : string; support : int list }
+
+(* each support qubit's position: the order-preserving relabelling onto
+   0..|support|-1 *)
+let local_index support =
+  let local = Hashtbl.create 8 in
+  List.iteri (fun k q -> Hashtbl.replace local q k) support;
+  local
+
+let support_of gs = List.sort_uniq compare (List.concat_map Gate.qubits gs)
+
+let summary gs =
+  let support = support_of gs in
+  let local = local_index support in
+  let key = Buffer.create 64 in
+  List.iter (Gate.add_key key ~qubit:(Hashtbl.find local)) gs;
+  let digest = Digest.to_hex (Digest.string (Buffer.contents key)) in
+  { digest; support }
+
+(* positions of a summary's support inside the sorted joint support —
+   together with the two digests this determines the relabelled pair
+   exactly, so the digest-pair memo key is as precise as an encoding of
+   the relabelled gate lists themselves, without rebuilding them *)
+let embedding joint support = List.map (Hashtbl.find (local_index joint)) support
+
+(* the digest-pair memo key: two fixed-length hex digests, each followed
+   by its length-prefixed embedding (positions below [max_check_width],
+   one byte each) *)
+let pair_key joint sa sb =
+  let buf = Buffer.create 80 in
+  let add s =
+    let e = embedding joint s.support in
+    Buffer.add_string buf s.digest;
+    Buffer.add_char buf (Char.chr (List.length e));
+    List.iter (fun k -> Buffer.add_char buf (Char.chr k)) e
+  in
+  add sa;
+  add sb;
+  Buffer.contents buf
+
 (* ---- chain contraction (paper §3.3) ---- *)
 
 (* [merge_chains chains a b m]: the per-qubit chains after contracting

@@ -441,7 +441,14 @@ let qasm_cases =
     case "roundtrip of generated benchmark" (fun () ->
         let c = Qapps.Qaoa.triangle_example () in
         let parsed = Qasm.of_string (Qasm.to_string c) in
-        check_bool "semantics" true (Circuit.equal_semantics ~eps:1e-8 c parsed)) ]
+        check_bool "semantics" true (Circuit.equal_semantics ~eps:1e-8 c parsed));
+    (* a directory opens but cannot be read: the error names it *)
+    case "read_file error names the file" (fun () ->
+        let dir = Filename.get_temp_dir_name () in
+        match Qasm.read_file dir with
+        | _ -> Alcotest.fail "reading a directory succeeded"
+        | exception Sys_error msg ->
+          check_bool msg true (String.starts_with ~prefix:(dir ^ ": ") msg)) ]
 
 let suites =
   [ ("qgate.gate", gate_cases);

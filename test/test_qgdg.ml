@@ -219,6 +219,126 @@ let memo_key_cases =
         check_int "second query hits" 1
           (Qobs.Metrics.counter_value m "commute.route.memo")) ]
 
+(* a block template on [k] local wires from a vocabulary with no
+   diagonal gate, so that most pairs of placed copies reach the pair
+   memo *)
+let random_template rng =
+  let k = 1 + Qgraph.Rand.int rng 3 in
+  let gate () =
+    let q = Qgraph.Rand.int rng k in
+    if k = 1 || Qgraph.Rand.bool rng then
+      match Qgraph.Rand.int rng 3 with
+      | 0 -> Gate.h q
+      | 1 -> Gate.x q
+      | _ -> Gate.rx 0.5 q
+    else Gate.cnot q ((q + 1 + Qgraph.Rand.int rng (k - 1)) mod k)
+  in
+  (k, List.init (1 + Qgraph.Rand.int rng 3) (fun _ -> gate ()))
+
+(* the template on [k] distinct random wires of six, in random order *)
+let place rng (k, gs) =
+  let wires = Array.of_list (Qgraph.Rand.pick_distinct rng k 6) in
+  List.map (Gate.map_qubits (Array.get wires)) gs
+
+let shift c gs = List.map (Gate.map_qubits (( + ) c)) gs
+
+(* one query's route counters *)
+let routed a b =
+  let m = Qobs.Metrics.create () in
+  Qobs.Metrics.with_ambient m (fun () -> ignore (Oracle.blocks a b));
+  fun r -> Qobs.Metrics.counter_value m ("commute.route." ^ r) = 1
+
+(* a query that got as far as the pair memo *)
+let keyed route = List.exists route [ "memo"; "phase_poly"; "tableau"; "dense" ]
+
+let ref_pair_key a b =
+  Qref.pair_key (Qref.support_of (a @ b)) (Qref.summary a) (Qref.summary b)
+
+let oracle_cases =
+  [ (* the allocation-free keys partition blocks and pairs exactly as the
+       string keys do: a second pair hits the first one's memo entry iff
+       the two get equal string keys. The first pair is drawn until it
+       reaches the pair memo; the second is a congruent copy of it on
+       shifted wires, or it with one or both blocks re-placed (equal
+       digests, other embeddings) *)
+    qcheck ~count:500 "memo keys partition like the string keys"
+      QCheck.(int_range 0 100000)
+      (fun seed ->
+        let rng = Qgraph.Rand.create seed in
+        let rec first () =
+          let ta = random_template rng and tb = random_template rng in
+          let a1 = place rng ta and b1 = place rng tb in
+          if keyed (routed a1 b1) then (ta, tb, a1, b1) else first ()
+        in
+        let ta, tb, a1, b1 = first () in
+        let a2, b2 =
+          match Qgraph.Rand.int rng 4 with
+          | 0 ->
+            let c = 1 + Qgraph.Rand.int rng 5 in
+            (shift c a1, shift c b1)
+          | 1 -> (a1, place rng tb)
+          | 2 -> (place rng ta, b1)
+          | _ -> (place rng ta, place rng tb)
+        in
+        Oracle.reset_memos ();
+        let blocks = [ a1; b1; a2; b2 ] in
+        let digests_agree =
+          List.for_all
+            (fun x ->
+              List.for_all
+                (fun y ->
+                  (fst (Oracle.of_gates x)).Oracle.digest
+                  = (fst (Oracle.of_gates y)).Oracle.digest
+                  = ((Qref.summary x).Qref.digest = (Qref.summary y).Qref.digest))
+                blocks)
+            blocks
+        in
+        Oracle.reset_memos ();
+        ignore (Oracle.blocks a1 b1);
+        let r2 = routed a2 b2 in
+        let same = ref_pair_key a1 b1 = ref_pair_key a2 b2 in
+        digests_agree
+        &&
+        if keyed r2 then r2 "memo" = same else not same);
+    (* joint positions past the mask's width fold into its last digit,
+       which still tells meeting supports from disjoint ones *)
+    case "wide joints: meeting vs disjoint supports" (fun () ->
+        let wide = List.init 40 Gate.h in
+        let route b =
+          let m = Qobs.Metrics.create () in
+          let r = Qobs.Metrics.with_ambient m (fun () -> Oracle.blocks wide b) in
+          let routes =
+            List.filter
+              (fun r -> Qobs.Metrics.counter_value m ("commute.route." ^ r) = 1)
+              [ "structural"; "oversize" ]
+          in
+          (r, routes)
+        in
+        check_bool "meets at wire 39: oversize" true
+          (route [ Gate.x 39 ] = (false, [ "oversize" ]));
+        check_bool "disjoint at wire 40: structural" true
+          (route [ Gate.x 40 ] = (true, [ "structural" ])));
+    (* a memo hit on precomputed summaries builds no key string, table or
+       sorted list: only the optional-argument boxes, the key tuple and
+       the lookup's option *)
+    case "memo hit allocates at most 32 words" (fun () ->
+        Oracle.reset_memos ();
+        let a = [ Gate.h 3; Gate.cnot 3 5; Gate.rx 0.3 5 ] in
+        let b = [ Gate.cnot 5 7; Gate.ry 0.2 7 ] in
+        let sa = fst (Oracle.of_gates a) and sb = fst (Oracle.of_gates b) in
+        ignore (Oracle.blocks ~sa ~sb a b);
+        let m = Qobs.Metrics.create () in
+        Qobs.Metrics.with_ambient m (fun () -> ignore (Oracle.blocks ~sa ~sb a b));
+        check_int "a memo hit" 1 (Qobs.Metrics.counter_value m "commute.route.memo");
+        let calls = 1000 in
+        let w0 = Gc.minor_words () in
+        for _ = 1 to calls do
+          ignore (Oracle.blocks ~sa ~sb a b)
+        done;
+        let words = (Gc.minor_words () -. w0) /. float_of_int calls in
+        check_bool (Printf.sprintf "%.1f minor words per hit" words) true
+          (words <= 32.)) ]
+
 let gdg_cases =
   [ case "of_circuit sizes" (fun () ->
         let g = qaoa_triangle () in
@@ -874,6 +994,7 @@ let suites =
   [ ("qgdg.inst", inst_cases);
     ("qgdg.commute", commute_cases);
     ("qgdg.memo_key", memo_key_cases);
+    ("qgdg.oracle", oracle_cases);
     ("qgdg.gdg", gdg_cases);
     ("qgdg.links", links_cases);
     ("qgdg.comm_group", comm_group_cases);

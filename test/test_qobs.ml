@@ -553,6 +553,14 @@ let test_ledger_schema_pinned () =
 (* every fact a ledger row carries lives in one field: per-pass time and
    allocation in [passes], latency and compile time at the top level, GDG
    size in counters that match the [gdg] span *)
+(* a directory opens but cannot be read: the error names it *)
+let test_ledger_read_error_names_file () =
+  let dir = Filename.get_temp_dir_name () in
+  match Qobs.Ledger.read_file dir with
+  | _ -> Alcotest.fail "reading a directory succeeded"
+  | exception Sys_error msg ->
+    check Alcotest.bool msg true (String.starts_with ~prefix:(dir ^ ": ") msg)
+
 let test_ledger_one_record_per_fact () =
   let circuit = Qapps.Suite.lowered (Qapps.Suite.find "maxcut-line") in
   let strategy = Qcc.Strategy.Cls_aggregation in
@@ -738,6 +746,8 @@ let suites =
        Alcotest.test_case "schema-pinned" `Quick test_ledger_schema_pinned;
        Alcotest.test_case "one-record-per-fact" `Quick
          test_ledger_one_record_per_fact;
+       Alcotest.test_case "read-error-names-file" `Quick
+         test_ledger_read_error_names_file;
        Alcotest.test_case "route-sum" `Quick test_route_sum_invariant;
        Alcotest.test_case "agg-phase-partition" `Quick test_agg_phase_partition;
        Alcotest.test_case "commute-route-partition" `Quick

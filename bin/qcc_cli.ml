@@ -191,6 +191,16 @@ let check_output_dir path =
   else if not (Sys.is_directory dir) then
     raise (Sys_error (path ^ ": Not a directory"))
 
+(* an output directory is made, or found to be one, before any work *)
+let make_output_dir dir =
+  match Unix.mkdir dir 0o755 with
+  | () -> ()
+  | exception Unix.Unix_error (Unix.EEXIST, _, _) when Sys.is_directory dir -> ()
+  | exception Unix.Unix_error (Unix.EEXIST, _, _) ->
+    raise (Sys_error (dir ^ ": Not a directory"))
+  | exception Unix.Unix_error (e, _, _) ->
+    raise (Sys_error (dir ^ ": " ^ Unix.error_message e))
+
 let compile_cmd =
   let run qasm bench strategy topology width arch trace_file metrics_file
       json_file ledger_file verbosity =
@@ -248,6 +258,7 @@ let compile_cmd =
 let compare_cmd =
   let run qasm benches topology width arch json_file ledger_file jobs =
     or_die @@ fun () ->
+    Option.iter check_output_dir json_file;
     let jobs = check_jobs jobs in
     let cfg = config topology width arch in
     let rows =
@@ -899,10 +910,10 @@ let export_cmd =
     or_die @@ fun () ->
     let circuit = load_circuit ~qasm_file:qasm ~benchmark:bench in
     let strategy = Qcc.Strategy.of_string strategy in
+    make_output_dir out_dir;
     let r =
       Qcc.Compiler.compile ~config:(config topology width arch) ~strategy circuit
     in
-    (try Unix.mkdir out_dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
     let path name = Filename.concat out_dir name in
     Qviz.Dot.write_file (path "gdg.dot") r.Qcc.Compiler.gdg;
     Qviz.Timeline.write_svg (path "schedule.svg") r.Qcc.Compiler.schedule;

@@ -258,13 +258,13 @@ let run ?(width_limit = 10) ?(pessimism = `Model) ~cost g =
             close score;
             match Timing.merge !slack ~latency:predicted a b with
             | exception Invalid_argument _ -> close retime
-            | merged, pops ->
+            | merged, visits ->
               close retime;
               Qobs.Metrics.tick "agg.accepted";
               incr merges;
               incr merged_this_round;
               sweep_again := true;
-              slack_visits := !slack_visits + pops;
+              slack_visits := !slack_visits + visits;
               regroup_visits :=
                 !regroup_visits
                 + Comm_group.refresh ~commute groups ~a ~la ~b ~lb merged;

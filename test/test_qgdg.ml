@@ -907,13 +907,33 @@ let timing_agrees (t : Timing.t) g =
        (fun x -> Gdg.mem g x || Timing.rank t x = neg_infinity)
        (List.init (Gdg.next_id g) Fun.id)
 
+(* [t]'s maintained order is a topological order of [g]: every live id
+   has a slot holding it, every other slot is a hole, and every chain
+   edge runs from a lower to a higher position *)
+let order_topological (t : Timing.t) g =
+  let live = Gdg.insts g in
+  List.for_all
+    (fun (i : Inst.t) ->
+      let x = i.Inst.id in
+      let p = t.pos.(x) in
+      p >= 0
+      && t.order.(p) = x
+      && List.for_all
+           (fun (c : Inst.t) -> t.pos.(c.Inst.id) > p)
+           (Gdg.children g x))
+    live
+  && Array.for_all (fun x -> x < 0 || Gdg.mem g x) t.order
+  && List.length (List.filter (fun x -> x >= 0) (Array.to_list t.order))
+     = List.length live
+
 let timing_cases =
   [ (* random merges through [Timing.merge], each validated by the
        rank-bounded cycle probe: the patched tables must equal a fresh pass
-       after every step. Pairs are either chain-near (mostly accepted) or
-       arbitrary (often cyclic, so rejected merges must leave [t] alone);
-       latencies are random, zero included, so ties and re-timed tails
-       both occur *)
+       after every step, and the maintained order must stay topological.
+       Pairs are either chain-near (mostly accepted) or arbitrary (often
+       cyclic, so rejected merges must leave [t] alone, its order
+       included); latencies are random, zero included, so ties and
+       re-timed tails both occur *)
     qcheck ~count:100 "Timing.merge matches create after every merge"
       QCheck.(int_range 0 10000)
       (fun seed ->
@@ -951,12 +971,14 @@ let timing_cases =
           (fun _ ->
             let a = pick (List.map (fun (i : Inst.t) -> i.Inst.id) (Gdg.insts g)) in
             let b = partner a in
+            let order = Array.copy t.order and pos = Array.copy t.pos in
             (a = b
             ||
             match Timing.merge t ~latency:(latency ()) a b with
-            | exception Invalid_argument _ -> true
-            | _, pops -> pops >= 1)
-            && timing_agrees t g)
+            | exception Invalid_argument _ -> t.order = order && t.pos = pos
+            | _, visits -> visits >= 1)
+            && timing_agrees t g
+            && order_topological t g)
           (List.init 25 Fun.id));
     (* the schedulers' timing against the list folds of the test-scope
        specification on random graphs and random latencies, zero

@@ -936,7 +936,11 @@ let export_cmd =
 let () =
   let doc = "optimized compilation of aggregated quantum instructions" in
   let info = Cmd.info "qcc" ~version:"1.0.0" ~doc in
-  exit (Cmd.eval (Cmd.group info
-                    [ compile_cmd; compare_cmd; profile_cmd; stats_cmd;
-                      bench_list_cmd; lint_cmd; analyze_cmd; certify_cmd;
-                      verify_cmd; pulse_cmd; export_cmd ]))
+  let code =
+    Cmd.eval (Cmd.group info
+                [ compile_cmd; compare_cmd; profile_cmd; stats_cmd;
+                  bench_list_cmd; lint_cmd; analyze_cmd; certify_cmd;
+                  verify_cmd; pulse_cmd; export_cmd ])
+  in
+  (* a usage error Cmdliner catches exits 2, as [or_die]'s do *)
+  exit (if code = Cmd.Exit.cli_error then 2 else code)

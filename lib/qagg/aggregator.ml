@@ -18,7 +18,7 @@ type stats = {
 let monotonic (slack : Timing.t) a b ~merged_latency =
   let g = slack.g in
   let la = g.Gdg.links.(a) and lb = g.Gdg.links.(b) in
-  let wa = Array.length la / 4 and wb = Array.length lb / 4 in
+  let wa = Array.length la / 3 and wb = Array.length lb / 3 in
   let on_a q =
     let rec go k = k < wa && (la.(k) = q || go (k + 1)) in
     go 0
@@ -143,27 +143,23 @@ let run ?(width_limit = 10) ?(pessimism = `Model) ~cost g =
   let initial_makespan = !slack.makespan in
   let slack_visits = ref 0 and regroup_visits = ref 0 in
   (* the action-space test of paper §4.1 against the chain links: [a]
-     precedes [b] on every shared qubit, where the two are same-group
-     siblings or chain-adjacent; O(width²) array reads *)
+     precedes [b] in the graph's order, and on every shared qubit the two
+     are same-group siblings or chain-adjacent; O(width²) array reads *)
   let schedulable a b =
     a <> b
+    && g.Gdg.pos.(a) < g.Gdg.pos.(b)
     &&
     let la = g.Gdg.links.(a) and lb = g.Gdg.links.(b) in
-    let wa = Array.length la / 4 and wb = Array.length lb / 4 in
+    let wa = Array.length la / 3 and wb = Array.length lb / 3 in
     let shared = ref false in
     let rec holds ka =
       ka >= wa
       || (let q = la.(ka) in
-          let rec slot_b kb =
-            if kb >= wb then -1 else if lb.(kb) = q then kb else slot_b (kb + 1)
-          in
-          let kb = slot_b 0 in
-          kb < 0
+          let rec on_b kb = kb < wb && (lb.(kb) = q || on_b (kb + 1)) in
+          (not (on_b 0))
           || begin
             shared := true;
-            la.((3 * wa) + ka) < lb.((3 * wb) + kb)
-            && (Comm_group.same_group groups ~qubit:q a b
-                || la.((2 * wa) + ka) = b)
+            Comm_group.same_group groups ~qubit:q a b || la.((2 * wa) + ka) = b
           end)
          && holds (ka + 1)
     in

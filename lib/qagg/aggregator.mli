@@ -41,16 +41,15 @@ val run :
     latency for any block; the input graph's latencies are finite and
     non-negative by construction ({!Qgdg.Gdg.of_insts}).
 
-    The search is incremental. Chain neighbours and positions are read
-    from the {!Qgdg.Gdg} links. ASAP starts and makespan-free deadlines
-    (each node's tail; a successor's latest start is the makespan minus
-    its tail) are one {!Qgdg.Timing} table: every merge goes through
-    {!Qgdg.Timing.merge}, which re-times the splice's dependents in the
-    table's maintained topological order, and the table is rebuilt only
-    when a round re-costs the blocks. The nodes it re-times are ticked as
-    [agg.slack_visits] once per run, and its ASAP starts are the ranks
-    that bound the cycle probe inside {!Qgdg.Gdg.merge}, which
-    exclusive-edge merges skip. Commutation goes
+    The search is incremental. Chain neighbours are read from the
+    {!Qgdg.Gdg} links and precedence from the graph's maintained
+    topological order. ASAP starts and makespan-free deadlines (each
+    node's tail; a successor's latest start is the makespan minus its
+    tail) are one {!Qgdg.Timing} table: every merge goes through
+    {!Qgdg.Timing.merge}, which re-times the splice's dependents in that
+    order, and the table is rebuilt only when a round re-costs the
+    blocks. The nodes it re-times are ticked as [agg.slack_visits] once
+    per run. Commutation goes
     through one {!Qgdg.Comm_group.oracle_commute}, one summary per block
     id, under an id-pair decision cache. The commutation groups are
     regrouped in the window around the splice ({!Qgdg.Comm_group.refresh},

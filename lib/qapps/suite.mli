@@ -21,11 +21,10 @@ val fig9 : benchmark list
     duplicate application — the paper's §5.3 speaks of 9 benchmarks; we
     drop Ising-60 from the geomean and report it separately). *)
 
-val extended : benchmark list
-(** Table 3 plus the QFT instances §6.1 discusses. *)
-
 val find : string -> benchmark
-(** Looks up in {!extended}. Raises [Not_found]. *)
+(** Looks up a Table 3 row, one of the QFT instances §6.1 discusses, or
+    [qaoa-line-20] (maxcut-line under its Fig. 4 name). Raises
+    [Not_found]. *)
 
 val lowered : benchmark -> Qgate.Circuit.t
 (** The instance's circuit lowered to the standard ISA (Toffoli-free). *)

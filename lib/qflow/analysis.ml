@@ -31,17 +31,11 @@ type gdg_result = {
   steps : int;
 }
 
-module Work = Set.Make (struct
-  type t = int * int (* topo position, inst id *)
-
-  let compare = compare
-end)
-
+(* one pass in topological order: every chain predecessor is
+   interpreted before the instructions that read its output *)
 let gdg g =
   let n_qubits = Qgdg.Gdg.n_qubits g in
   let order = Qgdg.Gdg.insts g in
-  let pos = Hashtbl.create 64 in
-  List.iteri (fun k (i : Qgdg.Inst.t) -> Hashtbl.replace pos i.Qgdg.Inst.id k) order;
   (* per-instruction output values on its support qubits *)
   let out : (int, (int * Absval.t) list) Hashtbl.t = Hashtbl.create 64 in
   let info : (int, inst_info) Hashtbl.t = Hashtbl.create 64 in
@@ -50,60 +44,35 @@ let gdg g =
       (fun q ->
         match Qgdg.Gdg.pred_on g i.Qgdg.Inst.id ~qubit:q with
         | None -> (q, Absval.bottom)
-        | Some p -> (
-          match Hashtbl.find_opt out p.Qgdg.Inst.id with
-          | Some vals -> (q, try List.assoc q vals with Not_found -> Absval.top)
-          | None -> (q, Absval.bottom)))
+        | Some p -> (q, List.assoc q (Hashtbl.find out p.Qgdg.Inst.id)))
       i.Qgdg.Inst.qubits
   in
   let steps = ref 0 in
-  let work =
-    ref
-      (List.fold_left
-         (fun acc (i : Qgdg.Inst.t) ->
-           Work.add (Hashtbl.find pos i.Qgdg.Inst.id, i.Qgdg.Inst.id) acc)
-         Work.empty order)
-  in
-  while not (Work.is_empty !work) do
-    let ((_, id) as item) = Work.min_elt !work in
-    work := Work.remove item !work;
-    let i = Qgdg.Gdg.find g id in
-    let input = input_of i in
-    incr steps;
-    (* interpret the member gates on a full-width scratch state; gates
-       of this block only touch its support *)
-    let st = Array.make n_qubits Absval.top in
-    List.iter (fun (q, v) -> st.(q) <- v) input;
-    let dead_members = ref [] in
-    List.iteri
-      (fun k gate -> if Transfer.step st gate then dead_members := k :: !dead_members)
-      i.Qgdg.Inst.gates;
-    let output = List.map (fun q -> (q, st.(q))) i.Qgdg.Inst.qubits in
-    let changed =
-      match Hashtbl.find_opt out id with
-      | Some prev -> prev <> output
-      | None -> true
-    in
-    Hashtbl.replace out id output;
-    let summary, hit = Qgdg.Oracle.of_gates i.Qgdg.Inst.gates in
-    Qobs.Metrics.tick
-      (if hit then "qflow.summary.hit" else "qflow.summary.miss");
-    Hashtbl.replace info id
-      { inst_id = id;
-        input;
-        output;
-        summary;
-        dead_members = List.rev !dead_members };
-    if changed then
-      List.iter
-        (fun q ->
-          match Qgdg.Gdg.succ_on g id ~qubit:q with
-          | Some s ->
-            let s = s.Qgdg.Inst.id in
-            work := Work.add (Hashtbl.find pos s, s) !work
-          | None -> ())
-        i.Qgdg.Inst.qubits
-  done;
+  List.iter
+    (fun (i : Qgdg.Inst.t) ->
+      let id = i.Qgdg.Inst.id in
+      let input = input_of i in
+      incr steps;
+      (* interpret the member gates on a full-width scratch state; gates
+         of this block only touch its support *)
+      let st = Array.make n_qubits Absval.top in
+      List.iter (fun (q, v) -> st.(q) <- v) input;
+      let dead_members = ref [] in
+      List.iteri
+        (fun k gate -> if Transfer.step st gate then dead_members := k :: !dead_members)
+        i.Qgdg.Inst.gates;
+      let output = List.map (fun q -> (q, st.(q))) i.Qgdg.Inst.qubits in
+      Hashtbl.replace out id output;
+      let summary, hit = Qgdg.Oracle.of_gates i.Qgdg.Inst.gates in
+      Qobs.Metrics.tick
+        (if hit then "qflow.summary.hit" else "qflow.summary.miss");
+      Hashtbl.replace info id
+        { inst_id = id;
+          input;
+          output;
+          summary;
+          dead_members = List.rev !dead_members })
+    order;
   (* final per-qubit state: the output of the last instruction on each
      qubit's chain *)
   let final = Array.make n_qubits Absval.bottom in

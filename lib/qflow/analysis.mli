@@ -5,13 +5,11 @@
     reports, per gate, whether it was provably dead on arrival, plus
     the final per-qubit abstract state.
 
-    [gdg] runs a worklist fixpoint over a gate dependence graph in
-    topological order: each instruction's per-qubit input is the output
-    of its chain predecessor ([Zero] at a chain head), member gates are
-    interpreted in block order, and an instruction is re-queued only
-    when a predecessor's output changes (on a well-formed DAG the
-    seeding pass already converges; the worklist makes the solver total
-    on any graph). Every instruction also gets its content-addressed
+    [gdg] runs one pass over a gate dependence graph in topological
+    order ({!Qgdg.Gdg.insts}): each instruction's per-qubit input is the
+    output of its chain predecessor ([Zero] at a chain head) and member
+    gates are interpreted in block order. A {!Qgdg.Gdg} is acyclic, so
+    that one pass is the fixpoint. Every instruction also gets its content-addressed
     summary ({!Qgdg.Oracle.of_gates}); each lookup ticks
     [qflow.summary.hit] or [qflow.summary.miss] on the ambient metrics
     registry (the oracle's classification memo traffic, which
@@ -43,7 +41,7 @@ type gdg_result = {
   final : Absval.t array;
       (** per-qubit state after the last instruction of its chain *)
   insts : inst_info list;  (** in topological order *)
-  steps : int;  (** worklist transfer evaluations (tests) *)
+  steps : int;  (** transfer evaluations, one per instruction (tests) *)
 }
 
 val gdg : Qgdg.Gdg.t -> gdg_result

@@ -22,9 +22,6 @@
       degenerates to a single-qubit (or identity) action on the other,
       which stays within its class. *)
 
-val angle_eps : float
-(** Tolerance for recognizing angles modulo 2π ([1e-9]). *)
-
 val dead : Absval.t array -> Qgate.Gate.t -> bool
 (** Is the gate provably identity (up to global phase) on this state?
     Never true for gates that could change any computational-basis

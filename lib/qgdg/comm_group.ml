@@ -76,11 +76,11 @@ let refresh ?(commute = fun a b -> Oracle.blocks a.Inst.gates b.Inst.gates) t
       (* [le] holds the links of the earlier endpoint on [q], which [m]
          replaced; [last] is the later endpoint if it was on [q], else
          the earlier one, and [llast] its links *)
-      let pa = Gdg.field la q 3 and pb = Gdg.field lb q 3 in
+      let on l = Gdg.field l q 0 >= 0 in
       let le, last, llast =
-        if pb < 0 then (la, a, la)
-        else if pa < 0 then (lb, b, lb)
-        else if pa < pb then (la, b, lb)
+        if not (on lb) then (la, a, la)
+        else if not (on la) then (lb, b, lb)
+        else if t.g.Gdg.pos.(a) < t.g.Gdg.pos.(b) then (la, b, lb)
         else (lb, a, la)
       in
       (* restart at the start of the old group holding [p], the earlier
@@ -111,7 +111,7 @@ let refresh ?(commute = fun a b -> Oracle.blocks a.Inst.gates b.Inst.gates) t
     merged.Inst.qubits;
   List.iter
     (fun (x, l) ->
-      for k = 0 to (Array.length l / 4) - 1 do
+      for k = 0 to (Array.length l / 3) - 1 do
         t.index.((x * t.nq) + l.(k)) <- -1
       done)
     [ (a, la); (b, lb) ];

@@ -2,12 +2,11 @@ let max_run_gates = 10
 
 (* The test-scope reference fixpoint re-sweeps every node per round and
    re-checks every prefix densely. The production path below reads the
-   {!Gdg} links directly and merges without a rank: every contraction is
-   an exclusive edge (run members are contiguous on each chain, so when
-   the fold merges [acc] with [next], either [next] adds no qubit and all
-   its predecessors are [acc], or it adds one and [acc], on one qubit,
-   has [next] as its only successor), which [Gdg.merge] accepts without
-   a cycle probe. *)
+   {!Gdg} links directly. Every contraction is an exclusive edge (run
+   members are contiguous on each chain, so when the fold merges [acc]
+   with [next], either [next] adds no qubit and all its predecessors are
+   [acc], or it adds one and [acc], on one qubit, has [next] as its only
+   successor), so no merge here closes a cycle. *)
 
 (* the longest contiguous run from [id] within one qubit pair, grown
    exactly as the test-scope reference grows it (the qcheck suite pins
@@ -29,7 +28,7 @@ let grow_run (g : Gdg.t) id =
   in
   let eligible (c : Inst.t) =
     let l = g.Gdg.links.(c.Inst.id) in
-    let w = Array.length l / 4 in
+    let w = Array.length l / 3 in
     let shared k = List.mem_assoc l.(k) !last in
     let fresh = List.filter (fun k -> not (shared k)) (List.init w Fun.id) in
     List.length !last + List.length fresh <= 2
@@ -82,7 +81,7 @@ let invalidate_depth = max_run_gates + 2
 let mark_dirty (g : Gdg.t) dirty m =
   let seeds = ref [ m ] in
   let l = g.Gdg.links.(m) in
-  let w = Array.length l / 4 in
+  let w = Array.length l / 3 in
   for k = w to (3 * w) - 1 do
     if l.(k) >= 0 then seeds := l.(k) :: !seeds
   done;
@@ -94,7 +93,7 @@ let mark_dirty (g : Gdg.t) dirty m =
         if not (Hashtbl.mem dirty x) then begin
           Hashtbl.replace dirty x ();
           let l = g.Gdg.links.(x) in
-          let w = Array.length l / 4 in
+          let w = Array.length l / 3 in
           for k = w to (2 * w) - 1 do
             let p = l.(k) in
             if p >= 0 && not (Hashtbl.mem dirty p) then next := p :: !next

@@ -15,12 +15,14 @@
     no timing table is kept. Every contraction is an exclusive edge — run
     members are contiguous on each chain, so the node folded in next has
     the accumulated block as its only predecessor, or the block (on one
-    qubit) has it as its only successor — so {!Gdg.merge} takes its
-    no-probe shortcut and [gdg.merge.probes] stays 0 (the slow suite
-    pins this). The pre-oracle implementation (full re-sweep per round,
-    per-prefix dense re-checks) lives in test scope ([test/ref]), built
-    on the public {!Gdg} API only, and the qcheck suite pins both to
-    identical merges and graphs on every suite circuit. *)
+    qubit) has it as its only successor — so none closes a cycle;
+    {!Gdg.merge} still repairs the graph's order, and ticks
+    [gdg.merge.probes] when the block's successors sit inside the merge
+    window (the slow suite pins that the order stays topological). The
+    pre-oracle implementation (full re-sweep per round, per-prefix dense
+    re-checks) lives in test scope ([test/ref]), built on the public
+    {!Gdg} API only, and the qcheck suite pins both to identical merges
+    and graphs on every suite circuit. *)
 
 val max_run_gates : int
 (** 10, the paper's practical bound on exhaustive block search. *)

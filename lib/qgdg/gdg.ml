@@ -6,6 +6,9 @@ type t = {
   head : int array;
   last : int array;
   mutable next : int;
+  order : int array;
+  mutable pos : int array;
+  mutable mark : Bytes.t;
 }
 
 let n_qubits g = g.n_qubits
@@ -25,43 +28,60 @@ let links_of g x = if x >= 0 && x < Array.length g.links then g.links.(x) else [
 (* the slot of qubit [q] in a link array, [-1] when the node is not on
    that chain *)
 let slot l q =
-  let w = Array.length l / 4 in
+  let w = Array.length l / 3 in
   let rec go k = if k >= w then -1 else if l.(k) = q then k else go (k + 1) in
   go 0
 
-(* field [f] (1 predecessor, 2 successor, 3 position label) of the slot
-   of qubit [q] in a link array, [-1] off the node's support *)
-let field l q f = match slot l q with -1 -> -1 | k -> l.((f * (Array.length l / 4)) + k)
+(* field [f] (0 the qubit, 1 predecessor, 2 successor) of the slot of
+   qubit [q] in a link array, [-1] off the node's support *)
+let field l q f = match slot l q with -1 -> -1 | k -> l.((f * (Array.length l / 3)) + k)
+
+let iter_block l block f =
+  let w = Array.length l / 3 in
+  for k = block * w to ((block + 1) * w) - 1 do
+    let y = l.(k) in
+    if y >= 0 then f y
+  done
 
 (* rewire [x]'s predecessor ([f = 1]) or successor ([f = 2]) on [q] to
    [v]; [x = -1] stands for the chain's end or head pointer *)
 let set_field g x q f v =
   if x >= 0 then
     let l = g.links.(x) in
-    l.((f * (Array.length l / 4)) + slot l q) <- v
+    l.((f * (Array.length l / 3)) + slot l q) <- v
   else if f = 2 then g.head.(q) <- v
   else g.last.(q) <- v
 
 let ensure_capacity g id =
   let cap = Array.length g.links in
   if id >= cap then begin
+    let ncap = max (id + 1) (2 * cap) in
     let grow a fill =
-      let b = Array.make (max (id + 1) (2 * cap)) fill in
+      let b = Array.make ncap fill in
       Array.blit a 0 b 0 cap;
       b
     in
     g.nodes <- grow g.nodes None;
-    g.links <- grow g.links [||]
+    g.links <- grow g.links [||];
+    g.pos <- grow g.pos (-1);
+    g.mark <- Bytes.extend g.mark 0 (ncap - cap);
+    Bytes.fill g.mark cap (ncap - cap) '\000'
   end
 
 let of_insts ~n_qubits insts =
   let nq = max 1 n_qubits in
   let g =
     { n_qubits; nodes = [||]; links = [||]; size = 0;
-      head = Array.make nq (-1); last = Array.make nq (-1); next = 0 }
+      head = Array.make nq (-1); last = Array.make nq (-1); next = 0;
+      order = Array.make (List.length insts) (-1); pos = [||];
+      mark = Bytes.empty }
   in
-  List.iter
-    (fun (i : Inst.t) ->
+  (* the id-indexed tables sized once for the ids given *)
+  ensure_capacity g
+    (List.fold_left (fun acc (i : Inst.t) -> max acc i.Inst.id) (-1) insts);
+  (* list order is a topological order: every chain edge runs forward *)
+  List.iteri
+    (fun p (i : Inst.t) ->
       let id = i.Inst.id in
       if id < 0 then invalid_arg "Gdg.of_insts: negative instruction id";
       if mem g id then invalid_arg "Gdg.of_insts: duplicate instruction id";
@@ -79,15 +99,16 @@ let of_insts ~n_qubits insts =
       if id >= g.next then g.next <- id + 1;
       ensure_capacity g id;
       g.nodes.(id) <- Some i;
+      g.order.(p) <- id;
+      g.pos.(id) <- p;
       g.size <- g.size + 1;
-      let l = Array.make (4 * w) (-1) in
+      let l = Array.make (3 * w) (-1) in
       g.links.(id) <- l;
       List.iteri
         (fun k q ->
           let p = g.last.(q) in
           l.(k) <- q;
           l.(w + k) <- p;
-          l.((3 * w) + k) <- (if p < 0 then 0 else field g.links.(p) q 3 + 1);
           set_field g p q 2 id;
           g.last.(q) <- id)
         i.Inst.qubits)
@@ -111,7 +132,7 @@ let kahn g =
   let indeg = Array.make n 0 in
   let iter_succs id f =
     let l = links_of g id in
-    let w = Array.length l / 4 in
+    let w = Array.length l / 3 in
     for k = 2 * w to (3 * w) - 1 do
       let s = l.(k) in
       if mem g s then f s
@@ -191,78 +212,79 @@ let copy g =
     size = g.size;
     head = Array.copy g.head;
     last = Array.copy g.last;
-    next = g.next }
+    next = g.next;
+    order = Array.copy g.order;
+    pos = Array.copy g.pos;
+    mark = Bytes.copy g.mark }
 
-(* Bounded cycle check after contracting two nodes into [m]. Contracting
-   a DAG can only create cycles through the contracted node, and such a
-   cycle must re-enter [m] through one of its chain predecessors — all old
-   nodes. [rank] is a pre-merge topological potential (ASAP start times):
-   along every post-merge edge between old nodes, rank is non-decreasing
-   (the edge either existed before or shortcuts an old path through a
-   dropped occurrence of a merge endpoint). Every node on a path from a
-   successor of [m] back into [m] therefore has rank at most the largest
-   predecessor rank, so a BFS from [m]'s successors pruned at that bound
-   is sound AND complete — and in the common accepted-merge case visits
-   only the short time-window between the merge endpoints instead of the
-   whole graph. Callers should return [neg_infinity] for unknown ids
-   (never pruned, keeping the check sound). *)
-let cycle_through g ~rank m =
-  Qobs.Metrics.tick "gdg.merge.probes";
-  let l = g.links.(m) and w = Array.length g.links.(m) / 4 in
-  let preds = List.filter (fun p -> p >= 0) (Array.to_list (Array.sub l w w)) in
-  preds <> []
-  &&
-  let bound = List.fold_left (fun acc p -> Float.max acc (rank p)) neg_infinity preds in
-  let visited = Hashtbl.create 16 and queue = Queue.create () in
-  let found = ref false in
-  let visit_succs x =
-    let l = g.links.(x) and w = Array.length g.links.(x) / 4 in
-    for k = 2 * w to (3 * w) - 1 do
-      let y = l.(k) in
-      if y = m then found := true
-      else if y >= 0 && (not (Hashtbl.mem visited y)) && rank y <= bound then begin
-        Hashtbl.replace visited y ();
-        Queue.add y queue
-      end
-    done
+(* The one search of a merge. [m] has just taken slot [hi], the later
+   endpoint's, and [lo] is a hole. Every chain edge then runs forward in
+   [order] except those from [m] to a chain successor of the earlier
+   endpoint inside the window (lo, hi). A cycle must take one of those
+   edges and come back to [m] along forward edges, so through the window
+   alone: the forward walk F from [m] within the window meets [m] again
+   iff the merge closed a cycle. Otherwise B, the window nodes reaching
+   [m], is collected too, and the slots of B, [m] and F, sorted, go to
+   B, then [m], then F, each group in its old order (Pearce and Kelly's
+   reorder, whose region is the window alone since no path leaves it and
+   comes back). Returns whether a cycle was found; every mark is clear
+   again on return. *)
+let repair_order g m ~lo ~hi =
+  let cyclic = ref false in
+  let rec collect block acc x =
+    iter_block g.links.(x) block (fun y ->
+        if y = m then cyclic := true
+        else
+          let p = g.pos.(y) in
+          if p > lo && p < hi && Bytes.get g.mark y = '\000' then begin
+            Bytes.set g.mark y '\001';
+            acc := y :: !acc;
+            collect block acc y
+          end)
   in
-  visit_succs m;
-  while (not !found) && not (Queue.is_empty queue) do
-    visit_succs (Queue.pop queue)
-  done;
-  !found
+  let fwd = ref [] and bwd = ref [] in
+  collect 2 fwd m;
+  if !fwd <> [] then begin
+    Qobs.Metrics.tick "gdg.merge.probes";
+    if not !cyclic then collect 1 bwd m;
+    List.iter (List.iter (fun x -> Bytes.set g.mark x '\000')) [ !fwd; !bwd ];
+    if not !cyclic then begin
+      let by_pos = List.sort (fun x y -> compare g.pos.(x) g.pos.(y)) in
+      let ids = by_pos !bwd @ (m :: by_pos !fwd) in
+      let slots = List.sort compare (List.map (fun x -> g.pos.(x)) ids) in
+      List.iter2
+        (fun x p ->
+          g.order.(p) <- x;
+          g.pos.(x) <- p)
+        ids slots
+    end
+  end;
+  !cyclic
 
-(* [b]'s predecessor is [a] on each of [b]'s qubits, or [a]'s successor
-   is [b] on each of [a]'s: every path between the two is the edge
-   itself, so contracting it cannot close a cycle *)
-let exclusive_edge la lb a b =
-  let all l f v =
-    let w = Array.length l / 4 in
-    Array.for_all (( = ) v) (Array.sub l (f * w) w)
-  in
-  all lb 1 a || all la 2 b
-
-let merge ?rank g ~latency a b =
+let merge g ~latency a b =
   if a = b then invalid_arg "Gdg.merge: cannot merge a node with itself";
   let ia = find g a and ib = find g b in
   let la = g.links.(a) and lb = g.links.(b) in
+  let pa = g.pos.(a) and pb = g.pos.(b) in
   let m = g.next in
   let merged = Inst.merge ~id:m ~latency ia ib in
   g.next <- m + 1;
   ensure_capacity g m;
   let wm = List.length merged.Inst.qubits in
-  let lm = Array.make (4 * wm) (-1) in
-  (* on each support qubit [m] takes the place and label of the earlier
-     endpoint and the later one, if any, is unlinked. Only [m]'s slots and
-     the surviving neighbours' are written, so [a] and [b] keep theirs
-     for a rollback. *)
+  let lm = Array.make (3 * wm) (-1) in
+  (* on each support qubit [m] takes the place of the earlier endpoint
+     and the later one, if any, is unlinked. Only [m]'s slots and the
+     surviving neighbours' are written, so [a] and [b] keep theirs for a
+     rollback. *)
   List.iteri
     (fun k q ->
-      let pos l = if slot l q < 0 then max_int else field l q 3 in
-      let le, ll, later = if pos la < pos lb then (la, lb, b) else (lb, la, a) in
+      let on l = slot l q >= 0 in
+      let le, ll, later =
+        if on la && (pa < pb || not (on lb)) then (la, lb, b) else (lb, la, a)
+      in
       let p = field le q 1 and s = field le q 2 in
       let s =
-        if pos ll = max_int then s
+        if not (on ll) then s
         else if s = later then field ll q 2
         else begin
           set_field g (field ll q 1) q 2 (field ll q 2);
@@ -270,7 +292,7 @@ let merge ?rank g ~latency a b =
           s
         end
       in
-      List.iteri (fun f v -> lm.((f * wm) + k) <- v) [ q; p; s; pos le ];
+      List.iteri (fun f v -> lm.((f * wm) + k) <- v) [ q; p; s ];
       set_field g p q 2 m;
       set_field g s q 1 m)
     merged.Inst.qubits;
@@ -281,17 +303,18 @@ let merge ?rank g ~latency a b =
   g.nodes.(b) <- None;
   g.nodes.(m) <- Some merged;
   g.size <- g.size - 1;
-  let cyclic =
-    (not (exclusive_edge la lb a b))
-    && cycle_through g ~rank:(Option.value rank ~default:(fun _ -> neg_infinity)) m
-  in
-  if cyclic then begin
+  let lo = min pa pb and hi = max pa pb in
+  g.order.(lo) <- -1;
+  g.order.(hi) <- m;
+  g.pos.(m) <- hi;
+  if repair_order g m ~lo ~hi then begin
     (* re-attach [a] and [b] from their own slots; a neighbour that is
        the other endpoint kept its slots *)
     List.iter
       (fun (x, l) ->
         g.links.(x) <- l;
-        let w = Array.length l / 4 in
+        g.order.(g.pos.(x)) <- x;
+        let w = Array.length l / 3 in
         for k = 0 to w - 1 do
           let q = l.(k) and p = l.(w + k) and s = l.((2 * w) + k) in
           if p <> a && p <> b then set_field g p q 2 x;
@@ -299,6 +322,7 @@ let merge ?rank g ~latency a b =
         done)
       [ (a, la); (b, lb) ];
     g.links.(m) <- [||];
+    g.pos.(m) <- -1;
     g.nodes.(m) <- None;
     g.nodes.(a) <- Some ia;
     g.nodes.(b) <- Some ib;

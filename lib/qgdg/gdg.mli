@@ -23,16 +23,26 @@ type t = private {
   mutable links : int array array;
       (** id -> the node's chain slots, [[||]] for an id with no live node.
           A node of width [w] has one slot [k] per support qubit, in
-          [Inst.qubits] order, laid out in one array of length [4 * w]:
-          [l.(k)] is the qubit, [l.(w + k)] the chain predecessor on it,
-          [l.(2 * w + k)] the chain successor ([-1] at either end) and
-          [l.(3 * w + k)] the position label, strictly increasing along
-          the chain (labels are not renumbered after a merge, so they
-          order nodes but do not count them). *)
+          [Inst.qubits] order, laid out in one array of length [3 * w]:
+          [l.(k)] is the qubit, [l.(w + k)] the chain predecessor on it
+          and [l.(2 * w + k)] the chain successor ([-1] at either end). *)
   mutable size : int;  (** the number of live nodes, see {!size} *)
   head : int array;  (** qubit -> first node of its chain, [-1] if empty *)
   last : int array;  (** qubit -> last node of its chain, [-1] if empty *)
   mutable next : int;  (** see {!next_id} *)
+  order : int array;
+      (** position -> live id, [-1] for a hole: a topological order of the
+          live nodes, initially the {!of_insts} list order. A merge puts
+          the merged node in the later endpoint's slot and leaves the
+          earlier slot a hole, so the array never grows. On a chain, [a]
+          precedes [b] iff [pos.(a) < pos.(b)]. *)
+  mutable pos : int array;
+      (** id -> position in [order], [-1] for an id never live. A
+          merged-away id keeps its last position, so a caller can still
+          tell which endpoint of a merge came first. *)
+  mutable mark : Bytes.t;
+      (** id -> [\001] while {!merge}'s search has marked it, [\000]
+          otherwise: every mark is clear between calls *)
 }
 
 val of_insts : n_qubits:int -> Inst.t list -> t
@@ -42,10 +52,15 @@ val of_insts : n_qubits:int -> Inst.t list -> t
     carry: an empty gate list or a nan, infinite or negative latency. So
     every node of a graph has a finite, non-negative latency. *)
 
+val iter_block : int array -> int -> (int -> unit) -> unit
+(** [iter_block l block f] applies [f] to each neighbour in one slot
+    block of the link array [l] (1 predecessors, 2 successors), skipping
+    the [-1] chain ends. *)
+
 val field : int array -> int -> int -> int
-(** [field l q f] reads field [f] (1 predecessor, 2 successor, 3 position
-    label) of qubit [q]'s slot in the link array [l] (see {!t}), [-1]
-    off the node's support. *)
+(** [field l q f] reads field [f] (0 the qubit, 1 predecessor, 2
+    successor) of qubit [q]'s slot in the link array [l] (see {!t}),
+    [-1] off the node's support. *)
 
 val of_circuit :
   latency:(Qgate.Gate.t list -> float) -> Qgate.Circuit.t -> t
@@ -64,8 +79,9 @@ val mem : t -> int -> bool
 
 val topo_ids : t -> int list
 (** All node ids in the topological order of Kahn's algorithm, the ready
-    node with the least id first — the one topological walk of this
-    library. Raises [Failure] on a cyclic graph. *)
+    node with the least id first: the order CLS ties, the certificates
+    and the goldens read, which [order] need not equal. Raises [Failure]
+    on a cyclic graph. *)
 
 val insts : t -> Inst.t list
 (** All instructions in {!topo_ids} order. *)
@@ -98,27 +114,24 @@ val parents : t -> int -> Inst.t list
 
 val children : t -> int -> Inst.t list
 
-val merge : ?rank:(int -> float) -> t -> latency:float -> int -> int -> Inst.t
+val merge : t -> latency:float -> int -> int -> Inst.t
 (** [merge g ~latency a b] replaces nodes [a] and [b] by one block whose
     members are [a]'s followed by [b]'s, positioned at the earlier of the
-    two on every shared qubit chain (taking that node's position label)
-    and spliced into the links in O(width). The caller must have checked
-    that the action is schedulable (paper §4.1, as the aggregator does);
-    this function only re-checks that the result is acyclic and raises
-    [Invalid_argument] otherwise, leaving the graph unchanged: [a] and
-    [b] are re-attached from their own untouched slots and {!size} and
-    {!next_id} are restored.
+    two on every shared qubit chain and spliced into the links in
+    O(width). The caller must have checked that the action is schedulable
+    (paper §4.1, as the aggregator does); this function only checks that
+    the result is acyclic and raises [Invalid_argument] otherwise, leaving
+    the graph unchanged: [a] and [b] are re-attached from their own
+    untouched slots, and [order], {!size} and {!next_id} are restored.
 
-    The acyclicity check has one shortcut and one probe. When [b]'s
-    chain predecessor is [a] on every qubit of [b], or [a]'s successor is
-    [b] on every qubit of [a], the merge contracts an exclusive edge and
-    cannot close a cycle, so nothing runs. Otherwise a reachability probe
-    from the merged node's successors looks for a path back into it,
-    ticking [gdg.merge.probes]. With [rank] — a pre-merge ASAP start time
-    per node id, [neg_infinity] when unknown — the probe is pruned at the
-    largest predecessor rank, since any returning path stays below it;
-    without [rank] it runs unpruned. Both accept and reject identical
-    merges; [rank] is purely a cost optimization. *)
+    One search both checks and repairs [order]. The merged node takes
+    the later endpoint's slot, so its only backward edges go to chain
+    successors strictly between the two endpoints' slots. The forward
+    walk from it through that window reaches it again iff the merge
+    closes a cycle; otherwise the nodes it reached, and the window nodes
+    reaching it, are reordered (Pearce and Kelly's dynamic topological
+    sort). A merge whose window holds a successor of the merged node
+    ticks [gdg.merge.probes]. *)
 
 val set_latency : t -> int -> float -> unit
 (** Replaces one node's latency. Raises [Invalid_argument] on a nan,

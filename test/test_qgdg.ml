@@ -438,15 +438,34 @@ let gdg_cases =
           (Invalid_argument "Gdg.of_insts: empty gate list")
           (fun () -> ignore (Gdg.of_insts ~n_qubits:1 [ i ]))) ]
 
+(* the graph's maintained order is a topological order: [order] and
+   [pos] are inverse over the live ids, every other slot is a hole, and
+   every chain edge runs from a lower to a higher position *)
+let order_topological g =
+  let live = Gdg.insts g in
+  List.for_all
+    (fun (i : Inst.t) ->
+      let x = i.Inst.id in
+      let p = g.Gdg.pos.(x) in
+      p >= 0
+      && g.Gdg.order.(p) = x
+      && List.for_all
+           (fun (c : Inst.t) -> g.Gdg.pos.(c.Inst.id) > p)
+           (Gdg.children g x))
+    live
+  && Array.for_all (fun x -> x < 0 || Gdg.mem g x) g.Gdg.order
+  && List.length (List.filter (fun x -> x >= 0) (Array.to_list g.Gdg.order))
+     = List.length live
+
 (* the links of [g] against a list model of its chains: each chain read
    backward ([Gdg.chain_ids]) and forward (head and successors) equals
-   the model, predecessor, successor, head and end agree, and position
-   labels strictly increase along every chain *)
+   the model, predecessor, successor, head and end agree, and positions
+   in the graph's order strictly increase along every chain *)
 let links_agree g (model : int list array) =
   let slots x = g.Gdg.links.(x) in
   let field x q off =
     let l = slots x in
-    let w = Array.length l / 4 in
+    let w = Array.length l / 3 in
     let rec go k = if k >= w then None else if l.(k) = q then Some l.((off * w) + k) else go (k + 1) in
     go 0
   in
@@ -470,13 +489,13 @@ let links_agree g (model : int list array) =
                 let x = arr.(k) in
                 field x q 1 = Some (if k = 0 then -1 else arr.(k - 1))
                 && field x q 2 = Some (if k = n - 1 then -1 else arr.(k + 1))
-                && (k = 0
-                   || Option.get (field arr.(k - 1) q 3) < Option.get (field x q 3)))))
+                && (k = 0 || g.Gdg.pos.(arr.(k - 1)) < g.Gdg.pos.(x)))))
     (List.init (Gdg.n_qubits g) Fun.id)
   && List.for_all
        (fun (i : Inst.t) ->
          Array.to_list (Array.sub (slots i.Inst.id) 0 (Inst.width i)) = i.Inst.qubits)
        (Gdg.insts g)
+  && order_topological g
 
 (* the node table: [iter_insts] visits exactly the topologically ordered
    ids, ascending, and [size] counts them *)
@@ -488,11 +507,12 @@ let node_table_agrees g =
   && List.length visited = Gdg.size g
 
 let links_cases =
-  [ (* random merges, accepted or rejected, with or without a rank: the
-       links must track a list model of the chains, an accepted merge must
-       shrink the size by one and a rejected one leave links, size and
-       next id untouched, the node table must stay in step, and every
-       verdict must equal Kahn's algorithm on the merged model chains *)
+  [ (* random merges, accepted or rejected: the links must track a list
+       model of the chains and the order must stay topological, an
+       accepted merge must shrink the size by one and a rejected one
+       leave links, order, positions, size and next id untouched, the
+       node table must stay in step, and every verdict must equal Kahn's
+       algorithm on the merged model chains *)
     qcheck ~count:100 "links match chains after every merge"
       QCheck.(int_range 0 10000)
       (fun seed ->
@@ -513,16 +533,11 @@ let links_cases =
           let a = pick (ids ()) and b = pick (ids ()) in
           if a <> b then begin
             let before = Array.map Array.copy g.Gdg.links in
+            let order = Array.copy g.Gdg.order and pos = Array.copy g.Gdg.pos in
             let size = Gdg.size g and next = Gdg.next_id g in
             let merged_model = Qref.merge_chains model a b next in
-            let rank =
-              if Qgraph.Rand.bool rng then None
-              else
-                let t = Timing.create g in
-                Some (Timing.rank t)
-            in
             let accepted =
-              match Gdg.merge ?rank g ~latency:1. a b with
+              match Gdg.merge g ~latency:1. a b with
               | _ -> true
               | exception Invalid_argument _ -> false
             in
@@ -534,6 +549,8 @@ let links_cases =
               end
               else
                 Gdg.size g = size && Gdg.next_id g = next
+                && g.Gdg.order = order
+                && Array.sub g.Gdg.pos 0 (Array.length pos) = pos
                 && List.for_all
                      (fun x -> before.(x) = g.Gdg.links.(x))
                      (List.init (Array.length before) Fun.id)
@@ -835,12 +852,12 @@ let diagonal_cases =
               (Printf.sprintf "%s cls makespan" b.Qapps.Suite.name)
               (Qsched.Cls.makespan g_ref) (Qsched.Cls.makespan g_new))
           Qapps.Suite.all);
-    (* every contraction detect makes is an exclusive edge, so
-       [Gdg.merge]'s shortcut accepts it without a cycle probe: on the
+    (* detect contracts through [Gdg.merge], which repairs the graph's
+       order on every contraction: the order stays topological on the
        lowered graph (cls, cls+aggregation) and on the routed graph
        (aggregation; the isa result is that graph, uncontracted) of
        every suite benchmark *)
-    slow_case "detect merges never run the cycle probe" (fun () ->
+    slow_case "detect leaves a topological order on every suite graph" (fun () ->
         let total = ref 0 in
         List.iter
           (fun (b : Qapps.Suite.benchmark) ->
@@ -851,17 +868,11 @@ let diagonal_cases =
             in
             List.iter
               (fun (what, g) ->
-                let m = Qobs.Metrics.create () in
-                let merges =
-                  Qobs.Metrics.with_ambient m (fun () ->
-                      Diagonal.detect_and_contract ~latency:sum_latency
-                        (Gdg.copy g))
-                in
-                total := !total + merges;
-                check_int
-                  (Printf.sprintf "%s %s probes" b.Qapps.Suite.name what)
-                  0
-                  (Qobs.Metrics.counter_value m "gdg.merge.probes"))
+                let g = Gdg.copy g in
+                total := !total + Diagonal.detect_and_contract ~latency:sum_latency g;
+                check_bool
+                  (Printf.sprintf "%s %s order" b.Qapps.Suite.name what)
+                  true (order_topological g))
               [ ("lowered", Gdg.of_circuit ~latency:sum_latency circuit);
                 ("routed", routed) ])
           Qapps.Suite.all;
@@ -886,7 +897,7 @@ let asap_agrees g =
 (* [t]'s tables against a from-scratch [Timing.create] on the same graph,
    float entries compared bit for bit; the fresh tables are themselves
    checked against the [Qref.asap] fold, as is [Asap.schedule], and every
-   merged-away id must rank as unknown *)
+   merged-away id must have no start *)
 let timing_agrees (t : Timing.t) g =
   let f = Timing.create g in
   let asap, makespan = Qref.asap g in
@@ -904,35 +915,16 @@ let timing_agrees (t : Timing.t) g =
            [ (t.start, f.start); (t.finish, f.finish); (t.tail, f.tail) ])
        (Gdg.insts g)
   && List.for_all
-       (fun x -> Gdg.mem g x || Timing.rank t x = neg_infinity)
+       (fun x -> Gdg.mem g x || Float.is_nan t.start.(x))
        (List.init (Gdg.next_id g) Fun.id)
-
-(* [t]'s maintained order is a topological order of [g]: every live id
-   has a slot holding it, every other slot is a hole, and every chain
-   edge runs from a lower to a higher position *)
-let order_topological (t : Timing.t) g =
-  let live = Gdg.insts g in
-  List.for_all
-    (fun (i : Inst.t) ->
-      let x = i.Inst.id in
-      let p = t.pos.(x) in
-      p >= 0
-      && t.order.(p) = x
-      && List.for_all
-           (fun (c : Inst.t) -> t.pos.(c.Inst.id) > p)
-           (Gdg.children g x))
-    live
-  && Array.for_all (fun x -> x < 0 || Gdg.mem g x) t.order
-  && List.length (List.filter (fun x -> x >= 0) (Array.to_list t.order))
-     = List.length live
 
 let timing_cases =
   [ (* random merges through [Timing.merge], each validated by the
-       rank-bounded cycle probe: the patched tables must equal a fresh pass
-       after every step, and the maintained order must stay topological.
+       merge's window search: the patched tables must equal a fresh pass
+       after every step, and the graph's order must stay topological.
        Pairs are either chain-near (mostly accepted) or arbitrary (often
-       cyclic, so rejected merges must leave [t] alone, its order
-       included); latencies are random, zero included, so ties and
+       cyclic, so rejected merges must leave [t] and the graph's order
+       alone); latencies are random, zero included, so ties and
        re-timed tails both occur *)
     qcheck ~count:100 "Timing.merge matches create after every merge"
       QCheck.(int_range 0 10000)
@@ -971,14 +963,14 @@ let timing_cases =
           (fun _ ->
             let a = pick (List.map (fun (i : Inst.t) -> i.Inst.id) (Gdg.insts g)) in
             let b = partner a in
-            let order = Array.copy t.order and pos = Array.copy t.pos in
+            let order = Array.copy g.Gdg.order in
             (a = b
             ||
             match Timing.merge t ~latency:(latency ()) a b with
-            | exception Invalid_argument _ -> t.order = order && t.pos = pos
+            | exception Invalid_argument _ -> g.Gdg.order = order
             | _, visits -> visits >= 1)
             && timing_agrees t g
-            && order_topological t g)
+            && order_topological g)
           (List.init 25 Fun.id));
     (* the schedulers' timing against the list folds of the test-scope
        specification on random graphs and random latencies, zero

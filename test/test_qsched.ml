@@ -383,16 +383,29 @@ let suite_cls_gdgs =
               Qcc.Strategy.[ Cls; Cls_hand; Cls_aggregation ])
        Qapps.Suite.all)
 
-(* a graph whose merge slipped past the rank-bounded cycle probe: the
-   ranks below are not ASAP starts, so contracting node 0 (h on qubit 0)
-   with node 3 (h on qubit 2) across the cnot chain 1, 2 is accepted and
-   closes the cycle m -> 1 -> 2 -> m *)
+(* a cyclic graph, which no merge can produce: qubit 1's chain of
+   [cnot 0 1; cnot 1 2; cnot 0 1] is reversed by hand, so node 2 comes
+   before node 0 on it while node 0 still comes before node 2 on qubit 0 *)
 let cyclic_gdg () =
   let g =
     Gdg.of_circuit ~latency:unit_latency
-      (Circuit.make 3 [ Gate.h 0; Gate.cnot 0 1; Gate.cnot 1 2; Gate.h 2 ])
+      (Circuit.make 3 [ Gate.cnot 0 1; Gate.cnot 1 2; Gate.cnot 0 1 ])
   in
-  ignore (Gdg.merge g ~rank:(fun id -> -.float_of_int id) ~latency:2. 0 3);
+  List.iter
+    (fun x ->
+      let l = g.Gdg.links.(x) in
+      let w = Array.length l / 3 in
+      for k = 0 to w - 1 do
+        if l.(k) = 1 then begin
+          let p = l.(w + k) in
+          l.(w + k) <- l.((2 * w) + k);
+          l.((2 * w) + k) <- p
+        end
+      done)
+    (Gdg.chain_ids g 1);
+  let head = g.Gdg.head.(1) in
+  g.Gdg.head.(1) <- g.Gdg.last.(1);
+  g.Gdg.last.(1) <- head;
   g
 
 let cls_reference_cases =
